@@ -21,7 +21,7 @@
 
 use sg_mesh::dn::DnMesh;
 use sg_mesh::MeshPoint;
-use sg_perm::Perm;
+use sg_perm::{Perm, MAX_N};
 
 /// Maps a mesh node of `D_n` to its star-graph node (Figure 5,
 /// `CONVERT-D-S`). `O(n²)`.
@@ -123,20 +123,36 @@ pub fn table1_row(i: usize) -> Vec<(u8, u8)> {
 /// Panics on a length-1 permutation (`D_1` does not exist).
 #[must_use]
 pub fn convert_s_d(pi: &Perm) -> MeshPoint {
+    let coords = convert_s_d_coords(pi);
+    MeshPoint::from_ascending(&coords[1..pi.len()]).expect("n >= 2")
+}
+
+/// [`convert_s_d`] on the stack: `coords[i]` is the paper's `d_i` for
+/// `1 ≤ i < n`; `coords[0]` and the tail are 0. The kernel routers use
+/// to walk mesh coordinates without a heap-allocated [`MeshPoint`].
+///
+/// # Panics
+/// Panics on a length-1 permutation (`D_1` does not exist).
+#[must_use]
+pub fn convert_s_d_coords(pi: &Perm) -> [u32; MAX_N] {
     let n = pi.len();
     assert!(n >= 2, "CONVERT-S-D needs n >= 2");
     // Recover the paper's p array (p[k] = symbol at position k) and
     // work on q := p as in Figure 6.
-    let mut q: Vec<i64> = (0..n).map(|k| i64::from(pi.symbol_at(n - 1 - k))).collect();
-    let mut coords = vec![0u32; n]; // coords[i] = d_i (index 0 unused)
+    let s = pi.as_slice();
+    let mut q = [0u32; MAX_N];
+    for (k, qk) in q.iter_mut().enumerate().take(n) {
+        *qk = u32::from(s[n - 1 - k]);
+    }
+    let mut coords = [0u32; MAX_N]; // coords[i] = d_i (index 0 unused)
     for i in (1..n).rev() {
         let qi = q[i];
         debug_assert!(
-            qi <= i as i64,
+            qi <= i as u32,
             "invariant: after removing larger symbols, q(i) <= i"
         );
-        if (i as i64) > qi {
-            coords[i] = (i as i64 - qi) as u32;
+        if (i as u32) > qi {
+            coords[i] = i as u32 - qi;
             for qj in q.iter_mut().take(i).skip(1) {
                 if *qj > qi {
                     *qj -= 1;
@@ -144,7 +160,7 @@ pub fn convert_s_d(pi: &Perm) -> MeshPoint {
             }
         }
     }
-    MeshPoint::from_ascending(&coords[1..]).expect("n >= 2")
+    coords
 }
 
 /// Alternative `CONVERT-S-D` via explicit insertion-code decoding
@@ -316,6 +332,21 @@ mod tests {
     }
 
     #[test]
+    fn stack_convert_s_d_matches_removal_decoder_exhaustively() {
+        // The stack kernel against the independent insertion-code
+        // decoder, over every node of S_n, n <= 7.
+        for n in 2..=7usize {
+            for r in 0..sg_perm::factorial::factorial(n) {
+                let pi = sg_perm::lehmer::unrank(r, n).unwrap();
+                let coords = convert_s_d_coords(&pi);
+                let d = convert_s_d_via_removal(&pi);
+                assert_eq!(&coords[1..n], d.ascending(), "n={n} {pi}");
+                assert!(coords[n..].iter().all(|&c| c == 0) && coords[0] == 0);
+            }
+        }
+    }
+
+    #[test]
     fn table1_rows() {
         assert_eq!(table1_row(1), vec![(0, 1)]);
         assert_eq!(table1_row(2), vec![(1, 2), (0, 1)]);
@@ -357,6 +388,14 @@ mod tests {
                 seed % sg_perm::factorial::factorial(n), n).unwrap();
             let d = convert_s_d(&pi);
             prop_assert_eq!(convert_d_s(&d), pi);
+        }
+
+        #[test]
+        fn prop_stack_convert_s_d_matches_removal(n in 2usize..=MAX_N, seed in any::<u64>()) {
+            let pi = sg_perm::lehmer::unrank(
+                seed % sg_perm::factorial::factorial(n), n).unwrap();
+            let coords = convert_s_d_coords(&pi);
+            prop_assert_eq!(&coords[1..n], convert_s_d_via_removal(&pi).ascending());
         }
 
         #[test]

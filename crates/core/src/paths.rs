@@ -25,34 +25,43 @@ use sg_perm::Perm;
 /// Panics if `x == y` or either symbol is out of range.
 #[must_use]
 pub fn transposition_path(pi: &Perm, x: u8, y: u8) -> Vec<Perm> {
-    assert_ne!(x, y, "transposing a symbol with itself");
-    let front = pi.symbol_at(0);
-    if front == x || front == y {
-        // One hop: the other symbol's slot.
-        let other = if front == x { y } else { x };
-        let j = pi.slot_of(other);
-        return vec![*pi, pi.with_slots_swapped(0, j)];
+    let (gens, len) = transposition_hops(pi, x, y);
+    let mut path = Vec::with_capacity(len + 1);
+    let mut cur = *pi;
+    path.push(cur);
+    for &g in &gens[..len] {
+        cur.swap_slots(0, usize::from(g));
+        path.push(cur);
     }
-    let slot_x = pi.slot_of(x);
-    let slot_y = pi.slot_of(y);
-    let p1 = pi.with_slots_swapped(0, slot_x); // front = x, slot_x = front
-    let p2 = p1.with_slots_swapped(0, slot_y); // front = y, slot_y = x
-    let p3 = p2.with_slots_swapped(0, slot_x); // front restored, slot_x = y
-    vec![*pi, p1, p2, p3]
+    path
 }
 
 /// Generator indices (`g_j`) realizing [`transposition_path`].
 #[must_use]
 pub fn transposition_generators(pi: &Perm, x: u8, y: u8) -> Vec<usize> {
+    let (gens, len) = transposition_hops(pi, x, y);
+    gens[..len].iter().map(|&g| usize::from(g)).collect()
+}
+
+/// [`transposition_generators`] on the stack: the first `len` entries
+/// of `gens` (`len` is 1 or 3). One hop to the other symbol's slot
+/// when `x` or `y` is the front symbol; otherwise fetch `x` to the
+/// front, exchange it with `y`'s slot, and park `y` where the
+/// original front symbol waits.
+///
+/// # Panics
+/// Panics if `x == y` or either symbol is out of range.
+#[must_use]
+pub fn transposition_hops(pi: &Perm, x: u8, y: u8) -> ([u8; 3], usize) {
     assert_ne!(x, y, "transposing a symbol with itself");
     let front = pi.symbol_at(0);
     if front == x || front == y {
         let other = if front == x { y } else { x };
-        return vec![pi.slot_of(other)];
+        return ([pi.slot_of(other) as u8, 0, 0], 1);
     }
-    let slot_x = pi.slot_of(x);
-    let slot_y = pi.slot_of(y);
-    vec![slot_x, slot_y, slot_x]
+    let slot_x = pi.slot_of(x) as u8;
+    let slot_y = pi.slot_of(y) as u8;
+    ([slot_x, slot_y, slot_x], 3)
 }
 
 /// The dilation-3 path for one mesh edge: from the star node `pi`

@@ -91,7 +91,7 @@ pub mod trace;
 pub mod workload;
 
 pub use fault::{FaultPlan, FaultPolicy};
-pub use network::{Engine, FlowControl, NetConfig, Network, QuiescenceViolation};
+pub use network::{Engine, FlowControl, NetConfig, Network, QuiescenceViolation, MAX_ORDER};
 pub use packet::{HopRecord, PacketId, PacketOutcome, PacketRecord};
 pub use routing::{AdaptiveRouting, EmbeddingRouting, GreedyRouting, RoutingPolicy};
 pub use stats::{saturation_sweep, RunCounters, SaturationPoint, TrafficStats};

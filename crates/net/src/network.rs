@@ -79,15 +79,23 @@ use crate::routing::RoutingPolicy;
 use crate::stats::{RunCounters, TrafficStats};
 use crate::workload::{ChainedWorkload, Injection, Workload};
 use rayon::prelude::*;
-use sg_core::convert::convert_s_d;
-use sg_core::lemma3::{minus_swap_symbols, plus_swap_symbols};
-use sg_core::paths::transposition_generators;
+use sg_core::convert::convert_s_d_coords;
 use sg_obs::{DropReason, Event, NullProbe, PhaseProfile, Probe, StallKind};
 use sg_perm::factorial::factorial;
-use sg_perm::lehmer::unrank;
+use sg_perm::lehmer::{rank, unrank};
 use sg_perm::Perm;
-use sg_star::distance::distance;
+use sg_star::distance::improving_mask;
 use std::collections::{HashMap, VecDeque};
+
+/// Largest star order the simulator materializes: `9! = 362 880` PEs.
+/// [`Network::new`] enforces it, and through `MAX_GENS = MAX_ORDER − 1`
+/// it sizes every per-PE stack buffer (the neighbor rows built there
+/// and the adaptive selector's occupancy array).
+pub const MAX_ORDER: usize = 9;
+
+/// Generators per PE at [`MAX_ORDER`]: the length of the per-PE stack
+/// buffers.
+const MAX_GENS: usize = MAX_ORDER - 1;
 
 /// What happens when a packet heads for a full downstream buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -217,29 +225,31 @@ impl Network {
     /// faults.
     ///
     /// # Panics
-    /// Panics for `n` outside `2..=9` (the node table is materialized,
-    /// `9! = 362 880` PEs).
+    /// Panics for `n` outside `2..=`[`MAX_ORDER`] (the node table is
+    /// materialized, `9! = 362 880` PEs).
     #[must_use]
     pub fn new(n: usize) -> Self {
         assert!(
-            (2..=9).contains(&n),
-            "simulator materializes n! PEs; supported for 2 <= n <= 9"
+            (2..=MAX_ORDER).contains(&n),
+            "simulator materializes n! PEs; supported for 2 <= n <= {MAX_ORDER}"
         );
         let node_count = factorial(n) as usize;
         let gens = n - 1;
-        // Neighbor table, built in parallel: one row per PE.
-        let rows: Vec<Vec<u32>> = (0..node_count)
+        // Neighbor table, built in parallel: one fixed-size row per PE.
+        let rows: Vec<[u32; MAX_GENS]> = (0..node_count)
             .into_par_iter()
             .map(|u| {
                 let p = unrank(u as u64, n).expect("rank in range");
-                (1..n)
-                    .map(|g| sg_perm::lehmer::rank(&p.with_slots_swapped(0, g)) as u32)
-                    .collect()
+                let mut row = [0u32; MAX_GENS];
+                for (g, v) in (1..n).zip(&mut row) {
+                    *v = rank(&p.with_slots_swapped(0, g)) as u32;
+                }
+                row
             })
             .collect();
         let mut neighbor = Vec::with_capacity(node_count * gens);
-        for row in rows {
-            neighbor.extend(row);
+        for row in &rows {
+            neighbor.extend_from_slice(&row[..gens]);
         }
         Network {
             n,
@@ -982,54 +992,42 @@ enum HopChoice {
     Blocked,
 }
 
-/// Upper bound on `n − 1` for the supported `n ≤ 9`, so per-hop
-/// scratch buffers can live on the stack.
-const MAX_GENS: usize = 8;
-
 /// The adaptive hop selector both engines call: among the generators
 /// that move the packet strictly closer to `dst` and whose link
 /// survives the fault plan, pick the one with the smallest output
 /// queue at the current PE (`occ[g−1]` is that queue's occupancy).
 /// Ties prefer the next generator of the dimension-order embedding
 /// path, then the smallest generator index. Allocation-free: this
-/// runs once per hop of every adaptive packet.
+/// runs once per hop of every adaptive packet, so the candidates come
+/// from one [`improving_mask`] of `dst⁻¹ ∘ cur`.
 fn adaptive_hop(net: &Network, u: u32, dst: u32, occ: &[u32]) -> HopChoice {
     let n = net.n;
     let cur_p = unrank(u64::from(u), n).expect("rank in range");
     let dst_p = unrank(u64::from(dst), n).expect("rank in range");
-    let d0 = distance(&cur_p, &dst_p);
-    debug_assert!(d0 > 0, "adaptive hop requested at the destination");
+    let improving = improving_mask(&cur_p.relative_to(&dst_p));
+    debug_assert!(improving != 0, "adaptive hop requested at the destination");
     let faulty = !net.faults.is_empty();
-    let mut is_cand = [false; MAX_GENS + 1];
+    let mut cands = 0u32;
     let mut min_occ = u32::MAX;
-    for g in 1..n {
+    for g in (1..n).filter(|&g| improving >> g & 1 == 1) {
         let v = net.neighbor_of(u, g);
         if faulty && net.faults.is_link_dead(u64::from(u), u64::from(v), g) {
             continue;
         }
-        if distance(&cur_p.with_slots_swapped(0, g), &dst_p) < d0 {
-            is_cand[g] = true;
-            min_occ = min_occ.min(occ[g - 1]);
-        }
+        cands |= 1 << g;
+        min_occ = min_occ.min(occ[g - 1]);
     }
     if min_occ == u32::MAX {
         return HopChoice::Blocked;
     }
-    let mut first = 0usize;
-    let mut ties = 0usize;
-    for g in 1..n {
-        if is_cand[g] && occ[g - 1] == min_occ {
-            if first == 0 {
-                first = g;
-            }
-            ties += 1;
-        }
-    }
-    if ties > 1 {
+    let is_best = |g: usize| cands >> g & 1 == 1 && occ[g - 1] == min_occ;
+    let mut best = (1..n).filter(|&g| is_best(g));
+    let first = best.next().expect("a candidate attains the minimum");
+    if best.next().is_some() {
         // Tie: follow the embedding path's order when it is one of
         // the tied candidates.
         let eg = embedding_first_generator(&cur_p, &dst_p);
-        if is_cand[eg] && occ[eg - 1] == min_occ {
+        if is_best(eg) {
             return HopChoice::Go(eg);
         }
     }
@@ -1037,30 +1035,25 @@ fn adaptive_hop(net: &Network, u: u32, dst: u32, occ: &[u32]) -> HopChoice {
 }
 
 /// First generator of [`EmbeddingRouting::route`]`(cur, dst)` without
-/// building the whole route: locate the first mesh dimension that
-/// needs correcting and expand just the first transposition of its
-/// first unit move.
+/// building the whole route: the dimension-order walk, stopped after
+/// its first hop.
 ///
 /// # Panics
 /// Panics if `cur == dst` (there is no first hop).
+///
+/// [`EmbeddingRouting::route`]: crate::EmbeddingRouting
 fn embedding_first_generator(cur: &Perm, dst: &Perm) -> usize {
-    let n = cur.len();
-    let target = convert_s_d(dst);
-    let cur_d = convert_s_d(cur);
-    for k in 1..n {
-        let want = target.d(k);
-        if cur_d.d(k) == want {
-            continue;
-        }
-        let pair = if cur_d.d(k) < want {
-            plus_swap_symbols(cur, k)
-        } else {
-            minus_swap_symbols(cur, k)
-        };
-        let (a, b) = pair.expect("interior coordinate always has a neighbor toward the target");
-        return transposition_generators(cur, a, b)[0];
-    }
-    unreachable!("cur == dst has no first embedding hop")
+    let mut first = None;
+    crate::routing::embedding_walk(
+        cur,
+        convert_s_d_coords(cur),
+        &convert_s_d_coords(dst),
+        |g| {
+            first = Some(usize::from(g));
+            false
+        },
+    );
+    first.expect("cur == dst has no first embedding hop")
 }
 
 /// Why [`select_generator`] could not name a next hop.
@@ -2865,7 +2858,31 @@ impl<'a, P: Probe> FastSim<'a, P> {
 mod tests {
     use super::*;
     use crate::routing::{AdaptiveRouting, EmbeddingRouting, GreedyRouting};
-    use sg_perm::lehmer::rank;
+    use sg_star::distance::distance;
+
+    #[test]
+    fn neighbor_rows_match_the_sequential_definition() {
+        // The parallel fixed-size row build against rank(unrank(u)·τ_g).
+        for n in 2..=8usize {
+            let net = Network::new(n);
+            for u in 0..net.node_count() {
+                let p = unrank(u as u64, n).unwrap();
+                for g in 1..n {
+                    assert_eq!(
+                        u64::from(net.neighbor_of(u as u32, g)),
+                        rank(&p.with_slots_swapped(0, g)),
+                        "n={n} u={u} g={g}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "supported for 2 <= n <= 9")]
+    fn orders_past_max_order_are_refused() {
+        let _ = Network::new(10);
+    }
 
     #[test]
     fn quiescence_audit_is_strict_about_the_release_round() {

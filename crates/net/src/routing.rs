@@ -21,11 +21,12 @@
 //!   shortest-path link survives; falls back to a BFS detour over the
 //!   surviving subgraph when faults block every candidate.
 
-use sg_core::convert::convert_s_d;
+use sg_core::convert::convert_s_d_coords;
 use sg_core::lemma3::{minus_swap_symbols, plus_swap_symbols};
-use sg_core::paths::transposition_generators;
-use sg_perm::Perm;
-use sg_star::routing::route_generators;
+use sg_core::paths::transposition_hops;
+use sg_perm::{Perm, MAX_N};
+use sg_star::distance::length_to_identity;
+use sg_star::routing::greedy_sort;
 
 /// A source-routing strategy: the whole generator sequence is fixed at
 /// injection time (faults may later replace the tail, see
@@ -39,6 +40,10 @@ pub trait RoutingPolicy: Sync {
 
     /// Generator indices (`1 ≤ g < n`) carrying `src` to `dst`.
     /// Must return an empty sequence iff `src == dst`.
+    ///
+    /// The engines call this once per source-routed packet per run, so
+    /// it sits on every run's setup path: an implementation should
+    /// allocate nothing beyond the `Vec` it returns.
     fn route(&self, src: &Perm, dst: &Perm) -> Vec<u8>;
 
     /// `true` for policies that pick each hop at enqueue time from
@@ -64,10 +69,10 @@ impl RoutingPolicy for GreedyRouting {
     }
 
     fn route(&self, src: &Perm, dst: &Perm) -> Vec<u8> {
-        route_generators(src, dst)
-            .into_iter()
-            .map(|g| g as u8)
-            .collect()
+        let rel = src.relative_to(dst);
+        let mut gens = Vec::with_capacity(length_to_identity(&rel) as usize);
+        greedy_sort(&rel, |g| gens.push(g));
+        gens
     }
 }
 
@@ -96,33 +101,58 @@ impl RoutingPolicy for EmbeddingRouting {
     fn route(&self, src: &Perm, dst: &Perm) -> Vec<u8> {
         let n = src.len();
         assert_eq!(n, dst.len(), "routing between different star orders");
-        let target = convert_s_d(dst);
-        let mut cur = *src;
-        let mut cur_d = convert_s_d(src);
-        let mut gens: Vec<u8> = Vec::new();
-        for k in 1..n {
-            let want = target.d(k);
-            while cur_d.d(k) != want {
-                let plus = cur_d.d(k) < want;
-                let (a, b) = if plus {
-                    plus_swap_symbols(&cur, k)
-                } else {
-                    minus_swap_symbols(&cur, k)
-                }
-                .expect("interior coordinate always has a neighbor toward the target");
-                gens.extend(
-                    transposition_generators(&cur, a, b)
-                        .into_iter()
-                        .map(|g| g as u8),
-                );
-                cur = cur.with_symbols_swapped(a, b);
-                let step: i64 = if plus { 1 } else { -1 };
-                cur_d = cur_d.with_d(k, (i64::from(cur_d.d(k)) + step) as u32);
-            }
-        }
-        debug_assert_eq!(cur, *dst, "mesh walk must land on dst");
+        let (at, target) = (convert_s_d_coords(src), convert_s_d_coords(dst));
+        // Every unit move costs 3 hops, or 1 on dimension n−1 (Lemma 2).
+        let hops: u32 = (1..n)
+            .map(|k| at[k].abs_diff(target[k]) * if k == n - 1 { 1 } else { 3 })
+            .sum();
+        let mut gens = Vec::with_capacity(hops as usize);
+        embedding_walk(src, at, &target, |g| {
+            gens.push(g);
+            true
+        });
         gens
     }
+}
+
+/// The dimension-order walk of [`EmbeddingRouting`] from `src`, whose
+/// mesh coordinates are `at`, to the node with mesh coordinates
+/// `target` (both as [`convert_s_d_coords`] gives them): corrects
+/// dimension 1 first, then 2, …, then `n−1`, expanding each unit move
+/// into the Lemma-2 hops of its Lemma-3 symbol pair. Each generator
+/// goes to `emit`; the walk stops early when `emit` returns `false`.
+/// Allocation-free.
+pub(crate) fn embedding_walk(
+    src: &Perm,
+    mut at: [u32; MAX_N],
+    target: &[u32; MAX_N],
+    mut emit: impl FnMut(u8) -> bool,
+) {
+    let mut cur = *src;
+    for k in 1..src.len() {
+        while at[k] != target[k] {
+            let plus = at[k] < target[k];
+            let (a, b) = if plus {
+                plus_swap_symbols(&cur, k)
+            } else {
+                minus_swap_symbols(&cur, k)
+            }
+            .expect("interior coordinate always has a neighbor toward the target");
+            let (gens, len) = transposition_hops(&cur, a, b);
+            for &g in &gens[..len] {
+                if !emit(g) {
+                    return;
+                }
+                cur.swap_slots(0, usize::from(g));
+            }
+            at[k] = if plus { at[k] + 1 } else { at[k] - 1 };
+        }
+    }
+    debug_assert_eq!(
+        convert_s_d_coords(&cur),
+        *target,
+        "mesh walk must land on dst"
+    );
 }
 
 /// Contention-aware minimal routing, decided hop by hop.
@@ -162,6 +192,8 @@ impl RoutingPolicy for AdaptiveRouting {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use sg_core::convert::convert_s_d;
     use sg_perm::factorial::factorial;
     use sg_perm::lehmer::unrank;
     use sg_star::distance::distance;
@@ -194,11 +226,29 @@ mod tests {
 
     #[test]
     fn greedy_is_shortest() {
-        let n = 5;
-        for ra in (0..factorial(n)).step_by(7) {
-            let a = unrank(ra, n).unwrap();
-            let b = unrank((ra * 31 + 17) % factorial(n), n).unwrap();
-            assert_eq!(GreedyRouting.route(&a, &b).len() as u32, distance(&a, &b));
+        // Against the shortest-path definition: exactly distance(a, b)
+        // hops, landing on b, for every ordered pair of S_n, n <= 5.
+        for n in 2..=5usize {
+            for ra in 0..factorial(n) {
+                for rb in 0..factorial(n) {
+                    let a = unrank(ra, n).unwrap();
+                    let b = unrank(rb, n).unwrap();
+                    let route = GreedyRouting.route(&a, &b);
+                    assert_eq!(route.len() as u32, distance(&a, &b), "n={n} {a} -> {b}");
+                    assert_eq!(apply(&a, &route), b, "n={n} {a} -> {b}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_greedy_route_is_a_shortest_path(n in 2usize..=MAX_N, sa in any::<u64>(), sb in any::<u64>()) {
+            let a = unrank(sa % factorial(n), n).unwrap();
+            let b = unrank(sb % factorial(n), n).unwrap();
+            let route = GreedyRouting.route(&a, &b);
+            prop_assert_eq!(route.len() as u32, distance(&a, &b));
+            prop_assert_eq!(apply(&a, &route), b);
         }
     }
 

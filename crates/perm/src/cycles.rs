@@ -6,7 +6,7 @@
 //! where `m` counts misplaced symbols and `c` counts nontrivial
 //! cycles. This module computes those quantities.
 
-use crate::Perm;
+use crate::{Perm, MAX_N};
 
 /// Cycle decomposition of a permutation, in canonical form: each cycle
 /// starts with its smallest element and cycles are sorted by that
@@ -42,37 +42,55 @@ impl CycleStructure {
     }
 }
 
+/// The cycle walk behind every query of this module: hands each
+/// nontrivial cycle of `p`, in canonical order, to `visit` as a slice
+/// of a stack buffer. Allocation-free.
+fn for_each_cycle(p: &Perm, mut visit: impl FnMut(&[u8])) {
+    let s = p.as_slice();
+    let mut seen = 0u32;
+    let mut cycle = [0u8; MAX_N];
+    for start in 0..s.len() {
+        if seen >> start & 1 == 1 || s[start] as usize == start {
+            continue;
+        }
+        let (mut len, mut cur) = (0, start);
+        loop {
+            seen |= 1 << cur;
+            cycle[len] = cur as u8;
+            len += 1;
+            cur = s[cur] as usize;
+            if cur == start {
+                break;
+            }
+        }
+        visit(&cycle[..len]);
+    }
+}
+
+/// `(moved, cycles)` of `p` without materializing the cycles: the
+/// number of slots on nontrivial cycles (the distance formula's `m`)
+/// and the number of those cycles (its `c`). Allocation-free; equals
+/// `(cs.moved(), cs.nontrivial_cycles())` of [`cycle_structure`].
+#[must_use]
+pub fn cycle_counts(p: &Perm) -> (usize, usize) {
+    let (mut moved, mut cycles) = (0, 0);
+    for_each_cycle(p, |c| {
+        moved += c.len();
+        cycles += 1;
+    });
+    (moved, cycles)
+}
+
 /// Computes the canonical cycle decomposition of `p` (viewing `p` as
 /// the function `i ↦ p[i]` on `0..n`).
 #[must_use]
 pub fn cycle_structure(p: &Perm) -> CycleStructure {
-    let n = p.len();
-    let s = p.as_slice();
-    let mut seen = vec![false; n];
     let mut cycles = Vec::new();
-    let mut fixed_points = 0usize;
-    for start in 0..n {
-        if seen[start] {
-            continue;
-        }
-        if s[start] as usize == start {
-            seen[start] = true;
-            fixed_points += 1;
-            continue;
-        }
-        let mut cyc = vec![start as u8];
-        seen[start] = true;
-        let mut cur = s[start] as usize;
-        while cur != start {
-            seen[cur] = true;
-            cyc.push(cur as u8);
-            cur = s[cur] as usize;
-        }
-        cycles.push(cyc);
-    }
+    for_each_cycle(p, |c| cycles.push(c.to_vec()));
+    let moved: usize = cycles.iter().map(Vec::len).sum();
     CycleStructure {
         cycles,
-        fixed_points,
+        fixed_points: p.len() - moved,
     }
 }
 
@@ -81,9 +99,7 @@ pub fn cycle_structure(p: &Perm) -> CycleStructure {
 /// transpositions.
 #[must_use]
 pub fn is_even(p: &Perm) -> bool {
-    let cs = cycle_structure(p);
-    let transpositions: usize = cs.cycles.iter().map(|c| c.len() - 1).sum();
-    transpositions.is_multiple_of(2)
+    cayley_distance(p).is_multiple_of(2)
 }
 
 /// Sign of the permutation: `+1` for even, `−1` for odd.
@@ -97,14 +113,13 @@ pub fn sign(p: &Perm) -> i8 {
 }
 
 /// Minimum number of (arbitrary) transpositions expressing `p`:
-/// `n − (#cycles including fixed points)`. This is the Cayley distance
-/// — a lower bound for the star-graph distance, useful as a sanity
-/// check in tests.
+/// `n − (#cycles including fixed points)`, i.e. `moved − cycles`.
+/// This is the Cayley distance — a lower bound for the star-graph
+/// distance, useful as a sanity check in tests.
 #[must_use]
 pub fn cayley_distance(p: &Perm) -> usize {
-    let cs = cycle_structure(p);
-    let total_cycles = cs.cycles.len() + cs.fixed_points;
-    p.len() - total_cycles
+    let (moved, cycles) = cycle_counts(p);
+    moved - cycles
 }
 
 #[cfg(test)]
@@ -112,6 +127,7 @@ mod tests {
     use super::*;
     use crate::factorial::factorial;
     use crate::lehmer::unrank;
+    use proptest::prelude::*;
 
     #[test]
     fn identity_has_no_nontrivial_cycles() {
@@ -167,6 +183,21 @@ mod tests {
     }
 
     #[test]
+    fn cycle_counts_match_cycle_structure_exhaustively() {
+        for n in 1..=7 {
+            for r in 0..factorial(n) {
+                let p = unrank(r, n).unwrap();
+                let cs = cycle_structure(&p);
+                assert_eq!(
+                    cycle_counts(&p),
+                    (cs.moved(), cs.nontrivial_cycles()),
+                    "{p}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn sign_is_multiplicative_on_samples() {
         let a = Perm::from_slice(&[1, 0, 2, 3, 4]).unwrap();
         let b = Perm::from_slice(&[0, 1, 3, 2, 4]).unwrap();
@@ -183,6 +214,16 @@ mod tests {
                 .filter(|&r| is_even(&unrank(r, n).unwrap()))
                 .count() as u64;
             assert_eq!(even, factorial(n) / 2);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_cycle_counts_match_cycle_structure(n in 1usize..=MAX_N, seed in any::<u64>()) {
+            let p = unrank(seed % factorial(n), n).unwrap();
+            let cs = cycle_structure(&p);
+            prop_assert_eq!(cycle_counts(&p), (cs.moved(), cs.nontrivial_cycles()));
+            prop_assert_eq!(cs.moved(), p.misplaced());
         }
     }
 }

@@ -4,29 +4,52 @@
 //! register files) addresses star-graph nodes by a dense integer id in
 //! `0..n!`. We use the classical lexicographic Lehmer rank so that ids
 //! are stable, ordered, and independent of any hash state.
+//!
+//! Both directions run on the stack: a `u32` bitmask holds the symbols
+//! not yet placed (`n ≤ 20`), so a Lehmer digit is one masked popcount
+//! and decoding a digit is one select on the mask.
 
 use crate::factorial::FACTORIALS;
 use crate::{Perm, PermError, MAX_N};
+
+/// Lehmer code of `p` on the stack: `digits[i]` counts the symbols
+/// *after* slot `i` that are smaller than `slots[i]`; entries from
+/// `n` on are 0. The kernel behind [`lehmer_code`] and [`rank`].
+fn lehmer_digits(p: &Perm) -> [u8; MAX_N] {
+    let mut digits = [0u8; MAX_N];
+    // The symbols after slot `i` are exactly those not yet seen.
+    let mut unseen = (1u32 << p.len()) - 1;
+    for (d, &s) in digits.iter_mut().zip(p.as_slice()) {
+        *d = (unseen & ((1 << s) - 1)).count_ones() as u8;
+        unseen &= !(1 << s);
+    }
+    digits
+}
 
 /// Lehmer code of a permutation: `code[i]` counts symbols *after*
 /// slot `i` that are smaller than `slots[i]`. `code[n-1]` is always 0.
 #[must_use]
 pub fn lehmer_code(p: &Perm) -> Vec<u8> {
-    let s = p.as_slice();
-    let n = s.len();
-    let mut code = vec![0u8; n];
-    // O(n^2) is optimal in practice for n <= 20 (beats a BIT/Fenwick
-    // tree at this size by a wide margin).
-    for i in 0..n {
-        let mut c = 0u8;
-        for j in i + 1..n {
-            if s[j] < s[i] {
-                c += 1;
-            }
+    lehmer_digits(p)[..p.len()].to_vec()
+}
+
+/// Decodes `n` Lehmer digits (`digit(i) < n − i`, unchecked) into
+/// their permutation: slot `i` takes the `digit(i)`-th smallest symbol
+/// still unplaced. The kernel behind [`from_lehmer_code`] and
+/// [`unrank`].
+fn decode(n: usize, mut digit: impl FnMut(usize) -> usize) -> Perm {
+    let mut avail = (1u32 << n) - 1;
+    let mut slots = [0u8; MAX_N];
+    for (i, slot) in slots.iter_mut().enumerate().take(n) {
+        let mut rest = avail;
+        for _ in 0..digit(i) {
+            rest &= rest - 1;
         }
-        code[i] = c;
+        let s = rest.trailing_zeros();
+        *slot = s as u8;
+        avail &= !(1 << s);
     }
-    code
+    Perm::from_parts(n, slots)
 }
 
 /// Reconstructs a permutation from its Lehmer code.
@@ -39,16 +62,10 @@ pub fn from_lehmer_code(code: &[u8]) -> crate::Result<Perm> {
     if n == 0 || n > MAX_N {
         return Err(PermError::BadLength(n));
     }
-    let mut avail: Vec<u8> = (0..n as u8).collect();
-    let mut out = [0u8; MAX_N];
-    for (i, &c) in code.iter().enumerate() {
-        let c = c as usize;
-        if c >= avail.len() {
-            return Err(PermError::SymbolOutOfRange { symbol: c as u8, n });
-        }
-        out[i] = avail.remove(c);
+    if let Some((_, &c)) = code.iter().enumerate().find(|&(i, &c)| c as usize >= n - i) {
+        return Err(PermError::SymbolOutOfRange { symbol: c, n });
     }
-    Perm::from_slice(&out[..n])
+    Ok(decode(n, |i| code[i] as usize))
 }
 
 /// Lexicographic rank of `p` among all permutations of its length:
@@ -56,12 +73,10 @@ pub fn from_lehmer_code(code: &[u8]) -> crate::Result<Perm> {
 #[must_use]
 pub fn rank(p: &Perm) -> u64 {
     let n = p.len();
-    let code = lehmer_code(p);
-    let mut r = 0u64;
-    for (i, &c) in code.iter().enumerate() {
-        r += u64::from(c) * FACTORIALS[n - 1 - i];
-    }
-    r
+    let digits = lehmer_digits(p);
+    (0..n)
+        .map(|i| u64::from(digits[i]) * FACTORIALS[n - 1 - i])
+        .sum()
 }
 
 /// Inverse of [`rank`]: the `rank`-th permutation of length `n` in
@@ -77,17 +92,15 @@ pub fn unrank(rank: u64, n: usize) -> crate::Result<Perm> {
     if rank >= FACTORIALS[n] {
         return Err(PermError::RankOutOfRange { rank, n });
     }
-    let mut avail: Vec<u8> = (0..n as u8).collect();
-    let mut out = [0u8; MAX_N];
     let mut rest = rank;
-    for i in 0..n {
+    let p = decode(n, |i| {
         let w = FACTORIALS[n - 1 - i];
-        let idx = (rest / w) as usize;
+        let digit = rest / w;
         rest %= w;
-        out[i] = avail.remove(idx);
-    }
+        digit as usize
+    });
     debug_assert_eq!(rest, 0);
-    Perm::from_slice(&out[..n])
+    Ok(p)
 }
 
 /// Advances `p` to its lexicographic successor in place, returning
@@ -131,7 +144,7 @@ mod tests {
 
     #[test]
     fn rank_unrank_roundtrip_exhaustive() {
-        for n in 1..=6usize {
+        for n in 1..=8usize {
             for r in 0..factorial(n) {
                 let p = unrank(r, n).unwrap();
                 assert_eq!(rank(&p), r);
@@ -170,6 +183,23 @@ mod tests {
     }
 
     #[test]
+    fn lehmer_digits_match_the_definition_exhaustively() {
+        // The popcount kernel against the quadratic definition.
+        for n in 1..=7usize {
+            for r in 0..factorial(n) {
+                let p = unrank(r, n).unwrap();
+                let s = p.as_slice();
+                let digits = lehmer_digits(&p);
+                for i in 0..n {
+                    let smaller_after = s[i + 1..].iter().filter(|&&x| x < s[i]).count();
+                    assert_eq!(digits[i] as usize, smaller_after, "{p} slot {i}");
+                }
+                assert!(digits[n..].iter().all(|&d| d == 0));
+            }
+        }
+    }
+
+    #[test]
     fn next_perm_enumerates_everything_in_order() {
         let n = 6;
         let mut p = Perm::identity(n);
@@ -199,14 +229,14 @@ mod tests {
 
     proptest! {
         #[test]
-        fn prop_rank_unrank_roundtrip(n in 1usize..=12, seed in any::<u64>()) {
+        fn prop_rank_unrank_roundtrip(n in 1usize..=MAX_N, seed in any::<u64>()) {
             let r = seed % factorial(n);
             let p = unrank(r, n).unwrap();
             prop_assert_eq!(rank(&p), r);
         }
 
         #[test]
-        fn prop_lehmer_roundtrip(n in 1usize..=12, seed in any::<u64>()) {
+        fn prop_lehmer_roundtrip(n in 1usize..=MAX_N, seed in any::<u64>()) {
             let p = unrank(seed % factorial(n), n).unwrap();
             let code = lehmer_code(&p);
             prop_assert_eq!(from_lehmer_code(&code).unwrap(), p);

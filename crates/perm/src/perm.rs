@@ -124,6 +124,17 @@ impl Perm {
         })
     }
 
+    /// Wraps a slot array the caller built as a permutation of `0..n`
+    /// (checked in debug builds only): the constructor of the crate's
+    /// stack kernels, which produce valid permutations by construction.
+    pub(crate) fn from_parts(n: usize, slots: [u8; MAX_N]) -> Self {
+        debug_assert!(Self::from_slice(&slots[..n]).is_ok() && slots[n..].iter().all(|&s| s == 0));
+        Perm {
+            len: n as u8,
+            slots,
+        }
+    }
+
     /// Length `n` of the permutation.
     #[inline]
     #[must_use]

@@ -16,15 +16,15 @@
 //!
 //! Tests validate the formula exhaustively against BFS for `n ≤ 7`.
 
-use sg_perm::cycles::cycle_structure;
+use sg_perm::cycles::cycle_counts;
 use sg_perm::Perm;
 
 /// Minimum number of star-graph moves sorting `p` to the identity.
+/// Allocation-free: one cycle walk.
 #[must_use]
 pub fn length_to_identity(p: &Perm) -> u32 {
-    let cs = cycle_structure(p);
-    let m = cs.moved() as u32;
-    let c = cs.nontrivial_cycles() as u32;
+    let (m, c) = cycle_counts(p);
+    let (m, c) = (m as u32, c as u32);
     if m == 0 {
         return 0;
     }
@@ -51,8 +51,42 @@ pub fn distance(a: &Perm, b: &Perm) -> u32 {
     length_to_identity(&a.relative_to(b))
 }
 
+/// The generators that shorten the relative permutation
+/// `rel = target⁻¹ ∘ p` as a bitmask: bit `j` is set iff
+/// `ℓ(rel · τ_j) < ℓ(rel)`, i.e. iff `g_j` moves `p` one hop closer to
+/// `target`. Zero iff `rel` is the identity. Allocation-free: a right
+/// transposition `(0 j)` merges the cycles of `0` and `j` or splits
+/// their common cycle, so the formula of [`length_to_identity`] gives
+/// the set in closed form:
+///
+/// * front home (`rel[0] = 0`): every misplaced slot `j`;
+/// * front misplaced: the front symbol's home slot `rel[0]`, plus every
+///   misplaced slot off the front's own cycle.
+#[must_use]
+pub fn improving_mask(rel: &Perm) -> u32 {
+    let s = rel.as_slice();
+    let misplaced = s
+        .iter()
+        .enumerate()
+        .skip(1)
+        .filter(|&(j, &x)| x as usize != j)
+        .fold(0u32, |mask, (j, _)| mask | 1 << j);
+    let front = s[0] as usize;
+    if front == 0 {
+        return misplaced;
+    }
+    let mut own_cycle = 0u32;
+    let mut j = front;
+    while j != 0 {
+        own_cycle |= 1 << j;
+        j = s[j] as usize;
+    }
+    (misplaced & !own_cycle) | 1 << front
+}
+
 /// Generators whose application moves `p` one hop closer to `target`,
-/// ascending. Empty iff `p == target`: in a Cayley graph every
+/// ascending: the set bits of [`improving_mask`]. Empty iff
+/// `p == target`: in a Cayley graph every
 /// non-target node has at least one improving generator (greedy
 /// routing terminates), and taking the **lowest** one everywhere
 /// orients a spanning tree toward `target` along the star's dimension
@@ -64,11 +98,8 @@ pub fn distance(a: &Perm, b: &Perm) -> u32 {
 #[must_use]
 pub fn improving_generators(p: &Perm, target: &Perm) -> Vec<u8> {
     assert_eq!(p.len(), target.len(), "nodes of different star orders");
-    let d = distance(p, target);
-    (1..p.len())
-        .filter(|&j| distance(&p.with_slots_swapped(0, j), target) < d)
-        .map(|j| j as u8)
-        .collect()
+    let mask = improving_mask(&p.relative_to(target));
+    (1..p.len() as u8).filter(|&j| mask >> j & 1 == 1).collect()
 }
 
 #[cfg(test)]
@@ -79,6 +110,7 @@ mod tests {
     use sg_graph::builders::star_graph;
     use sg_perm::factorial::factorial;
     use sg_perm::lehmer::{rank, unrank};
+    use sg_perm::MAX_N;
 
     #[test]
     fn identity_distance_zero() {
@@ -190,7 +222,41 @@ mod tests {
         }
     }
 
+    #[test]
+    fn improving_mask_matches_brute_force_at_every_target() {
+        // The closed form against one distance per generator, for every
+        // (node, target) pair of S_n, n <= 5.
+        for n in 2..=5usize {
+            for t_rank in 0..factorial(n) {
+                let t = unrank(t_rank, n).unwrap();
+                for r in 0..factorial(n) {
+                    let p = unrank(r, n).unwrap();
+                    let d = distance(&p, &t);
+                    let mask = improving_mask(&p.relative_to(&t));
+                    for j in 0..n {
+                        let improves = j > 0 && distance(&p.with_slots_swapped(0, j), &t) < d;
+                        assert_eq!(mask >> j & 1 == 1, improves, "n={n} {p} -> {t}, g_{j}");
+                    }
+                    assert_eq!(mask >> n, 0);
+                }
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_improving_mask_matches_brute_force(n in 2usize..=MAX_N, sa in any::<u64>(), sb in any::<u64>()) {
+            let p = unrank(sa % factorial(n), n).unwrap();
+            let t = unrank(sb % factorial(n), n).unwrap();
+            let d = distance(&p, &t);
+            let mask = improving_mask(&p.relative_to(&t));
+            prop_assert_eq!(mask == 0, d == 0);
+            for j in 1..n {
+                let improves = distance(&p.with_slots_swapped(0, j), &t) < d;
+                prop_assert_eq!(mask >> j & 1 == 1, improves);
+            }
+        }
+
         #[test]
         fn prop_symmetry(n in 2usize..=10, sa in any::<u64>(), sb in any::<u64>()) {
             let a = unrank(sa % factorial(n), n).unwrap();

@@ -13,32 +13,48 @@
 //! (verified against BFS in tests).
 
 use crate::distance::length_to_identity;
-use sg_perm::Perm;
+use sg_perm::{Perm, MAX_N};
+
+/// The greedy sort of `rel` to the identity, handing each generator
+/// index to `emit` in order: the one shortest-path construction behind
+/// [`sorting_generators`], [`route_generators`] and `sg-net`'s greedy
+/// router. Allocation-free. Run on the relative permutation
+/// `dst⁻¹ ∘ src` it emits a shortest route `src → dst`.
+///
+/// A slot other than the front, once home, is never touched again
+/// (both moves only swap the front with a misplaced slot), so the
+/// smallest misplaced slot only moves right and one cursor finds it.
+pub fn greedy_sort(rel: &Perm, mut emit: impl FnMut(u8)) {
+    let n = rel.len();
+    let mut s = [0u8; MAX_N];
+    s[..n].copy_from_slice(rel.as_slice());
+    let mut lo = 1;
+    loop {
+        let front = s[0] as usize;
+        let j = if front != 0 {
+            // Send the front symbol home.
+            front
+        } else {
+            // Front is home; fetch the smallest misplaced symbol's slot.
+            while lo < n && s[lo] as usize == lo {
+                lo += 1;
+            }
+            if lo == n {
+                break; // identity reached
+            }
+            lo
+        };
+        emit(j as u8);
+        s.swap(0, j);
+    }
+}
 
 /// Generator sequence (each `g_j`, `1 ≤ j < n`) sorting `p` to the
 /// identity in the minimum number of moves.
 #[must_use]
 pub fn sorting_generators(p: &Perm) -> Vec<usize> {
-    let mut cur = *p;
-    let n = cur.len();
     let mut moves = Vec::with_capacity(length_to_identity(p) as usize);
-    loop {
-        let front = cur.symbol_at(0) as usize;
-        if front != 0 {
-            // Send the front symbol home.
-            moves.push(front);
-            cur.swap_slots(0, front);
-        } else {
-            // Front is home; fetch the smallest misplaced symbol's slot.
-            match (1..n).find(|&i| cur.symbol_at(i) as usize != i) {
-                Some(i) => {
-                    moves.push(i);
-                    cur.swap_slots(0, i);
-                }
-                None => break, // identity reached
-            }
-        }
-    }
+    greedy_sort(p, |j| moves.push(usize::from(j)));
     moves
 }
 

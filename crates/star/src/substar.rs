@@ -10,8 +10,8 @@
 
 use crate::StarGraph;
 use sg_perm::factorial::factorial;
-use sg_perm::lehmer::{rank, unrank};
-use sg_perm::Perm;
+use sg_perm::lehmer::{next_perm, rank, unrank};
+use sg_perm::{Perm, MAX_N};
 
 /// Label of the sub-star containing `p` when decomposing by slot
 /// `slot` (usually `n−1`): the symbol held in that slot.
@@ -163,11 +163,24 @@ impl SubStar {
     /// `free_symbols()[v]`.
     #[must_use]
     pub fn free_symbols(&self) -> Vec<u8> {
-        let mut pinned = vec![false; self.n];
-        for &s in &self.fixed {
-            pinned[s as usize] = true;
+        self.free_array()[..self.order()].to_vec()
+    }
+
+    /// Bitmask of the fixed symbols.
+    fn pinned(&self) -> u32 {
+        self.fixed.iter().fold(0, |mask, &s| mask | 1 << s)
+    }
+
+    /// [`SubStar::free_symbols`] on the stack: the first `order()`
+    /// entries.
+    fn free_array(&self) -> [u8; MAX_N] {
+        let pinned = self.pinned();
+        let mut free = [0u8; MAX_N];
+        let symbols = (0..self.n as u8).filter(|&s| pinned >> s & 1 == 0);
+        for (slot, s) in free.iter_mut().zip(symbols) {
+            *slot = s;
         }
-        (0..self.n as u8).filter(|&s| !pinned[s as usize]).collect()
+        free
     }
 
     /// Descends one level: fixes slot `order()−1` to `symbol`.
@@ -224,15 +237,15 @@ impl SubStar {
     pub fn lift(&self, q: &Perm) -> Perm {
         let m = self.order();
         assert_eq!(q.len(), m, "local node of the wrong order");
-        let free = self.free_symbols();
-        let mut out = Vec::with_capacity(self.n);
-        for i in 0..m {
-            out.push(free[q.symbol_at(i) as usize]);
+        let free = self.free_array();
+        let mut out = [0u8; MAX_N];
+        for (slot, &v) in out.iter_mut().zip(q.as_slice()) {
+            *slot = free[v as usize];
         }
-        for i in (0..self.fixed.len()).rev() {
-            out.push(self.fixed[i]);
+        for (i, &s) in self.fixed.iter().enumerate() {
+            out[self.n - 1 - i] = s;
         }
-        Perm::from_slice(&out).expect("lift is a valid permutation")
+        Perm::from_slice(&out[..self.n]).expect("lift is a valid permutation")
     }
 
     /// Projects a node of this sub-star to the local `S_m` by
@@ -245,14 +258,13 @@ impl SubStar {
     pub fn project(&self, p: &Perm) -> Perm {
         assert!(self.contains(p), "node {p} outside sub-star");
         let m = self.order();
-        let free = self.free_symbols();
-        let mut out = Vec::with_capacity(m);
-        for i in 0..m {
-            let s = p.symbol_at(i);
-            let v = free.binary_search(&s).expect("free symbol by containment");
-            out.push(v as u8);
+        let pinned = self.pinned();
+        let mut out = [0u8; MAX_N];
+        for (slot, &s) in out.iter_mut().zip(&p.as_slice()[..m]) {
+            // The local symbol is the number of free symbols below `s`.
+            *slot = (!pinned & ((1 << s) - 1)).count_ones() as u8;
         }
-        Perm::from_slice(&out).expect("projection is a valid permutation")
+        Perm::from_slice(&out[..m]).expect("projection is a valid permutation")
     }
 
     /// [`SubStar::lift`] on Lehmer ranks: local rank in `S_m` → global
@@ -268,10 +280,19 @@ impl SubStar {
         rank(&self.project(&unrank(r, self.n).expect("rank in range")))
     }
 
-    /// All global node ranks of the sub-star, in local-rank order.
+    /// All global node ranks of the sub-star, in local-rank order: one
+    /// lexicographic sweep of the local `S_m`, lifted and ranked on the
+    /// stack.
     #[must_use]
     pub fn node_ranks(&self) -> Vec<u64> {
-        (0..self.size()).map(|r| self.lift_rank(r)).collect()
+        let mut q = Perm::identity(self.order());
+        let mut ranks = Vec::with_capacity(self.size() as usize);
+        loop {
+            ranks.push(rank(&self.lift(&q)));
+            if !next_perm(&mut q) {
+                return ranks;
+            }
+        }
     }
 
     /// `true` iff this sub-star is `other` or contains it (i.e. our
@@ -434,6 +455,20 @@ mod tests {
                     let g = sub.lift_rank(r);
                     assert!(sub.contains_rank(g));
                     assert_eq!(sub.project_rank(g), r);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn node_ranks_match_lift_of_unrank_for_every_substar() {
+        for n in 2..=6usize {
+            for m in 1..=n {
+                for sub in substars_of_order(n, m) {
+                    let expect: Vec<u64> = (0..sub.size())
+                        .map(|r| rank(&sub.lift(&unrank(r, m).unwrap())))
+                        .collect();
+                    assert_eq!(sub.node_ranks(), expect, "{sub} of S_{n}");
                 }
             }
         }
