@@ -39,7 +39,6 @@ use sg_obs::{reset_tick_clock, tick_clock, NetProbe, SchedProbe};
 use sg_perm::factorial::factorial;
 use sg_sched::job::{JobSpec, TenantRouting, TrafficProfile};
 use sg_sched::scheduler::schedule as sched_schedule;
-use sg_sched::scheduler::schedule_probed as sched_schedule_probed;
 use sg_sched::scheduler::schedule_profiled as sched_schedule_profiled;
 use sg_sched::stream::{generate, ArrivalPattern, StreamConfig};
 use sg_sched::{schedule_with, AllocPolicy, ReleaseMode, SchedConfig, SchedPolicy};
@@ -692,7 +691,7 @@ fn obs(n: usize) {
     let jobs = generate(&cfg);
     let mut alloc = AllocPolicy::BestFit.build(n);
     let mut sp = SchedProbe::new();
-    let s = sched_schedule_probed(&jobs, alloc.as_mut(), &mut sp);
+    let s = schedule_with(&jobs, alloc.as_mut(), &SchedConfig::default(), &mut sp);
     assert_eq!(sp.spans().len(), s.placements().len());
     assert_eq!(sp.horizon(), s.horizon());
     println!();

@@ -48,7 +48,11 @@
 //! The two engines are **observationally identical**: for any
 //! `(workload, policy, config, faults)` they produce byte-identical
 //! [`TrafficStats`] — enforced by `tests/differential.rs` across
-//! every workload × policy × fault-plan axis. Queue capacity is
+//! every workload × policy × fault-plan axis. The fast engine hands
+//! every counter update to an [`sg_obs::RunTally`] (shared with the
+//! trace replayer, and the only place per-job attribution lives); the
+//! reference engine keeps its own inline counters, so that comparison
+//! is also the independent check on the tally. Queue capacity is
 //! enforced at enqueue time (tail drop) or as stalling buffer credits
 //! (see [`FlowControl`]); faults are consulted whenever a flit is
 //! about to take a link (see [`crate::FaultPlan`]).
@@ -68,19 +72,19 @@
 //! [`sg_obs::NullProbe`], whose `ENABLED = false` constant folds
 //! every emission site out of the monomorphized loop: attach nothing,
 //! pay nothing. Attach probes via [`Network::run_probed`] /
-//! [`Network::run_partitioned_probed`]; profile the fast engine's
+//! [`Network::run_partitioned`]; profile the fast engine's
 //! phases via [`Network::run_profiled`] (with a clock injected at
 //! construction through [`Network::with_clock`], so profiled runs
 //! stay deterministic and testable).
 
 use crate::fault::{FaultPlan, FaultPolicy};
-use crate::packet::{HopRecord, PacketId, PacketOutcome, PacketRecord};
+use crate::packet::{PacketId, PacketOutcome, PacketRecord};
 use crate::routing::RoutingPolicy;
 use crate::stats::{RunCounters, TrafficStats};
 use crate::workload::{ChainedWorkload, Injection, Workload};
 use rayon::prelude::*;
 use sg_core::convert::convert_s_d_coords;
-use sg_obs::{DropReason, Event, NullProbe, PhaseProfile, Probe, StallKind};
+use sg_obs::{DropReason, Event, NullProbe, PhaseProfile, Probe, RunTally, StallKind};
 use sg_perm::factorial::factorial;
 use sg_perm::lehmer::{rank, unrank};
 use sg_perm::Perm;
@@ -419,13 +423,13 @@ impl Network {
         }
     }
 
-    /// Runs a multi-tenant `workload` and splits the statistics by
-    /// job: `owner[pid]` names the job each packet belongs to (see
-    /// [`Workload::compose`]) and `policies[j]` routes job `j`'s
-    /// packets — per-job routing (and so per-job adaptivity) over one
-    /// shared interconnect. Returns the whole-network stats plus one
-    /// **fully attributed** [`TrafficStats`] per job, tracked online
-    /// by the fast engine:
+    /// Runs a multi-tenant `workload` on the fast engine and splits
+    /// the statistics by job: `owner[pid]` names the job each packet
+    /// belongs to (see [`Workload::compose`]) and `policies[j]`
+    /// routes job `j`'s packets — per-job routing (and so per-job
+    /// adaptivity) over one shared interconnect. Returns the
+    /// whole-network stats plus one **fully attributed**
+    /// [`TrafficStats`] per job, tallied online by the fast engine:
     ///
     /// * per-packet fields (outcomes, latencies, histogram) come from
     ///   the job's own packet records;
@@ -438,85 +442,28 @@ impl Network {
     ///   sub-star the job has to itself they equal the isolated-run
     ///   peaks; under cross-job sharing they measure interference.
     ///
-    /// All rounds are global; [`TrafficStats::rebased`] shifts a
-    /// job's stats to its own clock for comparison against an
-    /// isolated run.
-    ///
-    /// # Panics
-    /// Panics if `owner` is not one entry per packet or names a job
-    /// `>= policies.len()`.
-    #[must_use]
-    pub fn run_partitioned(
-        &self,
-        workload: &Workload,
-        policies: &[&dyn RoutingPolicy],
-        owner: &[u32],
-    ) -> (TrafficStats, Vec<TrafficStats>) {
-        self.run_partitioned_inner(workload, policies, owner, None, None, &mut NullProbe)
-    }
-
-    /// [`Network::run_partitioned`] with a probe attached: the probe
-    /// sees the run's full event stream (use e.g.
-    /// [`sg_obs::NetProbe::with_tenants`] with the same owner map for
-    /// per-tenant in-flight gauges). Per-job and total statistics are
-    /// byte-identical to the unprobed run.
-    ///
-    /// # Panics
-    /// As [`Network::run_partitioned`].
-    #[must_use]
-    pub fn run_partitioned_probed<P: Probe>(
-        &self,
-        workload: &Workload,
-        policies: &[&dyn RoutingPolicy],
-        owner: &[u32],
-        probe: &mut P,
-    ) -> (TrafficStats, Vec<TrafficStats>) {
-        self.run_partitioned_inner(workload, policies, owner, None, None, probe)
-    }
-
-    /// [`Network::run_partitioned`] with per-job escape eligibility:
-    /// under [`FlowControl::EscapeChannel`], only packets of jobs with
+    /// `escape[j]` is job `j`'s escape eligibility: under
+    /// [`FlowControl::EscapeChannel`], only packets of jobs with
     /// `escape[j] == true` may divert onto the escape channel; opted-
     /// out jobs behave exactly as under [`FlowControl::CreditBased`]
     /// (and can therefore still deadlock and strand — mixing opt-ins
     /// trades the global deadlock-freedom guarantee for per-tenant
     /// control). Under any other flow control the flags are inert.
     ///
-    /// # Panics
-    /// As [`Network::run_partitioned`], plus if `escape` is not one
-    /// flag per job.
-    #[must_use]
-    pub fn run_partitioned_with_escape(
-        &self,
-        workload: &Workload,
-        policies: &[&dyn RoutingPolicy],
-        owner: &[u32],
-        escape: &[bool],
-    ) -> (TrafficStats, Vec<TrafficStats>) {
-        assert_eq!(
-            escape.len(),
-            policies.len(),
-            "escape eligibility must name every job"
-        );
-        self.run_partitioned_inner(
-            workload,
-            policies,
-            owner,
-            Some(escape),
-            None,
-            &mut NullProbe,
-        )
-    }
-
-    /// [`Network::run_partitioned_with_escape`] with a probe attached:
-    /// the probe sees the run's full event stream and the statistics
-    /// are byte-identical to the unprobed run. This is the entry point
-    /// the drain-aware scheduler co-simulates through.
+    /// `probe` sees the run's full event stream (use e.g.
+    /// [`sg_obs::NetProbe::with_tenants`] with the same owner map for
+    /// per-tenant in-flight gauges, or a [`crate::HopTraces`] for
+    /// containment audits); the statistics are byte-identical to an
+    /// unprobed run. All rounds are global; [`TrafficStats::rebased`]
+    /// shifts a job's stats to its own clock for comparison against
+    /// an isolated run.
     ///
     /// # Panics
-    /// As [`Network::run_partitioned_with_escape`].
+    /// Panics if the workload targets a different star order, if
+    /// `owner` is not one entry per packet or names a job
+    /// `>= policies.len()`, or if `escape` is not one flag per job.
     #[must_use]
-    pub fn run_partitioned_with_escape_probed<P: Probe>(
+    pub fn run_partitioned<P: Probe>(
         &self,
         workload: &Workload,
         policies: &[&dyn RoutingPolicy],
@@ -524,26 +471,25 @@ impl Network {
         escape: &[bool],
         probe: &mut P,
     ) -> (TrafficStats, Vec<TrafficStats>) {
-        assert_eq!(
-            escape.len(),
-            policies.len(),
-            "escape eligibility must name every job"
-        );
-        self.run_partitioned_inner(workload, policies, owner, Some(escape), None, probe)
+        let (inj, routes, pkts) = self.prepare_partitioned(workload, policies, owner, escape);
+        let mut sim = FastSim::new(self, inj, routes, pkts, probe);
+        sim.tally = RunTally::partitioned(owner, policies.len());
+        let (total, per_job, _) = sim.run();
+        let per_job = TrafficStats::split_by_owner(self.n, &total.packets, owner, per_job);
+        (total, per_job)
     }
 
     /// The multi-tenant run on the **reference engine**: same
     /// per-packet routes, per-job escape eligibility, and round
-    /// semantics as [`Network::run_partitioned_with_escape`], executed
-    /// by the scan-everything oracle. Returns the whole-network
-    /// statistics only (per-job attribution is a fast-engine
-    /// feature); the differential suite asserts they are
-    /// byte-identical to the fast engine's totals, which is what makes
-    /// a quiescence violation a hard error *in both engines* rather
-    /// than a fast-path artifact.
+    /// semantics as [`Network::run_partitioned`], executed by the
+    /// scan-everything oracle. Returns the whole-network statistics
+    /// only (per-job attribution is a fast-engine feature); the
+    /// differential suite asserts they are byte-identical to the fast
+    /// engine's totals, which is what makes a quiescence violation a
+    /// hard error *in both engines* rather than a fast-path artifact.
     ///
     /// # Panics
-    /// As [`Network::run_partitioned_with_escape`].
+    /// As [`Network::run_partitioned`].
     #[must_use]
     pub fn run_partitioned_reference<P: Probe>(
         &self,
@@ -553,15 +499,7 @@ impl Network {
         escape: &[bool],
         probe: &mut P,
     ) -> TrafficStats {
-        assert_eq!(
-            escape.len(),
-            policies.len(),
-            "escape eligibility must name every job"
-        );
-        let (inj, routes, mut pkts) = self.prepare_multi(workload, policies, owner);
-        for (pkt, &j) in pkts.iter_mut().zip(owner) {
-            pkt.may_escape = escape[j as usize];
-        }
+        let (inj, routes, pkts) = self.prepare_partitioned(workload, policies, owner, escape);
         ReferenceSim::new(self, inj, routes, pkts, probe).run()
     }
 
@@ -596,13 +534,7 @@ impl Network {
         let mut out = Vec::new();
         for (pid, (rec, &j)) in stats.packets.iter().zip(owner).enumerate() {
             let released = release[j as usize];
-            let resolved = match rec.outcome {
-                PacketOutcome::Delivered { round, .. }
-                | PacketOutcome::DroppedFault { round }
-                | PacketOutcome::DroppedUnreachable { round }
-                | PacketOutcome::DroppedOverflow { round } => Some(round),
-                PacketOutcome::Stranded => None,
-            };
+            let resolved = rec.outcome.resolution_round();
             if resolved.is_none_or(|r| r >= released) {
                 out.push(QuiescenceViolation {
                     job: j,
@@ -634,38 +566,6 @@ impl Network {
             violations.len(),
             violations[0]
         );
-    }
-
-    fn run_partitioned_inner<P: Probe>(
-        &self,
-        workload: &Workload,
-        policies: &[&dyn RoutingPolicy],
-        owner: &[u32],
-        escape: Option<&[bool]>,
-        trace: Option<&mut Vec<Vec<HopRecord>>>,
-        probe: &mut P,
-    ) -> (TrafficStats, Vec<TrafficStats>) {
-        let jobs = policies.len();
-        let (inj, routes, mut pkts) = self.prepare_multi(workload, policies, owner);
-        if let Some(esc) = escape {
-            for (pkt, &j) in pkts.iter_mut().zip(owner) {
-                pkt.may_escape = esc[j as usize];
-            }
-        }
-        let mut sim = FastSim::new(self, inj, routes, pkts, probe);
-        sim.attr = Some(JobAttribution::new(owner, jobs));
-        let (total, counters, _) = sim.run(trace);
-        let counters = counters.expect("attribution was installed");
-        let mut buckets: Vec<Vec<PacketRecord>> = vec![Vec::new(); jobs];
-        for (rec, &j) in total.packets.iter().zip(owner) {
-            buckets[j as usize].push(*rec);
-        }
-        let per_job = buckets
-            .into_iter()
-            .zip(counters)
-            .map(|(records, c)| TrafficStats::from_records(self.n, records, c))
-            .collect();
-        (total, per_job)
     }
 
     /// Runs `workload` under `policy` on the chosen engine. Both
@@ -703,12 +603,10 @@ impl Network {
         engine: Engine,
         probe: &mut P,
     ) -> TrafficStats {
+        let (inj, routes, pkts) = self.prepare(workload, policy);
         match engine {
-            Engine::Fast => self.run_fast(workload, policy, None, probe),
-            Engine::Reference => {
-                let (inj, routes, pkts) = self.prepare(workload, policy);
-                ReferenceSim::new(self, inj, routes, pkts, probe).run()
-            }
+            Engine::Fast => FastSim::new(self, inj, routes, pkts, probe).run().0,
+            Engine::Reference => ReferenceSim::new(self, inj, routes, pkts, probe).run(),
         }
     }
 
@@ -735,64 +633,8 @@ impl Network {
             self.clock.unwrap_or(sg_obs::wall_clock),
             PhaseProfile::default(),
         ));
-        let (stats, _, profile) = sim.run(None);
+        let (stats, _, profile) = sim.run();
         (stats, profile.expect("profiler was armed"))
-    }
-
-    /// Like [`Network::run`], but additionally returns one hop trace
-    /// per packet (every link traversal, in order) — the ground truth
-    /// the adaptive-routing validity suite audits against the
-    /// surviving subgraph. Runs on [`Engine::Fast`].
-    ///
-    /// # Panics
-    /// Panics if the workload targets a different star order.
-    #[must_use]
-    pub fn run_traced(
-        &self,
-        workload: &Workload,
-        policy: &dyn RoutingPolicy,
-    ) -> (TrafficStats, Vec<Vec<HopRecord>>) {
-        let mut traces = vec![Vec::new(); workload.len()];
-        let stats = self.run_fast(workload, policy, Some(&mut traces), &mut NullProbe);
-        (stats, traces)
-    }
-
-    /// [`Network::run_partitioned`] plus one hop trace per packet —
-    /// the containment-audit entry point: a tenant's isolation claim
-    /// is checkable hop by hop (`sg-sched` asserts embedding-routed
-    /// job traffic never leaves its sub-star) in the same run that
-    /// yields the per-job statistics.
-    ///
-    /// # Panics
-    /// As [`Network::run_partitioned`].
-    #[must_use]
-    pub fn run_traced_partitioned(
-        &self,
-        workload: &Workload,
-        policies: &[&dyn RoutingPolicy],
-        owner: &[u32],
-    ) -> (TrafficStats, Vec<TrafficStats>, Vec<Vec<HopRecord>>) {
-        let mut traces = vec![Vec::new(); workload.len()];
-        let (total, per_job) = self.run_partitioned_inner(
-            workload,
-            policies,
-            owner,
-            None,
-            Some(&mut traces),
-            &mut NullProbe,
-        );
-        (total, per_job, traces)
-    }
-
-    fn run_fast<P: Probe>(
-        &self,
-        workload: &Workload,
-        policy: &dyn RoutingPolicy,
-        trace: Option<&mut Vec<Vec<HopRecord>>>,
-        probe: &mut P,
-    ) -> TrafficStats {
-        let (inj, routes, pkts) = self.prepare(workload, policy);
-        FastSim::new(self, inj, routes, pkts, probe).run(trace).0
     }
 
     /// Shared run setup: workload validation, parallel route
@@ -818,14 +660,15 @@ impl Network {
         (inj, arena, pkts)
     }
 
-    /// [`Network::prepare`] with one routing policy per job:
-    /// packet `pid` routes under `policies[owner[pid]]`. Validates
-    /// the owner map for every partitioned entry point.
-    fn prepare_multi<'w>(
+    /// [`Network::prepare`] for both partitioned entry points, which
+    /// it validates: packet `pid` routes under `policies[owner[pid]]`
+    /// and may divert onto the escape channel iff `escape[owner[pid]]`.
+    fn prepare_partitioned<'w>(
         &self,
         workload: &'w Workload,
         policies: &[&dyn RoutingPolicy],
         owner: &[u32],
+        escape: &[bool],
     ) -> (&'w [Injection], RouteArena, Vec<SimPacket>) {
         self.check_order(workload);
         assert_eq!(
@@ -837,6 +680,11 @@ impl Network {
             owner.iter().all(|&j| (j as usize) < policies.len()),
             "owner names a job >= policies.len()"
         );
+        assert_eq!(
+            escape.len(),
+            policies.len(),
+            "escape eligibility must name every job"
+        );
         let inj = workload.injections();
         let n = self.n;
         let pairs: Vec<(&[Injection], &[u32])> = inj
@@ -847,7 +695,10 @@ impl Network {
             .into_par_iter()
             .map(|(ic, oc)| route_chunk(n, ic, |k| policies[oc[k] as usize]))
             .collect();
-        let (arena, pkts) = assemble_routes(inj, chunks);
+        let (arena, mut pkts) = assemble_routes(inj, chunks);
+        for (pkt, &j) in pkts.iter_mut().zip(owner) {
+            pkt.may_escape = escape[j as usize];
+        }
         (inj, arena, pkts)
     }
 
@@ -976,7 +827,7 @@ struct SimPacket {
     /// a one-way transition — escaped packets stay escape-routed).
     escaped: bool,
     /// Whether the packet may divert at all: per-job opt-in under
-    /// [`Network::run_partitioned_with_escape`], `true` elsewhere.
+    /// [`Network::run_partitioned`], `true` elsewhere.
     may_escape: bool,
     /// The residual-hop class whose escape slot the packet currently
     /// holds (occupied while buffered, reserved while in flight).
@@ -2020,30 +1871,6 @@ impl SlabQueues {
     }
 }
 
-/// Online per-job attribution for [`Network::run_partitioned`]: one
-/// [`RunCounters`] per job plus the live queued/stalled tallies the
-/// wait accounting needs. Peaks are observed at the owning job's own
-/// enqueues (see `run_partitioned` docs for the semantics).
-struct JobAttribution<'o> {
-    owner: &'o [u32],
-    counters: Vec<RunCounters>,
-    /// Currently queued flits per job.
-    queued: Vec<u64>,
-    /// Currently source-stalled packets per job (credit mode).
-    stalled: Vec<u64>,
-}
-
-impl<'o> JobAttribution<'o> {
-    fn new(owner: &'o [u32], jobs: usize) -> Self {
-        JobAttribution {
-            owner,
-            counters: vec![RunCounters::default(); jobs],
-            queued: vec![0; jobs],
-            stalled: vec![0; jobs],
-        }
-    }
-}
-
 /// One fast run's mutable state.
 struct FastSim<'a, P: Probe> {
     net: &'a Network,
@@ -2052,9 +1879,6 @@ struct FastSim<'a, P: Probe> {
     inj: &'a [Injection],
     pkts: Vec<SimPacket>,
     routes: RouteArena,
-    /// Per-job attribution, installed only by
-    /// [`Network::run_partitioned`].
-    attr: Option<JobAttribution<'a>>,
     outcomes: Vec<Option<PacketOutcome>>,
     qs: SlabQueues,
     /// Occupancy-bitmap worklist: bit `qi` is set iff queue `qi` is
@@ -2091,7 +1915,10 @@ struct FastSim<'a, P: Probe> {
     /// after it in scan order — which also keeps every worklist-bit
     /// mutation out of the word currently being iterated.
     divert: Vec<(usize, PacketId)>,
-    counters: RunCounters,
+    /// The run's accounting: every counter update goes through it,
+    /// split per job when [`Network::run_partitioned`] installs an
+    /// owner map.
+    tally: RunTally<'a>,
     /// Event sink; [`NullProbe`]'s `ENABLED = false` folds every
     /// emission site out of this monomorphization.
     probe: &'a mut P,
@@ -2121,7 +1948,6 @@ impl<'a, P: Probe> FastSim<'a, P> {
             inj,
             pkts,
             routes,
-            attr: None,
             outcomes: vec![None; inj.len()],
             qs: SlabQueues::new(queues),
             active_bits: vec![0; queues.div_ceil(64)],
@@ -2140,7 +1966,7 @@ impl<'a, P: Probe> FastSim<'a, P> {
             esc_node: vec![0; net.node_count],
             esc_memo: HashMap::new(),
             divert: Vec::new(),
-            counters: RunCounters::default(),
+            tally: RunTally::default(),
             probe,
             round_open: false,
             profile: None,
@@ -2151,11 +1977,7 @@ impl<'a, P: Probe> FastSim<'a, P> {
         debug_assert!(self.outcomes[pid as usize].is_none(), "double resolution");
         self.outcomes[pid as usize] = Some(outcome);
         self.resolved += 1;
-        self.counters.last_event = self.counters.last_event.max(round);
-        if let Some(a) = self.attr.as_mut() {
-            let j = a.owner[pid as usize] as usize;
-            a.counters[j].last_event = a.counters[j].last_event.max(round);
-        }
+        self.tally.resolved(pid, round);
     }
 
     /// Mirror of [`ReferenceSim::emit`]: opens the round bracket on
@@ -2305,16 +2127,10 @@ impl<'a, P: Probe> FastSim<'a, P> {
         }
         self.push_queue(qi, pid);
         self.total_queued += 1;
-        self.counters.peak_edge = self.counters.peak_edge.max(u64::from(self.qs.len(qi)));
         self.node_occ[u as usize] += 1;
         let at_pe = u64::from(self.node_occ[u as usize]) + u64::from(self.esc_node[u as usize]);
-        self.counters.peak_node = self.counters.peak_node.max(at_pe);
-        if let Some(a) = self.attr.as_mut() {
-            let j = a.owner[p] as usize;
-            a.queued[j] += 1;
-            a.counters[j].peak_edge = a.counters[j].peak_edge.max(u64::from(self.qs.len(qi)));
-            a.counters[j].peak_node = a.counters[j].peak_node.max(at_pe);
-        }
+        self.tally
+            .queued(pid, false, u64::from(self.qs.len(qi)), at_pe);
         if P::ENABLED {
             let depth = self.qs.len(qi);
             self.emit(
@@ -2332,7 +2148,7 @@ impl<'a, P: Probe> FastSim<'a, P> {
     }
 
     /// Mirror of [`ReferenceSim::place_escape`], plus the worklist bit
-    /// for the link the resident wants and per-job attribution.
+    /// for the link the resident wants.
     fn place_escape(&mut self, pid: PacketId, g: usize, round: u32) {
         let p = pid as usize;
         let u = self.pkts[p].cur as usize;
@@ -2349,15 +2165,9 @@ impl<'a, P: Probe> FastSim<'a, P> {
         self.total_queued += 1;
         let li = u * self.gens + (g - 1);
         self.active_bits[li / 64] |= 1u64 << (li % 64);
-        self.counters.peak_escape = self.counters.peak_escape.max(u64::from(self.esc_node[u]));
         let at_pe = u64::from(self.node_occ[u]) + u64::from(self.esc_node[u]);
-        self.counters.peak_node = self.counters.peak_node.max(at_pe);
-        if let Some(a) = self.attr.as_mut() {
-            let j = a.owner[p] as usize;
-            a.queued[j] += 1;
-            a.counters[j].peak_escape = a.counters[j].peak_escape.max(u64::from(self.esc_node[u]));
-            a.counters[j].peak_node = a.counters[j].peak_node.max(at_pe);
-        }
+        self.tally
+            .queued(pid, true, u64::from(self.esc_node[u]), at_pe);
         if P::ENABLED {
             let depth = self.esc_node[u];
             self.emit(
@@ -2397,16 +2207,9 @@ impl<'a, P: Probe> FastSim<'a, P> {
         false
     }
 
-    /// Mirror of [`ReferenceSim::try_escape_forward`], plus hop
-    /// tracing and per-job attribution. Worklist-bit upkeep stays with
-    /// the caller.
-    fn try_escape_forward(
-        &mut self,
-        li: usize,
-        round: u32,
-        land: usize,
-        trace: &mut Option<&mut Vec<Vec<HopRecord>>>,
-    ) -> bool {
+    /// Mirror of [`ReferenceSim::try_escape_forward`]. Worklist-bit
+    /// upkeep stays with the caller.
+    fn try_escape_forward(&mut self, li: usize, round: u32, land: usize) -> bool {
         let u = li / self.gens;
         if self.esc_node[u] == 0 {
             return false;
@@ -2445,22 +2248,7 @@ impl<'a, P: Probe> FastSim<'a, P> {
             self.pkts[p].cur = v;
             self.pkts[p].hops += 1;
             self.pkts[p].route_pos += 1;
-            self.counters.forwarded += 1;
-            self.counters.escape_forwarded += 1;
-            if let Some(a) = self.attr.as_mut() {
-                let j = a.owner[p] as usize;
-                a.queued[j] -= 1;
-                a.counters[j].forwarded += 1;
-                a.counters[j].escape_forwarded += 1;
-            }
-            if let Some(traces) = trace.as_deref_mut() {
-                traces[p].push(HopRecord {
-                    from: u as u64,
-                    gen: g,
-                    to: u64::from(v),
-                    round,
-                });
-            }
+            self.tally.forwarded(pid, true);
             self.arrivals[land].push(pid);
             self.in_flight += 1;
             if P::ENABLED {
@@ -2482,8 +2270,7 @@ impl<'a, P: Probe> FastSim<'a, P> {
     }
 
     /// Mirror of [`ReferenceSim::apply_diversion`], plus worklist-bit
-    /// upkeep (runs post-scan, so setting bits is safe) and per-job
-    /// attribution.
+    /// upkeep (runs post-scan, so setting bits is safe).
     fn apply_diversion(&mut self, li: usize, pid: PacketId, round: u32) -> bool {
         let p = pid as usize;
         let u = (li / self.gens) as u32;
@@ -2513,18 +2300,8 @@ impl<'a, P: Probe> FastSim<'a, P> {
         self.pkts[p].esc_class = len;
         self.node_occ[u as usize] -= 1;
         self.esc_node[u as usize] += 1;
-        self.counters.escape_diversions += 1;
-        self.counters.peak_escape = self
-            .counters
-            .peak_escape
-            .max(u64::from(self.esc_node[u as usize]));
-        if let Some(a) = self.attr.as_mut() {
-            let j = a.owner[p] as usize;
-            a.counters[j].escape_diversions += 1;
-            a.counters[j].peak_escape = a.counters[j]
-                .peak_escape
-                .max(u64::from(self.esc_node[u as usize]));
-        }
+        self.tally
+            .diverted(pid, u64::from(self.esc_node[u as usize]));
         if P::ENABLED {
             self.emit(
                 round,
@@ -2547,10 +2324,10 @@ impl<'a, P: Probe> FastSim<'a, P> {
         true
     }
 
-    fn run(
-        mut self,
-        mut trace: Option<&mut Vec<Vec<HopRecord>>>,
-    ) -> (TrafficStats, Option<Vec<RunCounters>>, Option<PhaseProfile>) {
+    /// Runs to completion: the whole-run statistics, the per-owner
+    /// counters of a partitioned tally (empty otherwise), and the
+    /// phase profile when armed.
+    fn run(mut self) -> (TrafficStats, Vec<RunCounters>, Option<PhaseProfile>) {
         let total = self.inj.len();
         let latency = self.net.config.link_latency as usize;
         let max_rounds = self.net.config.max_rounds;
@@ -2611,9 +2388,6 @@ impl<'a, P: Probe> FastSim<'a, P> {
                 let pid = self.stalled.pop_front().expect("len checked");
                 let src = self.pkts[pid as usize].cur;
                 if self.has_credit(src) {
-                    if let Some(a) = self.attr.as_mut() {
-                        a.stalled[a.owner[pid as usize] as usize] -= 1;
-                    }
                     self.enqueue_next(pid, round);
                     progress = true;
                 } else {
@@ -2628,6 +2402,7 @@ impl<'a, P: Probe> FastSim<'a, P> {
                             },
                         );
                     }
+                    self.tally.stalled(pid);
                     self.stalled.push_back(pid);
                 }
             }
@@ -2675,9 +2450,7 @@ impl<'a, P: Probe> FastSim<'a, P> {
                             },
                         );
                     }
-                    if let Some(a) = self.attr.as_mut() {
-                        a.stalled[a.owner[pid as usize] as usize] += 1;
-                    }
+                    self.tally.stalled(pid);
                     self.stalled.push_back(pid);
                 } else {
                     self.enqueue_next(pid, round);
@@ -2701,7 +2474,7 @@ impl<'a, P: Probe> FastSim<'a, P> {
                     let bit = word.trailing_zeros() as usize;
                     word &= word - 1;
                     let qi = wi * 64 + bit;
-                    if esc_mode && self.try_escape_forward(qi, round, land, &mut trace) {
+                    if esc_mode && self.try_escape_forward(qi, round, land) {
                         progress = true;
                         if self.qs.len(qi) == 0 && !self.escape_wants(qi) {
                             self.active_bits[wi] &= !(1u64 << bit);
@@ -2749,21 +2522,8 @@ impl<'a, P: Probe> FastSim<'a, P> {
                     self.pkts[p].cur = v;
                     self.pkts[p].hops += 1;
                     self.pkts[p].route_pos += 1;
-                    self.counters.forwarded += 1;
-                    if let Some(a) = self.attr.as_mut() {
-                        let j = a.owner[p] as usize;
-                        a.queued[j] -= 1;
-                        a.counters[j].forwarded += 1;
-                    }
+                    self.tally.forwarded(pid, false);
                     progress = true;
-                    if let Some(traces) = trace.as_deref_mut() {
-                        traces[p].push(HopRecord {
-                            from: u as u64,
-                            gen: (qi % self.gens + 1) as u8,
-                            to: u64::from(v),
-                            round,
-                        });
-                    }
                     self.arrivals[land].push(pid);
                     self.in_flight += 1;
                     if P::ENABLED {
@@ -2798,14 +2558,8 @@ impl<'a, P: Probe> FastSim<'a, P> {
             }
             self.sample(&mut mark, 2);
             // 4. Wait + stall accounting, deadlock detection.
-            self.counters.total_wait_rounds += self.total_queued;
-            self.counters.injection_stall_rounds += self.stalled.len() as u64;
-            if let Some(a) = self.attr.as_mut() {
-                for (c, (&q, &s)) in a.counters.iter_mut().zip(a.queued.iter().zip(&a.stalled)) {
-                    c.total_wait_rounds += q;
-                    c.injection_stall_rounds += s;
-                }
-            }
+            self.tally
+                .end_round(self.total_queued, self.stalled.len() as u64);
             self.sample(&mut mark, 3);
             if !progress && self.in_flight == 0 && inj_ptr == total && self.resolved < total {
                 if P::ENABLED {
@@ -2844,11 +2598,11 @@ impl<'a, P: Probe> FastSim<'a, P> {
                 round + 1
             };
         }
-        let per_job = self.attr.take().map(|a| a.counters);
-        let profile = self.profile.take().map(|(_, prof)| prof);
+        let (counters, per_owner) = self.tally.finish();
+        let profile = self.profile.map(|(_, prof)| prof);
         (
-            finish(self.net, self.inj, &self.outcomes, self.counters),
-            per_job,
+            finish(self.net, self.inj, &self.outcomes, counters),
+            per_owner,
             profile,
         )
     }
@@ -2857,8 +2611,24 @@ impl<'a, P: Probe> FastSim<'a, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::HopTraces;
     use crate::routing::{AdaptiveRouting, EmbeddingRouting, GreedyRouting};
     use sg_star::distance::distance;
+
+    /// The [`RunCounters`] a run's statistics were built from.
+    fn tallied(s: &TrafficStats) -> RunCounters {
+        RunCounters {
+            last_event: s.makespan,
+            total_wait_rounds: s.total_wait_rounds,
+            injection_stall_rounds: s.injection_stall_rounds,
+            peak_edge: s.peak_edge_occupancy,
+            peak_node: s.peak_node_occupancy,
+            forwarded: s.forwarded_flits,
+            escape_diversions: s.escape_diversions,
+            escape_forwarded: s.escape_forwarded_flits,
+            peak_escape: s.peak_escape_occupancy,
+        }
+    }
 
     #[test]
     fn neighbor_rows_match_the_sequential_definition() {
@@ -3017,6 +2787,55 @@ mod tests {
         assert_eq!(stats.total_wait_rounds, 1, "loser waits one round");
         assert_eq!(stats.peak_edge_occupancy, 2);
         assert!(!stats.is_contention_free());
+        // Every tallied counter, total and per owner (one packet per
+        // job): A wins the link in round 0 and hops on over g2 in
+        // round 1; B joined the queue at depth 2 and leaves in round 1.
+        // Both land in round 2.
+        let (total, jobs) = net.run_partitioned(
+            &w,
+            &[&GreedyRouting as &dyn RoutingPolicy; 2],
+            &[0, 1],
+            &[true; 2],
+            &mut NullProbe,
+        );
+        assert_eq!(total, stats);
+        let expect = [
+            (
+                &total,
+                RunCounters {
+                    last_event: 2,
+                    total_wait_rounds: 1,
+                    peak_edge: 2,
+                    peak_node: 2,
+                    forwarded: 3,
+                    ..RunCounters::default()
+                },
+            ),
+            (
+                &jobs[0],
+                RunCounters {
+                    last_event: 2,
+                    peak_edge: 1,
+                    peak_node: 1,
+                    forwarded: 2,
+                    ..RunCounters::default()
+                },
+            ),
+            (
+                &jobs[1],
+                RunCounters {
+                    last_event: 2,
+                    total_wait_rounds: 1,
+                    peak_edge: 2,
+                    peak_node: 2,
+                    forwarded: 1,
+                    ..RunCounters::default()
+                },
+            ),
+        ];
+        for (got, want) in expect {
+            assert_eq!(tallied(got), want);
+        }
     }
 
     #[test]
@@ -3227,13 +3046,14 @@ mod tests {
     }
 
     #[test]
-    fn run_traced_records_every_forwarded_flit() {
+    fn hop_traces_record_every_forwarded_flit() {
         let net = Network::new(4);
         let w = Workload::random_permutation(4, 21);
-        let (stats, traces) = net.run_traced(&w, &GreedyRouting);
-        let hops: u64 = traces.iter().map(|t| t.len() as u64).sum();
+        let mut traces = HopTraces::new(w.len());
+        let stats = net.run_probed(&w, &GreedyRouting, Engine::Fast, &mut traces);
+        let hops: u64 = traces.hops.iter().map(|t| t.len() as u64).sum();
         assert_eq!(hops, stats.forwarded_flits);
-        for (rec, tr) in stats.packets.iter().zip(&traces) {
+        for (rec, tr) in stats.packets.iter().zip(&traces.hops) {
             assert_eq!(tr.first().map(|h| h.from), Some(rec.src));
             assert_eq!(tr.last().map(|h| h.to), Some(rec.dst));
             for pair in tr.windows(2) {
@@ -3253,8 +3073,13 @@ mod tests {
         let b = Workload::bernoulli_uniform(n, 3, 30, 22);
         let (merged, owner) = Workload::compose("two-tenant", n, &[(&a, 0), (&b, 2)]);
         assert_eq!(owner.len(), merged.len());
-        let (total, jobs) =
-            net.run_partitioned(&merged, &[&GreedyRouting as &dyn RoutingPolicy; 2], &owner);
+        let (total, jobs) = net.run_partitioned(
+            &merged,
+            &[&GreedyRouting as &dyn RoutingPolicy; 2],
+            &owner,
+            &[true; 2],
+            &mut NullProbe,
+        );
         assert_eq!(
             total,
             net.run(&merged, &GreedyRouting),
@@ -3313,7 +3138,8 @@ mod tests {
         let net = Network::new(n);
         let w = Workload::uniform_pairs(n, 20, 5);
         let (merged, owner) = Workload::compose("solo", n, &[(&w, 7)]);
-        let (_, jobs) = net.run_partitioned(&merged, &[&GreedyRouting], &owner);
+        let (_, jobs) =
+            net.run_partitioned(&merged, &[&GreedyRouting], &owner, &[true], &mut NullProbe);
         let alone = net.run(&w, &GreedyRouting);
         assert_eq!(jobs[0].rebased(7), alone, "one tenant, shifted clock");
     }

@@ -1,4 +1,4 @@
-//! Per-packet records and outcomes.
+//! Per-packet records, outcomes and hop traces.
 //!
 //! Every packet injected into a [`crate::Network`] run ends in exactly
 //! one [`PacketOutcome`]; the full table of [`PacketRecord`]s is part
@@ -6,68 +6,13 @@
 //! (`delivered + dropped + stranded == injected`) is checkable — and
 //! checked, by the property suite — from the stats alone.
 
+pub use sg_obs::PacketOutcome;
+use sg_obs::{Event, Probe};
+
 /// Dense packet id: index into the run's packet table (assigned in
 /// workload order, so ids are stable across runs of the same
 /// workload).
 pub type PacketId = u32;
-
-/// Terminal state of one packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PacketOutcome {
-    /// Reached its destination.
-    Delivered {
-        /// Round of arrival at the destination PE.
-        round: u32,
-        /// Star links traversed (≥ the star distance `src → dst`).
-        hops: u32,
-    },
-    /// Hit a dead node/link under [`crate::FaultPolicy::Drop`], or was
-    /// injected at a dead source PE.
-    DroppedFault {
-        /// Round of the drop.
-        round: u32,
-    },
-    /// No fault-free path existed when a reroute was attempted
-    /// (possible only beyond the paper's `n−2` fault tolerance, or
-    /// when the destination itself is dead).
-    DroppedUnreachable {
-        /// Round of the drop.
-        round: u32,
-    },
-    /// Tail-dropped: the next output queue was at capacity.
-    DroppedOverflow {
-        /// Round of the drop.
-        round: u32,
-    },
-    /// Still queued or in flight when the round cap
-    /// ([`crate::NetConfig::max_rounds`]) fired.
-    Stranded,
-}
-
-impl PacketOutcome {
-    /// `true` for [`PacketOutcome::Delivered`].
-    #[inline]
-    #[must_use]
-    pub fn is_delivered(&self) -> bool {
-        matches!(self, PacketOutcome::Delivered { .. })
-    }
-
-    /// Round the packet resolved — delivery or any drop; `None` for
-    /// [`PacketOutcome::Stranded`], which never resolves. The round a
-    /// quiescence barrier (see [`crate::Network::chain_phases`]) must
-    /// wait past.
-    #[inline]
-    #[must_use]
-    pub fn resolution_round(&self) -> Option<u32> {
-        match *self {
-            PacketOutcome::Delivered { round, .. }
-            | PacketOutcome::DroppedFault { round }
-            | PacketOutcome::DroppedUnreachable { round }
-            | PacketOutcome::DroppedOverflow { round } => Some(round),
-            PacketOutcome::Stranded => None,
-        }
-    }
-}
 
 /// One packet's life, as recorded in [`crate::TrafficStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,10 +39,10 @@ impl PacketRecord {
     }
 }
 
-/// One forwarded flit hop, as recorded by
-/// [`crate::Network::run_traced`]. A packet's trace lists every link
-/// it traversed, in order — the ground truth the adaptive-routing
-/// validity suite checks against the surviving subgraph.
+/// One forwarded flit hop, rebuilt from a [`Event::Forwarded`] by
+/// [`HopTraces`]. A packet's trace lists every link it traversed, in
+/// order — the ground truth the adaptive-routing validity and
+/// sub-star containment suites audit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HopRecord {
     /// PE the flit left (Lehmer rank).
@@ -109,6 +54,48 @@ pub struct HopRecord {
     /// Round the flit left `from`; it lands
     /// [`crate::NetConfig::link_latency`] rounds later.
     pub round: u32,
+}
+
+/// A [`Probe`] that collects every packet's hop trace from a run's
+/// [`Event::Forwarded`] stream: attach it to
+/// [`crate::Network::run_probed`] or
+/// [`crate::Network::run_partitioned`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct HopTraces {
+    /// `hops[pid]` lists packet `pid`'s link traversals in order.
+    pub hops: Vec<Vec<HopRecord>>,
+}
+
+impl HopTraces {
+    /// An empty trace for a run of `packets` packets (an event naming
+    /// a later packet panics).
+    #[must_use]
+    pub fn new(packets: usize) -> Self {
+        HopTraces {
+            hops: vec![Vec::new(); packets],
+        }
+    }
+}
+
+impl Probe for HopTraces {
+    fn event(&mut self, ev: &Event) {
+        if let Event::Forwarded {
+            round,
+            pid,
+            from,
+            to,
+            gen,
+            ..
+        } = *ev
+        {
+            self.hops[pid as usize].push(HopRecord {
+                from: u64::from(from),
+                gen,
+                to: u64::from(to),
+                round,
+            });
+        }
+    }
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@ use crate::packet::{PacketOutcome, PacketRecord};
 use crate::routing::RoutingPolicy;
 use crate::workload::Workload;
 use rayon::prelude::*;
+pub use sg_obs::RunCounters;
 
 /// Aggregated outcome of one [`Network::run`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,46 +127,15 @@ impl LatencyAgg {
     }
 }
 
-/// The counters an engine tracks online during one run, handed to
-/// [`TrafficStats::from_records`] at the end. Both engines fill the
-/// same struct, so the differential suite compares like with like.
-///
-/// Public because it is also the **log round-trip hook**: the
-/// `sg-trace` replayer reconstructs these counters from an event
-/// stream alone ([`sg_obs::ReplayCounters`] is a field-for-field
-/// mirror) and [`crate::trace::replay`] feeds them back through
-/// [`TrafficStats::from_records`] to rebuild statistics byte-identical
-/// to the live run's.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct RunCounters {
-    /// Round of the last packet resolution (= makespan).
-    pub last_event: u32,
-    /// Flit·rounds spent queued.
-    pub total_wait_rounds: u64,
-    /// Packet·rounds stalled pre-injection (credit mode only).
-    pub injection_stall_rounds: u64,
-    /// Peak single-queue occupancy.
-    pub peak_edge: u64,
-    /// Peak per-PE queued total.
-    pub peak_node: u64,
-    /// Links traversed.
-    pub forwarded: u64,
-    /// Adaptive→escape diversions (escape mode only).
-    pub escape_diversions: u64,
-    /// Links traversed on the escape channel.
-    pub escape_forwarded: u64,
-    /// Peak per-PE escape residents.
-    pub peak_escape: u64,
-}
-
 impl TrafficStats {
     /// Builds the stats from per-packet records plus the counters the
     /// simulator tracks online. The latency histogram and outcome
     /// tallies are aggregated in parallel (shim `fold`/`reduce`).
     ///
-    /// Public as the second half of the log round-trip hook: replayed
-    /// [`RunCounters`] + preamble-derived [`PacketRecord`]s rebuild a
-    /// run's statistics from its trace alone.
+    /// Public as the second half of the log round-trip hook: the
+    /// [`RunCounters`] a trace replay tallies, plus preamble-derived
+    /// [`PacketRecord`]s, rebuild a run's statistics from its trace
+    /// alone.
     #[must_use]
     pub fn from_records(n: usize, packets: Vec<PacketRecord>, counters: RunCounters) -> Self {
         let records = &packets;
@@ -195,6 +165,26 @@ impl TrafficStats {
             max_latency: agg.max,
             packets,
         }
+    }
+
+    /// One [`TrafficStats`] per owner of a partitioned run: owner
+    /// `j` gets the records of the packets `owner` assigns it, in
+    /// packet order, and `counters[j]`.
+    pub(crate) fn split_by_owner(
+        n: usize,
+        records: &[PacketRecord],
+        owner: &[u32],
+        counters: Vec<RunCounters>,
+    ) -> Vec<Self> {
+        let mut buckets: Vec<Vec<PacketRecord>> = vec![Vec::new(); counters.len()];
+        for (rec, &j) in records.iter().zip(owner) {
+            buckets[j as usize].push(*rec);
+        }
+        buckets
+            .into_iter()
+            .zip(counters)
+            .map(|(records, c)| TrafficStats::from_records(n, records, c))
+            .collect()
     }
 
     /// All drops combined.

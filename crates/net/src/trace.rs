@@ -8,21 +8,20 @@
 //! events alone cannot reconstruct), and the verbatim event stream.
 //! [`replay`] inverts it: from a parsed trace alone it rebuilds
 //! [`TrafficStats`] — and per-tenant stats for partitioned runs —
-//! **byte-identical** to what the live run returned, by feeding the
-//! replayed [`sg_obs::ReplayCounters`] and preamble-derived
-//! [`PacketRecord`]s back through [`TrafficStats::from_records`]. The
-//! round-trip suite asserts that equality across the full `n ≤ 5`
-//! differential matrix.
+//! **byte-identical** to what the live run returned. It feeds the
+//! event stream through [`NetReplay`] into the same
+//! [`sg_obs::RunTally`] the fast engine drives, then hands the
+//! tallied counters and preamble-derived [`PacketRecord`]s to
+//! [`TrafficStats::from_records`]. The round-trip suite asserts that
+//! equality across the full `n ≤ 5` differential matrix.
 
-use crate::network::{Engine, Network};
-use crate::packet::{PacketOutcome, PacketRecord};
+use crate::network::{Engine, Network, MAX_ORDER};
+use crate::packet::PacketRecord;
 use crate::routing::RoutingPolicy;
-use crate::stats::{RunCounters, TrafficStats};
+use crate::stats::TrafficStats;
 use crate::workload::Workload;
-use sg_obs::{
-    replay_trace, EventLog, ReplayCounters, ReplayOutcome, Trace, TraceError, TraceHeader,
-    TracePacket, SCHEMA_VERSION,
-};
+use sg_obs::{EventLog, NetReplay, Trace, TraceError, TraceHeader, TracePacket, SCHEMA_VERSION};
+use sg_perm::factorial::factorial;
 
 /// The header label for an [`Engine`].
 #[must_use]
@@ -129,7 +128,7 @@ pub fn record(
 /// totals.
 ///
 /// # Panics
-/// As [`Network::run_partitioned_with_escape`].
+/// As [`Network::run_partitioned`].
 #[must_use]
 pub fn record_partitioned(
     net: &Network,
@@ -140,8 +139,7 @@ pub fn record_partitioned(
     seed: u64,
 ) -> (TrafficStats, Vec<TrafficStats>, Trace) {
     let mut log = EventLog::new();
-    let (total, per_job) =
-        net.run_partitioned_with_escape_probed(workload, policies, owner, escape, &mut log);
+    let (total, per_job) = net.run_partitioned(workload, policies, owner, escape, &mut log);
     let trace = assemble(
         net,
         workload,
@@ -164,67 +162,63 @@ pub struct ReplayedStats {
     pub per_job: Vec<TrafficStats>,
 }
 
-fn counters(c: &ReplayCounters) -> RunCounters {
-    RunCounters {
-        last_event: c.last_event,
-        total_wait_rounds: c.total_wait_rounds,
-        injection_stall_rounds: c.injection_stall_rounds,
-        peak_edge: c.peak_edge,
-        peak_node: c.peak_node,
-        forwarded: c.forwarded,
-        escape_diversions: c.escape_diversions,
-        escape_forwarded: c.escape_forwarded,
-        peak_escape: c.peak_escape,
-    }
-}
-
-fn outcome(o: ReplayOutcome) -> PacketOutcome {
-    match o {
-        ReplayOutcome::Delivered { round, hops } => PacketOutcome::Delivered { round, hops },
-        ReplayOutcome::DroppedFault { round } => PacketOutcome::DroppedFault { round },
-        ReplayOutcome::DroppedUnreachable { round } => PacketOutcome::DroppedUnreachable { round },
-        ReplayOutcome::DroppedOverflow { round } => PacketOutcome::DroppedOverflow { round },
-        ReplayOutcome::Stranded => PacketOutcome::Stranded,
-        ReplayOutcome::Pending => unreachable!("finish() rejects pending packets"),
-    }
-}
-
 /// Reconstruct a run's statistics from a parsed trace alone.
 ///
 /// # Errors
 /// Refuses truncated logs ([`TraceError::DroppedEvents`] when the
-/// recorder's capacity bound dropped events) and streams that fail
-/// replay invariants ([`TraceError::Inconsistent`]).
+/// recorder's capacity bound dropped events) and headers, preambles
+/// or streams that fail replay invariants
+/// ([`TraceError::Inconsistent`]): an order outside
+/// `2..=`[`MAX_ORDER`], a packet without an owner or with one the
+/// header does not declare, and every check of [`NetReplay`].
 pub fn replay(trace: &Trace) -> Result<ReplayedStats, TraceError> {
-    let run = replay_trace(trace)?;
-    let n = trace.header.n as usize;
+    let h = &trace.header;
+    if h.dropped > 0 {
+        return Err(TraceError::DroppedEvents { dropped: h.dropped });
+    }
+    let n = h.n as usize;
+    if !(2..=MAX_ORDER).contains(&n) {
+        return Err(TraceError::Inconsistent {
+            msg: format!("header names S_{n}; the simulator runs 2 <= n <= {MAX_ORDER}"),
+        });
+    }
+    let jobs = h.jobs as usize;
+    let owner = if jobs > 0 {
+        let owner: Result<Vec<u32>, u32> =
+            trace.packets.iter().map(|p| p.job.ok_or(p.pid)).collect();
+        Some(owner.map_err(|pid| TraceError::Inconsistent {
+            msg: format!("header declares {jobs} job(s) but packet {pid} has no owner"),
+        })?)
+    } else {
+        None
+    };
+    let mut run = NetReplay::new(
+        factorial(n) as usize,
+        trace.packets.len(),
+        owner.as_deref(),
+        jobs,
+    )?;
+    for ev in &trace.events {
+        run.observe(ev);
+    }
+    let run = run.finish()?;
     let records: Vec<PacketRecord> = trace
         .packets
         .iter()
-        .zip(&run.outcomes)
-        .map(|(p, &o)| PacketRecord {
+        .zip(run.outcomes)
+        .map(|(p, outcome)| PacketRecord {
             src: p.src,
             dst: p.dst,
             inject_round: p.round,
-            outcome: outcome(o),
+            outcome,
         })
         .collect();
-    let jobs = trace.header.jobs as usize;
-    let per_job = if jobs > 0 {
-        let mut buckets: Vec<Vec<PacketRecord>> = vec![Vec::new(); jobs];
-        for (p, rec) in trace.packets.iter().zip(&records) {
-            buckets[p.job.expect("validated by replay_trace") as usize].push(*rec);
-        }
-        buckets
-            .into_iter()
-            .zip(&run.per_job)
-            .map(|(recs, c)| TrafficStats::from_records(n, recs, counters(c)))
-            .collect()
-    } else {
-        Vec::new()
+    let per_job = match &owner {
+        Some(owner) => TrafficStats::split_by_owner(n, &records, owner, run.per_job),
+        None => Vec::new(),
     };
     Ok(ReplayedStats {
-        total: TrafficStats::from_records(n, records, counters(&run.total)),
+        total: TrafficStats::from_records(n, records, run.total),
         per_job,
     })
 }
@@ -241,6 +235,7 @@ pub fn replay_jsonl(text: &str) -> Result<ReplayedStats, TraceError> {
 mod tests {
     use super::*;
     use crate::routing::GreedyRouting;
+    use sg_obs::Event;
 
     #[test]
     fn recorded_run_replays_byte_identical() {
@@ -251,6 +246,59 @@ mod tests {
         let back = replay_jsonl(&text).expect("replays");
         assert_eq!(back.total, live, "replayed stats must be byte-identical");
         assert!(back.per_job.is_empty());
+    }
+
+    fn inconsistent(text: &str) {
+        let got = replay_jsonl(text);
+        assert!(
+            matches!(got, Err(TraceError::Inconsistent { .. })),
+            "{got:?}"
+        );
+    }
+
+    fn partitioned_trace() -> Trace {
+        let net = Network::new(4);
+        let w = Workload::random_permutation(4, 5);
+        let owner: Vec<u32> = (0..w.len() as u32).map(|pid| pid % 2).collect();
+        let policies: [&dyn RoutingPolicy; 2] = [&GreedyRouting; 2];
+        record_partitioned(&net, &w, &policies, &owner, &[true; 2], 5).2
+    }
+
+    #[test]
+    fn owner_outside_the_declared_jobs_is_inconsistent() {
+        let mut trace = partitioned_trace();
+        trace.packets[3].job = Some(2);
+        inconsistent(&trace.to_jsonl());
+    }
+
+    #[test]
+    fn partitioned_event_past_the_preamble_is_inconsistent() {
+        let mut trace = partitioned_trace();
+        let ev = trace
+            .events
+            .iter_mut()
+            .find(|ev| matches!(ev, Event::Queued { .. }))
+            .expect("a queued event");
+        if let Event::Queued { pid, .. } = ev {
+            *pid = trace.header.packets as u32;
+        }
+        inconsistent(&trace.to_jsonl());
+    }
+
+    #[test]
+    fn pe_past_the_node_count_is_inconsistent() {
+        let net = Network::new(4);
+        let w = Workload::random_permutation(4, 9);
+        let (_, mut trace) = record(&net, &w, &GreedyRouting, Engine::Fast, 9);
+        let ev = trace
+            .events
+            .iter_mut()
+            .find(|ev| matches!(ev, Event::Queued { .. }))
+            .expect("a queued event");
+        if let Event::Queued { pe, .. } = ev {
+            *pe = 3_000_000_000;
+        }
+        inconsistent(&trace.to_jsonl());
     }
 
     #[test]

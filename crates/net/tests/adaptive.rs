@@ -2,8 +2,9 @@
 //! takes is a real edge of the **surviving** subgraph, and every
 //! route terminates.
 //!
-//! The audit works on [`Network::run_traced`] hop traces — the ground
-//! truth of what the engine actually forwarded — under fault-plan
+//! The audit works on [`HopTraces`] collected from the run's
+//! `Forwarded` events — the ground truth of what the engine actually
+//! forwarded — under fault-plan
 //! families within the paper's `n − 2` budget:
 //!
 //! * exhaustive single-node kills (every PE) at `n ≤ 5`,
@@ -17,7 +18,8 @@
 //! live-to-live packet must also be delivered.
 
 use sg_net::{
-    AdaptiveRouting, FaultPlan, FaultPolicy, HopRecord, Network, PacketOutcome, Workload,
+    AdaptiveRouting, Engine, FaultPlan, FaultPolicy, HopRecord, HopTraces, Network, PacketOutcome,
+    Workload,
 };
 use sg_perm::factorial::factorial;
 use sg_perm::lehmer::unrank;
@@ -25,10 +27,11 @@ use sg_perm::lehmer::unrank;
 /// Audits one traced run: hops chain, stay on alive edges, and end at
 /// the destination for every delivered packet.
 fn audit(net: &Network, plan: &FaultPlan, w: &Workload, context: &str) {
-    let (stats, traces) = net.run_traced(w, &AdaptiveRouting);
+    let mut traces = HopTraces::new(w.len());
+    let stats = net.run_probed(w, &AdaptiveRouting, Engine::Fast, &mut traces);
     let n = net.n();
-    for (rec, tr) in stats.packets.iter().zip(&traces) {
-        // Termination: the engine resolved every packet (run_traced
+    for (rec, tr) in stats.packets.iter().zip(&traces.hops) {
+        // Termination: the engine resolved every packet (the run
         // returned), and the trace respects the structural bound —
         // an adaptive prefix of strictly-decreasing distance (≤ the
         // diameter, so < node_count) plus at most one pinned BFS

@@ -24,6 +24,7 @@ use sg_net::{
     AdaptiveRouting, EmbeddingRouting, Engine, FlowControl, GreedyRouting, NetConfig, Network,
     RoutingPolicy, Workload,
 };
+use sg_obs::NullProbe;
 
 fn policies() -> Vec<(&'static str, Box<dyn RoutingPolicy>)> {
     vec![
@@ -153,10 +154,10 @@ fn all_opted_out_escape_equals_credit() {
     let policies: [&dyn RoutingPolicy; 1] = [&GreedyRouting];
     let credit = Network::new(n)
         .with_config(config(FlowControl::CreditBased, 1))
-        .run_partitioned(&w, &policies, &owner);
+        .run_partitioned(&w, &policies, &owner, &[true], &mut NullProbe);
     let escape = Network::new(n)
         .with_config(config(FlowControl::EscapeChannel, 1))
-        .run_partitioned_with_escape(&w, &policies, &owner, &[false]);
+        .run_partitioned(&w, &policies, &owner, &[false], &mut NullProbe);
     assert_eq!(credit.0, escape.0, "opted-out escape must match credit");
     assert_eq!(credit.1, escape.1, "per-job stats too");
     assert!(credit.0.stranded > 0, "scenario must actually deadlock");

@@ -423,8 +423,13 @@ fn partitioned_runs_identical_across_engines() {
                 ),
             ] {
                 let net = Network::new(n).with_config(config);
-                let (fast_total, _) =
-                    net.run_partitioned_with_escape(&composed, &per_job, &owner, &escape);
+                let (fast_total, _) = net.run_partitioned(
+                    &composed,
+                    &per_job,
+                    &owner,
+                    &escape,
+                    &mut sg_obs::NullProbe,
+                );
                 let reference = net.run_partitioned_reference(
                     &composed,
                     &per_job,

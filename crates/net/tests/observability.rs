@@ -16,7 +16,8 @@ use sg_net::{
     TrafficStats, Workload,
 };
 use sg_obs::{
-    reset_tick_clock, tick_clock, DropReason, Event, EventLog, NetProbe, Probe, StallKind,
+    reset_tick_clock, tick_clock, DropReason, Event, EventLog, NetProbe, NullProbe, Probe,
+    StallKind,
 };
 
 /// Folds an event stream back into the aggregate counters
@@ -375,9 +376,9 @@ fn partitioned_probe_sees_tenant_traffic() {
     let b = Workload::transpose(4);
     let (w, owner) = Workload::compose("pair", 4, &[(&a, 0), (&b, 0)]);
     let policies: Vec<&dyn sg_net::RoutingPolicy> = vec![&GreedyRouting, &GreedyRouting];
-    let (t0, pj0) = net.run_partitioned(&w, &policies, &owner);
+    let (t0, pj0) = net.run_partitioned(&w, &policies, &owner, &[true; 2], &mut NullProbe);
     let mut np = NetProbe::new(net.node_count(), net.n() - 1).with_tenants(owner.clone(), 2);
-    let (t1, pj1) = net.run_partitioned_probed(&w, &policies, &owner, &mut np);
+    let (t1, pj1) = net.run_partitioned(&w, &policies, &owner, &[true; 2], &mut np);
     assert_eq!(t0, t1, "probed partitioned total must be identical");
     assert_eq!(pj0, pj1, "probed per-job stats must be identical");
     assert!(np.tenant_peak_in_flight(0) > 0);

@@ -11,6 +11,7 @@
 use sg_net::{
     Engine, FlowControl, GreedyRouting, NetConfig, Network, RoutingPolicy, TrafficStats, Workload,
 };
+use sg_obs::NullProbe;
 
 /// A mixed bag of phases: contention-free sweep, random permutation,
 /// hot-spot burst, an *empty* phase (the barrier must still advance
@@ -89,7 +90,14 @@ fn chained_phases_equal_isolated_runs() {
             let policies: Vec<Box<dyn RoutingPolicy>> =
                 ws.iter().map(|_| Box::new(GreedyRouting) as _).collect();
             let refs: Vec<&dyn RoutingPolicy> = policies.iter().map(|p| p.as_ref()).collect();
-            let (_, per_phase) = net.run_partitioned(&chained.workload, &refs, &chained.owner);
+            let escape = vec![true; refs.len()];
+            let (_, per_phase) = net.run_partitioned(
+                &chained.workload,
+                &refs,
+                &chained.owner,
+                &escape,
+                &mut NullProbe,
+            );
             assert_eq!(per_phase.len(), ws.len());
             for (k, w) in ws.iter().enumerate() {
                 let rebased = per_phase[k].rebased(chained.phase_starts[k]);
@@ -149,7 +157,14 @@ fn credit_based_chains_stay_isolated() {
         let policies: Vec<Box<dyn RoutingPolicy>> =
             ws.iter().map(|_| Box::new(GreedyRouting) as _).collect();
         let refs: Vec<&dyn RoutingPolicy> = policies.iter().map(|p| p.as_ref()).collect();
-        let (_, per_phase) = net.run_partitioned(&chained.workload, &refs, &chained.owner);
+        let escape = vec![true; refs.len()];
+        let (_, per_phase) = net.run_partitioned(
+            &chained.workload,
+            &refs,
+            &chained.owner,
+            &escape,
+            &mut NullProbe,
+        );
         for (k, w) in ws.iter().enumerate() {
             let rebased: TrafficStats = per_phase[k].rebased(chained.phase_starts[k]);
             assert_eq!(rebased, net.run(w, &GreedyRouting), "seed={seed} phase {k}");

@@ -172,6 +172,34 @@ fn round_trip_under_faults() {
     }
 }
 
+/// A run cut by the round cap strands flits that are still queued
+/// (and, under credit flow control, packets still stalled at their
+/// source). The cap round charges nothing, and the replay must agree.
+#[test]
+fn round_trip_through_round_cap_strands() {
+    for n in 3..=5usize {
+        for seed in 0..SEEDS {
+            for (config_name, flow_control) in [
+                ("taildrop", FlowControl::TailDrop),
+                ("credit", FlowControl::CreditBased),
+                ("escape", FlowControl::EscapeChannel),
+            ] {
+                let net = Network::new(n).with_config(NetConfig {
+                    queue_capacity: Some(1),
+                    flow_control,
+                    max_rounds: 3,
+                    ..NetConfig::default()
+                });
+                let w = Workload::bernoulli_uniform(n, 3, 100, seed);
+                for engine in [Engine::Fast, Engine::Reference] {
+                    let context = format!("n={n} seed={seed} cap3-{config_name} {engine:?}");
+                    assert_round_trip(&net, &w, &GreedyRouting, engine, seed, &context);
+                }
+            }
+        }
+    }
+}
+
 /// Partitioned multi-tenant runs: the owner map rides the packet
 /// preamble and the replayed **per-tenant** stats must equal the live
 /// attribution byte-for-byte, next to the totals.

@@ -27,12 +27,17 @@
 //!   or the deterministic [`tick_clock`]) profile the fast engine's
 //!   four phases without perturbing its behaviour;
 //!   [`SchedPhaseProfile`] does the same for `sg-sched`'s event loop.
+//! * [`RunTally`] ([`tally`]) is the one implementation of a run's
+//!   accounting: it turns state transitions into [`RunCounters`],
+//!   total and per owner. `sg-net`'s fast engine drives it while
+//!   running; the trace replayer drives it from a log.
 //! * **`sg-trace`** ([`trace`] / [`replay`] / [`diff`]): a versioned,
 //!   self-describing JSONL schema ([`Trace`]) that round-trips every
-//!   event losslessly, a replayer ([`NetReplay`]) reconstructing the
-//!   engines' full online accounting from a log alone, and a
-//!   structural differ ([`diff_events`]) that localizes the first
-//!   divergence between two streams to its round and in-round index.
+//!   event losslessly, a replayer ([`NetReplay`]) that feeds a log's
+//!   events to the same [`RunTally`] and so rebuilds the engines'
+//!   accounting from the log alone, and a structural differ
+//!   ([`diff_events`]) that localizes the first divergence between
+//!   two streams to its round and in-round index.
 //!
 //! This crate has no dependencies (events carry plain integers); it
 //! sits below `sg-net` / `sg-sched`, which emit into it.
@@ -47,6 +52,7 @@ pub mod probe;
 pub mod profile;
 pub mod replay;
 pub mod sched;
+pub mod tally;
 pub mod trace;
 
 pub use diff::{diff_events, DiffSide, Divergence};
@@ -57,6 +63,7 @@ pub use metrics::{
 pub use netprobe::{HotLink, NetProbe, DEFAULT_DEPTH_BUCKETS, DEFAULT_SERIES_CAP};
 pub use probe::{DropReason, Event, EventLog, NullProbe, Probe, StallKind};
 pub use profile::{reset_tick_clock, tick_clock, wall_clock, PhaseProfile, SchedPhaseProfile};
-pub use replay::{replay_trace, NetReplay, ReplayCounters, ReplayOutcome, ReplayedRun};
+pub use replay::{NetReplay, ReplayedRun};
 pub use sched::{JobSpan, SchedProbe};
+pub use tally::{PacketOutcome, RunCounters, RunTally};
 pub use trace::{Trace, TraceError, TraceHeader, TracePacket, SCHEMA_VERSION};

@@ -1,125 +1,62 @@
-//! Replaying a recorded event stream back into derived run state.
+//! Replaying a recorded event stream back into a run's accounting.
 //!
-//! [`NetReplay`] is the inverse of the engines' online accounting: it
-//! walks an [`Event`] stream (plus the packet preamble of a
-//! [`Trace`]) and reconstructs exactly the counters both `sg-net`
-//! engines track while running — total and per-job wait, stalls,
-//! peaks, forward counts, and every packet's outcome. `sg-net` turns
-//! the result into a `TrafficStats` that is **byte-identical** to the
-//! live run's (asserted across the full differential matrix), so a
-//! log file alone is sufficient to re-derive everything the run ever
-//! reported.
+//! [`NetReplay`] is a parser adapter: it walks an [`Event`] stream
+//! and feeds each state transition to the same [`RunTally`] the
+//! `sg-net` fast engine drives while running. A log file alone
+//! therefore re-derives the run's counters, total and per job, and
+//! every packet's outcome. `sg-net` turns the result into a
+//! `TrafficStats` that is **byte-identical** to the live run's
+//! (asserted across the full differential matrix).
 //!
-//! The replay is strict: the stream's own invariants (a `round_end`
-//! total must equal the replayed queue census, per-PE occupancy can
-//! never underflow, every packet must resolve) are checked as it
-//! goes, so a truncated or hand-damaged log fails loudly instead of
-//! producing quietly wrong statistics.
+//! What the engine holds and a log does not, the replay rebuilds: a
+//! per-PE census of adaptive and escape residents (the PE totals the
+//! peak rule observes), sized once from the star order, and the
+//! round's injection-stall count.
 //!
-//! Accounting subtleties mirrored from the engines:
+//! The replay is strict. Every PE must lie below `n!` and every
+//! packet id below the preamble's count. A `round_end` must close
+//! the round it names, and its totals must equal the replayed
+//! census. Per-PE occupancy can never underflow, and every packet
+//! must resolve. A truncated or hand-damaged log fails loudly instead
+//! of producing quietly wrong statistics, and never panics.
 //!
-//! * Wait and stall charges land at each `round_end`, using the
-//!   engine's own published totals for the global counters and the
-//!   replayed per-job census for tenant attribution — idle-skipped
-//!   rounds emit nothing and charge nothing.
-//! * A **deadlock strand** (credit cycle detected mid-run) charges
-//!   the final round's wait *before* breaking, and that round has no
-//!   `round_end`; a **round-cap strand** breaks at the top of the
-//!   round and charges nothing. The two are distinguished by the
-//!   stall events a deadlocked round necessarily contains.
-//! * Stranded packets never resolve, so they do not advance the
-//!   makespan (`last_event`) — only deliveries and real drops do.
+//! One accounting subtlety lives here rather than in the tally: the
+//! strand round. Both kinds of strand close their round with a
+//! `round_end`, but only a **deadlock strand** ran the round's phases
+//! and charged its wait: the round holds the stall events that made
+//! it a deadlock. A **round-cap strand** breaks at the top of the
+//! round, so its round holds nothing but strand drops and charges
+//! nothing.
 
 use crate::probe::{DropReason, Event, StallKind};
-use crate::trace::{Trace, TraceError};
-
-/// The counters one engine accumulates online during a run — as
-/// reconstructed from the event stream. Field-for-field mirror of
-/// `sg-net`'s `RunCounters` (kept integer-exact so the comparison is
-/// `assert_eq!`).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ReplayCounters {
-    /// Round of the last packet resolution (= makespan).
-    pub last_event: u32,
-    /// Flit·rounds spent queued.
-    pub total_wait_rounds: u64,
-    /// Packet·rounds stalled pre-injection (credit mode only).
-    pub injection_stall_rounds: u64,
-    /// Peak single-queue occupancy.
-    pub peak_edge: u64,
-    /// Peak per-PE queued total.
-    pub peak_node: u64,
-    /// Links traversed.
-    pub forwarded: u64,
-    /// Adaptive→escape diversions (escape mode only).
-    pub escape_diversions: u64,
-    /// Links traversed on the escape channel.
-    pub escape_forwarded: u64,
-    /// Peak per-PE escape residents.
-    pub peak_escape: u64,
-}
-
-/// A packet's fate as reconstructed from the stream.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub enum ReplayOutcome {
-    /// No resolution event seen (only valid mid-stream; a finished
-    /// replay with pending packets is an error).
-    #[default]
-    Pending,
-    /// Delivered at `round` after `hops` link traversals.
-    Delivered {
-        /// Resolution round.
-        round: u32,
-        /// Links traversed.
-        hops: u32,
-    },
-    /// Dropped on a dead node/link.
-    DroppedFault {
-        /// Resolution round.
-        round: u32,
-    },
-    /// Dropped with no surviving route.
-    DroppedUnreachable {
-        /// Resolution round.
-        round: u32,
-    },
-    /// Tail-dropped at a full queue.
-    DroppedOverflow {
-        /// Resolution round.
-        round: u32,
-    },
-    /// Still unresolved when the run stranded.
-    Stranded,
-}
+use crate::tally::{PacketOutcome, RunCounters, RunTally};
+use crate::trace::TraceError;
 
 /// Everything a finished replay reconstructed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplayedRun {
     /// Whole-run counters.
-    pub total: ReplayCounters,
+    pub total: RunCounters,
     /// Per-job counters for a partitioned run (empty otherwise).
-    pub per_job: Vec<ReplayCounters>,
+    pub per_job: Vec<RunCounters>,
     /// One outcome per packet, in packet-id order.
-    pub outcomes: Vec<ReplayOutcome>,
+    pub outcomes: Vec<PacketOutcome>,
 }
 
 /// Streaming replayer for `sg-net` event streams.
 #[derive(Debug, Clone)]
-pub struct NetReplay {
-    owner: Option<Vec<u32>>,
-    total: ReplayCounters,
-    per_job: Vec<ReplayCounters>,
-    outcomes: Vec<ReplayOutcome>,
-    /// Per-PE adaptive-queue occupants (grown on demand).
+pub struct NetReplay<'o> {
+    tally: RunTally<'o>,
+    /// `None` until the packet's resolution event.
+    outcomes: Vec<Option<PacketOutcome>>,
+    /// Per-PE adaptive-queue occupants.
     node_occ: Vec<u64>,
-    /// Per-PE escape-bank occupants (grown on demand).
+    /// Per-PE escape-bank occupants.
     esc_node: Vec<u64>,
-    /// Flits in queues or escape banks, total and per job.
-    queued_total: u64,
-    queued_job: Vec<u64>,
-    /// Injection stalls observed in the currently open round.
-    stall_inj_total: u64,
-    stall_inj_job: Vec<u64>,
+    /// Flits in queues or escape banks.
+    queued: u64,
+    /// Injection stalls observed in the open round.
+    stalls: u64,
     /// Any stall event (either kind) seen in the open round — the
     /// deadlock-strand signature.
     stall_any: bool,
@@ -129,72 +66,91 @@ pub struct NetReplay {
     error: Option<String>,
 }
 
-fn slot(v: &mut Vec<u64>, i: usize) -> &mut u64 {
-    if v.len() <= i {
-        v.resize(i + 1, 0);
-    }
-    &mut v[i]
-}
-
-impl NetReplay {
-    /// A replayer for a run of `packets` packets. `owner` (one job id
-    /// per packet) and `jobs` switch on per-job attribution, exactly
-    /// like the engines' partitioned entry points.
+impl<'o> NetReplay<'o> {
+    /// A replayer for a run of `packets` packets on a network of
+    /// `nodes` PEs. `owner` (one job id per packet, each below
+    /// `jobs`) switches on per-job attribution, exactly like the
+    /// engines' partitioned entry points.
     ///
-    /// # Panics
-    /// Panics if `owner` is present with the wrong length or names a
-    /// job outside `0..jobs`.
-    #[must_use]
-    pub fn new(packets: usize, owner: Option<&[u32]>, jobs: usize) -> Self {
-        if let Some(o) = owner {
-            assert_eq!(o.len(), packets, "one owner per packet");
-            assert!(
-                o.iter().all(|&j| (j as usize) < jobs),
-                "owner map names a job outside 0..{jobs}"
-            );
-        }
-        NetReplay {
-            owner: owner.map(<[u32]>::to_vec),
-            total: ReplayCounters::default(),
-            per_job: vec![ReplayCounters::default(); jobs],
-            outcomes: vec![ReplayOutcome::Pending; packets],
-            node_occ: Vec::new(),
-            esc_node: Vec::new(),
-            queued_total: 0,
-            queued_job: vec![0; jobs],
-            stall_inj_total: 0,
-            stall_inj_job: vec![0; jobs],
+    /// # Errors
+    /// [`TraceError::Inconsistent`] if `owner` has the wrong length or
+    /// names a job outside `0..jobs`.
+    pub fn new(
+        nodes: usize,
+        packets: usize,
+        owner: Option<&'o [u32]>,
+        jobs: usize,
+    ) -> Result<Self, TraceError> {
+        let tally = match owner {
+            Some(o) => {
+                if o.len() != packets {
+                    return Err(inconsistent(format!(
+                        "owner map covers {} packet(s), the preamble declares {packets}",
+                        o.len()
+                    )));
+                }
+                if let Some((pid, j)) = o.iter().enumerate().find(|&(_, &j)| j as usize >= jobs) {
+                    return Err(inconsistent(format!(
+                        "packet {pid} names job {j}, but the header declares {jobs} job(s)"
+                    )));
+                }
+                RunTally::partitioned(o, jobs)
+            }
+            None => RunTally::default(),
+        };
+        Ok(NetReplay {
+            tally,
+            outcomes: vec![None; packets],
+            node_occ: vec![0; nodes],
+            esc_node: vec![0; nodes],
+            queued: 0,
+            stalls: 0,
             stall_any: false,
             stranded: false,
             open: None,
             error: None,
-        }
-    }
-
-    fn job_of(&self, pid: u32) -> Option<usize> {
-        self.owner.as_ref().map(|o| o[pid as usize] as usize)
-    }
-
-    fn fail(&mut self, msg: String) {
-        if self.error.is_none() {
-            self.error = Some(msg);
-        }
+        })
     }
 
     /// Feed the next event of the stream.
     pub fn observe(&mut self, ev: &Event) {
-        if self.error.is_some() {
-            return;
+        if self.error.is_none() {
+            if let Err(msg) = self.apply(ev) {
+                self.error = Some(msg);
+            }
         }
+    }
+
+    fn packet(&self, pid: u32) -> Result<(), String> {
+        if (pid as usize) < self.outcomes.len() {
+            Ok(())
+        } else {
+            Err(format!(
+                "event names packet {pid}, but the preamble declares only {}",
+                self.outcomes.len()
+            ))
+        }
+    }
+
+    fn pe(&self, pe: u32) -> Result<usize, String> {
+        if (pe as usize) < self.node_occ.len() {
+            Ok(pe as usize)
+        } else {
+            Err(format!(
+                "event names PE {pe}, but the network has only {}",
+                self.node_occ.len()
+            ))
+        }
+    }
+
+    fn apply(&mut self, ev: &Event) -> Result<(), String> {
         match *ev {
             Event::RoundBegin { round } => {
                 if self.open.is_some() {
-                    self.fail(format!("round {round} begins inside an open round"));
-                    return;
+                    return Err(format!("round {round} begins inside an open round"));
                 }
                 self.open = Some(round);
-                self.stall_inj_total = 0;
-                self.stall_inj_job.iter_mut().for_each(|s| *s = 0);
+                self.stalls = 0;
                 self.stall_any = false;
                 self.stranded = false;
             }
@@ -204,38 +160,30 @@ impl NetReplay {
                 stalled,
                 ..
             } => {
-                if self.open != Some(round) {
-                    self.fail(format!(
+                if self.open.take() != Some(round) {
+                    return Err(format!(
                         "round_end for round {round} without matching round_begin"
                     ));
-                    return;
                 }
-                if queued != self.queued_total {
-                    self.fail(format!(
+                if queued != self.queued {
+                    return Err(format!(
                         "round {round}: round_end reports {queued} queued, replay counts {}",
-                        self.queued_total
+                        self.queued
                     ));
-                    return;
                 }
-                if stalled != self.stall_inj_total {
-                    self.fail(format!(
+                // A round-cap strand broke before the round's phases
+                // ran: nothing stalled in it and nothing is charged.
+                if self.stranded && !self.stall_any {
+                    return Ok(());
+                }
+                if stalled != self.stalls {
+                    return Err(format!(
                         "round {round}: round_end reports {stalled} stalled, replay counted {} \
                          injection stalls",
-                        self.stall_inj_total
+                        self.stalls
                     ));
-                    return;
                 }
-                self.total.total_wait_rounds += queued;
-                self.total.injection_stall_rounds += stalled;
-                for (c, (&q, &s)) in self
-                    .per_job
-                    .iter_mut()
-                    .zip(self.queued_job.iter().zip(&self.stall_inj_job))
-                {
-                    c.total_wait_rounds += q;
-                    c.injection_stall_rounds += s;
-                }
-                self.open = None;
+                self.tally.end_round(queued, stalled);
             }
             Event::Queued {
                 pid,
@@ -244,111 +192,88 @@ impl NetReplay {
                 escape,
                 ..
             } => {
-                let pe = pe as usize;
+                self.packet(pid)?;
+                let pe = self.pe(pe)?;
                 if escape {
-                    *slot(&mut self.esc_node, pe) += 1;
-                    self.total.peak_escape = self.total.peak_escape.max(u64::from(depth));
+                    self.esc_node[pe] += 1;
                 } else {
-                    *slot(&mut self.node_occ, pe) += 1;
-                    self.total.peak_edge = self.total.peak_edge.max(u64::from(depth));
+                    self.node_occ[pe] += 1;
                 }
-                let at_pe = *slot(&mut self.node_occ, pe) + *slot(&mut self.esc_node, pe);
-                self.total.peak_node = self.total.peak_node.max(at_pe);
-                self.queued_total += 1;
-                if let Some(j) = self.job_of(pid) {
-                    self.queued_job[j] += 1;
-                    let c = &mut self.per_job[j];
-                    if escape {
-                        c.peak_escape = c.peak_escape.max(u64::from(depth));
-                    } else {
-                        c.peak_edge = c.peak_edge.max(u64::from(depth));
-                    }
-                    c.peak_node = c.peak_node.max(at_pe);
-                }
+                self.queued += 1;
+                let at_pe = self.node_occ[pe] + self.esc_node[pe];
+                self.tally.queued(pid, escape, u64::from(depth), at_pe);
             }
             Event::Forwarded {
-                pid, from, escape, ..
+                pid,
+                from,
+                to,
+                escape,
+                ..
             } => {
-                let from = from as usize;
+                self.packet(pid)?;
+                let from = self.pe(from)?;
+                self.pe(to)?;
                 let bank = if escape {
                     &mut self.esc_node
                 } else {
                     &mut self.node_occ
                 };
-                let occ = slot(bank, from);
-                let (Some(next), Some(left)) =
-                    (occ.checked_sub(1), self.queued_total.checked_sub(1))
-                else {
-                    self.fail(format!("packet {pid} forwarded off an empty PE {from}"));
-                    return;
-                };
-                *occ = next;
-                self.queued_total = left;
-                self.total.forwarded += 1;
-                if escape {
-                    self.total.escape_forwarded += 1;
+                if bank[from] == 0 {
+                    return Err(format!("packet {pid} forwarded off an empty PE {from}"));
                 }
-                if let Some(j) = self.job_of(pid) {
-                    let Some(left) = self.queued_job[j].checked_sub(1) else {
-                        self.fail(format!("job {j} forwarded more flits than it queued"));
-                        return;
-                    };
-                    self.queued_job[j] = left;
-                    self.per_job[j].forwarded += 1;
-                    if escape {
-                        self.per_job[j].escape_forwarded += 1;
-                    }
+                bank[from] -= 1;
+                self.queued -= 1;
+                if !self.tally.forwarded(pid, escape) {
+                    return Err(format!(
+                        "packet {pid}'s job forwarded more flits than it queued"
+                    ));
                 }
             }
             Event::Diverted { pid, pe, .. } => {
-                let pe = pe as usize;
-                let occ = slot(&mut self.node_occ, pe);
-                let Some(next) = occ.checked_sub(1) else {
-                    self.fail(format!("packet {pid} diverted off an empty PE {pe}"));
-                    return;
-                };
-                *occ = next;
-                *slot(&mut self.esc_node, pe) += 1;
-                let esc = self.esc_node[pe];
-                self.total.escape_diversions += 1;
-                self.total.peak_escape = self.total.peak_escape.max(esc);
-                if let Some(j) = self.job_of(pid) {
-                    let c = &mut self.per_job[j];
-                    c.escape_diversions += 1;
-                    c.peak_escape = c.peak_escape.max(esc);
+                self.packet(pid)?;
+                let pe = self.pe(pe)?;
+                if self.node_occ[pe] == 0 {
+                    return Err(format!("packet {pid} diverted off an empty PE {pe}"));
                 }
+                self.node_occ[pe] -= 1;
+                self.esc_node[pe] += 1;
+                self.tally.diverted(pid, self.esc_node[pe]);
             }
-            Event::Stalled { pid, kind, .. } => {
+            Event::Stalled { pid, pe, kind, .. } => {
+                self.packet(pid)?;
+                self.pe(pe)?;
                 self.stall_any = true;
                 if kind == StallKind::Injection {
-                    self.stall_inj_total += 1;
-                    if let Some(j) = self.job_of(pid) {
-                        self.stall_inj_job[j] += 1;
-                    }
+                    self.stalls += 1;
+                    self.tally.stalled(pid);
                 }
             }
             Event::Delivered {
-                round, pid, hops, ..
+                round,
+                pid,
+                pe,
+                hops,
             } => {
-                self.resolve(pid, ReplayOutcome::Delivered { round, hops }, Some(round));
+                self.pe(pe)?;
+                self.resolve(pid, PacketOutcome::Delivered { round, hops })?;
             }
             Event::Dropped {
-                round, pid, reason, ..
+                round,
+                pid,
+                pe,
+                reason,
             } => {
-                let (outcome, advances) = match reason {
-                    DropReason::Fault => (ReplayOutcome::DroppedFault { round }, Some(round)),
-                    DropReason::Unreachable => {
-                        (ReplayOutcome::DroppedUnreachable { round }, Some(round))
+                self.pe(pe)?;
+                let outcome = match reason {
+                    DropReason::Fault => PacketOutcome::DroppedFault { round },
+                    DropReason::Unreachable => PacketOutcome::DroppedUnreachable { round },
+                    DropReason::Overflow => PacketOutcome::DroppedOverflow { round },
+                    DropReason::Stranded => {
+                        self.stranded = true;
+                        PacketOutcome::Stranded
                     }
-                    DropReason::Overflow => (ReplayOutcome::DroppedOverflow { round }, Some(round)),
-                    // Stranding bypasses resolution: the engines never
-                    // advance `last_event` for a stranded packet.
-                    DropReason::Stranded => (ReplayOutcome::Stranded, None),
                 };
-                if reason == DropReason::Stranded {
-                    self.stranded = true;
-                }
-                self.resolve(pid, outcome, advances);
+                self.resolve(pid, outcome)?;
             }
             // Scheduler events may share a log with net events but
             // carry no network accounting.
@@ -358,373 +283,471 @@ impl NetReplay {
             | Event::JobReserved { .. }
             | Event::JobBackfilled { .. } => {}
         }
+        Ok(())
     }
 
-    fn resolve(&mut self, pid: u32, outcome: ReplayOutcome, advances: Option<u32>) {
-        let Some(out) = self.outcomes.get_mut(pid as usize) else {
-            self.fail(format!(
-                "event names packet {pid}, but the preamble declares only {}",
-                self.outcomes.len()
-            ));
-            return;
-        };
-        if *out != ReplayOutcome::Pending {
-            self.fail(format!("packet {pid} resolved twice"));
-            return;
+    fn resolve(&mut self, pid: u32, outcome: PacketOutcome) -> Result<(), String> {
+        self.packet(pid)?;
+        let slot = &mut self.outcomes[pid as usize];
+        if slot.is_some() {
+            return Err(format!("packet {pid} resolved twice"));
         }
-        *out = outcome;
-        if let Some(round) = advances {
-            self.total.last_event = self.total.last_event.max(round);
-            if let Some(j) = self.job_of(pid) {
-                self.per_job[j].last_event = self.per_job[j].last_event.max(round);
-            }
+        *slot = Some(outcome);
+        if let Some(round) = outcome.resolution_round() {
+            self.tally.resolved(pid, round);
         }
+        Ok(())
     }
 
     /// Close the stream and hand back the reconstructed run.
     ///
     /// # Errors
     /// [`TraceError::Inconsistent`] if any invariant failed along the
-    /// way, the stream ended mid-round without stranding, or a packet
-    /// never resolved.
-    pub fn finish(mut self) -> Result<ReplayedRun, TraceError> {
+    /// way, the stream ended inside a round, or a packet never
+    /// resolved.
+    pub fn finish(self) -> Result<ReplayedRun, TraceError> {
         if let Some(msg) = self.error {
-            return Err(TraceError::Inconsistent { msg });
+            return Err(inconsistent(msg));
         }
         if let Some(round) = self.open {
-            if !self.stranded {
-                return Err(TraceError::Inconsistent {
-                    msg: format!("stream ends inside round {round} without stranding"),
-                });
-            }
-            // A deadlock strand runs the accounting phase (charging
-            // the final round's wait and stalls) and then breaks
-            // before `round_end`; a round-cap strand breaks at the
-            // top of the round, before anything could stall.
-            if self.stall_any {
-                self.total.total_wait_rounds += self.queued_total;
-                self.total.injection_stall_rounds += self.stall_inj_total;
-                for (c, (&q, &s)) in self
-                    .per_job
-                    .iter_mut()
-                    .zip(self.queued_job.iter().zip(&self.stall_inj_job))
-                {
-                    c.total_wait_rounds += q;
-                    c.injection_stall_rounds += s;
-                }
-            }
+            return Err(inconsistent(format!("stream ends inside round {round}")));
         }
-        if let Some(pid) = self
+        let outcomes = self
             .outcomes
             .iter()
-            .position(|o| *o == ReplayOutcome::Pending)
-        {
-            return Err(TraceError::Inconsistent {
-                msg: format!("packet {pid} never resolved — is the log truncated?"),
-            });
-        }
+            .enumerate()
+            .map(|(pid, o)| {
+                o.ok_or_else(|| {
+                    inconsistent(format!(
+                        "packet {pid} never resolved — is the log truncated?"
+                    ))
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let (total, per_job) = self.tally.finish();
         Ok(ReplayedRun {
-            total: self.total,
-            per_job: self.per_job,
-            outcomes: self.outcomes,
+            total,
+            per_job,
+            outcomes,
         })
     }
 }
 
-/// Replay a parsed [`Trace`] end to end.
-///
-/// # Errors
-/// [`TraceError::DroppedEvents`] when the recorder's capacity bound
-/// dropped events (the stream is incomplete by its own admission);
-/// [`TraceError::Inconsistent`] when the stream fails replay
-/// invariants.
-pub fn replay_trace(trace: &Trace) -> Result<ReplayedRun, TraceError> {
-    if trace.header.dropped > 0 {
-        return Err(TraceError::DroppedEvents {
-            dropped: trace.header.dropped,
-        });
-    }
-    let jobs = trace.header.jobs as usize;
-    let owner: Option<Vec<u32>> = if jobs > 0 {
-        let mut owner = Vec::with_capacity(trace.packets.len());
-        for p in &trace.packets {
-            match p.job {
-                Some(j) => owner.push(j),
-                None => {
-                    return Err(TraceError::Inconsistent {
-                        msg: format!(
-                            "header declares {jobs} job(s) but packet {} has no owner",
-                            p.pid
-                        ),
-                    })
-                }
-            }
-        }
-        Some(owner)
-    } else {
-        None
-    };
-    let mut replay = NetReplay::new(trace.packets.len(), owner.as_deref(), jobs);
-    for ev in &trace.events {
-        replay.observe(ev);
-    }
-    replay.finish()
+fn inconsistent(msg: String) -> TraceError {
+    TraceError::Inconsistent { msg }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn feed(replay: &mut NetReplay, evs: &[Event]) {
+    fn run(
+        nodes: usize,
+        owner: Option<&[u32]>,
+        jobs: usize,
+        packets: usize,
+        evs: &[Event],
+    ) -> Result<ReplayedRun, TraceError> {
+        let mut r = NetReplay::new(nodes, packets, owner, jobs)?;
         for ev in evs {
-            replay.observe(ev);
+            r.observe(ev);
+        }
+        r.finish()
+    }
+
+    fn begin(round: u32) -> Event {
+        Event::RoundBegin { round }
+    }
+
+    fn end(round: u32, queued: u64, in_flight: u64, stalled: u64) -> Event {
+        Event::RoundEnd {
+            round,
+            queued,
+            in_flight,
+            stalled,
+        }
+    }
+
+    fn queued(round: u32, pid: u32, pe: u32, gen: u8, depth: u32, escape: bool) -> Event {
+        Event::Queued {
+            round,
+            pid,
+            pe,
+            gen,
+            depth,
+            escape,
+        }
+    }
+
+    fn forwarded(round: u32, pid: u32, from: u32, to: u32, gen: u8, escape: bool) -> Event {
+        Event::Forwarded {
+            round,
+            pid,
+            from,
+            to,
+            gen,
+            escape,
+        }
+    }
+
+    fn stalled(round: u32, pid: u32, pe: u32, kind: StallKind) -> Event {
+        Event::Stalled {
+            round,
+            pid,
+            pe,
+            kind,
+        }
+    }
+
+    fn delivered(round: u32, pid: u32, pe: u32, hops: u32) -> Event {
+        Event::Delivered {
+            round,
+            pid,
+            pe,
+            hops,
+        }
+    }
+
+    fn stranded(round: u32, pid: u32, pe: u32) -> Event {
+        Event::Dropped {
+            round,
+            pid,
+            pe,
+            reason: DropReason::Stranded,
         }
     }
 
     /// One packet queued at round 0, forwarded at round 1, delivered
-    /// at round 2 — the smallest stream with a wait charge.
+    /// at round 2 — the smallest stream with a wait charge. As one
+    /// owner's only packet, its share equals the total.
     #[test]
     fn tiny_stream_reconstructs_counters() {
-        let mut r = NetReplay::new(1, None, 0);
-        feed(
-            &mut r,
-            &[
-                Event::RoundBegin { round: 0 },
-                Event::Queued {
-                    round: 0,
-                    pid: 0,
-                    pe: 3,
-                    gen: 1,
-                    depth: 1,
-                    escape: false,
-                },
-                Event::RoundEnd {
-                    round: 0,
-                    queued: 1,
-                    in_flight: 0,
-                    stalled: 0,
-                },
-                Event::RoundBegin { round: 1 },
-                Event::Forwarded {
-                    round: 1,
-                    pid: 0,
-                    from: 3,
-                    to: 5,
-                    gen: 1,
-                    escape: false,
-                },
-                Event::RoundEnd {
-                    round: 1,
-                    queued: 0,
-                    in_flight: 1,
-                    stalled: 0,
-                },
-                Event::RoundBegin { round: 2 },
-                Event::Delivered {
-                    round: 2,
-                    pid: 0,
-                    pe: 5,
-                    hops: 1,
-                },
-                Event::RoundEnd {
-                    round: 2,
-                    queued: 0,
-                    in_flight: 0,
-                    stalled: 0,
-                },
-            ],
-        );
-        let run = r.finish().expect("consistent");
-        assert_eq!(run.total.total_wait_rounds, 1);
-        assert_eq!(run.total.forwarded, 1);
-        assert_eq!(run.total.peak_edge, 1);
-        assert_eq!(run.total.peak_node, 1);
-        assert_eq!(run.total.last_event, 2);
+        let evs = [
+            begin(0),
+            queued(0, 0, 3, 1, 1, false),
+            end(0, 1, 0, 0),
+            begin(1),
+            forwarded(1, 0, 3, 5, 1, false),
+            end(1, 0, 1, 0),
+            begin(2),
+            delivered(2, 0, 5, 1),
+            end(2, 0, 0, 0),
+        ];
+        let expect = RunCounters {
+            last_event: 2,
+            total_wait_rounds: 1,
+            injection_stall_rounds: 0,
+            peak_edge: 1,
+            peak_node: 1,
+            forwarded: 1,
+            escape_diversions: 0,
+            escape_forwarded: 0,
+            peak_escape: 0,
+        };
+        let whole = run(6, None, 0, 1, &evs).expect("consistent");
+        assert_eq!(whole.total, expect);
+        assert!(whole.per_job.is_empty());
         assert_eq!(
-            run.outcomes,
-            vec![ReplayOutcome::Delivered { round: 2, hops: 1 }]
+            whole.outcomes,
+            vec![PacketOutcome::Delivered { round: 2, hops: 1 }]
+        );
+        let split = run(6, Some(&[0]), 1, 1, &evs).expect("consistent");
+        assert_eq!(split.total, expect);
+        assert_eq!(split.per_job, vec![expect]);
+    }
+
+    /// Two packets of two jobs serialize on one link: job 1's flit
+    /// joins job 0's queue at depth 2 and leaves a round later.
+    #[test]
+    fn per_job_attribution_follows_owners() {
+        let evs = [
+            begin(0),
+            queued(0, 0, 0, 1, 1, false),
+            queued(0, 1, 0, 1, 2, false),
+            end(0, 2, 0, 0),
+            begin(1),
+            forwarded(1, 0, 0, 1, 1, false),
+            end(1, 1, 1, 0),
+            begin(2),
+            forwarded(2, 1, 0, 1, 1, false),
+            delivered(2, 0, 1, 1),
+            end(2, 0, 1, 0),
+            begin(3),
+            delivered(3, 1, 1, 1),
+            end(3, 0, 0, 0),
+        ];
+        let r = run(6, Some(&[0, 1]), 2, 2, &evs).expect("consistent");
+        // Job 0 waited 1 round (round 0); job 1 waited 2 (rounds 0–1).
+        // Peaks are observed at each job's own enqueue: job 1 joined
+        // the shared queue (and PE) at depth 2, job 0 at depth 1.
+        let job0 = RunCounters {
+            last_event: 2,
+            total_wait_rounds: 1,
+            peak_edge: 1,
+            peak_node: 1,
+            forwarded: 1,
+            ..RunCounters::default()
+        };
+        let job1 = RunCounters {
+            last_event: 3,
+            total_wait_rounds: 2,
+            peak_edge: 2,
+            peak_node: 2,
+            forwarded: 1,
+            ..RunCounters::default()
+        };
+        assert_eq!(r.per_job, vec![job0, job1]);
+        assert_eq!(
+            r.total,
+            RunCounters {
+                last_event: 3,
+                total_wait_rounds: 3,
+                peak_edge: 2,
+                peak_node: 2,
+                forwarded: 2,
+                ..RunCounters::default()
+            }
         );
     }
 
+    /// A starved adaptive head (job 0) diverts into its PE's escape
+    /// bank and finishes on the escape channel. Job 1's flit waits on
+    /// the PE's other link without diverting, so its peak PE total (2)
+    /// exceeds its peak queue depth (1).
     #[test]
-    fn per_job_attribution_follows_owners() {
-        let owner = [0u32, 1];
-        let mut r = NetReplay::new(2, Some(&owner), 2);
-        feed(
-            &mut r,
-            &[
-                Event::RoundBegin { round: 0 },
-                Event::Queued {
-                    round: 0,
-                    pid: 0,
-                    pe: 0,
-                    gen: 1,
-                    depth: 1,
-                    escape: false,
-                },
-                Event::Queued {
-                    round: 0,
-                    pid: 1,
-                    pe: 0,
-                    gen: 2,
-                    depth: 1,
-                    escape: false,
-                },
-                Event::RoundEnd {
-                    round: 0,
-                    queued: 2,
-                    in_flight: 0,
-                    stalled: 0,
-                },
-                Event::RoundBegin { round: 1 },
-                Event::Forwarded {
-                    round: 1,
-                    pid: 0,
-                    from: 0,
-                    to: 1,
-                    gen: 1,
-                    escape: false,
-                },
-                Event::RoundEnd {
-                    round: 1,
-                    queued: 1,
-                    in_flight: 1,
-                    stalled: 0,
-                },
-                Event::RoundBegin { round: 2 },
-                Event::Forwarded {
-                    round: 2,
-                    pid: 1,
-                    from: 0,
-                    to: 2,
-                    gen: 2,
-                    escape: false,
-                },
-                Event::Delivered {
-                    round: 2,
-                    pid: 0,
-                    pe: 1,
-                    hops: 1,
-                },
-                Event::RoundEnd {
-                    round: 2,
-                    queued: 0,
-                    in_flight: 1,
-                    stalled: 0,
-                },
-                Event::RoundBegin { round: 3 },
-                Event::Delivered {
-                    round: 3,
-                    pid: 1,
-                    pe: 2,
-                    hops: 1,
-                },
-                Event::RoundEnd {
-                    round: 3,
-                    queued: 0,
-                    in_flight: 0,
-                    stalled: 0,
-                },
-            ],
+    fn escape_diversion_moves_a_buffered_flit_into_the_bank() {
+        let evs = [
+            begin(0),
+            queued(0, 0, 0, 1, 1, false),
+            queued(0, 1, 0, 2, 1, false),
+            end(0, 2, 0, 0),
+            begin(1),
+            stalled(1, 0, 0, StallKind::CreditHead),
+            stalled(1, 1, 0, StallKind::CreditHead),
+            Event::Diverted {
+                round: 1,
+                pid: 0,
+                pe: 0,
+                class: 2,
+            },
+            end(1, 2, 0, 0),
+            begin(2),
+            forwarded(2, 0, 0, 1, 1, true),
+            forwarded(2, 1, 0, 2, 2, false),
+            end(2, 0, 2, 0),
+            begin(3),
+            queued(3, 0, 1, 2, 1, true),
+            delivered(3, 1, 2, 1),
+            end(3, 1, 0, 0),
+            begin(4),
+            forwarded(4, 0, 1, 4, 2, true),
+            end(4, 0, 1, 0),
+            begin(5),
+            delivered(5, 0, 4, 2),
+            end(5, 0, 0, 0),
+        ];
+        let r = run(6, Some(&[0, 1]), 2, 2, &evs).expect("consistent");
+        // Job 0 waits in rounds 0, 1 (diverted, still buffered) and 3.
+        let job0 = RunCounters {
+            last_event: 5,
+            total_wait_rounds: 3,
+            injection_stall_rounds: 0,
+            peak_edge: 1,
+            peak_node: 1,
+            forwarded: 2,
+            escape_diversions: 1,
+            escape_forwarded: 2,
+            peak_escape: 1,
+        };
+        let job1 = RunCounters {
+            last_event: 3,
+            total_wait_rounds: 2,
+            peak_edge: 1,
+            peak_node: 2,
+            forwarded: 1,
+            ..RunCounters::default()
+        };
+        assert_eq!(r.per_job, vec![job0, job1]);
+        assert_eq!(
+            r.total,
+            RunCounters {
+                last_event: 5,
+                total_wait_rounds: 5,
+                injection_stall_rounds: 0,
+                peak_edge: 1,
+                peak_node: 2,
+                forwarded: 3,
+                escape_diversions: 1,
+                escape_forwarded: 2,
+                peak_escape: 1,
+            }
         );
-        let run = r.finish().expect("consistent");
-        // Job 0 waited 1 round (round 0); job 1 waited 2 (rounds 0–1).
-        assert_eq!(run.per_job[0].total_wait_rounds, 1);
-        assert_eq!(run.per_job[1].total_wait_rounds, 2);
-        assert_eq!(run.per_job[0].last_event, 2);
-        assert_eq!(run.per_job[1].last_event, 3);
-        assert_eq!(run.total.total_wait_rounds, 3);
-        // The shared PE peaked at 2 queued flits; both jobs were
-        // enqueuing while it did, so both observed the peak.
-        assert_eq!(run.total.peak_node, 2);
-        assert_eq!(run.per_job[1].peak_node, 2);
+    }
+
+    /// Credit mode: job 1's packet finds its source PE full and
+    /// stalls before injection in rounds 0 and 1 — one stall charge
+    /// per round — then enters once job 0's flit has left.
+    #[test]
+    fn injection_stall_charges_every_stalled_round() {
+        let evs = [
+            begin(0),
+            queued(0, 0, 0, 1, 1, false),
+            stalled(0, 1, 0, StallKind::Injection),
+            end(0, 1, 0, 1),
+            begin(1),
+            stalled(1, 1, 0, StallKind::Injection),
+            forwarded(1, 0, 0, 1, 1, false),
+            end(1, 0, 1, 1),
+            begin(2),
+            delivered(2, 0, 1, 1),
+            queued(2, 1, 0, 1, 1, false),
+            end(2, 1, 0, 0),
+            begin(3),
+            forwarded(3, 1, 0, 1, 1, false),
+            end(3, 0, 1, 0),
+            begin(4),
+            delivered(4, 1, 1, 1),
+            end(4, 0, 0, 0),
+        ];
+        let r = run(6, Some(&[0, 1]), 2, 2, &evs).expect("consistent");
+        let one_hop = RunCounters {
+            total_wait_rounds: 1,
+            peak_edge: 1,
+            peak_node: 1,
+            forwarded: 1,
+            ..RunCounters::default()
+        };
+        let job0 = RunCounters {
+            last_event: 2,
+            ..one_hop
+        };
+        let job1 = RunCounters {
+            last_event: 4,
+            injection_stall_rounds: 2,
+            ..one_hop
+        };
+        assert_eq!(r.per_job, vec![job0, job1]);
+        assert_eq!(
+            r.total,
+            RunCounters {
+                last_event: 4,
+                total_wait_rounds: 2,
+                injection_stall_rounds: 2,
+                peak_edge: 1,
+                peak_node: 1,
+                forwarded: 2,
+                ..RunCounters::default()
+            }
+        );
     }
 
     #[test]
     fn census_mismatch_is_inconsistent() {
-        let mut r = NetReplay::new(1, None, 0);
-        feed(
-            &mut r,
-            &[
-                Event::RoundBegin { round: 0 },
-                Event::RoundEnd {
-                    round: 0,
-                    queued: 5,
-                    in_flight: 0,
-                    stalled: 0,
-                },
-            ],
-        );
-        assert!(matches!(r.finish(), Err(TraceError::Inconsistent { .. })));
+        let r = run(6, None, 0, 1, &[begin(0), end(0, 5, 0, 0)]);
+        assert!(matches!(r, Err(TraceError::Inconsistent { .. })));
     }
 
     #[test]
     fn mid_round_truncation_is_inconsistent() {
-        let mut r = NetReplay::new(0, None, 0);
-        feed(&mut r, &[Event::RoundBegin { round: 0 }]);
-        assert!(matches!(r.finish(), Err(TraceError::Inconsistent { .. })));
+        let r = run(6, None, 0, 0, &[begin(0)]);
+        assert!(matches!(r, Err(TraceError::Inconsistent { .. })));
     }
 
     #[test]
     fn unresolved_packet_is_inconsistent() {
-        let r = NetReplay::new(1, None, 0);
-        assert!(matches!(r.finish(), Err(TraceError::Inconsistent { .. })));
+        let r = run(6, None, 0, 1, &[]);
+        assert!(matches!(r, Err(TraceError::Inconsistent { .. })));
     }
 
-    /// A deadlock strand (stall events in the final, unclosed round)
-    /// charges the round's wait; a round-cap strand (no stalls — the
-    /// break happens before any phase runs) does not.
+    /// Both strands close their round, as the engines emit them. A
+    /// deadlock strand (stall events in the final round) ran the
+    /// round's phases and charges its wait; a round-cap strand broke
+    /// at the top of the round and charges neither the flits still
+    /// queued nor the packets still stalled at their source.
     #[test]
     fn strand_rounds_charge_wait_only_on_deadlock() {
         let deadlock = [
-            Event::RoundBegin { round: 0 },
-            Event::Queued {
-                round: 0,
-                pid: 0,
-                pe: 0,
-                gen: 1,
-                depth: 1,
-                escape: false,
-            },
-            Event::RoundEnd {
-                round: 0,
-                queued: 1,
-                in_flight: 0,
-                stalled: 0,
-            },
-            Event::RoundBegin { round: 1 },
-            Event::Stalled {
-                round: 1,
-                pid: 0,
-                pe: 0,
-                kind: StallKind::CreditHead,
-            },
-            Event::Dropped {
-                round: 1,
-                pid: 0,
-                pe: 0,
-                reason: DropReason::Stranded,
-            },
+            begin(0),
+            queued(0, 0, 0, 1, 1, false),
+            end(0, 1, 0, 0),
+            begin(1),
+            stalled(1, 0, 0, StallKind::CreditHead),
+            stranded(1, 0, 0),
+            end(1, 1, 0, 0),
         ];
-        let mut r = NetReplay::new(1, None, 0);
-        feed(&mut r, &deadlock);
-        let run = r.finish().expect("consistent");
-        assert_eq!(run.total.total_wait_rounds, 2, "strand round charged");
-        assert_eq!(run.total.last_event, 0, "stranding never advances makespan");
-        assert_eq!(run.outcomes, vec![ReplayOutcome::Stranded]);
+        let expect = RunCounters {
+            last_event: 0,
+            total_wait_rounds: 2,
+            peak_edge: 1,
+            peak_node: 1,
+            ..RunCounters::default()
+        };
+        let r = run(6, Some(&[0]), 1, 1, &deadlock).expect("consistent");
+        assert_eq!(r.total, expect, "strand round charged; makespan untouched");
+        assert_eq!(r.per_job, vec![expect]);
+        assert_eq!(r.outcomes, vec![PacketOutcome::Stranded]);
 
         let capped = [
-            Event::RoundBegin { round: 9 },
-            Event::Dropped {
-                round: 9,
-                pid: 0,
-                pe: 0,
-                reason: DropReason::Stranded,
-            },
+            begin(8),
+            queued(8, 0, 0, 1, 1, false),
+            stalled(8, 1, 0, StallKind::Injection),
+            end(8, 1, 0, 1),
+            begin(9),
+            stranded(9, 0, 0),
+            stranded(9, 1, 0),
+            end(9, 1, 0, 1),
         ];
-        let mut r = NetReplay::new(1, None, 0);
-        feed(&mut r, &capped);
-        let run = r.finish().expect("consistent");
-        assert_eq!(run.total.total_wait_rounds, 0, "cap strand charges nothing");
+        let r = run(6, Some(&[0, 1]), 2, 2, &capped).expect("consistent");
+        let job0 = RunCounters {
+            total_wait_rounds: 1,
+            peak_edge: 1,
+            peak_node: 1,
+            ..RunCounters::default()
+        };
+        let job1 = RunCounters {
+            injection_stall_rounds: 1,
+            ..RunCounters::default()
+        };
+        assert_eq!(r.per_job, vec![job0, job1], "cap strand charges nothing");
+        assert_eq!(
+            r.total,
+            RunCounters {
+                injection_stall_rounds: 1,
+                ..job0
+            }
+        );
+        assert_eq!(r.outcomes, vec![PacketOutcome::Stranded; 2]);
+    }
+
+    #[test]
+    fn out_of_range_packets_pes_and_jobs_are_inconsistent() {
+        let inconsistent = |r: Result<ReplayedRun, TraceError>| {
+            assert!(matches!(r, Err(TraceError::Inconsistent { .. })), "{r:?}");
+        };
+        // An owner map naming a job the header does not declare.
+        inconsistent(run(6, Some(&[2]), 2, 1, &[]));
+        // A partitioned event naming a packet past the preamble.
+        inconsistent(run(
+            6,
+            Some(&[0]),
+            1,
+            1,
+            &[begin(0), queued(0, 7, 0, 1, 1, false)],
+        ));
+        // A PE at or past n!.
+        inconsistent(run(
+            6,
+            None,
+            0,
+            1,
+            &[begin(0), queued(0, 0, 6, 1, 1, false)],
+        ));
+        inconsistent(run(
+            6,
+            None,
+            0,
+            1,
+            &[begin(0), queued(0, 0, 3_000_000_000, 1, 1, false)],
+        ));
     }
 }

@@ -134,8 +134,8 @@ pub struct TraceHeader {
     /// capacity bound. Non-zero means the stream is incomplete and
     /// replay will refuse it.
     pub dropped: u64,
-    /// The scheduler's event-loop self-profile, embedded for
-    /// `schedule_probed` runs.
+    /// The scheduler's event-loop self-profile, embedded for probed
+    /// `schedule_with` runs.
     pub sched_profile: Option<SchedPhaseProfile>,
 }
 
@@ -243,8 +243,12 @@ impl Trace {
             .filter(|(_, l)| !l.trim().is_empty());
         let (_, first) = lines.next().ok_or(TraceError::Empty)?;
         let header = parse_header(first)?;
-        let mut packets = Vec::with_capacity(usize::try_from(header.packets).unwrap_or(0));
-        let mut events = Vec::with_capacity(usize::try_from(header.events).unwrap_or(0));
+        // The header's counts are promises, not sizes: the file holds
+        // at most one record per line.
+        let lines_in = text.lines().count();
+        let fits = |promised: u64| usize::try_from(promised).map_or(lines_in, |p| p.min(lines_in));
+        let mut packets = Vec::with_capacity(fits(header.packets));
+        let mut events = Vec::with_capacity(fits(header.events));
         let mut in_events = false;
         for (idx, line) in lines {
             let lineno = idx + 1;
@@ -853,6 +857,28 @@ mod tests {
                 kind: "packet",
                 expected: 2,
                 found: 0
+            })
+        );
+    }
+
+    /// A header promising `u64::MAX` packets is a truncated file, not
+    /// a capacity request.
+    #[test]
+    fn oversized_header_counts_are_truncation() {
+        let mut t = sample_trace();
+        t.header.packets = u64::MAX;
+        t.header.events = u64::MAX;
+        let text = [t.header.to_json()]
+            .into_iter()
+            .chain(t.packets.iter().map(TracePacket::to_json))
+            .collect::<Vec<_>>()
+            .join("\n");
+        assert_eq!(
+            Trace::parse(&text),
+            Err(TraceError::Truncated {
+                kind: "packet",
+                expected: u64::MAX,
+                found: 2
             })
         );
     }

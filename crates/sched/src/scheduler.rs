@@ -262,26 +262,7 @@ fn lift_workload(n: usize, p: &Placement) -> Workload {
 /// [`MIN_ORDER`]`..=alloc.n()` (it could never be placed).
 #[must_use]
 pub fn schedule(jobs: &[JobSpec], alloc: &mut dyn SubstarAllocator) -> Schedule {
-    schedule_probed(jobs, alloc, &mut NullProbe)
-}
-
-/// [`schedule`] with an attached [`Probe`]: emits
-/// [`Event::JobArrived`] when a job enters the pending queue,
-/// [`Event::JobPlaced`] when it is admitted, and
-/// [`Event::JobReleased`] when its sub-star is returned — in the event
-/// loop's own deterministic order. The schedule returned is
-/// byte-identical to an unprobed [`schedule`] of the same stream.
-///
-/// # Panics
-/// Panics if a job requests an order outside
-/// [`MIN_ORDER`]`..=alloc.n()` (it could never be placed).
-#[must_use]
-pub fn schedule_probed<P: Probe>(
-    jobs: &[JobSpec],
-    alloc: &mut dyn SubstarAllocator,
-    probe: &mut P,
-) -> Schedule {
-    schedule_with(jobs, alloc, &SchedConfig::default(), probe)
+    schedule_with(jobs, alloc, &SchedConfig::default(), &mut NullProbe)
 }
 
 /// How long a placement holds its sub-star under
@@ -305,7 +286,8 @@ fn drained_hold(net: &Network, n: usize, job: &JobSpec, substar: &SubStar) -> u3
     let policy = tenant_policy(job.routing, substar);
     let policies: [&dyn RoutingPolicy; 1] = [policy.as_ref()];
     let owner = vec![0u32; workload.len()];
-    let (total, _) = net.run_partitioned_with_escape(&workload, &policies, &owner, &[job.escape]);
+    let (total, _) =
+        net.run_partitioned(&workload, &policies, &owner, &[job.escape], &mut NullProbe);
     assert_eq!(
         total.stranded, 0,
         "job {} wedges in isolation and never drains — drained release would hold its sub-star forever",
@@ -342,12 +324,17 @@ fn easy_shadow(
     unreachable!("an order <= n job always fits the drained machine")
 }
 
-/// [`schedule_probed`] under an explicit policy bundle: release mode
+/// [`schedule`] under an explicit policy bundle — release mode
 /// ([`ReleaseMode`]), queueing discipline ([`SchedPolicy`]), and
-/// pool admission ([`AdmissionPolicy`]). `SchedConfig::default()`
-/// reproduces [`schedule`] byte-identically.
+/// pool admission ([`AdmissionPolicy`]) — with an attached [`Probe`].
+/// `SchedConfig::default()` reproduces [`schedule`] byte-identically.
 ///
-/// Under [`SchedPolicy::EasyBackfill`] the probe additionally sees
+/// The probe sees [`Event::JobArrived`] when a job enters the pending
+/// queue, [`Event::JobPlaced`] when it is admitted, and
+/// [`Event::JobReleased`] when its sub-star is returned — in the
+/// event loop's own deterministic order; the schedule returned is
+/// byte-identical to an unprobed one. Under
+/// [`SchedPolicy::EasyBackfill`] the probe additionally sees
 /// [`Event::JobReserved`] when a blocked head receives its
 /// declared-walltime reservation (once per head) and
 /// [`Event::JobBackfilled`] next to the [`Event::JobPlaced`] of every
@@ -769,8 +756,13 @@ impl TenantRun {
             .iter()
             .map(|p| p.job.escape)
             .collect();
-        let (total, per_job) =
-            net.run_partitioned_with_escape(&self.workload, &self.policies(), &self.owner, &escape);
+        let (total, per_job) = net.run_partitioned(
+            &self.workload,
+            &self.policies(),
+            &self.owner,
+            &escape,
+            &mut NullProbe,
+        );
         let jobs = self
             .schedule
             .placements
@@ -1418,7 +1410,12 @@ mod tests {
         // Event stream matches an independent probed run, and the
         // whole trace survives the JSONL round trip.
         let mut log = EventLog::new();
-        let probed = schedule_probed(&tiny_jobs(), AllocPolicy::Buddy.build(4).as_mut(), &mut log);
+        let probed = schedule_with(
+            &tiny_jobs(),
+            AllocPolicy::Buddy.build(4).as_mut(),
+            &SchedConfig::default(),
+            &mut log,
+        );
         assert_eq!(probed, s);
         assert_eq!(trace.events, log.events());
         let back = Trace::parse(&trace.to_jsonl()).expect("round-trips");

@@ -4,14 +4,29 @@
 //! `n ≤ 5`: lift embedding-routed tenant traffic onto the sub-star,
 //! drive it through the shared network (alone and next to a noisy
 //! disjoint neighbor), and check **every recorded link traversal**
-//! stays inside the tenant's sub-star — `Network::run_traced` ground
-//! truth, not a structural argument.
+//! stays inside the tenant's sub-star — hop traces collected from the
+//! run's `Forwarded` events are the ground truth, not a structural
+//! argument.
 
-use sg_net::{HopRecord, Network, RoutingPolicy, Workload};
+use sg_net::{HopRecord, HopTraces, Network, RoutingPolicy, TrafficStats, Workload};
 use sg_sched::job::{JobSpec, TenantRouting, TrafficProfile};
 use sg_sched::scheduler::schedule;
 use sg_sched::AllocPolicy;
 use sg_star::substar::{substars_of_order, SubStar};
+
+/// The partitioned run's total statistics and one hop trace per
+/// packet.
+fn traced(
+    net: &Network,
+    w: &Workload,
+    policies: &[&dyn RoutingPolicy],
+    owner: &[u32],
+) -> (TrafficStats, Vec<Vec<HopRecord>>) {
+    let mut traces = HopTraces::new(w.len());
+    let escape = vec![true; policies.len()];
+    let (stats, _) = net.run_partitioned(w, policies, owner, &escape, &mut traces);
+    (stats, traces.hops)
+}
 
 /// Every hop of every owned packet begins and ends inside `sub`.
 fn assert_contained(sub: &SubStar, traces: &[Vec<HopRecord>], owner: &[u32], job: u32) {
@@ -68,7 +83,7 @@ fn embedding_traffic_never_leaves_its_substar_exhaustive() {
                     // fresh allocator and relabeling: the audit wants
                     // *every* sub-star, so build the run by hand.
                     let run = pinned_run(n, &[(job, sub.clone())]);
-                    let (stats, _, traces) = net.run_traced_partitioned(&run.0, &run.2, &run.1);
+                    let (stats, traces) = traced(&net, &run.0, &run.2, &run.1);
                     assert_eq!(
                         stats.delivered, stats.injected,
                         "n={n} k={k} {sub} profile {p}: embedding traffic is lossless"
@@ -103,7 +118,7 @@ fn minimal_routing_is_confined_by_convexity() {
                         escape: false,
                     };
                     let run = pinned_run(n, &[(job, sub.clone())]);
-                    let (_, _, traces) = net.run_traced_partitioned(&run.0, &run.2, &run.1);
+                    let (_, traces) = traced(&net, &run.0, &run.2, &run.1);
                     assert_contained(&sub, &traces, &run.1, 0);
                 }
             }
@@ -150,7 +165,7 @@ fn containment_holds_next_to_a_trespassing_neighbor() {
                     escape: false,
                 };
                 let run = pinned_run(n, &[(quiet, a.clone()), (noisy, b.clone())]);
-                let (_, _, traces) = net.run_traced_partitioned(&run.0, &run.2, &run.1);
+                let (_, traces) = traced(&net, &run.0, &run.2, &run.1);
                 assert_contained(a, &traces, &run.1, 0);
                 trespassed |= traces.iter().zip(&run.1).any(|(trace, &o)| {
                     o == 1
@@ -191,8 +206,7 @@ fn scheduler_built_runs_are_contained_too() {
         let mut alloc = policy.build(n);
         let s = schedule(&jobs, alloc.as_mut());
         let run = s.tenant_run();
-        let (_, _, traces) =
-            net.run_traced_partitioned(run.workload(), &run.policies(), run.owner());
+        let (_, traces) = traced(&net, run.workload(), &run.policies(), run.owner());
         for (i, p) in s.placements().iter().enumerate() {
             assert_contained(&p.substar, &traces, run.owner(), i as u32);
         }
