@@ -1,12 +1,12 @@
-//! # sg-bench — benchmark and table harness
+//! # sg-bench — the `tables` and `trace` CLIs
 //!
-//! Regenerates every table and figure of the paper (see `DESIGN.md`'s
-//! per-experiment index) through the `tables` binary, and measures the
-//! algorithmic costs with Criterion benches.
+//! `tables` regenerates every table and figure of the paper; `trace`
+//! records, replays and diffs `sg-trace` logs. Performance is measured
+//! by the `starbench` package and its `BENCHMARK.json`, not here.
 //!
 //! ```sh
 //! cargo run --release -p sg-bench --bin tables -- all
-//! cargo bench -p sg-bench
+//! cargo run --release -p sg-bench --bin trace -- record /tmp/s6.jsonl --n 6
 //! ```
 
 #![forbid(unsafe_code)]

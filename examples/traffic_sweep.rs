@@ -20,7 +20,11 @@
 //! 5. **Engines and flow control** — FastEngine ≡ ReferenceEngine on
 //!    identical traffic (asserted), adaptive routing vs the oblivious
 //!    policies on skewed traffic, and credit-based flow control
-//!    trading tail drops for source stalls (zero loss, asserted).
+//!    trading tail drops for source stalls (zero loss, asserted). Two
+//!    timing guards close it: the fast engine, probed with a
+//!    `NullProbe`, within 1.1× of the reference engine's time on
+//!    `S_7`, and a lossless full-injection sweep of all 40 320 PEs of
+//!    `S_8` within 60 s. Run the example in release for them.
 //! 6. **Observability** — an `sg-obs` probe riding a saturated run:
 //!    the hottest links and the round of peak queue depth, recovered
 //!    from the event stream without perturbing the statistics
@@ -30,7 +34,8 @@ use star_mesh_embedding::net::{
     saturation_sweep, AdaptiveRouting, EmbeddingRouting, Engine, FaultPlan, FaultPolicy,
     FlowControl, GreedyRouting, NetConfig, Network, Workload,
 };
-use star_mesh_embedding::obs::NetProbe;
+use star_mesh_embedding::obs::{NetProbe, NullProbe};
+use std::time::Instant;
 
 fn main() {
     lemma5_under_load();
@@ -299,6 +304,76 @@ fn engines_and_flow_control() {
     println!("\nOne reserved escape slot per residual-hop class, drained shortest-");
     println!("first along the embedding's dimension-order routes: the adaptive");
     println!("partition keeps credit semantics, and deadlock becomes impossible.");
+    engine_margin_and_s8_sweep();
+}
+
+fn engine_margin_and_s8_sweep() {
+    // FastEngine ≥ ReferenceEngine. Gate at n = 7 (5 040 PEs, 30 240
+    // queues) under 20% injection, where the worklist's advantage is
+    // structural (the reference engine scans 30k queues every round
+    // regardless of how few are busy). At small n with saturated
+    // queues the engines converge to parity — per-hop work dominates
+    // and both engines share it — so the guard does not look there.
+    // The fast side runs through `run_probed` with a `NullProbe`: the
+    // guard therefore also holds sg-obs's zero-overhead-when-disabled
+    // claim — if the disabled probe hooks cost anything measurable,
+    // the fast engine falls out of its margin.
+    // Best of 3 interleaved runs: a transient slowdown (noisy
+    // neighbor, frequency scaling) hits both sides instead of biasing
+    // whichever happened to run first.
+    let n_cmp = 7;
+    let net = Network::new(n_cmp);
+    let w = Workload::bernoulli_uniform(n_cmp, 10, 20, 0xBEEF);
+    let (mut fast_ns, mut ref_ns) = (u128::MAX, u128::MAX);
+    for _ in 0..3 {
+        let t = Instant::now();
+        let _ = net.run_probed(&w, &GreedyRouting, Engine::Fast, &mut NullProbe);
+        fast_ns = fast_ns.min(t.elapsed().as_nanos());
+        let t = Instant::now();
+        let _ = net.run_with(&w, &GreedyRouting, Engine::Reference);
+        ref_ns = ref_ns.min(t.elapsed().as_nanos());
+    }
+    let speedup = ref_ns as f64 / fast_ns as f64;
+    println!("\nengine comparison (n={n_cmp} uniform 20% injection, best of 3):");
+    println!("  fast      {:>12.3} ms", fast_ns as f64 / 1e6);
+    println!(
+        "  reference {:>12.3} ms   (speedup {speedup:.2}x)",
+        ref_ns as f64 / 1e6
+    );
+    // The 10% allowance absorbs shared-host timing noise without
+    // letting a real regression (fast falling to parity or worse)
+    // slip through.
+    assert!(
+        fast_ns <= ref_ns + ref_ns / 10,
+        "FastEngine regressed: {fast_ns} ns vs reference {ref_ns} ns"
+    );
+
+    // The n = 8 full-injection uniform sweep (40 320 PEs, ~80k
+    // packets over 2 injection rounds) finishes well within budget on
+    // the fast engine.
+    let n_big = 8;
+    let t = Instant::now();
+    let big = Network::new(n_big);
+    let build_ns = t.elapsed().as_nanos();
+    let wbig = Workload::bernoulli_uniform(n_big, 2, 100, 0xBEEF);
+    let t = Instant::now();
+    let stats = big.run(&wbig, &GreedyRouting);
+    let sweep_ns = t.elapsed().as_nanos();
+    assert_eq!(
+        stats.delivered, stats.injected,
+        "uniform traffic is lossless"
+    );
+    println!(
+        "n=8 full-injection sweep: {} packets, {} rounds, build {:.2}s, run {:.2}s",
+        stats.injected,
+        stats.makespan,
+        build_ns as f64 / 1e9,
+        sweep_ns as f64 / 1e9
+    );
+    assert!(
+        sweep_ns < 60_000_000_000,
+        "n=8 sweep took {sweep_ns} ns, over the 60 s budget"
+    );
 }
 
 fn observability() {

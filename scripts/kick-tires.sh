@@ -1,0 +1,62 @@
+#!/usr/bin/env bash
+# Kick the tires: one smoke pass over every runtime surface, in release.
+#
+#     scripts/kick-tires.sh
+#
+# 1. `tables -- all`: every paper table and figure, with the asserts
+#    inside the extension grids.
+# 2. Every example under examples/; each asserts its own numbers.
+# 3. The `trace` CLI: record, replay and self-diff an S_6 run, then two
+#    corrupted logs that replay must refuse with exit code 2.
+# 4. starbench: its self-tests, then one traced second of each workload
+#    in BENCHMARK.json, whose result line must report a verified output.
+#
+# Stops at the first failure. The full measurement tier is
+# `python3 starbench/spread.py`.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+echo "== tables -- all"
+cargo run --release -q --offline -p sg-bench --bin tables -- all > /dev/null
+
+for f in examples/*.rs; do
+  e=$(basename "$f" .rs)
+  echo "== example $e"
+  cargo run --release -q --offline --example "$e" > /dev/null
+done
+
+echo "== trace: record, replay, self-diff, corrupted logs"
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+trace() { cargo run --release -q --offline -p sg-bench --bin trace -- "$@"; }
+trace record "$tmp/s6.jsonl" --n 6 --seed 7
+trace replay "$tmp/s6.jsonl" > /dev/null
+trace diff "$tmp/s6.jsonl" "$tmp/s6.jsonl" --context 3
+# A header promising u64::MAX packets and an event at PE 3 000 000 000
+# must be refused with code 2, not a panic (101) or an aborting
+# allocation.
+sed '1s/"packets":[0-9]*/"packets":18446744073709551615/' "$tmp/s6.jsonl" > "$tmp/s6-packets.jsonl"
+sed '0,/"pe":[0-9]*/s//"pe":3000000000/' "$tmp/s6.jsonl" > "$tmp/s6-pe.jsonl"
+for f in "$tmp/s6-packets.jsonl" "$tmp/s6-pe.jsonl"; do
+  code=0
+  trace replay "$f" > /dev/null 2>&1 || code=$?
+  if [ "$code" -ne 2 ]; then
+    echo "trace replay $f exited $code, want 2" >&2
+    exit 1
+  fi
+done
+
+echo "== starbench: self-tests, one traced second per workload"
+cargo test --release -q --offline --manifest-path starbench/Cargo.toml
+workloads=$(python3 -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+for w in $workloads; do
+  last=$(cargo run --release --quiet --offline --manifest-path starbench/Cargo.toml -- \
+    --workload "$w" --seed 1 --seconds 1 --trace 1 | tail -n 1)
+  echo "$w: $last"
+  case "$last" in
+    *'"correct": true'*) ;;
+    *) echo "starbench $w did not report a verified output" >&2; exit 1 ;;
+  esac
+done
+
+echo "kick-tires: every check passed"
