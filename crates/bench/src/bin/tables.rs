@@ -8,7 +8,7 @@
 //!
 //! Subcommands map 1:1 to the experiment ids of DESIGN.md §2.
 
-use sg_bench::Table;
+use sg_bench::{parse_flag, Table};
 use sg_coll::{
     all_to_all_naive, all_to_all_rotation, allgather_doubling, allgather_naive, allreduce_lattice,
     allreduce_naive, broadcast_naive, broadcast_tree, distance_lower_bound, naive_root_lower_bound,
@@ -47,48 +47,32 @@ use sg_simd::machine::MeshSimd;
 use sg_simd::{EmbeddedMeshMachine, MeshMachine};
 use sg_star::broadcast::{flood_schedule, lower_bound, paper_bound, verify_schedule};
 use sg_star::StarGraph;
-use std::ops::RangeInclusive;
-
-/// The value of flag `name`, or `default` when the flag is absent. A
-/// missing, unparsable or out-of-`range` value prints the subcommand's
-/// usage line and exits 2 before any work starts; `range` is the one
-/// the subcommand's library function documents.
-fn parse_flag(args: &[String], name: &str, default: usize, range: RangeInclusive<usize>) -> usize {
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return default;
-    };
-    match args.get(i + 1).and_then(|v| v.parse().ok()) {
-        Some(v) if range.contains(&v) => v,
-        _ => {
-            let (lo, hi) = range.into_inner();
-            eprintln!("usage: tables {} [{name} N]  ({lo} <= N <= {hi})", args[0]);
-            std::process::exit(2);
-        }
-    }
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("help");
+    // Every `--n`/`--max-n` range below is the one the subcommand's
+    // library function documents.
+    let command = format!("tables {cmd}");
     match cmd {
         // `DnMesh::new`'s range bounds table1, fig7 and lemma3.
-        "table1" => table1(parse_flag(&args, "--n", 6, 2..=MAX_N)),
+        "table1" => table1(parse_flag(&command, &args, "--n", 6, 2..=MAX_N)),
         "fig2" => fig2(),
         "fig3" => fig3(),
         "fig4" => fig4(),
-        "fig7" => fig7(parse_flag(&args, "--n", 4, 2..=MAX_N)),
+        "fig7" => fig7(parse_flag(&command, &args, "--n", 4, 2..=MAX_N)),
         "lemma1" => lemma1(),
-        "lemma3" => lemma3(parse_flag(&args, "--max-n", 7, 2..=MAX_N)),
+        "lemma3" => lemma3(parse_flag(&command, &args, "--max-n", 7, 2..=MAX_N)),
         // `audit_dilation`, `verify_lemma5` and `static_congestion`.
-        "dilation" => dilation(parse_flag(&args, "--max-n", 8, 2..=11)),
-        "thm6" => thm6(parse_flag(&args, "--max-n", 6, 2..=9)),
-        "congestion" => congestion(parse_flag(&args, "--max-n", 6, 2..=8)),
+        "dilation" => dilation(parse_flag(&command, &args, "--max-n", 8, 2..=11)),
+        "thm6" => thm6(parse_flag(&command, &args, "--max-n", 6, 2..=9)),
+        "congestion" => congestion(parse_flag(&command, &args, "--max-n", 6, 2..=8)),
         // `Network::new`; the job streams of `sched` and `obs` also
         // need the order range `3..=n` that `generate` checks.
-        "traffic" => traffic(parse_flag(&args, "--n", 5, 2..=MAX_ORDER)),
-        "sched" => sched(parse_flag(&args, "--n", 6, 3..=MAX_ORDER)),
-        "coll" => coll(parse_flag(&args, "--max-n", 6, 2..=MAX_ORDER)),
-        "obs" => obs(parse_flag(&args, "--n", 6, 3..=MAX_ORDER)),
+        "traffic" => traffic(parse_flag(&command, &args, "--n", 5, 2..=MAX_ORDER)),
+        "sched" => sched(parse_flag(&command, &args, "--n", 6, 3..=MAX_ORDER)),
+        "coll" => coll(parse_flag(&command, &args, "--max-n", 6, 2..=MAX_ORDER)),
+        "obs" => obs(parse_flag(&command, &args, "--n", 6, 3..=MAX_ORDER)),
         "starprops" => starprops(),
         "thm9" => thm9(),
         "appendix" => appendix(),

@@ -13,8 +13,9 @@
 //! round and event) and 0 when they are identical, so it slots into
 //! CI scripts directly.
 
+use sg_bench::parse_flag;
 use sg_net::trace::{record, replay};
-use sg_net::{Engine, GreedyRouting, Network, TrafficStats, Workload};
+use sg_net::{Engine, GreedyRouting, Network, TrafficStats, Workload, MAX_ORDER};
 use sg_obs::{diff_events, NetProbe, Probe, SchedProbe, Trace};
 use sg_perm::factorial::factorial;
 
@@ -32,14 +33,6 @@ fn usage() -> ! {
 fn die(msg: &str) -> ! {
     eprintln!("trace: {msg}");
     std::process::exit(2);
-}
-
-fn flag(args: &[String], name: &str, default: u64) -> u64 {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 fn load(path: &str) -> Trace {
@@ -66,8 +59,8 @@ fn summary(tag: &str, s: &TrafficStats) {
 
 fn cmd_record(args: &[String]) {
     let path = args.first().unwrap_or_else(|| usage());
-    let n = flag(args, "--n", 5) as usize;
-    let seed = flag(args, "--seed", 7);
+    let n = parse_flag("trace record", args, "--n", 5, 2..=MAX_ORDER);
+    let seed = parse_flag("trace record", args, "--seed", 7, 0..=u64::MAX);
     let engine = if args.iter().any(|a| a == "--reference") {
         Engine::Reference
     } else {
@@ -95,7 +88,7 @@ fn cmd_record(args: &[String]) {
 
 fn cmd_replay(args: &[String]) {
     let path = args.first().unwrap_or_else(|| usage());
-    let top = flag(args, "--top", 5) as usize;
+    let top = parse_flag("trace replay", args, "--top", 5, 0..=usize::MAX);
     let trace = load(path);
     let h = &trace.header;
     println!(
@@ -160,7 +153,7 @@ fn cmd_diff(args: &[String]) {
         (Some(a), Some(b)) => (a, b),
         _ => usage(),
     };
-    let context = flag(args, "--context", 3) as usize;
+    let context = parse_flag("trace diff", args, "--context", 3, 0..=usize::MAX);
     let a = load(pa);
     let b = load(pb);
     if a.header.fingerprint != b.header.fingerprint {

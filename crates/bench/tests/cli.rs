@@ -1,25 +1,38 @@
-//! The `tables` CLI refuses a bad flag value with its usage line and
-//! exit code 2 before doing any work, instead of panicking in a
-//! library `assert!` (exit 101) or silently running with the default.
+//! The `tables` and `trace` CLIs refuse a bad flag value with a usage
+//! line and exit code 2 before doing any work, instead of panicking in
+//! a library `assert!` (exit 101) or silently running with the default.
 
+use std::path::Path;
 use std::process::{Command, Output};
 
-fn tables(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_tables"))
+fn run(bin: &str, args: &[&str]) -> Output {
+    let exe = match bin {
+        "tables" => env!("CARGO_BIN_EXE_tables"),
+        _ => env!("CARGO_BIN_EXE_trace"),
+    };
+    Command::new(exe)
         .args(args)
         .output()
-        .expect("the tables binary runs")
+        .expect("the binary runs")
 }
 
-fn assert_usage_error(args: &[&str]) {
-    let out = tables(args);
+fn assert_usage_error(bin: &str, args: &[&str]) {
+    let out = run(bin, args);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "tables {args:?}: {stderr}");
+    assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
     assert!(
-        stderr.starts_with("usage: tables"),
-        "tables {args:?}: {stderr}"
+        stderr.starts_with(&format!("usage: {bin}")),
+        "{bin} {args:?}: {stderr}"
     );
-    assert!(out.stdout.is_empty(), "tables {args:?} did work first");
+    assert!(out.stdout.is_empty(), "{bin} {args:?} did work first");
+}
+
+/// A per-test file under cargo's integration-test temp dir.
+fn temp_path(name: &str) -> String {
+    Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(name)
+        .to_string_lossy()
+        .into_owned()
 }
 
 #[test]
@@ -35,20 +48,50 @@ fn out_of_range_value_exits_2() {
         ["thm6", "--max-n", "12"],
         ["dilation", "--max-n", "12"],
     ] {
-        assert_usage_error(&args);
+        assert_usage_error("tables", &args);
     }
 }
 
 #[test]
 fn unparsable_value_exits_2() {
-    assert_usage_error(&["table1", "--n", "abc"]);
-    assert_usage_error(&["dilation", "--max-n", "-3"]);
-    assert_usage_error(&["traffic", "--n"]);
+    assert_usage_error("tables", &["table1", "--n", "abc"]);
+    assert_usage_error("tables", &["dilation", "--max-n", "-3"]);
+    assert_usage_error("tables", &["traffic", "--n"]);
 }
 
 #[test]
 fn fig2_exits_0() {
-    let out = tables(&["fig2"]);
+    let out = run("tables", &["fig2"]);
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stdout).contains("nodes = 24, degree = 3"));
+}
+
+#[test]
+fn trace_record_refuses_a_bad_order_or_seed() {
+    let path = temp_path("trace-bad-flag.jsonl");
+    for args in [
+        ["--n", "10"],
+        ["--n", "1"],
+        ["--n", "abc"],
+        ["--seed", "-1"],
+    ] {
+        let _ = std::fs::remove_file(&path);
+        assert_usage_error("trace", &["record", &path, args[0], args[1]]);
+        assert!(
+            !Path::new(&path).exists(),
+            "trace record {args:?} wrote a log"
+        );
+    }
+    assert_usage_error("trace", &["record", &path, "--n"]);
+}
+
+#[test]
+fn trace_replay_and_diff_refuse_a_bad_count() {
+    let path = temp_path("trace-s3.jsonl");
+    let out = run("trace", &["record", &path, "--n", "3", "--seed", "1"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert_usage_error("trace", &["diff", &path, &path, "--context", "x"]);
+    assert_usage_error("trace", &["replay", &path, "--top", "-2"]);
+    let out = run("trace", &["diff", &path, &path, "--context", "0"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
 }

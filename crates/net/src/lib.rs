@@ -47,8 +47,9 @@
 //! Two engines execute that model. [`Engine::Reference`] scans every
 //! queue every round — the transparent oracle. [`Engine::Fast`] (the
 //! default behind [`Network::run`]) drives an active-queue worklist
-//! over flat slab-allocated ring buffers with batched round-keyed
-//! arrivals, and skips idle rounds — the engine that makes
+//! over intrusive per-link FIFOs with batched round-keyed arrivals
+//! whose records name each flit's next queue, and skips idle rounds —
+//! the engine that makes
 //! full-injection sweeps at `n = 8` (40 320 PEs) finish in seconds.
 //! `tests/differential.rs` proves them observationally identical:
 //! byte-equal [`TrafficStats`] across every workload × routing ×

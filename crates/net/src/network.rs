@@ -37,11 +37,16 @@
 //! * an **active-queue worklist** — an occupancy bitmap scanned a
 //!   word at a time — so arbitration touches only non-empty queues,
 //!   in exactly the reference scan order;
-//! * **flat slab-allocated ring-buffer queues** — all queue storage
-//!   lives in one paged slab with a free list, no per-packet boxing
-//!   and no per-queue allocation churn;
+//! * **intrusive per-link FIFOs** — each output queue is a 12-byte
+//!   `{head, tail, len}` record and one `next` link per packet chains
+//!   the flits behind the head (a flit sits in at most one queue at a
+//!   time), so a queue one flit deep touches no other memory;
 //! * **batched arrivals keyed by round** — flits landing in round `r`
-//!   are drained as one batch from a `link_latency + 1` lane ring;
+//!   are drained as one batch from a `link_latency + 1` lane ring.
+//!   Each arrival record names the output queue its flit joins at the
+//!   landing PE whenever the forward can know it (a source-routed flit
+//!   short of its destination on a fault-free network), so that flit
+//!   lands without reading its packet record or route;
 //! * **idle-round skipping** — when nothing is queued, time jumps
 //!   straight to the next injection or landing round.
 //!
@@ -142,7 +147,8 @@ pub enum FlowControl {
 /// Which simulation engine executes the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Worklist + slab ring buffers + batched arrivals (the default).
+    /// Worklist + intrusive per-link FIFOs + batched arrivals that
+    /// name each flit's next queue (the default).
     #[default]
     Fast,
     /// The scan-everything oracle the differential suite compares
@@ -374,10 +380,10 @@ impl Network {
     /// per packet) ready for [`Network::run_partitioned`].
     ///
     /// # Panics
-    /// Panics if a phase targets a different star order, or if a
-    /// phase strands packets under this network's flow control (a
-    /// stranded packet never resolves, so "after quiescence" would be
-    /// meaningless).
+    /// Panics if a phase targets a different star order, if a phase
+    /// strands packets under this network's flow control (a stranded
+    /// packet never resolves, so "after quiescence" would be
+    /// meaningless), or if the chain's rounds run past `u32::MAX`.
     #[must_use]
     pub fn chain_phases(
         &self,
@@ -387,7 +393,7 @@ impl Network {
     ) -> ChainedWorkload {
         let mut phase_starts = Vec::with_capacity(phases.len());
         let mut phase_makespans = Vec::with_capacity(phases.len());
-        let mut offset = 0u32;
+        let mut next_start = Some(0u32);
         for (k, phase) in phases.iter().enumerate() {
             assert_eq!(
                 phase.n(),
@@ -396,6 +402,8 @@ impl Network {
                 phase.n(),
                 self.n
             );
+            let start =
+                next_start.unwrap_or_else(|| panic!("phase {k} starts past round u32::MAX"));
             let makespan = if phase.injections().is_empty() {
                 0
             } else {
@@ -408,9 +416,9 @@ impl Network {
                 );
                 stats.makespan
             };
-            phase_starts.push(offset);
+            phase_starts.push(start);
             phase_makespans.push(makespan);
-            offset = offset + makespan + 1;
+            next_start = start.checked_add(makespan).and_then(|r| r.checked_add(1));
         }
         let parts: Vec<(&Workload, u32)> =
             phases.iter().zip(phase_starts.iter().copied()).collect();
@@ -1757,111 +1765,60 @@ impl<'a, P: Probe> ReferenceSim<'a, P> {
 }
 
 // ---------------------------------------------------------------------
-// Fast engine: worklist + slab ring buffers + batched arrivals.
+// Fast engine: worklist + intrusive FIFOs + batched arrivals.
 // ---------------------------------------------------------------------
 
-/// Flits per slab page. Small enough that near-empty queues waste
-/// little, big enough that a busy queue touches one page per ~16 ops.
-const PAGE: usize = 16;
-const NO_PAGE: u32 = u32::MAX;
-
-/// Per-queue ring state inside the slab.
-#[derive(Clone, Copy)]
+/// One output queue: its first and last flit and its length (12 B).
+/// `head` and `tail` mean nothing while `len == 0`.
+#[derive(Clone, Copy, Default)]
 struct QState {
-    head: u32,
-    tail: u32,
-    head_off: u8,
-    tail_off: u8,
+    head: PacketId,
+    tail: PacketId,
     len: u32,
 }
 
-const EMPTY_Q: QState = QState {
-    head: NO_PAGE,
-    tail: NO_PAGE,
-    head_off: 0,
-    tail_off: 0,
-    len: 0,
-};
-
-/// All output queues of the network, packed into one paged slab: a
-/// flat `data` arena of `PAGE`-sized chunks linked through `next`,
-/// recycled through a free list. Pushing and popping never allocate
-/// once the arena has grown to the high-water mark, and queue storage
-/// is dense in memory — the "flat slab-allocated ring buffers"
-/// replacing the reference engine's per-queue `VecDeque`s.
-struct SlabQueues {
-    data: Vec<PacketId>,
-    next: Vec<u32>,
-    free: Vec<u32>,
+/// All output queues of the network as intrusive FIFOs: each queue
+/// keeps only its [`QState`], and `next[pid]` chains the flit queued
+/// behind `pid`. A flit sits in at most one output queue at a time,
+/// so one link per packet serves every queue, and pushing or popping
+/// a queue one flit deep touches nothing but its `QState`.
+struct LinkedQueues {
     q: Vec<QState>,
+    next: Vec<PacketId>,
 }
 
-impl SlabQueues {
-    fn new(queues: usize) -> Self {
-        SlabQueues {
-            data: Vec::new(),
-            next: Vec::new(),
-            free: Vec::new(),
-            q: vec![EMPTY_Q; queues],
+impl LinkedQueues {
+    fn new(queues: usize, packets: usize) -> Self {
+        LinkedQueues {
+            q: vec![QState::default(); queues],
+            next: vec![0; packets],
         }
-    }
-
-    fn alloc_page(&mut self) -> u32 {
-        if let Some(p) = self.free.pop() {
-            self.next[p as usize] = NO_PAGE;
-            return p;
-        }
-        let p = (self.data.len() / PAGE) as u32;
-        self.data.resize(self.data.len() + PAGE, 0);
-        self.next.push(NO_PAGE);
-        p
     }
 
     fn push(&mut self, qi: usize, pid: PacketId) {
-        let mut q = self.q[qi];
-        if q.tail == NO_PAGE {
-            let pg = self.alloc_page();
-            q = QState {
-                head: pg,
-                tail: pg,
-                head_off: 0,
-                tail_off: 0,
-                len: 0,
-            };
-        } else if q.tail_off as usize == PAGE {
-            let pg = self.alloc_page();
-            self.next[q.tail as usize] = pg;
-            q.tail = pg;
-            q.tail_off = 0;
+        let q = &mut self.q[qi];
+        if q.len == 0 {
+            q.head = pid;
+        } else {
+            self.next[q.tail as usize] = pid;
         }
-        self.data[q.tail as usize * PAGE + q.tail_off as usize] = pid;
-        q.tail_off += 1;
+        q.tail = pid;
         q.len += 1;
-        self.q[qi] = q;
     }
 
     fn front(&self, qi: usize) -> Option<PacketId> {
         let q = self.q[qi];
-        (q.len > 0).then(|| self.data[q.head as usize * PAGE + q.head_off as usize])
+        (q.len > 0).then_some(q.head)
     }
 
     fn pop(&mut self, qi: usize) -> PacketId {
-        let mut q = self.q[qi];
+        let q = &mut self.q[qi];
         debug_assert!(q.len > 0, "pop from empty queue");
-        let pid = self.data[q.head as usize * PAGE + q.head_off as usize];
-        q.head_off += 1;
+        let pid = q.head;
         q.len -= 1;
-        if q.len == 0 {
-            debug_assert_eq!(q.head, q.tail);
-            self.free.push(q.head);
-            q = EMPTY_Q;
-        } else if q.head_off as usize == PAGE {
-            let nxt = self.next[q.head as usize];
-            self.free.push(q.head);
-            q.head = nxt;
-            q.head_off = 0;
+        if q.len > 0 {
+            q.head = self.next[pid as usize];
         }
-        self.q[qi] = q;
         pid
     }
 
@@ -1870,6 +1827,12 @@ impl SlabQueues {
         self.q[qi].len
     }
 }
+
+/// The arrival record's marker for a flit whose next queue the
+/// forward cannot name: a delivery, an adaptive or escape flit, or
+/// any flit on a network with faults. Such a flit lands the long way,
+/// through its packet record ([`FastSim::enqueue_next`]).
+const NO_HINT: u32 = u32::MAX;
 
 /// One fast run's mutable state.
 struct FastSim<'a, P: Probe> {
@@ -1880,7 +1843,7 @@ struct FastSim<'a, P: Probe> {
     pkts: Vec<SimPacket>,
     routes: RouteArena,
     outcomes: Vec<Option<PacketOutcome>>,
-    qs: SlabQueues,
+    qs: LinkedQueues,
     /// Occupancy-bitmap worklist: bit `qi` is set iff queue `qi` is
     /// non-empty. Arbitration scans words and skips zeros, visiting
     /// exactly the non-empty queues in ascending index order — the
@@ -1889,8 +1852,10 @@ struct FastSim<'a, P: Probe> {
     node_occ: Vec<u32>,
     reserved: Vec<u32>,
     /// Arrival batches keyed by landing round, one lane per possible
-    /// in-flight round (`link_latency + 1`).
-    arrivals: Vec<Vec<PacketId>>,
+    /// in-flight round (`link_latency + 1`). Each record pairs the
+    /// flit with the output queue it joins at the landing PE, named
+    /// at forward time, or [`NO_HINT`].
+    arrivals: Vec<Vec<(PacketId, u32)>>,
     arrival_round: Vec<u32>,
     in_flight: usize,
     stalled: VecDeque<PacketId>,
@@ -1949,7 +1914,7 @@ impl<'a, P: Probe> FastSim<'a, P> {
             pkts,
             routes,
             outcomes: vec![None; inj.len()],
-            qs: SlabQueues::new(queues),
+            qs: LinkedQueues::new(queues, inj.len()),
             active_bits: vec![0; queues.div_ceil(64)],
             node_occ: vec![0; net.node_count],
             reserved: vec![0; net.node_count],
@@ -2043,14 +2008,8 @@ impl<'a, P: Probe> FastSim<'a, P> {
         })
     }
 
-    /// Enqueues `pid` on queue `qi`, keeping the worklist invariant:
-    /// bit `qi` is set iff queue `qi` is non-empty.
-    fn push_queue(&mut self, qi: usize, pid: PacketId) {
-        self.qs.push(qi, pid);
-        self.active_bits[qi / 64] |= 1u64 << (qi % 64);
-    }
-
-    /// Mirror of [`ReferenceSim::enqueue_next`] on the slab queues.
+    /// Mirror of [`ReferenceSim::enqueue_next`]: picks the next hop,
+    /// then [`FastSim::place`]s the flit on that link's queue.
     fn enqueue_next(&mut self, pid: PacketId, round: u32) {
         let p = pid as usize;
         let u = self.pkts[p].cur;
@@ -2105,7 +2064,16 @@ impl<'a, P: Probe> FastSim<'a, P> {
             self.place_escape(pid, g, round);
             return;
         }
-        let qi = u as usize * self.gens + (g - 1);
+        self.place(pid, u as usize * self.gens + (g - 1), round);
+    }
+
+    /// Enqueues `pid` on output queue `qi` — or tail-drops it when
+    /// the queue is full — keeping the worklist invariant: bit `qi`
+    /// is set iff queue `qi` is non-empty. Reads nothing of the
+    /// packet, so a flit whose arrival record names its queue lands
+    /// without touching `pkts` or the route arena.
+    fn place(&mut self, pid: PacketId, qi: usize, round: u32) {
+        let u = qi / self.gens;
         if self.net.config.flow_control == FlowControl::TailDrop {
             if let Some(cap) = self.net.config.queue_capacity {
                 if self.qs.len(qi) >= cap {
@@ -2116,7 +2084,7 @@ impl<'a, P: Probe> FastSim<'a, P> {
                             Event::Dropped {
                                 round,
                                 pid,
-                                pe: u,
+                                pe: u as u32,
                                 reason: DropReason::Overflow,
                             },
                         );
@@ -2125,21 +2093,24 @@ impl<'a, P: Probe> FastSim<'a, P> {
                 }
             }
         }
-        self.push_queue(qi, pid);
+        self.qs.push(qi, pid);
+        self.active_bits[qi / 64] |= 1u64 << (qi % 64);
         self.total_queued += 1;
-        self.node_occ[u as usize] += 1;
-        let at_pe = u64::from(self.node_occ[u as usize]) + u64::from(self.esc_node[u as usize]);
-        self.tally
-            .queued(pid, false, u64::from(self.qs.len(qi)), at_pe);
+        self.node_occ[u] += 1;
+        let mut at_pe = u64::from(self.node_occ[u]);
+        if self.esc.is_some() {
+            at_pe += u64::from(self.esc_node[u]);
+        }
+        let depth = self.qs.len(qi);
+        self.tally.queued(pid, false, u64::from(depth), at_pe);
         if P::ENABLED {
-            let depth = self.qs.len(qi);
             self.emit(
                 round,
                 Event::Queued {
                     round,
                     pid,
-                    pe: u,
-                    gen: g as u8,
+                    pe: u as u32,
+                    gen: (qi % self.gens + 1) as u8,
                     depth,
                     escape: false,
                 },
@@ -2249,7 +2220,7 @@ impl<'a, P: Probe> FastSim<'a, P> {
             self.pkts[p].hops += 1;
             self.pkts[p].route_pos += 1;
             self.tally.forwarded(pid, true);
-            self.arrivals[land].push(pid);
+            self.arrivals[land].push((pid, NO_HINT));
             self.in_flight += 1;
             if P::ENABLED {
                 self.emit(
@@ -2350,13 +2321,22 @@ impl<'a, P: Probe> FastSim<'a, P> {
             // 1. Arrivals: drain this round's batch. The batch was
             // filled in ascending forwarding-queue order, which is
             // exactly the order the reference engine lands flits in.
+            // A record that names its next queue lands straight there.
             let slot = round as usize % self.lanes;
             if !self.arrivals[slot].is_empty() {
                 debug_assert_eq!(self.arrival_round[slot], round, "lane landed early/late");
                 let arrived = std::mem::take(&mut self.arrivals[slot]);
                 self.in_flight -= arrived.len();
-                for pid in arrived {
+                for (pid, next_q) in arrived {
                     progress = true;
+                    if next_q != NO_HINT {
+                        let qi = next_q as usize;
+                        if self.pool.is_some() {
+                            self.reserved[qi / self.gens] -= 1;
+                        }
+                        self.place(pid, qi, round);
+                        continue;
+                    }
                     let p = pid as usize;
                     if self.pkts[p].cur == self.pkts[p].dst {
                         let hops = self.pkts[p].hops;
@@ -2519,12 +2499,24 @@ impl<'a, P: Probe> FastSim<'a, P> {
                     let u = qi / self.gens;
                     self.total_queued -= 1;
                     self.node_occ[u] -= 1;
-                    self.pkts[p].cur = v;
-                    self.pkts[p].hops += 1;
-                    self.pkts[p].route_pos += 1;
+                    let pkt = &mut self.pkts[p];
+                    pkt.cur = v;
+                    pkt.hops += 1;
+                    pkt.route_pos += 1;
+                    // A source-routed flit on a clean network that
+                    // lands short of its destination joins the queue
+                    // of its next route byte: name it now, while the
+                    // packet record is at hand.
+                    let next_q = if self.faulty || pkt.adaptive || pkt.dst == v {
+                        NO_HINT
+                    } else {
+                        debug_assert!(pkt.route_pos < pkt.route_len, "route ends short of dst");
+                        let g = self.routes.data[(pkt.route_off + pkt.route_pos) as usize];
+                        v * self.gens as u32 + u32::from(g) - 1
+                    };
                     self.tally.forwarded(pid, false);
                     progress = true;
-                    self.arrivals[land].push(pid);
+                    self.arrivals[land].push((pid, next_q));
                     self.in_flight += 1;
                     if P::ENABLED {
                         let gen = (qi % self.gens + 1) as u8;
@@ -2613,6 +2605,9 @@ mod tests {
     use super::*;
     use crate::packet::HopTraces;
     use crate::routing::{AdaptiveRouting, EmbeddingRouting, GreedyRouting};
+    use proptest::prelude::*;
+    use rand::prelude::*;
+    use rand_chacha::ChaCha8Rng;
     use sg_star::distance::distance;
 
     /// The [`RunCounters`] a run's statistics were built from.
@@ -3145,9 +3140,9 @@ mod tests {
     }
 
     #[test]
-    fn slab_queue_fifo_across_pages() {
-        let mut qs = SlabQueues::new(2);
-        // Interleave two queues well past one page each.
+    fn linked_queues_fifo_interleaved() {
+        let mut qs = LinkedQueues::new(2, 1100);
+        // Interleave two deep queues.
         for i in 0..100u32 {
             qs.push(0, i);
             qs.push(1, 1000 + i);
@@ -3160,14 +3155,46 @@ mod tests {
         }
         assert_eq!(qs.len(0), 0);
         assert_eq!(qs.front(0), None);
-        // Freed pages are recycled: push again and drain in order.
-        let pages_before = qs.next.len();
+        // Drained queues take new flits, in any order of pids.
         for i in 0..50u32 {
             qs.push(0, i * 3);
         }
         for i in 0..50u32 {
             assert_eq!(qs.pop(0), i * 3);
         }
-        assert_eq!(qs.next.len(), pages_before, "no new pages allocated");
+    }
+
+    proptest! {
+        /// Random pushes and pops over a handful of queues, with every
+        /// pid in at most one queue at a time and popped pids pushed
+        /// again onto any queue: after each step, every queue's
+        /// `front` and `len` and each popped pid match a `VecDeque`
+        /// model.
+        #[test]
+        fn linked_queues_match_a_vecdeque_model(
+            queues in 1usize..=4,
+            pids in 1u32..=24,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut qs = LinkedQueues::new(queues, pids as usize);
+            let mut model = vec![VecDeque::new(); queues];
+            let mut idle: Vec<PacketId> = (0..pids).collect();
+            for _ in 0..200 {
+                let qi = rng.gen_range(0..queues);
+                if !idle.is_empty() && rng.gen_bool(0.55) {
+                    let pid = idle.swap_remove(rng.gen_range(0..idle.len()));
+                    qs.push(qi, pid);
+                    model[qi].push_back(pid);
+                } else if let Some(want) = model[qi].pop_front() {
+                    prop_assert_eq!(qs.pop(qi), want);
+                    idle.push(want);
+                }
+                for (k, m) in model.iter().enumerate() {
+                    prop_assert_eq!(qs.len(k), m.len() as u32);
+                    prop_assert_eq!(qs.front(k), m.front().copied());
+                }
+            }
+        }
     }
 }

@@ -216,16 +216,23 @@ impl Workload {
     /// [`crate::Network::run_partitioned`] attributes statistics by.
     ///
     /// # Panics
-    /// Panics if a part targets a different star order.
+    /// Panics if a part targets a different star order, or if a
+    /// part's offset pushes one of its rounds past `u32::MAX`.
     #[must_use]
     pub fn compose(name: &str, n: usize, parts: &[(&Workload, u32)]) -> (Workload, Vec<u32>) {
         let mut tagged: Vec<(Injection, u32)> = Vec::new();
-        for (j, (w, offset)) in parts.iter().enumerate() {
+        for (j, &(w, offset)) in parts.iter().enumerate() {
             assert_eq!(w.n(), n, "part {j} targets S_{} not S_{n}", w.n());
             tagged.extend(w.injections().iter().map(|i| {
+                let round = i.round.checked_add(offset).unwrap_or_else(|| {
+                    panic!(
+                        "part {j}: round {} + offset {offset} overflows u32",
+                        i.round
+                    )
+                });
                 (
                     Injection {
-                        round: i.round + offset,
+                        round,
                         src: i.src,
                         dst: i.dst,
                     },
@@ -239,27 +246,6 @@ impl Workload {
         // Already round-sorted; the constructor's stable sort is a
         // no-op, so the owner map stays aligned.
         (Workload::from_injections(name, n, injections), owner)
-    }
-
-    /// The same injections shifted `offset` rounds later — the
-    /// building block [`crate::Network::chain_phases`] uses to place a
-    /// phase after its predecessor's quiescence round.
-    #[must_use]
-    pub fn shifted(&self, offset: u32) -> Self {
-        let injections = self
-            .injections
-            .iter()
-            .map(|i| Injection {
-                round: i.round + offset,
-                src: i.src,
-                dst: i.dst,
-            })
-            .collect();
-        Workload {
-            name: self.name.clone(),
-            n: self.n,
-            injections,
-        }
     }
 
     /// Workload name (used in tables and reports).
@@ -416,5 +402,25 @@ mod tests {
         let none = Workload::hot_spot(5, 7, 0, 3);
         let frac = none.injections().iter().filter(|i| i.dst == 7).count();
         assert!(frac < 10, "0% hot traffic should rarely hit the hotspot");
+    }
+
+    #[test]
+    #[should_panic(expected = "part 1: round 2 + offset 4294967294 overflows u32")]
+    fn compose_refuses_to_wrap_a_round() {
+        let inj = |round| Injection {
+            round,
+            src: 0,
+            dst: 1,
+        };
+        let w = Workload::from_injections("two", 4, vec![inj(0), inj(2)]);
+        let _ = Workload::compose("m", 4, &[(&w, 0), (&w, u32::MAX - 1)]);
+    }
+
+    #[test]
+    fn compose_reaches_the_last_round_exactly() {
+        let w = Workload::uniform_pairs(4, 3, 1);
+        let (merged, _) = Workload::compose("last", 4, &[(&w, u32::MAX)]);
+        assert_eq!(merged.injections().len(), 3);
+        assert!(merged.injections().iter().all(|i| i.round == u32::MAX));
     }
 }

@@ -6,10 +6,11 @@
 //! `n ≤ 6`, with at least 8 seeds each, the two engines must produce
 //! **byte-identical** [`TrafficStats`] — the `Eq` impl compares every
 //! counter, the full latency histogram, and every per-packet record.
-//! This is the lock on the fast engine's worklist, slab ring buffers,
-//! batched arrivals, idle-round skipping, credit accounting, and
-//! adaptive hop selection: any divergence in any phase of any round
-//! shows up here as a stats mismatch.
+//! This is the lock on the fast engine's worklist, intrusive per-link
+//! FIFOs, batched arrivals and the next queue their records name,
+//! idle-round skipping, credit accounting, and adaptive hop selection:
+//! any divergence in any phase of any round shows up here as a stats
+//! mismatch.
 //!
 //! The full cross product runs at `n ∈ {3, 4, 5}`; `n = 6` (720 PEs)
 //! runs a narrower but still multi-axis slice to keep the suite's

@@ -172,8 +172,9 @@ fn credit_based_chains_stay_isolated() {
     }
 }
 
-/// `Workload::shifted` round-trips with compose: shifting every phase
-/// by its start and merging by hand reproduces the chained workload.
+/// Shifting every phase by its start on its own (a one-part
+/// `Workload::compose`) and merging by hand reproduces the chained
+/// workload.
 #[test]
 fn shifted_reconstruction_matches() {
     let n = 4;
@@ -182,7 +183,8 @@ fn shifted_reconstruction_matches() {
     let chained = net.chain_phases("chain", &ws, &GreedyRouting);
     let mut manual: Vec<sg_net::Injection> = Vec::new();
     for (w, &start) in ws.iter().zip(&chained.phase_starts) {
-        manual.extend(w.shifted(start).injections().iter().copied());
+        let (shifted, _) = Workload::compose("phase", n, &[(w, start)]);
+        manual.extend(shifted.injections().iter().copied());
     }
     manual.sort_by_key(|i| i.round);
     assert_eq!(manual, chained.workload.injections());
