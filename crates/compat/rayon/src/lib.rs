@@ -3,16 +3,29 @@
 //! `filter_map`, the `fold(..).reduce(..)` pair for parallel
 //! aggregation, and the [`ParallelSlice::par_chunks`] slice adapter.
 //! Work really is fanned out across OS threads
-//! (`std::thread::scope`, one chunk per available core), and results
-//! are recombined **in input order**, matching rayon's indexed-collect
+//! (`std::thread::scope`, one chunk per thread), and results are
+//! recombined **in input order**, matching rayon's indexed-collect
 //! semantics. `fold` produces one partial accumulator per chunk
 //! (rayon: one per split) and `reduce` merges the partials in input
 //! order, so any associative reduction gives identical results to
 //! rayon's. See `crates/compat/README.md`.
+//!
+//! **Thread count.** Like rayon's global pool, the default count is
+//! the process's core count (`available_parallelism`), read once per
+//! process at the first parallel call that needs it; a process that
+//! restricts its CPU affinity before that call sees the restricted
+//! count for good. [`ThreadPool::install`] runs a closure with a
+//! scoped count instead (rayon's own override: no environment
+//! variable). Nested parallel calls, made from inside a worker
+//! thread, run inline on that worker — rayon would run them on the
+//! same pool's busy workers, so the work's split is all that changes,
+//! never its result.
 
 #![forbid(unsafe_code)]
 
+use std::cell::Cell;
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
 /// Entry point: types convertible into a (shim) parallel iterator.
 pub trait IntoParallelIterator {
@@ -164,16 +177,101 @@ fn split_chunks<T>(mut items: Vec<T>, threads: usize) -> Vec<Vec<T>> {
     chunks
 }
 
-/// Worker count for an input of `n` items.
-fn worker_count(n: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(n.max(1))
+thread_local! {
+    /// The count in force on this thread when it is not the default:
+    /// a [`ThreadPool::install`]ed count, or 1 inside a worker.
+    static SCOPED_THREADS: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-/// Splits `items` into per-core chunks, maps each chunk on its own
-/// scoped thread, and flattens chunk results back in order.
+/// The default thread count: the core count, read once per process.
+fn core_count() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
+}
+
+/// Threads a parallel call made here would use (rayon's function of
+/// the same name): the installed count inside
+/// [`ThreadPool::install`], 1 on a worker thread, else the core count.
+#[must_use]
+pub fn current_num_threads() -> usize {
+    SCOPED_THREADS.with(Cell::get).unwrap_or_else(core_count)
+}
+
+/// Worker count for an input of `n` items.
+fn worker_count(n: usize) -> usize {
+    current_num_threads().min(n.max(1))
+}
+
+/// Configures a [`ThreadPool`]: rayon's builder, reduced to the
+/// thread count.
+#[derive(Debug, Default)]
+pub struct ThreadPoolBuilder {
+    num_threads: usize,
+}
+
+impl ThreadPoolBuilder {
+    /// A builder for a pool of the default size (the core count).
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Sets the thread count; 0 keeps the default, as in rayon.
+    #[must_use]
+    pub fn num_threads(mut self, num_threads: usize) -> Self {
+        self.num_threads = num_threads;
+        self
+    }
+
+    /// Builds the pool.
+    ///
+    /// # Errors
+    /// Never in the shim, which starts no threads until a parallel
+    /// call needs them; the `Result` keeps rayon's call shape.
+    pub fn build(self) -> Result<ThreadPool, std::convert::Infallible> {
+        let threads = match self.num_threads {
+            0 => core_count(),
+            k => k,
+        };
+        Ok(ThreadPool { threads })
+    }
+}
+
+/// A thread count to run parallel calls with. The shim keeps no
+/// threads: [`ThreadPool::install`] runs its closure on the calling
+/// thread, and every parallel call inside it fans out over at most
+/// this many scoped threads.
+#[derive(Debug)]
+pub struct ThreadPool {
+    threads: usize,
+}
+
+impl ThreadPool {
+    /// Runs `op` with this pool's thread count in force for every
+    /// parallel call it makes (nested calls on its workers still run
+    /// inline), then restores the caller's count, also on a panic.
+    pub fn install<OP, R>(&self, op: OP) -> R
+    where
+        OP: FnOnce() -> R + Send,
+        R: Send,
+    {
+        struct Restore(Option<usize>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                SCOPED_THREADS.with(|c| c.set(self.0));
+            }
+        }
+        let _restore = Restore(SCOPED_THREADS.with(|c| c.replace(Some(self.threads))));
+        op()
+    }
+}
+
+/// Splits `items` into one chunk per thread, maps each chunk on its
+/// own scoped thread, and flattens chunk results back in order.
 fn run_parallel<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
 where
     T: Send,
@@ -194,9 +292,9 @@ where
     .collect()
 }
 
-/// Splits `items` into per-core chunks and maps each whole chunk to
-/// one output on its own scoped thread, returning per-chunk outputs in
-/// input order (the engine behind [`ParIter::fold`]).
+/// Splits `items` into one chunk per thread and maps each whole chunk
+/// to one output on its own scoped thread, returning per-chunk outputs
+/// in input order (the engine behind [`ParIter::fold`]).
 fn run_parallel_chunks<T, U, G>(items: Vec<T>, g: G) -> Vec<U>
 where
     T: Send,
@@ -219,7 +317,16 @@ where
 {
     let g = &g;
     std::thread::scope(|s| {
-        let handles: Vec<_> = chunks.into_iter().map(|c| s.spawn(move || g(c))).collect();
+        let handles: Vec<_> = chunks
+            .into_iter()
+            .map(|c| {
+                s.spawn(move || {
+                    // Nested parallel calls on a worker run inline.
+                    SCOPED_THREADS.with(|t| t.set(Some(1)));
+                    g(c)
+                })
+            })
+            .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("worker panicked"))
@@ -350,6 +457,65 @@ mod tests {
         // Empty slice: no chunks at all.
         let empty: Vec<Vec<u32>> = [].par_chunks(4).map(<[u32]>::to_vec).collect();
         assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn install_scopes_the_thread_count() {
+        let outer = crate::current_num_threads();
+        let pool = crate::ThreadPoolBuilder::new()
+            .num_threads(3)
+            .build()
+            .unwrap();
+        let (inside, nested) = pool.install(|| {
+            let nested: Vec<usize> = (0u32..4)
+                .into_par_iter()
+                .map(|_| crate::current_num_threads())
+                .collect();
+            (crate::current_num_threads(), nested)
+        });
+        assert_eq!(inside, 3);
+        assert_eq!(nested, vec![1; 4], "workers run nested calls inline");
+        assert_eq!(crate::current_num_threads(), outer, "count restored");
+        let default = crate::ThreadPoolBuilder::new().build().unwrap();
+        assert_eq!(default.install(crate::current_num_threads), outer);
+    }
+
+    #[test]
+    fn install_restores_the_count_after_a_panic() {
+        let outer = crate::current_num_threads();
+        let pool = crate::ThreadPoolBuilder::new()
+            .num_threads(5)
+            .build()
+            .unwrap();
+        let caught = std::panic::catch_unwind(|| pool.install(|| panic!("inside install")));
+        assert!(caught.is_err());
+        assert_eq!(crate::current_num_threads(), outer);
+    }
+
+    #[test]
+    fn results_do_not_depend_on_the_thread_count() {
+        let run = |k: usize| {
+            let pool = crate::ThreadPoolBuilder::new()
+                .num_threads(k)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                let squares: Vec<u64> = (0u64..5_000).into_par_iter().map(|x| x * x).collect();
+                let odd: Vec<u64> = (0u64..5_000)
+                    .into_par_iter()
+                    .filter_map(|x| (x % 2 == 1).then_some(x))
+                    .collect();
+                let sum = (0u64..5_000)
+                    .into_par_iter()
+                    .fold(|| 0u64, |a, x| a + x)
+                    .reduce(|| 0, |a, b| a + b);
+                (squares, odd, sum)
+            })
+        };
+        let one = run(1);
+        for k in [2, 3, 7] {
+            assert_eq!(run(k), one, "{k} threads");
+        }
     }
 
     #[test]

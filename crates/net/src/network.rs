@@ -660,7 +660,7 @@ impl Network {
         let chunks: Vec<RouteChunk> = if inj.is_empty() {
             Vec::new()
         } else {
-            inj.par_chunks(ROUTE_CHUNK)
+            inj.par_chunks(route_chunk_len(inj.len()))
                 .map(|chunk| route_chunk(n, chunk, |_| policy))
                 .collect()
         };
@@ -695,10 +695,8 @@ impl Network {
         );
         let inj = workload.injections();
         let n = self.n;
-        let pairs: Vec<(&[Injection], &[u32])> = inj
-            .chunks(ROUTE_CHUNK)
-            .zip(owner.chunks(ROUTE_CHUNK))
-            .collect();
+        let len = route_chunk_len(inj.len());
+        let pairs: Vec<(&[Injection], &[u32])> = inj.chunks(len).zip(owner.chunks(len)).collect();
         let chunks: Vec<RouteChunk> = pairs
             .into_par_iter()
             .map(|(ic, oc)| route_chunk(n, ic, |k| policies[oc[k] as usize]))
@@ -725,12 +723,21 @@ impl Network {
 /// thread dispatch, small enough to balance uneven route lengths.
 const ROUTE_CHUNK: usize = 4096;
 
+/// Packets per route-precompute chunk for a workload of `packets`: it
+/// splits into `⌊packets / ROUTE_CHUNK⌋` near-equal chunks (one below
+/// `2 · ROUTE_CHUNK`), so no thread starts for a short remainder and a
+/// run that small routes inline.
+fn route_chunk_len(packets: usize) -> usize {
+    packets.div_ceil((packets / ROUTE_CHUNK).max(1)).max(1)
+}
+
 /// One chunk's private slab of route bytes plus per-packet
 /// `(len, adaptive)` spans, ready to concatenate in input order.
 type RouteChunk = (Vec<u8>, Vec<(u32, bool)>);
 
-/// Routes one injection chunk; `policy_for(k)` names the policy of
-/// the chunk's `k`-th packet.
+/// Routes one injection chunk, appending each route straight onto the
+/// chunk's slab; `policy_for(k)` names the policy of the chunk's
+/// `k`-th packet.
 fn route_chunk<'p>(
     n: usize,
     chunk: &[Injection],
@@ -747,9 +754,9 @@ fn route_chunk<'p>(
         } else {
             let a = unrank(i.src, n).expect("rank in range");
             let b = unrank(i.dst, n).expect("rank in range");
-            let route = policy.route(&a, &b);
-            data.extend_from_slice(&route);
-            (route.len() as u32, false)
+            let start = data.len();
+            policy.route_into(&a, &b, &mut data);
+            ((data.len() - start) as u32, false)
         };
         spans.push(span);
     }
@@ -1850,6 +1857,9 @@ struct FastSim<'a, P: Probe> {
     /// reference engine's scan order — with no per-round sorting.
     active_bits: Vec<u64>,
     node_occ: Vec<u32>,
+    /// Credits reserved at each PE by flits in flight toward it.
+    /// Allocated only when a credit pool exists: every access is
+    /// guarded by `pool`.
     reserved: Vec<u32>,
     /// Arrival batches keyed by landing round, one lane per possible
     /// in-flight round (`link_latency + 1`). Each record pairs the
@@ -1873,6 +1883,7 @@ struct FastSim<'a, P: Probe> {
     esc: Option<EscapeBank>,
     /// Escape residents per PE (adaptive occupancy stays in
     /// `node_occ`, so the credit math is untouched by escape traffic).
+    /// Allocated only in escape mode: every access is guarded by `esc`.
     esc_node: Vec<u32>,
     /// Memoized escape-route spans per `(PE, dst)`.
     esc_memo: HashMap<(u32, u32), Option<(u32, u32)>>,
@@ -1906,6 +1917,15 @@ impl<'a, P: Probe> FastSim<'a, P> {
         let lanes = net.config.link_latency as usize + 1;
         let queues = net.node_count * gens;
         let esc_mode = net.config.flow_control == FlowControl::EscapeChannel;
+        let pool = net.credit_pool();
+        // Per-PE state a mode never reads stays unallocated.
+        let per_pe = |needed: bool| {
+            if needed {
+                vec![0; net.node_count]
+            } else {
+                Vec::new()
+            }
+        };
         FastSim {
             net,
             gens,
@@ -1917,7 +1937,7 @@ impl<'a, P: Probe> FastSim<'a, P> {
             qs: LinkedQueues::new(queues, inj.len()),
             active_bits: vec![0; queues.div_ceil(64)],
             node_occ: vec![0; net.node_count],
-            reserved: vec![0; net.node_count],
+            reserved: per_pe(pool.is_some()),
             arrivals: vec![Vec::new(); lanes],
             arrival_round: vec![0; lanes],
             in_flight: 0,
@@ -1925,10 +1945,10 @@ impl<'a, P: Probe> FastSim<'a, P> {
             reroute_memo: HashMap::new(),
             resolved: 0,
             total_queued: 0,
-            pool: net.credit_pool(),
+            pool,
             faulty: !net.faults.is_empty(),
             esc: esc_mode.then(|| EscapeBank::new(net.node_count)),
-            esc_node: vec![0; net.node_count],
+            esc_node: per_pe(esc_mode),
             esc_memo: HashMap::new(),
             divert: Vec::new(),
             tally: RunTally::default(),

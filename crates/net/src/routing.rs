@@ -32,19 +32,33 @@ use sg_star::routing::greedy_sort;
 /// injection time (faults may later replace the tail, see
 /// [`crate::FaultPolicy::Reroute`]).
 ///
-/// `Sync` is required so the simulator can precompute routes for large
-/// workloads in parallel.
+/// An implementation provides [`RoutingPolicy::route_into`], which
+/// only appends; [`RoutingPolicy::route`] wraps it. `Sync` is required
+/// so the simulator can precompute routes for large workloads in
+/// parallel.
 pub trait RoutingPolicy: Sync {
     /// Human-readable policy name (used in tables and reports).
     fn name(&self) -> &'static str;
 
-    /// Generator indices (`1 ≤ g < n`) carrying `src` to `dst`.
-    /// Must return an empty sequence iff `src == dst`.
+    /// Appends the generator indices (`1 ≤ g < n`) carrying `src` to
+    /// `dst` to `out`, leaving what `out` already holds untouched.
+    /// Must append nothing iff `src == dst`.
     ///
-    /// The engines call this once per source-routed packet per run, so
-    /// it sits on every run's setup path: an implementation should
-    /// allocate nothing beyond the `Vec` it returns.
-    fn route(&self, src: &Perm, dst: &Perm) -> Vec<u8>;
+    /// The engines call this once per source-routed packet per run,
+    /// appending every route of a run straight into one shared slab,
+    /// so it sits on every run's setup path. An implementation should
+    /// allocate nothing but `out`'s growth, and reserve the route's
+    /// length before it appends, so that `out` grows at most once per
+    /// call and [`RoutingPolicy::route`] allocates exactly once.
+    fn route_into(&self, src: &Perm, dst: &Perm, out: &mut Vec<u8>);
+
+    /// The route [`RoutingPolicy::route_into`] appends, as a `Vec` of
+    /// its own (empty iff `src == dst`).
+    fn route(&self, src: &Perm, dst: &Perm) -> Vec<u8> {
+        let mut gens = Vec::new();
+        self.route_into(src, dst, &mut gens);
+        gens
+    }
 
     /// `true` for policies that pick each hop at enqueue time from
     /// live queue occupancy instead of following a fixed source
@@ -68,11 +82,10 @@ impl RoutingPolicy for GreedyRouting {
         "greedy"
     }
 
-    fn route(&self, src: &Perm, dst: &Perm) -> Vec<u8> {
+    fn route_into(&self, src: &Perm, dst: &Perm, out: &mut Vec<u8>) {
         let rel = src.relative_to(dst);
-        let mut gens = Vec::with_capacity(length_to_identity(&rel) as usize);
-        greedy_sort(&rel, |g| gens.push(g));
-        gens
+        out.reserve(length_to_identity(&rel) as usize);
+        greedy_sort(&rel, |g| out.push(g));
     }
 }
 
@@ -98,7 +111,7 @@ impl RoutingPolicy for EmbeddingRouting {
         "embedding"
     }
 
-    fn route(&self, src: &Perm, dst: &Perm) -> Vec<u8> {
+    fn route_into(&self, src: &Perm, dst: &Perm, out: &mut Vec<u8>) {
         let n = src.len();
         assert_eq!(n, dst.len(), "routing between different star orders");
         let (at, target) = (convert_s_d_coords(src), convert_s_d_coords(dst));
@@ -106,12 +119,11 @@ impl RoutingPolicy for EmbeddingRouting {
         let hops: u32 = (1..n)
             .map(|k| at[k].abs_diff(target[k]) * if k == n - 1 { 1 } else { 3 })
             .sum();
-        let mut gens = Vec::with_capacity(hops as usize);
+        out.reserve(hops as usize);
         embedding_walk(src, at, &target, |g| {
-            gens.push(g);
+            out.push(g);
             true
         });
-        gens
     }
 }
 
@@ -180,8 +192,8 @@ impl RoutingPolicy for AdaptiveRouting {
         "adaptive"
     }
 
-    fn route(&self, src: &Perm, dst: &Perm) -> Vec<u8> {
-        GreedyRouting.route(src, dst)
+    fn route_into(&self, src: &Perm, dst: &Perm, out: &mut Vec<u8>) {
+        GreedyRouting.route_into(src, dst, out);
     }
 
     fn is_adaptive(&self) -> bool {

@@ -3,14 +3,12 @@
 //! [`TrafficStats`] is a pure-integer, `Eq`-comparable summary of one
 //! simulation run (floats appear only in derived accessors), so the
 //! determinism property — same seed ⇒ identical stats — is a single
-//! `assert_eq!`. Latency aggregation over the per-packet records uses
-//! the rayon shim's `fold`/`reduce` adapters.
+//! `assert_eq!`.
 
 use crate::network::Network;
 use crate::packet::{PacketOutcome, PacketRecord};
 use crate::routing::RoutingPolicy;
 use crate::workload::Workload;
-use rayon::prelude::*;
 pub use sg_obs::RunCounters;
 
 /// Aggregated outcome of one [`Network::run`].
@@ -75,7 +73,7 @@ pub struct TrafficStats {
     pub packets: Vec<PacketRecord>,
 }
 
-/// Partial latency aggregate folded per chunk, merged by `reduce`.
+/// The latency and outcome tallies folded over a run's records.
 #[derive(Default)]
 struct LatencyAgg {
     histogram: Vec<u64>,
@@ -108,29 +106,13 @@ impl LatencyAgg {
         }
         self
     }
-
-    fn merge(mut self, other: Self) -> Self {
-        if self.histogram.len() < other.histogram.len() {
-            self.histogram.resize(other.histogram.len(), 0);
-        }
-        for (slot, v) in self.histogram.iter_mut().zip(other.histogram) {
-            *slot += v;
-        }
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-        self.delivered += other.delivered;
-        self.dropped_fault += other.dropped_fault;
-        self.dropped_unreachable += other.dropped_unreachable;
-        self.dropped_overflow += other.dropped_overflow;
-        self.stranded += other.stranded;
-        self
-    }
 }
 
 impl TrafficStats {
     /// Builds the stats from per-packet records plus the counters the
     /// simulator tracks online. The latency histogram and outcome
-    /// tallies are aggregated in parallel (shim `fold`/`reduce`).
+    /// tallies are one sequential fold: a few nanoseconds per record,
+    /// which no thread fan-out pays for.
     ///
     /// Public as the second half of the log round-trip hook: the
     /// [`RunCounters`] a trace replay tallies, plus preamble-derived
@@ -138,11 +120,9 @@ impl TrafficStats {
     /// alone.
     #[must_use]
     pub fn from_records(n: usize, packets: Vec<PacketRecord>, counters: RunCounters) -> Self {
-        let records = &packets;
-        let agg = (0..records.len())
-            .into_par_iter()
-            .fold(LatencyAgg::default, |acc, i| acc.absorb(&records[i]))
-            .reduce(LatencyAgg::default, LatencyAgg::merge);
+        let agg = packets
+            .iter()
+            .fold(LatencyAgg::default(), LatencyAgg::absorb);
         TrafficStats {
             n,
             injected: packets.len() as u64,

@@ -1,5 +1,6 @@
-//! The permutation kernels on the routing path allocate nothing, and a
-//! route allocates exactly the `Vec` it returns.
+//! The permutation kernels on the routing path allocate nothing, a
+//! route allocates exactly the `Vec` it returns, and appending a route
+//! to a `Vec` with room for it allocates nothing.
 //!
 //! A counting global allocator (a thread-local counter in front of
 //! [`System`]) measures each call. The `unsafe` that implementing
@@ -114,6 +115,24 @@ fn embedding_route_allocates_exactly_its_vec() {
             let (route, count) = allocations(|| EmbeddingRouting.route(&a, &b));
             assert_eq!(count, 1, "EmbeddingRouting::route({a}, {b})");
             assert!(!route.is_empty());
+        }
+    }
+}
+
+#[test]
+fn route_into_spare_capacity_allocates_nothing() {
+    let policies: [&dyn RoutingPolicy; 2] = [&GreedyRouting, &EmbeddingRouting];
+    for n in ORDERS {
+        for policy in policies {
+            // Room for every route below, as a run's route slab has
+            // once it has grown.
+            let mut slab = Vec::with_capacity(1 << 12);
+            for (a, b) in pairs(n) {
+                let start = slab.len();
+                let ((), count) = allocations(|| policy.route_into(&a, &b, &mut slab));
+                assert_eq!(count, 0, "{}::route_into({a}, {b})", policy.name());
+                assert_eq!(slab[start..], policy.route(&a, &b), "appends its route");
+            }
         }
     }
 }

@@ -5,9 +5,11 @@
 //! `0..n!`. We use the classical lexicographic Lehmer rank so that ids
 //! are stable, ordered, and independent of any hash state.
 //!
-//! Both directions run on the stack: a `u32` bitmask holds the symbols
-//! not yet placed (`n ≤ 20`), so a Lehmer digit is one masked popcount
-//! and decoding a digit is one select on the mask.
+//! Both directions run on the stack in straight-line code. Ranking
+//! keeps a `u32` bitmask of the symbols not yet seen, so a Lehmer
+//! digit is one masked popcount. Unranking keeps the symbols not yet
+//! placed as a packed ascending list, so decoding a digit is one shift
+//! to read its symbol and one splice to close the gap.
 
 use crate::factorial::FACTORIALS;
 use crate::{Perm, PermError, MAX_N};
@@ -33,21 +35,34 @@ pub fn lehmer_code(p: &Perm) -> Vec<u8> {
     lehmer_digits(p)[..p.len()].to_vec()
 }
 
+/// Symbols `0..MAX_N` in ascending order, 5 bits each: field `k`
+/// (bits `5k..5k + 5`) holds `k`. `MAX_N = 20` fields fill 100 bits.
+const ALL_SYMBOLS: u128 = {
+    let mut list = 0u128;
+    let mut k = 0;
+    while k < MAX_N {
+        list |= (k as u128) << (5 * k);
+        k += 1;
+    }
+    list
+};
+
 /// Decodes `n` Lehmer digits (`digit(i) < n − i`, unchecked) into
 /// their permutation: slot `i` takes the `digit(i)`-th smallest symbol
-/// still unplaced. The kernel behind [`from_lehmer_code`] and
+/// still unplaced. The unplaced symbols stay in ascending order as the
+/// fields of one `u128`, so a digit is one shift that reads its
+/// symbol and one splice that moves every field above it down a
+/// place, whatever the digit's value: no data-dependent loop, hence
+/// no branch to mispredict. Symbols `≥ n` sit above the `n − i` fields
+/// digit `i` can reach. The kernel behind [`from_lehmer_code`] and
 /// [`unrank`].
 fn decode(n: usize, mut digit: impl FnMut(usize) -> usize) -> Perm {
-    let mut avail = (1u32 << n) - 1;
+    let mut unplaced = ALL_SYMBOLS;
     let mut slots = [0u8; MAX_N];
     for (i, slot) in slots.iter_mut().enumerate().take(n) {
-        let mut rest = avail;
-        for _ in 0..digit(i) {
-            rest &= rest - 1;
-        }
-        let s = rest.trailing_zeros();
-        *slot = s as u8;
-        avail &= !(1 << s);
+        let at = 5 * digit(i) as u32;
+        *slot = (unplaced >> at) as u8 & 0x1f;
+        unplaced ^= (unplaced ^ (unplaced >> 5)) & (u128::MAX << at);
     }
     Perm::from_parts(n, slots)
 }
@@ -79,6 +94,31 @@ pub fn rank(p: &Perm) -> u64 {
         .sum()
 }
 
+/// `(m, l)` per `k ≤ MAX_N` with `x / k! = ⌊4x · m / 2^64⌋ >> l` for
+/// every `x < 2^62` (Granlund–Montgomery: `l = ⌈log₂ k!⌉` and
+/// `m = ⌈2^(62+l) / k!⌉ ≤ 2^63`). Every rank is below `20! < 2^62`.
+const FACTORIAL_RECIPROCALS: [(u64, u32); MAX_N + 1] = {
+    let mut table = [(0, 0); MAX_N + 1];
+    let mut k = 0;
+    while k <= MAX_N {
+        let d = FACTORIALS[k] as u128;
+        let l = u128::BITS - (d - 1).leading_zeros();
+        table[k] = ((1u128 << (62 + l)).div_ceil(d) as u64, l);
+        k += 1;
+    }
+    table
+};
+
+/// `x / k!` for `x < 2^62` as one widening multiply and two shifts:
+/// the quotient chain is the critical path of [`unrank`], and a
+/// hardware division costs several times as much.
+#[inline]
+fn div_factorial(x: u64, k: usize) -> u64 {
+    debug_assert!(x < 1 << 62, "{x} is not a rank");
+    let (m, l) = FACTORIAL_RECIPROCALS[k];
+    ((u128::from(x << 2) * u128::from(m)) >> 64) as u64 >> l
+}
+
 /// Inverse of [`rank`]: the `rank`-th permutation of length `n` in
 /// lexicographic order.
 ///
@@ -94,9 +134,9 @@ pub fn unrank(rank: u64, n: usize) -> crate::Result<Perm> {
     }
     let mut rest = rank;
     let p = decode(n, |i| {
-        let w = FACTORIALS[n - 1 - i];
-        let digit = rest / w;
-        rest %= w;
+        let k = n - 1 - i;
+        let digit = div_factorial(rest, k);
+        rest -= digit * FACTORIALS[k];
         digit as usize
     });
     debug_assert_eq!(rest, 0);
@@ -195,6 +235,74 @@ mod tests {
                     assert_eq!(digits[i] as usize, smaller_after, "{p} slot {i}");
                 }
                 assert!(digits[n..].iter().all(|&d| d == 0));
+            }
+        }
+    }
+
+    #[test]
+    fn unrank_matches_a_next_perm_sweep_of_s9() {
+        // Every rank of S_9 in order against the lexicographic
+        // successor chain: the decode kernel at the largest order the
+        // simulator materializes, with no rank left out.
+        let n = 9;
+        let mut p = Perm::identity(n);
+        for r in 0..factorial(n) {
+            assert_eq!(unrank(r, n).unwrap(), p, "rank {r}");
+            next_perm(&mut p);
+        }
+        assert!(p.is_identity(), "the sweep wrapped around");
+    }
+
+    #[test]
+    fn from_lehmer_code_matches_the_quadratic_definition() {
+        // Every code of length n ≤ 7 (digit i ranges over 0..n−i):
+        // slot i takes the code[i]-th smallest symbol still unplaced,
+        // removed from an explicit list.
+        for n in 1..=7usize {
+            let mut code = vec![0u8; n];
+            loop {
+                let mut unplaced: Vec<u8> = (0..n as u8).collect();
+                let expect: Vec<u8> = code.iter().map(|&c| unplaced.remove(c as usize)).collect();
+                assert_eq!(from_lehmer_code(&code).unwrap().as_slice(), &expect[..]);
+                // Next code in mixed radix, last digit fastest.
+                let Some(i) = (0..n).rev().find(|&i| usize::from(code[i]) + 1 < n - i) else {
+                    break;
+                };
+                code[i] += 1;
+                code[i + 1..].fill(0);
+            }
+        }
+    }
+
+    #[test]
+    fn extreme_ranks_round_trip_at_every_order() {
+        // The wide end of the one kernel: fields up to symbol 19 and
+        // quotients up to 19!.
+        for n in 1..=MAX_N {
+            let size = factorial(n);
+            for r in [0, 1 % size, size / 2, size - 1] {
+                let p = unrank(r, n).unwrap();
+                assert_eq!(rank(&p), r, "n={n} rank {r}");
+                assert_eq!(from_lehmer_code(&lehmer_code(&p)).unwrap(), p);
+            }
+            let last: Vec<u8> = (0..n as u8).rev().collect();
+            assert_eq!(unrank(size - 1, n).unwrap().as_slice(), &last[..]);
+        }
+    }
+
+    #[test]
+    fn reciprocal_division_is_exact() {
+        // Around every multiple boundary the quotient chain meets, and
+        // at the top of the range the reciprocals are proved for.
+        for k in 0..=MAX_N {
+            let d = factorial(k);
+            let mut xs = vec![0, 1, (1 << 62) - 1, (1 << 62) - 2];
+            for q in [1u64, 2, 3, 7, 19, 20, 1 << 20, (1 << 62) / d] {
+                let x = q.saturating_mul(d);
+                xs.extend([x.wrapping_sub(1), x, x.saturating_add(1)]);
+            }
+            for x in xs.into_iter().filter(|&x| x < 1 << 62) {
+                assert_eq!(div_factorial(x, k), x / d, "{x} / {k}!");
             }
         }
     }

@@ -204,12 +204,12 @@ impl RoutingPolicy for SubstarEmbedding {
         "substar-embedding"
     }
 
-    fn route(&self, src: &Perm, dst: &Perm) -> Vec<u8> {
+    fn route_into(&self, src: &Perm, dst: &Perm, out: &mut Vec<u8>) {
         assert!(
             self.sub.contains(src) && self.sub.contains(dst),
             "sub-star embedding routing asked to route foreign traffic"
         );
-        EmbeddingRouting.route(&self.sub.project(src), &self.sub.project(dst))
+        EmbeddingRouting.route_into(&self.sub.project(src), &self.sub.project(dst), out);
     }
 }
 
