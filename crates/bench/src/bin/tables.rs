@@ -31,16 +31,12 @@ use sg_mesh::shape::{MeshShape, Sign};
 use sg_mesh::uniform::{
     thm7_slowdown, thm8_slowdown, thm9_approx_log2, thm9_slowdown_log2, UniformMesh,
 };
-use sg_net::{
-    AdaptiveRouting, EmbeddingRouting, Engine, FaultPlan, FaultPolicy, FlowControl, GreedyRouting,
-    NetConfig, Network, RoutingPolicy, Workload, MAX_ORDER,
-};
-use sg_obs::{reset_tick_clock, tick_clock, NetProbe, SchedProbe};
+use sg_net::{Engine, GreedyRouting, Network, Workload, MAX_ORDER};
+use sg_obs::{NetProbe, SchedProbe};
 use sg_perm::factorial::factorial;
 use sg_perm::MAX_N;
 use sg_sched::job::{JobSpec, TenantRouting, TrafficProfile};
 use sg_sched::scheduler::schedule as sched_schedule;
-use sg_sched::scheduler::schedule_profiled as sched_schedule_profiled;
 use sg_sched::stream::{generate, ArrivalPattern, StreamConfig};
 use sg_sched::{schedule_with, AllocPolicy, ReleaseMode, SchedConfig, SchedPolicy};
 use sg_simd::machine::MeshSimd;
@@ -69,7 +65,6 @@ fn main() {
         "congestion" => congestion(parse_flag(&command, &args, "--max-n", 6, 2..=8)),
         // `Network::new`; the job streams of `sched` and `obs` also
         // need the order range `3..=n` that `generate` checks.
-        "traffic" => traffic(parse_flag(&command, &args, "--n", 5, 2..=MAX_ORDER)),
         "sched" => sched(parse_flag(&command, &args, "--n", 6, 3..=MAX_ORDER)),
         "coll" => coll(parse_flag(&command, &args, "--max-n", 6, 2..=MAX_ORDER)),
         "obs" => obs(parse_flag(&command, &args, "--n", 6, 3..=MAX_ORDER)),
@@ -89,7 +84,6 @@ fn main() {
             dilation(8);
             thm6(6);
             congestion(6);
-            traffic(5);
             sched(6);
             coll(6);
             obs(6);
@@ -102,7 +96,7 @@ fn main() {
         _ => {
             eprintln!(
                 "usage: tables <table1|fig2|fig3|fig4|fig7|lemma1|lemma3|dilation|thm6|\
-                 congestion|traffic|sched|coll|obs|starprops|thm9|appendix|sorting|\
+                 congestion|sched|coll|obs|starprops|thm9|appendix|sorting|\
                  starvshypercube|all> [--n N] [--max-n N]"
             );
             std::process::exit(2);
@@ -321,71 +315,6 @@ fn congestion(max_n: usize) {
     );
 }
 
-/// Extension — contention-accounted traffic on the `sg-net` simulator.
-fn traffic(n: usize) {
-    banner("Extension — traffic simulation on the S_n interconnect (sg-net)");
-    let net = Network::new(n);
-    let mut t = Table::new(&[
-        "workload",
-        "policy",
-        "packets",
-        "delivered",
-        "rounds",
-        "avg lat",
-        "wait rounds",
-        "peak queue",
-    ]);
-    let mut add = |w: &Workload, policy: &dyn RoutingPolicy, net: &Network| {
-        let s = net.run(w, policy);
-        t.row(&[
-            w.name().to_string(),
-            policy.name().to_string(),
-            s.injected.to_string(),
-            s.delivered.to_string(),
-            s.makespan.to_string(),
-            format!("{:.2}", s.avg_latency()),
-            s.total_wait_rounds.to_string(),
-            s.peak_edge_occupancy.to_string(),
-        ]);
-    };
-    let sweep = Workload::dimension_sweep(n, n / 2, true);
-    add(&sweep, &EmbeddingRouting, &net);
-    add(&sweep, &GreedyRouting, &net);
-    let uniform = Workload::bernoulli_uniform(n, 20, 100, 0xBEEF);
-    add(&uniform, &GreedyRouting, &net);
-    add(&uniform, &AdaptiveRouting, &net);
-    add(&Workload::transpose(n), &GreedyRouting, &net);
-    let hotspot = Workload::hot_spot(n, 0, 30, 0x5EED);
-    add(&hotspot, &GreedyRouting, &net);
-    add(&hotspot, &AdaptiveRouting, &net);
-    // Same uniform traffic, but a bounded buffer per PE: tail-drop
-    // loses packets, credit-based stalls them at the source instead
-    // (3 slots per queue — enough pool that blocking flow control
-    // stays deadlock-free at full injection here).
-    let lossy = Network::new(n).with_config(NetConfig {
-        queue_capacity: Some(3),
-        ..NetConfig::default()
-    });
-    add(&uniform, &GreedyRouting, &lossy);
-    let credit = Network::new(n).with_config(NetConfig {
-        queue_capacity: Some(3),
-        flow_control: FlowControl::CreditBased,
-        ..NetConfig::default()
-    });
-    add(&uniform, &GreedyRouting, &credit);
-    let faulted = Network::new(n)
-        .with_faults(FaultPlan::random_nodes(n, n - 2, 0xD00D).with_policy(FaultPolicy::Reroute));
-    add(
-        &Workload::random_permutation(n, 0xFADE),
-        &GreedyRouting,
-        &faulted,
-    );
-    print!("{}", t.render());
-    println!("(dimension sweep under embedding routing: the Lemma-5 schedule, zero waits;");
-    println!(" uniform full injection: no certificate, queues grow — the paper's contrast;");
-    println!(" adaptive spreads hot-spot load; credit flow control trades drops for delay)");
-}
-
 /// Extension — multi-tenant sub-star scheduling (sg-sched).
 fn sched(n: usize) {
     banner(&format!(
@@ -491,7 +420,6 @@ fn sched(n: usize) {
         ..StreamConfig::isolated(n, 14, 0x5EED)
     };
     let jobs = generate(&cfg);
-    let mut profiles: Vec<String> = Vec::new();
     let mut t3 = Table::new(&[
         "policy",
         "release",
@@ -513,29 +441,6 @@ fn sched(n: usize) {
             let mut alloc = AllocPolicy::FirstFit.build(n);
             let s = schedule_with(&jobs, alloc.as_mut(), &cfg, &mut probe);
             assert!(s.concurrent_placements_disjoint());
-            // The event loop's self-profile, under the deterministic
-            // tick clock — and the profiled schedule must be
-            // byte-identical to the bare one.
-            reset_tick_clock();
-            let (profiled, prof) = sched_schedule_profiled(
-                &jobs,
-                AllocPolicy::FirstFit.build(n).as_mut(),
-                &cfg,
-                &mut sg_obs::NullProbe,
-                tick_clock,
-            );
-            assert_eq!(profiled, s, "profiling never perturbs the schedule");
-            profiles.push(format!(
-                "phase profile [{}/{}]: {} rounds, {} ticks — placement {}, drain {}, backfill {}, release {}",
-                policy.name(),
-                release.name(),
-                prof.rounds,
-                prof.total_ticks(),
-                prof.placement_ticks,
-                prof.drain_ticks,
-                prof.backfill_ticks,
-                prof.release_ticks,
-            ));
             let run = s.tenant_run();
             let report = run.run(&net);
             let leaked = run.quiescence_violations(&report).len();
@@ -557,12 +462,6 @@ fn sched(n: usize) {
     println!("(declared release trusts walltime lies — \"leaked flits\" counts tenant");
     println!(" packets still in flight when their sub-star was handed to a successor;");
     println!(" drained release co-simulates the drain and never hands over dirty)");
-    println!();
-    for line in &profiles {
-        println!("{line}");
-    }
-    println!("(scheduler event-loop self-profile under the deterministic tick clock:");
-    println!(" drain ticks count co-simulations, backfill ticks count EASY probes)");
 }
 
 /// Extension — collective communication on the star interconnect

@@ -16,7 +16,7 @@
 use sg_bench::parse_flag;
 use sg_net::trace::{record, replay};
 use sg_net::{Engine, GreedyRouting, Network, TrafficStats, Workload, MAX_ORDER};
-use sg_obs::{diff_events, NetProbe, Probe, SchedProbe, Trace};
+use sg_obs::{diff_events, NetProbe, Probe, Trace};
 use sg_perm::factorial::factorial;
 
 fn usage() -> ! {
@@ -95,20 +95,6 @@ fn cmd_replay(args: &[String]) {
         "{path}: schema {} engine {} n {} seed {} jobs {} [{}]",
         h.schema, h.engine, h.n, h.seed, h.jobs, h.fingerprint
     );
-    if h.engine == "sched" {
-        // A scheduler trace: rebuild the Gantt dashboard from the job
-        // event stream and show the embedded phase profile.
-        let mut sp = SchedProbe::new();
-        for ev in &trace.events {
-            sp.event(ev);
-        }
-        print!("{}", sp.gantt(64));
-        if let Some(p) = h.sched_profile {
-            println!();
-            print!("{}", p.render());
-        }
-        return;
-    }
     let stats = replay(&trace).unwrap_or_else(|e| die(&format!("{path}: {e}")));
     summary("replayed", &stats.total);
     for (j, s) in stats.per_job.iter().enumerate() {
@@ -121,10 +107,6 @@ fn cmd_replay(args: &[String]) {
     }
     println!();
     print!("{}", probe.render(top));
-    if let Some(p) = h.sched_profile {
-        println!();
-        print!("{}", p.render());
-    }
 }
 
 fn cmd_stats(args: &[String]) {
@@ -135,12 +117,6 @@ fn cmd_stats(args: &[String]) {
         "{path}: schema {} engine {} n {} seed {} packets {} events {} jobs {} [{}]",
         h.schema, h.engine, h.n, h.seed, h.packets, h.events, h.jobs, h.fingerprint
     );
-    if h.engine == "sched" {
-        if let Some(p) = h.sched_profile {
-            print!("{}", p.render());
-        }
-        return;
-    }
     let stats = replay(&trace).unwrap_or_else(|e| die(&format!("{path}: {e}")));
     summary("replayed", &stats.total);
     for (j, s) in stats.per_job.iter().enumerate() {

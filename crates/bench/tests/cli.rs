@@ -42,7 +42,7 @@ fn out_of_range_value_exits_2() {
         ["obs", "--n", "1"],
         ["obs", "--n", "2"],
         ["sched", "--n", "2"],
-        ["traffic", "--n", "10"],
+        ["sched", "--n", "10"],
         ["coll", "--max-n", "10"],
         ["congestion", "--max-n", "11"],
         ["thm6", "--max-n", "12"],
@@ -56,7 +56,7 @@ fn out_of_range_value_exits_2() {
 fn unparsable_value_exits_2() {
     assert_usage_error("tables", &["table1", "--n", "abc"]);
     assert_usage_error("tables", &["dilation", "--max-n", "-3"]);
-    assert_usage_error("tables", &["traffic", "--n"]);
+    assert_usage_error("tables", &["sched", "--n"]);
 }
 
 #[test]

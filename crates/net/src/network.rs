@@ -288,11 +288,12 @@ impl Network {
 
     /// Installs the monotonic counter [`Network::run_profiled`]
     /// samples around the fast engine's phases. Defaults to
-    /// [`sg_obs::wall_clock`] (nanoseconds); inject
-    /// [`sg_obs::tick_clock`] for a deterministic counting clock
-    /// (every phase delta becomes exactly 1, so profile totals are
-    /// exact round counts — testable). The clock never influences the
-    /// simulation itself: profiled stats stay byte-identical.
+    /// [`sg_obs::wall_clock`] (nanoseconds). A test that wants exact
+    /// counts injects a counting clock of its own, such as a
+    /// thread-local counter each call advances by one: every phase
+    /// delta is then exactly 1, so profile totals are exact round
+    /// counts. The clock never influences the simulation itself:
+    /// profiled stats stay byte-identical.
     #[must_use]
     pub fn with_clock(mut self, clock: fn() -> u64) -> Self {
         self.clock = Some(clock);
@@ -460,7 +461,7 @@ impl Network {
     ///
     /// `probe` sees the run's full event stream (use e.g.
     /// [`sg_obs::NetProbe::with_tenants`] with the same owner map for
-    /// per-tenant in-flight gauges, or a [`crate::HopTraces`] for
+    /// per-tenant in-flight peaks, or a [`crate::HopTraces`] for
     /// containment audits); the statistics are byte-identical to an
     /// unprobed run. All rounds are global; [`TrafficStats::rebased`]
     /// shifts a job's stats to its own clock for comparison against

@@ -94,7 +94,6 @@ pub fn assemble(
             packets: packets.len() as u64,
             events: log.events().len() as u64,
             dropped: log.dropped(),
-            sched_profile: None,
         },
         packets,
         events: log.events().to_vec(),
@@ -194,6 +193,7 @@ pub fn replay(trace: &Trace) -> Result<ReplayedStats, TraceError> {
     };
     let mut run = NetReplay::new(
         factorial(n) as usize,
+        n - 1,
         trace.packets.len(),
         owner.as_deref(),
         jobs,
@@ -299,6 +299,27 @@ mod tests {
             *pe = 3_000_000_000;
         }
         inconsistent(&trace.to_jsonl());
+    }
+
+    /// Generators run `1..n`; a log naming 0 or one past `n - 1`
+    /// must not reach a per-link table.
+    #[test]
+    fn generator_outside_1_to_n_is_inconsistent() {
+        let net = Network::new(4);
+        let w = Workload::random_permutation(4, 9);
+        let (_, trace) = record(&net, &w, &GreedyRouting, Engine::Fast, 9);
+        for bad in [0, 4, 200] {
+            let mut trace = trace.clone();
+            let ev = trace
+                .events
+                .iter_mut()
+                .find(|ev| matches!(ev, Event::Forwarded { .. }))
+                .expect("a forwarded event");
+            if let Event::Forwarded { gen, .. } = ev {
+                *gen = bad;
+            }
+            inconsistent(&trace.to_jsonl());
+        }
     }
 
     #[test]

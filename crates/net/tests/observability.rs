@@ -2,23 +2,22 @@
 //! independent witness of `TrafficStats`.
 //!
 //! Every test here recounts some statistic from the raw [`Event`]
-//! stream and checks the engine's own counter against it — the two
-//! are computed by disjoint code paths (engine accumulators vs.
-//! probe-side folds), so agreement is real evidence. Alongside: the
-//! purity guarantee (attaching a probe never changes the stats), the
-//! engine-equality of the streams at smoke scale (the full slice
-//! lives in `differential.rs`), `TrafficStats::rebased` against event
-//! rounds, and the fast engine's self-profiler under the
-//! deterministic tick clock.
+//! stream and checks the engine's own counter, or the `NetProbe`
+//! dashboard, against it — the two are computed by disjoint code
+//! paths (engine accumulators vs. this file's `Recount` fold), so
+//! agreement is real evidence. Alongside: the purity guarantee
+//! (attaching a probe never changes the stats), the engine-equality
+//! of the streams at smoke scale (the full slice lives in
+//! `differential.rs`), `TrafficStats::rebased` against event rounds,
+//! and the fast engine's self-profiler under a counting clock local
+//! to the test's thread.
 
 use sg_net::{
-    AdaptiveRouting, Engine, FlowControl, GreedyRouting, NetConfig, Network, PacketOutcome,
-    TrafficStats, Workload,
+    AdaptiveRouting, Engine, FlowControl, GreedyRouting, Injection, NetConfig, Network,
+    PacketOutcome, TrafficStats, Workload,
 };
-use sg_obs::{
-    reset_tick_clock, tick_clock, DropReason, Event, EventLog, NetProbe, NullProbe, Probe,
-    StallKind,
-};
+use sg_obs::{DropReason, Event, EventLog, NetProbe, NullProbe, Probe, StallKind};
+use std::cell::Cell;
 
 /// Folds an event stream back into the aggregate counters
 /// `TrafficStats` reports, by an entirely independent computation.
@@ -32,6 +31,10 @@ struct Recount {
     diverted: u64,
     wait_rounds: u64,
     stall_rounds: u64,
+    /// `RoundEnd` events seen, and the largest queued total with the
+    /// earliest round that reached it.
+    rounds_ended: u64,
+    peak_queued: Option<(u64, u32)>,
     /// `esc_occ[pe]` live escape residents, and the running peak.
     esc_occ: Vec<u32>,
     peak_escape: u64,
@@ -82,10 +85,17 @@ impl Probe for Recount {
                 }
             }
             Event::RoundEnd {
-                queued, stalled, ..
+                round,
+                queued,
+                stalled,
+                ..
             } => {
                 self.wait_rounds += queued;
                 self.stall_rounds += stalled;
+                self.rounds_ended += 1;
+                if self.peak_queued.is_none_or(|(q, _)| queued > q) {
+                    self.peak_queued = Some((queued, round));
+                }
             }
             _ => {}
         }
@@ -135,6 +145,22 @@ fn recounted(
     let stats = net.run_probed(w, policy, engine, &mut probe);
     let (recount, log) = probe;
     (stats, recount, log)
+}
+
+/// Flits the probe's hot-link table counts, summed over every link.
+fn link_total(np: &NetProbe) -> u64 {
+    np.top_links(usize::MAX).iter().map(|l| l.count).sum()
+}
+
+/// A counting clock private to the calling thread: each call returns
+/// the previous count and advances it by one.
+fn thread_tick() -> u64 {
+    thread_local!(static TICKS: Cell<u64> = const { Cell::new(0) });
+    TICKS.with(|t| {
+        let v = t.get();
+        t.set(v + 1);
+        v
+    })
 }
 
 #[test]
@@ -222,19 +248,12 @@ fn escape_counters_cross_check_against_recount() {
     assert_eq!(rc.escape_forwarded, stats.escape_forwarded_flits);
     assert_eq!(rc.peak_escape, stats.peak_escape_occupancy);
     assert_eq!(rc.forwarded, stats.forwarded_flits);
-    // The ready-made NetProbe recounts the same statistics.
+    // The dashboard's hot-link table accounts for every forward,
+    // escape-channel forwards included.
     let mut np = NetProbe::new(net.node_count(), net.n() - 1);
     let probed = net.run_probed(&w, &GreedyRouting, Engine::Fast, &mut np);
     assert_eq!(probed, stats);
-    assert_eq!(np.peak_escape_occupancy(), stats.peak_escape_occupancy);
-    assert_eq!(
-        np.registry().counter_value("escape_diversions"),
-        Some(stats.escape_diversions)
-    );
-    assert_eq!(
-        np.registry().counter_value("flits_forwarded"),
-        Some(stats.forwarded_flits)
-    );
+    assert_eq!(link_total(&np), stats.forwarded_flits);
     // Escape traffic is visible in the log as typed events.
     assert!(log
         .events()
@@ -320,8 +339,7 @@ fn rebased_shifts_packet_rounds_against_event_log() {
 fn profiler_is_exact_under_the_tick_clock() {
     // One tick per phase sample makes the profile fully deterministic:
     // each phase accumulator equals the number of executed rounds.
-    reset_tick_clock();
-    let net = Network::new(5).with_clock(tick_clock);
+    let net = Network::new(5).with_clock(thread_tick);
     let w = Workload::bernoulli_uniform(5, 20, 50, 0xBEEF);
     let (stats, profile) = net.run_profiled(&w, &GreedyRouting);
     assert_eq!(stats, net.run(&w, &GreedyRouting), "profiling is pure");
@@ -369,7 +387,7 @@ fn bounded_event_log_drops_past_capacity_without_perturbing() {
 fn partitioned_probe_sees_tenant_traffic() {
     // Two synthetic tenants over one S_4: compose two workloads, run
     // partitioned with a NetProbe carrying the owner map, and check
-    // the per-tenant gauges actually saw both tenants' flits — and
+    // the per-tenant in-flight peaks saw both tenants' flits — and
     // that probing perturbs neither the total nor the per-job stats.
     let net = Network::new(4);
     let a = Workload::random_permutation(4, 11);
@@ -383,8 +401,42 @@ fn partitioned_probe_sees_tenant_traffic() {
     assert_eq!(pj0, pj1, "probed per-job stats must be identical");
     assert!(np.tenant_peak_in_flight(0) > 0);
     assert!(np.tenant_peak_in_flight(1) > 0);
-    assert_eq!(
-        np.registry().counter_value("flits_forwarded"),
-        Some(t0.forwarded_flits)
+    assert_eq!(link_total(&np), t0.forwarded_flits);
+}
+
+#[test]
+fn peak_queued_line_covers_the_whole_run() {
+    // A burst into PE 0 at round 0, then one packet per round for
+    // 5 999 rounds: the dashboard must name the burst's round, not
+    // the peak of the run's tail.
+    let n = 4;
+    let net = Network::new(n);
+    let mut injections: Vec<Injection> = (1..24)
+        .flat_map(|src| {
+            [Injection {
+                round: 0,
+                src,
+                dst: 0,
+            }; 5]
+        })
+        .collect();
+    injections.extend((1..6000).map(|round| Injection {
+        round,
+        src: 1,
+        dst: 2,
+    }));
+    let w = Workload::from_injections("burst then trickle", n, injections);
+    let mut probes = (
+        Recount::new(net.node_count(), w.len()),
+        NetProbe::new(net.node_count(), n - 1),
     );
+    let stats = net.run_probed(&w, &GreedyRouting, Engine::Fast, &mut probes);
+    let (rc, np) = probes;
+    assert_eq!(stats.delivered, stats.injected);
+    assert!(rc.rounds_ended > 6000, "{} rounds", rc.rounds_ended);
+    let (queued, round) = rc.peak_queued.expect("the run ends rounds");
+    assert_eq!(round, 0, "the burst is the peak");
+    let line = format!("peak queued flits {queued} in round {round}\n");
+    let dashboard = np.render(3);
+    assert!(dashboard.ends_with(&line), "want {line:?} in\n{dashboard}");
 }

@@ -1,4 +1,4 @@
-//! # sg-obs — deterministic tracing, metrics, and self-profiling
+//! # sg-obs — deterministic tracing, dashboards, and self-profiling
 //!
 //! Observability for the `S_n` interconnect simulator (`sg-net`) and
 //! the multi-tenant scheduler (`sg-sched`), built around one rule:
@@ -15,16 +15,15 @@
 //!   the unprobed path compiles to the pre-instrumentation loops.
 //! * [`EventLog`] records the raw stream (optionally capacity-bounded)
 //!   and exports newline-delimited JSON.
-//! * [`NetProbe`] turns the stream into metrics — per-link forward
-//!   counts, per-PE occupancy, queue-depth histogram, escape-bank
-//!   occupancy, per-tenant in-flight gauges — backed by a
-//!   [`MetricsRegistry`] of counters / gauges / fixed-bucket
-//!   histograms and bounded [`RingSeries`] recorders, so memory stays
-//!   bounded even at `n = 9` scale.
+//! * [`NetProbe`] turns the stream into the numbers a run's
+//!   `TrafficStats` cannot give — per-link forward counts, the
+//!   queue-depth [`Histogram`] and its peak, the peak queued flits
+//!   and their round, per-tenant in-flight peaks — and counts nothing
+//!   `TrafficStats` already counts.
 //! * [`SchedProbe`] assembles job events into spans and renders an
 //!   ASCII Gantt timeline.
-//! * [`PhaseProfile`] + an injected monotonic counter ([`wall_clock`]
-//!   or the deterministic [`tick_clock`]) profile the fast engine's
+//! * [`PhaseProfile`] + an injected monotonic counter ([`wall_clock`],
+//!   or a counting clock a test brings) profile the fast engine's
 //!   four phases without perturbing its behaviour;
 //!   [`SchedPhaseProfile`] does the same for `sg-sched`'s event loop.
 //! * [`RunTally`] ([`tally`]) is the one implementation of a run's
@@ -46,7 +45,6 @@
 #![warn(missing_docs)]
 
 pub mod diff;
-pub mod metrics;
 pub mod netprobe;
 pub mod probe;
 pub mod profile;
@@ -56,13 +54,9 @@ pub mod tally;
 pub mod trace;
 
 pub use diff::{diff_events, DiffSide, Divergence};
-pub use metrics::{
-    Counter, CounterId, Gauge, GaugeId, Histogram, HistogramId, MetricsRegistry, RingSeries,
-    SeriesId,
-};
-pub use netprobe::{HotLink, NetProbe, DEFAULT_DEPTH_BUCKETS, DEFAULT_SERIES_CAP};
+pub use netprobe::{Histogram, HotLink, NetProbe};
 pub use probe::{DropReason, Event, EventLog, NullProbe, Probe, StallKind};
-pub use profile::{reset_tick_clock, tick_clock, wall_clock, PhaseProfile, SchedPhaseProfile};
+pub use profile::{wall_clock, PhaseProfile, SchedPhaseProfile};
 pub use replay::{NetReplay, ReplayedRun};
 pub use sched::{JobSpan, SchedProbe};
 pub use tally::{PacketOutcome, RunCounters, RunTally};

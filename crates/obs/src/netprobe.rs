@@ -1,26 +1,82 @@
-//! `NetProbe` — a ready-made metrics probe for `sg-net` runs.
+//! `NetProbe` — the dashboard probe for `sg-net` runs.
 //!
-//! Consumes the event stream and maintains: per-link forward counts
-//! (the "hot link" table), per-PE occupancy, a queue-depth histogram,
-//! escape-bank occupancy, optional per-tenant in-flight gauges, and
-//! bounded per-round time series for queued/stalled totals. Hot
-//! per-link/per-PE state lives in flat arrays sized at construction;
-//! everything scalar goes through a [`MetricsRegistry`] so it renders
-//! and exports uniformly.
+//! Folds the event stream into what a run's `TrafficStats` cannot
+//! say: per-link forward counts (the "hot link" table), the
+//! queue-depth histogram and its peak, the peak number of queued flits
+//! and its round, and optional per-tenant in-flight peaks. Whatever
+//! `TrafficStats` already counts (forwards, deliveries, drops, escape
+//! diversions and occupancy) it leaves to `TrafficStats`, so every
+//! number a run reports has one producer. Per-link state lives in a
+//! flat array sized at construction.
 
-use crate::metrics::{
-    CounterId, Gauge, GaugeId, Histogram, HistogramId, MetricsRegistry, RingSeries, SeriesId,
-};
 use crate::probe::{Event, Probe};
 
-/// Default capacity of the per-round time series.
-pub const DEFAULT_SERIES_CAP: usize = 4096;
+/// Inclusive upper bounds of the queue-depth histogram's buckets
+/// (powers of two); the implicit `+inf` bucket catches deeper queues.
+const DEPTH_BUCKETS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128];
 
-/// Default queue-depth histogram bucket upper bounds (powers of two).
-/// Pass finer edges to [`NetProbe::with_buckets`] when the deltas you
-/// care about (e.g. drained-release latency shifts) land inside one
-/// power-of-two bucket.
-pub const DEFAULT_DEPTH_BUCKETS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128];
+/// A histogram over fixed upper-bound buckets plus an overflow bucket.
+///
+/// `bounds` are inclusive upper bounds in strictly increasing order;
+/// a sample lands in the first bucket whose bound it does not exceed,
+/// or in the final `+inf` bucket.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Histogram {
+    bounds: Vec<u64>,
+    counts: Vec<u64>,
+}
+
+impl Histogram {
+    /// A histogram with the given inclusive upper bounds.
+    ///
+    /// # Panics
+    /// If `bounds` is empty or not strictly increasing.
+    #[must_use]
+    pub fn new(bounds: &[u64]) -> Self {
+        assert!(!bounds.is_empty(), "histogram needs at least one bound");
+        assert!(
+            bounds.windows(2).all(|w| w[0] < w[1]),
+            "histogram bounds must be strictly increasing"
+        );
+        Self {
+            bounds: bounds.to_vec(),
+            counts: vec![0; bounds.len() + 1],
+        }
+    }
+
+    /// Record one sample.
+    #[inline]
+    pub fn record(&mut self, sample: u64) {
+        let idx = self
+            .bounds
+            .iter()
+            .position(|&b| sample <= b)
+            .unwrap_or(self.bounds.len());
+        self.counts[idx] += 1;
+    }
+
+    /// Per-bucket counts; the last entry is the `+inf` bucket.
+    #[must_use]
+    pub fn counts(&self) -> &[u64] {
+        &self.counts
+    }
+
+    /// Render as aligned `<=bound count bar` lines.
+    #[must_use]
+    pub fn render(&self) -> String {
+        let peak = self.counts.iter().copied().max().unwrap_or(0).max(1);
+        let mut out = String::new();
+        for (i, &c) in self.counts.iter().enumerate() {
+            let label = match self.bounds.get(i) {
+                Some(b) => format!("<={b}"),
+                None => "+inf".to_string(),
+            };
+            let bar = "#".repeat((c * 40 / peak) as usize);
+            out.push_str(&format!("{label:>8} {c:>10} {bar}\n"));
+        }
+        out
+    }
+}
 
 /// One entry of the hot-link table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,121 +89,63 @@ pub struct HotLink {
     pub count: u64,
 }
 
-/// A metrics probe for interconnect runs.
+/// A dashboard probe for interconnect runs.
 ///
 /// Construct with the network's `node_count()` and `n() - 1`
 /// generators; optionally attach a tenant owner map to get per-tenant
-/// in-flight gauges. Attach with [`Network::run_probed`] — the run's
+/// in-flight peaks. Attach with [`Network::run_probed`] — the run's
 /// `TrafficStats` are untouched (asserted by the differential suite).
 ///
 /// [`Network::run_probed`]: ../sg_net/struct.Network.html#method.run_probed
 #[derive(Debug, Clone)]
 pub struct NetProbe {
     gens: usize,
-    reg: MetricsRegistry,
-    c_rounds: CounterId,
-    c_forwarded: CounterId,
-    c_delivered: CounterId,
-    c_dropped: CounterId,
-    c_diverted: CounterId,
-    c_stalled: CounterId,
-    g_escape: GaugeId,
-    h_depth: HistogramId,
-    s_queued: SeriesId,
-    s_stalled: SeriesId,
     link_forwards: Vec<u64>,
-    pe_depth: Vec<u32>,
-    escape_occ: Vec<u32>,
-    peak_escape: u64,
+    depth: Histogram,
     peak_depth: u32,
     peak_depth_round: u32,
+    /// Largest `RoundEnd` queued total and its round, earliest on ties.
+    peak_queued: Option<(u64, u32)>,
     owner: Vec<u32>,
-    tenant_gauges: Vec<GaugeId>,
+    /// Per tenant: flits in flight now, and the peak.
+    in_flight: Vec<(u64, u64)>,
     entered: Vec<bool>,
 }
 
 impl NetProbe {
     /// A probe for a network of `node_count` PEs with `gens = n - 1`
-    /// generators per PE, with the default series capacity.
+    /// generators per PE.
     #[must_use]
     pub fn new(node_count: usize, gens: usize) -> Self {
-        Self::with_capacity(node_count, gens, DEFAULT_SERIES_CAP)
-    }
-
-    /// Like [`NetProbe::new`] with an explicit ring-series capacity.
-    #[must_use]
-    pub fn with_capacity(node_count: usize, gens: usize, series_cap: usize) -> Self {
-        Self::with_buckets(node_count, gens, series_cap, DEFAULT_DEPTH_BUCKETS)
-    }
-
-    /// Like [`NetProbe::with_capacity`] with explicit queue-depth
-    /// histogram bucket edges (strictly increasing upper bounds; an
-    /// implicit overflow bucket catches everything past the last).
-    /// [`DEFAULT_DEPTH_BUCKETS`] reproduces [`NetProbe::new`]
-    /// byte-identically.
-    #[must_use]
-    pub fn with_buckets(
-        node_count: usize,
-        gens: usize,
-        series_cap: usize,
-        depth_buckets: &[u64],
-    ) -> Self {
-        let mut reg = MetricsRegistry::new();
-        let c_rounds = reg.counter("rounds_observed");
-        let c_forwarded = reg.counter("flits_forwarded");
-        let c_delivered = reg.counter("packets_delivered");
-        let c_dropped = reg.counter("packets_dropped");
-        let c_diverted = reg.counter("escape_diversions");
-        let c_stalled = reg.counter("stall_events");
-        let g_escape = reg.gauge("escape_bank_occupancy");
-        let h_depth = reg.histogram("queue_depth", depth_buckets);
-        let s_queued = reg.series("queued_per_round", series_cap);
-        let s_stalled = reg.series("stalled_per_round", series_cap);
         Self {
             gens,
-            reg,
-            c_rounds,
-            c_forwarded,
-            c_delivered,
-            c_dropped,
-            c_diverted,
-            c_stalled,
-            g_escape,
-            h_depth,
-            s_queued,
-            s_stalled,
             link_forwards: vec![0; node_count * gens],
-            pe_depth: vec![0; node_count],
-            escape_occ: vec![0; node_count],
-            peak_escape: 0,
+            depth: Histogram::new(DEPTH_BUCKETS),
             peak_depth: 0,
             peak_depth_round: 0,
+            peak_queued: None,
             owner: Vec::new(),
-            tenant_gauges: Vec::new(),
+            in_flight: Vec::new(),
             entered: Vec::new(),
         }
     }
 
     /// Attach a tenant owner map (`owner[pid] = tenant index`) and
-    /// register one in-flight gauge per tenant.
+    /// track one in-flight peak per tenant.
     #[must_use]
     pub fn with_tenants(mut self, owner: Vec<u32>, tenants: usize) -> Self {
-        self.tenant_gauges = (0..tenants)
-            .map(|t| self.reg.gauge(&format!("tenant{t}_in_flight")))
-            .collect();
+        self.in_flight = vec![(0, 0); tenants];
         self.entered = vec![false; owner.len()];
         self.owner = owner;
         self
     }
 
-    fn link_index(&self, pe: u32, gen: u8) -> usize {
-        pe as usize * self.gens + (gen as usize - 1)
-    }
-
     fn enter(&mut self, pid: u32) {
         if let Some(&t) = self.owner.get(pid as usize) {
             if !std::mem::replace(&mut self.entered[pid as usize], true) {
-                self.reg.gauge_mut(self.tenant_gauges[t as usize]).add(1);
+                let (now, peak) = &mut self.in_flight[t as usize];
+                *now += 1;
+                *peak = (*peak).max(*now);
             }
         }
     }
@@ -155,21 +153,9 @@ impl NetProbe {
     fn exit(&mut self, pid: u32) {
         if let Some(&t) = self.owner.get(pid as usize) {
             if std::mem::replace(&mut self.entered[pid as usize], false) {
-                self.reg.gauge_mut(self.tenant_gauges[t as usize]).add(-1);
+                self.in_flight[t as usize].0 -= 1;
             }
         }
-    }
-
-    /// The underlying registry (counters, gauges, histogram, series).
-    #[must_use]
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.reg
-    }
-
-    /// Observable rounds seen (rounds that emitted any event).
-    #[must_use]
-    pub fn rounds(&self) -> u64 {
-        self.reg.counter_value("rounds_observed").unwrap_or(0)
     }
 
     /// The `k` busiest links, by forward count (ties: lowest PE, then
@@ -207,37 +193,25 @@ impl NetProbe {
     /// The queue-depth histogram (one sample per enqueue).
     #[must_use]
     pub fn depth_histogram(&self) -> &Histogram {
-        self.reg.histogram_value("queue_depth").expect("registered")
+        &self.depth
     }
 
-    /// The bounded queued-flits-per-round series.
+    /// The most flits queued at the end of any round, and the earliest
+    /// round that reached it; `None` before the first `RoundEnd`.
     #[must_use]
-    pub fn queued_series(&self) -> &RingSeries {
-        self.reg
-            .series_value("queued_per_round")
-            .expect("registered")
-    }
-
-    /// Peak escape-bank occupancy at any **single** PE — a probe-side
-    /// recount of `TrafficStats::peak_escape_occupancy`. (The
-    /// `escape_bank_occupancy` gauge tracks the *global* resident
-    /// count instead; its peak bounds this one from above.)
-    #[must_use]
-    pub fn peak_escape_occupancy(&self) -> u64 {
-        self.peak_escape
+    pub fn peak_queued(&self) -> Option<(u64, u32)> {
+        self.peak_queued
     }
 
     /// Peak in-flight flits for tenant `t` (requires
     /// [`NetProbe::with_tenants`]).
     #[must_use]
-    pub fn tenant_peak_in_flight(&self, t: usize) -> i64 {
-        self.reg
-            .gauge_value(&format!("tenant{t}_in_flight"))
-            .map_or(0, Gauge::peak)
+    pub fn tenant_peak_in_flight(&self, t: usize) -> u64 {
+        self.in_flight.get(t).map_or(0, |&(_, peak)| peak)
     }
 
     /// Render the probe's dashboard section: top-k hot links, the
-    /// queue-depth histogram, and the per-round series summary.
+    /// queue-depth histogram, and the peak queued flits.
     #[must_use]
     pub fn render(&self, k: usize) -> String {
         let mut out = String::new();
@@ -250,8 +224,8 @@ impl NetProbe {
             "peak queue depth {d} first reached in round {r}\n"
         ));
         out.push_str("queue-depth histogram (samples are depth-after-push):\n");
-        out.push_str(&self.depth_histogram().render());
-        if let Some((round, v)) = self.queued_series().peak() {
+        out.push_str(&self.depth.render());
+        if let Some((v, round)) = self.peak_queued {
             out.push_str(&format!("peak queued flits {v} in round {round}\n"));
         }
         out
@@ -261,52 +235,24 @@ impl NetProbe {
 impl Probe for NetProbe {
     fn event(&mut self, ev: &Event) {
         match *ev {
-            Event::RoundBegin { .. } => self.reg.counter_mut(self.c_rounds).inc(),
-            Event::RoundEnd {
-                round,
-                queued,
-                stalled,
-                ..
-            } => {
-                self.reg.series_mut(self.s_queued).push(round, queued);
-                self.reg.series_mut(self.s_stalled).push(round, stalled);
-            }
-            Event::Forwarded {
-                pid,
-                from,
-                gen,
-                escape,
-                ..
-            } => {
-                self.reg.counter_mut(self.c_forwarded).inc();
-                let li = self.link_index(from, gen);
-                self.link_forwards[li] += 1;
-                self.pe_depth[from as usize] -= 1;
-                if escape {
-                    self.escape_occ[from as usize] -= 1;
-                    self.reg.gauge_mut(self.g_escape).add(-1);
+            Event::RoundEnd { round, queued, .. } => {
+                if self.peak_queued.is_none_or(|(peak, _)| queued > peak) {
+                    self.peak_queued = Some((queued, round));
                 }
+            }
+            Event::Forwarded { pid, from, gen, .. } => {
+                self.link_forwards[from as usize * self.gens + (gen as usize - 1)] += 1;
                 self.enter(pid);
             }
             Event::Queued {
                 round,
                 pid,
-                pe,
                 depth,
                 escape,
                 ..
             } => {
-                self.pe_depth[pe as usize] += 1;
-                if escape {
-                    self.escape_occ[pe as usize] += 1;
-                    self.peak_escape = self
-                        .peak_escape
-                        .max(u64::from(self.escape_occ[pe as usize]));
-                    self.reg.gauge_mut(self.g_escape).add(1);
-                } else {
-                    self.reg
-                        .histogram_mut(self.h_depth)
-                        .record(u64::from(depth));
+                if !escape {
+                    self.depth.record(u64::from(depth));
                     if depth > self.peak_depth {
                         self.peak_depth = depth;
                         self.peak_depth_round = round;
@@ -314,24 +260,11 @@ impl Probe for NetProbe {
                 }
                 self.enter(pid);
             }
-            Event::Stalled { .. } => self.reg.counter_mut(self.c_stalled).inc(),
-            Event::Diverted { pe, .. } => {
-                self.reg.counter_mut(self.c_diverted).inc();
-                self.escape_occ[pe as usize] += 1;
-                self.peak_escape = self
-                    .peak_escape
-                    .max(u64::from(self.escape_occ[pe as usize]));
-                self.reg.gauge_mut(self.g_escape).add(1);
-            }
-            Event::Dropped { pid, .. } => {
-                self.reg.counter_mut(self.c_dropped).inc();
-                self.exit(pid);
-            }
-            Event::Delivered { pid, .. } => {
-                self.reg.counter_mut(self.c_delivered).inc();
-                self.exit(pid);
-            }
-            Event::JobArrived { .. }
+            Event::Dropped { pid, .. } | Event::Delivered { pid, .. } => self.exit(pid),
+            Event::RoundBegin { .. }
+            | Event::Stalled { .. }
+            | Event::Diverted { .. }
+            | Event::JobArrived { .. }
             | Event::JobPlaced { .. }
             | Event::JobReleased { .. }
             | Event::JobReserved { .. }
@@ -344,26 +277,49 @@ impl Probe for NetProbe {
 mod tests {
     use super::*;
 
+    fn queued(round: u32, pid: u32, pe: u32, depth: u32, escape: bool) -> Event {
+        Event::Queued {
+            round,
+            pid,
+            pe,
+            gen: 1,
+            depth,
+            escape,
+        }
+    }
+
+    fn round_end(round: u32, queued: u64) -> Event {
+        Event::RoundEnd {
+            round,
+            queued,
+            in_flight: 0,
+            stalled: 0,
+        }
+    }
+
+    #[test]
+    fn histogram_buckets_inclusive_bounds() {
+        let mut h = Histogram::new(&[1, 4, 16]);
+        for s in [0, 1, 2, 4, 5, 16, 17, 1000] {
+            h.record(s);
+        }
+        assert_eq!(h.counts(), &[2, 2, 2, 2]);
+        assert!(h.render().contains("+inf"));
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increasing")]
+    fn histogram_rejects_unsorted_bounds() {
+        let _ = Histogram::new(&[4, 4]);
+    }
+
     #[test]
     fn counts_forwards_per_link_and_tracks_peak_depth() {
         let mut p = NetProbe::new(4, 2);
         p.event(&Event::RoundBegin { round: 0 });
-        p.event(&Event::Queued {
-            round: 0,
-            pid: 0,
-            pe: 1,
-            gen: 2,
-            depth: 1,
-            escape: false,
-        });
-        p.event(&Event::Queued {
-            round: 0,
-            pid: 1,
-            pe: 1,
-            gen: 2,
-            depth: 2,
-            escape: false,
-        });
+        p.event(&queued(0, 0, 1, 1, false));
+        p.event(&queued(0, 1, 1, 2, false));
+        p.event(&queued(0, 2, 1, 3, true));
         p.event(&Event::Forwarded {
             round: 0,
             pid: 0,
@@ -372,100 +328,33 @@ mod tests {
             gen: 2,
             escape: false,
         });
-        p.event(&Event::RoundEnd {
-            round: 0,
-            queued: 1,
-            in_flight: 1,
-            stalled: 0,
-        });
-        assert_eq!(p.rounds(), 1);
-        assert_eq!(p.peak_queue_depth(), (2, 0));
+        p.event(&round_end(0, 2));
+        assert_eq!(p.peak_queue_depth(), (2, 0), "escape flits stay out");
+        assert_eq!(p.depth_histogram().counts()[..2], [1, 1]);
         let top = p.top_links(3);
         assert_eq!(top.len(), 1);
         assert_eq!((top[0].pe, top[0].gen, top[0].count), (1, 2, 1));
-        assert_eq!(p.queued_series().samples(), vec![(0, 1)]);
-        assert_eq!(p.pe_depth[1], 1);
+        assert_eq!(p.peak_queued(), Some((2, 0)));
     }
 
     #[test]
-    fn escape_occupancy_balances() {
+    fn peak_queued_prefers_the_earliest_round_on_ties() {
         let mut p = NetProbe::new(2, 1);
-        p.event(&Event::Queued {
-            round: 1,
-            pid: 0,
-            pe: 0,
-            gen: 1,
-            depth: 1,
-            escape: true,
-        });
-        p.event(&Event::Diverted {
-            round: 1,
-            pid: 1,
-            pe: 0,
-            class: 2,
-        });
-        assert_eq!(p.peak_escape_occupancy(), 2);
-        p.event(&Event::Forwarded {
-            round: 2,
-            pid: 0,
-            from: 0,
-            to: 1,
-            gen: 1,
-            escape: true,
-        });
-        assert_eq!(p.peak_escape_occupancy(), 2);
-        assert_eq!(p.escape_occ[0], 1);
-    }
-
-    #[test]
-    fn custom_buckets_resolve_sub_bucket_deltas() {
-        // Default buckets lump depths 3 and 4 into the (2, 4] bucket;
-        // unit-wide edges tell them apart.
-        let mut coarse = NetProbe::new(2, 1);
-        let mut fine = NetProbe::with_buckets(2, 1, DEFAULT_SERIES_CAP, &[1, 2, 3, 4, 5]);
-        for depth in [3u32, 4] {
-            let ev = Event::Queued {
-                round: 0,
-                pid: 0,
-                pe: 0,
-                gen: 1,
-                depth,
-                escape: false,
-            };
-            coarse.event(&ev);
-            fine.event(&ev);
+        assert_eq!(p.peak_queued(), None);
+        for (round, q) in [(1, 7), (2, 7), (3, 5)] {
+            p.event(&round_end(round, q));
         }
-        assert_eq!(coarse.depth_histogram().counts()[2], 2);
-        assert_eq!(fine.depth_histogram().counts()[2], 1);
-        assert_eq!(fine.depth_histogram().counts()[3], 1);
-        // The default-bucket constructor is byte-identical to passing
-        // DEFAULT_DEPTH_BUCKETS explicitly.
-        let a = NetProbe::new(2, 1);
-        let b = NetProbe::with_buckets(2, 1, DEFAULT_SERIES_CAP, DEFAULT_DEPTH_BUCKETS);
-        assert_eq!(a.depth_histogram().render(), b.depth_histogram().render());
+        assert_eq!(p.peak_queued(), Some((7, 1)));
+        assert!(p.render(1).ends_with("peak queued flits 7 in round 1\n"));
     }
 
     #[test]
     fn tenant_gauges_track_in_flight() {
-        let mut p = NetProbe::new(2, 1).with_tenants(vec![0, 0, 1], 2);
+        let mut p = NetProbe::new(2, 1).with_tenants(vec![0, 0, 1, 0], 2);
         for pid in [0u32, 1] {
-            p.event(&Event::Queued {
-                round: 0,
-                pid,
-                pe: 0,
-                gen: 1,
-                depth: pid + 1,
-                escape: false,
-            });
+            p.event(&queued(0, pid, 0, pid + 1, false));
         }
-        p.event(&Event::Queued {
-            round: 0,
-            pid: 2,
-            pe: 1,
-            gen: 1,
-            depth: 1,
-            escape: false,
-        });
+        p.event(&queued(0, 2, 1, 1, false));
         assert_eq!(p.tenant_peak_in_flight(0), 2);
         assert_eq!(p.tenant_peak_in_flight(1), 1);
         p.event(&Event::Delivered {
@@ -474,9 +363,9 @@ mod tests {
             pe: 1,
             hops: 1,
         });
-        assert_eq!(
-            p.registry().gauge_value("tenant0_in_flight").unwrap().get(),
-            1
-        );
+        // Packet 0 left, so packet 3 brings tenant 0 back to 2, not 3.
+        p.event(&queued(4, 3, 0, 1, false));
+        assert_eq!(p.tenant_peak_in_flight(0), 2);
+        assert_eq!(p.tenant_peak_in_flight(2), 0, "no such tenant");
     }
 }

@@ -1,21 +1,23 @@
-//! Self-profiling for the fast engine: where does a round go?
+//! Self-profiling for the fast engine and the scheduler: where does a
+//! round go?
 //!
 //! The engine samples an injected monotonic counter around its four
 //! phases (arrivals, injections, arbitration, accounting) and
 //! accumulates the deltas here. The counter is a plain `fn() -> u64`
 //! chosen at `Network` construction, so the engine's behaviour never
-//! depends on it: [`wall_clock`] gives real nanoseconds for humans,
-//! [`tick_clock`] gives a deterministic counting clock for tests
-//! (each sample advances it by exactly one, so phase totals become
-//! exact round counts).
+//! depends on it. [`wall_clock`] gives real nanoseconds. A test that
+//! wants exact counts passes its own counting clock, a thread-local
+//! counter that each sample advances by one, so every phase total
+//! becomes an exact round count. This module holds no counter of its
+//! own: a `fn() -> u64` cannot own per-run state, and a process-wide
+//! one would let parallel tests perturb each other.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Accumulated per-phase timings of a fast-engine run, in whatever
 /// unit the injected clock counts (nanoseconds for [`wall_clock`],
-/// samples for [`tick_clock`]).
+/// samples for a counting clock).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseProfile {
     /// Rounds the engine actually executed (idle-skipped rounds are
@@ -64,7 +66,7 @@ impl PhaseProfile {
 
 /// Accumulated per-phase timings of one `sg-sched` event-loop run, in
 /// whatever unit the injected clock counts (nanoseconds for
-/// [`wall_clock`], samples for [`tick_clock`]).
+/// [`wall_clock`], samples for a counting clock).
 ///
 /// The scheduler samples the clock around the four phases of each
 /// event round: capacity **release** (heap drain), arrival intake +
@@ -73,7 +75,7 @@ impl PhaseProfile {
 /// EASY **backfill** probe (shadow-time computation + queue scan).
 /// Nested phases share one running mark, so a drained placement's
 /// co-simulation is charged to `drain_ticks` and subtracted from the
-/// surrounding placement phase automatically. With [`tick_clock`]
+/// surrounding placement phase automatically. With a counting clock
 /// every charge is exactly 1, so the totals become exact counts:
 /// `release_ticks == rounds + 1`, `placement_ticks == rounds +
 /// drained placements`, and so on — assertable.
@@ -101,41 +103,6 @@ impl SchedPhaseProfile {
     pub fn total_ticks(&self) -> u64 {
         self.placement_ticks + self.drain_ticks + self.backfill_ticks + self.release_ticks
     }
-
-    /// Render as a per-phase table with percentages.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let total = self.total_ticks().max(1);
-        let pct = |t: u64| t as f64 * 100.0 / total as f64;
-        let mut out = format!(
-            "scheduler phase profile: {} event rounds, {} ticks\n",
-            self.rounds,
-            self.total_ticks()
-        );
-        for (name, t) in [
-            ("placement", self.placement_ticks),
-            ("drain", self.drain_ticks),
-            ("backfill", self.backfill_ticks),
-            ("release", self.release_ticks),
-        ] {
-            out.push_str(&format!("  {name:>12} {t:>14} ({:>5.1}%)\n", pct(t)));
-        }
-        out
-    }
-
-    /// Render as the flat JSON object embedded in a trace header's
-    /// `"sched_profile"` field.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"rounds\":{},\"placement\":{},\"drain\":{},\"backfill\":{},\"release\":{}}}",
-            self.rounds,
-            self.placement_ticks,
-            self.drain_ticks,
-            self.backfill_ticks,
-            self.release_ticks
-        )
-    }
 }
 
 /// Monotonic wall-clock nanoseconds since the first call in this
@@ -144,22 +111,6 @@ impl SchedPhaseProfile {
 pub fn wall_clock() -> u64 {
     static ANCHOR: OnceLock<Instant> = OnceLock::new();
     u64::try_from(ANCHOR.get_or_init(Instant::now).elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-static TICKS: AtomicU64 = AtomicU64::new(0);
-
-/// A deterministic counting clock: every call advances a process-wide
-/// counter by one and returns the previous value. With this clock
-/// each phase delta is exactly 1, so a run's `PhaseProfile` has
-/// `arrivals_ticks == rounds` etc. — exact and assertable.
-#[must_use]
-pub fn tick_clock() -> u64 {
-    TICKS.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Reset the [`tick_clock`] counter (call at the start of a test).
-pub fn reset_tick_clock() {
-    TICKS.store(0, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -171,13 +122,6 @@ mod tests {
         let a = wall_clock();
         let b = wall_clock();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn tick_clock_counts() {
-        let a = tick_clock();
-        let b = tick_clock();
-        assert_eq!(b, a + 1);
     }
 
     #[test]

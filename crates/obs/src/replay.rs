@@ -13,12 +13,13 @@
 //! peak rule observes), sized once from the star order, and the
 //! round's injection-stall count.
 //!
-//! The replay is strict. Every PE must lie below `n!` and every
-//! packet id below the preamble's count. A `round_end` must close
-//! the round it names, and its totals must equal the replayed
-//! census. Per-PE occupancy can never underflow, and every packet
-//! must resolve. A truncated or hand-damaged log fails loudly instead
-//! of producing quietly wrong statistics, and never panics.
+//! The replay is strict. Every PE must lie below `n!`, every
+//! generator in `1..n`, and every packet id below the preamble's
+//! count. A `round_end` must close the round it names, and its totals
+//! must equal the replayed census. Per-PE occupancy can never
+//! underflow, and every packet must resolve. A truncated or
+//! hand-damaged log fails loudly instead of producing quietly wrong
+//! statistics, and never panics.
 //!
 //! One accounting subtlety lives here rather than in the tally: the
 //! strand round. Both kinds of strand close their round with a
@@ -47,6 +48,8 @@ pub struct ReplayedRun {
 #[derive(Debug, Clone)]
 pub struct NetReplay<'o> {
     tally: RunTally<'o>,
+    /// Generators per PE (`n - 1`).
+    gens: usize,
     /// `None` until the packet's resolution event.
     outcomes: Vec<Option<PacketOutcome>>,
     /// Per-PE adaptive-queue occupants.
@@ -68,15 +71,17 @@ pub struct NetReplay<'o> {
 
 impl<'o> NetReplay<'o> {
     /// A replayer for a run of `packets` packets on a network of
-    /// `nodes` PEs. `owner` (one job id per packet, each below
-    /// `jobs`) switches on per-job attribution, exactly like the
-    /// engines' partitioned entry points.
+    /// `nodes` PEs with `gens = n - 1` generators each. `owner` (one
+    /// job id per packet, each below `jobs`) switches on per-job
+    /// attribution, exactly like the engines' partitioned entry
+    /// points.
     ///
     /// # Errors
     /// [`TraceError::Inconsistent`] if `owner` has the wrong length or
     /// names a job outside `0..jobs`.
     pub fn new(
         nodes: usize,
+        gens: usize,
         packets: usize,
         owner: Option<&'o [u32]>,
         jobs: usize,
@@ -100,6 +105,7 @@ impl<'o> NetReplay<'o> {
         };
         Ok(NetReplay {
             tally,
+            gens,
             outcomes: vec![None; packets],
             node_occ: vec![0; nodes],
             esc_node: vec![0; nodes],
@@ -139,6 +145,17 @@ impl<'o> NetReplay<'o> {
             Err(format!(
                 "event names PE {pe}, but the network has only {}",
                 self.node_occ.len()
+            ))
+        }
+    }
+
+    fn gen(&self, gen: u8) -> Result<(), String> {
+        if (1..=self.gens).contains(&usize::from(gen)) {
+            Ok(())
+        } else {
+            Err(format!(
+                "event names generator {gen}, but the network has generators 1..={}",
+                self.gens
             ))
         }
     }
@@ -188,12 +205,14 @@ impl<'o> NetReplay<'o> {
             Event::Queued {
                 pid,
                 pe,
+                gen,
                 depth,
                 escape,
                 ..
             } => {
                 self.packet(pid)?;
                 let pe = self.pe(pe)?;
+                self.gen(gen)?;
                 if escape {
                     self.esc_node[pe] += 1;
                 } else {
@@ -207,12 +226,14 @@ impl<'o> NetReplay<'o> {
                 pid,
                 from,
                 to,
+                gen,
                 escape,
                 ..
             } => {
                 self.packet(pid)?;
                 let from = self.pe(from)?;
                 self.pe(to)?;
+                self.gen(gen)?;
                 let bank = if escape {
                     &mut self.esc_node
                 } else {
@@ -341,14 +362,14 @@ fn inconsistent(msg: String) -> TraceError {
 mod tests {
     use super::*;
 
+    /// Replays `evs` on `S_3`: 6 PEs, generators 1 and 2.
     fn run(
-        nodes: usize,
         owner: Option<&[u32]>,
         jobs: usize,
         packets: usize,
         evs: &[Event],
     ) -> Result<ReplayedRun, TraceError> {
-        let mut r = NetReplay::new(nodes, packets, owner, jobs)?;
+        let mut r = NetReplay::new(6, 2, packets, owner, jobs)?;
         for ev in evs {
             r.observe(ev);
         }
@@ -444,14 +465,14 @@ mod tests {
             escape_forwarded: 0,
             peak_escape: 0,
         };
-        let whole = run(6, None, 0, 1, &evs).expect("consistent");
+        let whole = run(None, 0, 1, &evs).expect("consistent");
         assert_eq!(whole.total, expect);
         assert!(whole.per_job.is_empty());
         assert_eq!(
             whole.outcomes,
             vec![PacketOutcome::Delivered { round: 2, hops: 1 }]
         );
-        let split = run(6, Some(&[0]), 1, 1, &evs).expect("consistent");
+        let split = run(Some(&[0]), 1, 1, &evs).expect("consistent");
         assert_eq!(split.total, expect);
         assert_eq!(split.per_job, vec![expect]);
     }
@@ -476,7 +497,7 @@ mod tests {
             delivered(3, 1, 1, 1),
             end(3, 0, 0, 0),
         ];
-        let r = run(6, Some(&[0, 1]), 2, 2, &evs).expect("consistent");
+        let r = run(Some(&[0, 1]), 2, 2, &evs).expect("consistent");
         // Job 0 waited 1 round (round 0); job 1 waited 2 (rounds 0–1).
         // Peaks are observed at each job's own enqueue: job 1 joined
         // the shared queue (and PE) at depth 2, job 0 at depth 1.
@@ -546,7 +567,7 @@ mod tests {
             delivered(5, 0, 4, 2),
             end(5, 0, 0, 0),
         ];
-        let r = run(6, Some(&[0, 1]), 2, 2, &evs).expect("consistent");
+        let r = run(Some(&[0, 1]), 2, 2, &evs).expect("consistent");
         // Job 0 waits in rounds 0, 1 (diverted, still buffered) and 3.
         let job0 = RunCounters {
             last_event: 5,
@@ -609,7 +630,7 @@ mod tests {
             delivered(4, 1, 1, 1),
             end(4, 0, 0, 0),
         ];
-        let r = run(6, Some(&[0, 1]), 2, 2, &evs).expect("consistent");
+        let r = run(Some(&[0, 1]), 2, 2, &evs).expect("consistent");
         let one_hop = RunCounters {
             total_wait_rounds: 1,
             peak_edge: 1,
@@ -643,19 +664,19 @@ mod tests {
 
     #[test]
     fn census_mismatch_is_inconsistent() {
-        let r = run(6, None, 0, 1, &[begin(0), end(0, 5, 0, 0)]);
+        let r = run(None, 0, 1, &[begin(0), end(0, 5, 0, 0)]);
         assert!(matches!(r, Err(TraceError::Inconsistent { .. })));
     }
 
     #[test]
     fn mid_round_truncation_is_inconsistent() {
-        let r = run(6, None, 0, 0, &[begin(0)]);
+        let r = run(None, 0, 0, &[begin(0)]);
         assert!(matches!(r, Err(TraceError::Inconsistent { .. })));
     }
 
     #[test]
     fn unresolved_packet_is_inconsistent() {
-        let r = run(6, None, 0, 1, &[]);
+        let r = run(None, 0, 1, &[]);
         assert!(matches!(r, Err(TraceError::Inconsistent { .. })));
     }
 
@@ -682,7 +703,7 @@ mod tests {
             peak_node: 1,
             ..RunCounters::default()
         };
-        let r = run(6, Some(&[0]), 1, 1, &deadlock).expect("consistent");
+        let r = run(Some(&[0]), 1, 1, &deadlock).expect("consistent");
         assert_eq!(r.total, expect, "strand round charged; makespan untouched");
         assert_eq!(r.per_job, vec![expect]);
         assert_eq!(r.outcomes, vec![PacketOutcome::Stranded]);
@@ -697,7 +718,7 @@ mod tests {
             stranded(9, 1, 0),
             end(9, 1, 0, 1),
         ];
-        let r = run(6, Some(&[0, 1]), 2, 2, &capped).expect("consistent");
+        let r = run(Some(&[0, 1]), 2, 2, &capped).expect("consistent");
         let job0 = RunCounters {
             total_wait_rounds: 1,
             peak_edge: 1,
@@ -725,29 +746,51 @@ mod tests {
             assert!(matches!(r, Err(TraceError::Inconsistent { .. })), "{r:?}");
         };
         // An owner map naming a job the header does not declare.
-        inconsistent(run(6, Some(&[2]), 2, 1, &[]));
+        inconsistent(run(Some(&[2]), 2, 1, &[]));
         // A partitioned event naming a packet past the preamble.
         inconsistent(run(
-            6,
             Some(&[0]),
             1,
             1,
             &[begin(0), queued(0, 7, 0, 1, 1, false)],
         ));
         // A PE at or past n!.
+        inconsistent(run(None, 0, 1, &[begin(0), queued(0, 0, 6, 1, 1, false)]));
         inconsistent(run(
-            6,
-            None,
-            0,
-            1,
-            &[begin(0), queued(0, 0, 6, 1, 1, false)],
-        ));
-        inconsistent(run(
-            6,
             None,
             0,
             1,
             &[begin(0), queued(0, 0, 3_000_000_000, 1, 1, false)],
         ));
+    }
+
+    /// The tiny stream with one generator swapped for `q` (queued) and
+    /// `f` (forwarded): consistent exactly when both lie in `1..3`.
+    #[test]
+    fn generator_outside_1_to_n_is_inconsistent() {
+        let stream = |q: u8, f: u8| {
+            run(
+                None,
+                0,
+                1,
+                &[
+                    begin(0),
+                    queued(0, 0, 3, q, 1, false),
+                    end(0, 1, 0, 0),
+                    begin(1),
+                    forwarded(1, 0, 3, 5, f, false),
+                    end(1, 0, 1, 0),
+                    begin(2),
+                    delivered(2, 0, 5, 1),
+                    end(2, 0, 0, 0),
+                ],
+            )
+        };
+        assert!(stream(2, 2).is_ok());
+        for bad in [0, 3, 200] {
+            for r in [stream(bad, 1), stream(1, bad)] {
+                assert!(matches!(r, Err(TraceError::Inconsistent { .. })), "{r:?}");
+            }
+        }
     }
 }

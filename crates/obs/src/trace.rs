@@ -6,9 +6,8 @@
 //!
 //! 1. **Header** (first line): `{"trace":"sg-trace","schema":1,...}` —
 //!    schema version, engine, star order, workload seed, a
-//!    config fingerprint, section counts, the number of events the
-//!    recording [`crate::EventLog`] dropped past its capacity bound,
-//!    and (for scheduler runs) the embedded [`SchedPhaseProfile`].
+//!    config fingerprint, section counts, and the number of events the
+//!    recording [`crate::EventLog`] dropped past its capacity bound.
 //! 2. **Packet preamble**: one `{"packet":pid,...}` line per injection
 //!    in packet-id order. Events alone cannot reconstruct the
 //!    source/destination of a packet that dies early (a fault drop
@@ -20,12 +19,13 @@
 //! The parser is strict: the header must come first, every packet
 //! line must precede the first event line, and the section counts
 //! must match the header — a truncated file is an error, never a
-//! silently shorter run. Everything here is plain integers plus two
-//! opaque strings (`engine`, `fingerprint`), so the module — like the
-//! rest of `sg-obs` — depends on nothing above it.
+//! silently shorter run. A trace carries events and what the workload
+//! knew, nothing measured beside them: every record is one flat JSON
+//! object. Everything here is plain integers plus two opaque strings
+//! (`engine`, `fingerprint`), so the module — like the rest of
+//! `sg-obs` — depends on nothing above it.
 
 use crate::probe::{DropReason, Event, StallKind};
-use crate::profile::SchedPhaseProfile;
 use std::fmt;
 
 /// The schema version this build writes and understands.
@@ -113,8 +113,7 @@ impl std::error::Error for TraceError {}
 pub struct TraceHeader {
     /// Schema version ([`SCHEMA_VERSION`] when written by this build).
     pub schema: u32,
-    /// Which engine produced the stream (`"fast"`, `"reference"`,
-    /// `"sched"`).
+    /// Which engine produced the stream (`"fast"` or `"reference"`).
     pub engine: String,
     /// Star order of the run.
     pub n: u32,
@@ -134,18 +133,15 @@ pub struct TraceHeader {
     /// capacity bound. Non-zero means the stream is incomplete and
     /// replay will refuse it.
     pub dropped: u64,
-    /// The scheduler's event-loop self-profile, embedded for probed
-    /// `schedule_with` runs.
-    pub sched_profile: Option<SchedPhaseProfile>,
 }
 
 impl TraceHeader {
     /// Render the header as one newline-free JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = format!(
+        format!(
             "{{\"trace\":\"sg-trace\",\"schema\":{},\"engine\":\"{}\",\"n\":{},\"seed\":{},\
-             \"fingerprint\":\"{}\",\"jobs\":{},\"packets\":{},\"events\":{},\"dropped\":{}",
+             \"fingerprint\":\"{}\",\"jobs\":{},\"packets\":{},\"events\":{},\"dropped\":{}}}",
             self.schema,
             escape(&self.engine),
             self.n,
@@ -155,13 +151,7 @@ impl TraceHeader {
             self.packets,
             self.events,
             self.dropped,
-        );
-        if let Some(p) = &self.sched_profile {
-            out.push_str(",\"sched_profile\":");
-            out.push_str(&p.to_json());
-        }
-        out.push('}');
-        out
+        )
     }
 }
 
@@ -437,22 +427,6 @@ fn parse_header(line: &str) -> Result<TraceHeader, TraceError> {
     if schema != SCHEMA_VERSION {
         return Err(TraceError::UnsupportedSchema { found: schema });
     }
-    let err = |msg: String| TraceError::Malformed { line: 1, msg };
-    let sched_profile = match get(&fields, "sched_profile") {
-        None => None,
-        Some(raw) => {
-            let inner = parse_flat(raw).map_err(err)?;
-            let err = |msg: String| TraceError::Malformed { line: 1, msg };
-            Some(SchedPhaseProfile {
-                rounds: req_u64(&inner, "rounds").map_err(err)?,
-                placement_ticks: req_u64(&inner, "placement").map_err(err)?,
-                drain_ticks: req_u64(&inner, "drain").map_err(err)?,
-                backfill_ticks: req_u64(&inner, "backfill").map_err(err)?,
-                release_ticks: req_u64(&inner, "release").map_err(err)?,
-            })
-        }
-    };
-    let err = |msg: String| TraceError::Malformed { line: 1, msg };
     Ok(TraceHeader {
         schema,
         engine: req_str(&fields, "engine").map_err(err)?,
@@ -463,17 +437,15 @@ fn parse_header(line: &str) -> Result<TraceHeader, TraceError> {
         packets: req_u64(&fields, "packets").map_err(err)?,
         events: req_u64(&fields, "events").map_err(err)?,
         dropped: req_u64(&fields, "dropped").map_err(err)?,
-        sched_profile,
     })
 }
 
 // ---- minimal flat-JSON scanner ------------------------------------
 //
 // The build container is offline (no serde); every record we read is
-// one flat JSON object whose values are integers, booleans, strings
-// without exotic escapes, or one nested flat object. The scanner
-// below parses exactly that grammar, byte by byte, and rejects
-// anything else.
+// one flat JSON object whose values are integers, booleans, or strings
+// without exotic escapes. The scanner below parses exactly that
+// grammar, byte by byte, and rejects anything else.
 
 /// Split one JSON object into `(key, raw-value)` slices.
 fn parse_flat(line: &str) -> Result<Vec<(&str, &str)>, String> {
@@ -514,7 +486,7 @@ fn parse_flat(line: &str) -> Result<Vec<(&str, &str)>, String> {
         let vstart = i;
         match b.get(i) {
             Some(b'"') => i = quote_end(b, i + 1)? + 1,
-            Some(b'{') => i = brace_end(b, i)?,
+            Some(b'{' | b'[') => return Err(format!("value of {key:?} is not flat")),
             Some(_) => {
                 while i < b.len() && b[i] != b',' && b[i] != b'}' {
                     i += 1;
@@ -551,26 +523,6 @@ fn quote_end(b: &[u8], mut i: usize) -> Result<usize, String> {
         }
     }
     Err("unterminated string".into())
-}
-
-/// Index one past the matching `}` of an object opening at `i`.
-fn brace_end(b: &[u8], mut i: usize) -> Result<usize, String> {
-    let mut depth = 0usize;
-    while i < b.len() {
-        match b[i] {
-            b'"' => i = quote_end(b, i + 1)?,
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Ok(i + 1);
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    Err("unterminated nested object".into())
 }
 
 fn get<'a>(pairs: &[(&'a str, &'a str)], key: &str) -> Option<&'a str> {
@@ -753,13 +705,6 @@ mod tests {
                 packets: 2,
                 events: 3,
                 dropped: 0,
-                sched_profile: Some(SchedPhaseProfile {
-                    rounds: 4,
-                    placement_ticks: 5,
-                    drain_ticks: 2,
-                    backfill_ticks: 4,
-                    release_ticks: 5,
-                }),
             },
             packets: vec![
                 TracePacket {
@@ -805,10 +750,10 @@ mod tests {
         assert_eq!(back, t);
     }
 
+    /// An unpartitioned run: no jobs, and no owner on any packet.
     #[test]
     fn header_without_profile_round_trips() {
         let mut t = sample_trace();
-        t.header.sched_profile = None;
         t.header.jobs = 0;
         t.packets.iter_mut().for_each(|p| p.job = None);
         let back = Trace::parse(&t.to_jsonl()).expect("parses");
@@ -903,6 +848,24 @@ mod tests {
         t.header.fingerprint = "quote \" and backslash \\ survive".into();
         let back = Trace::parse(&t.to_jsonl()).expect("parses");
         assert_eq!(back.header.fingerprint, t.header.fingerprint);
+    }
+
+    /// Records are flat: a nested object is refused whole, not split
+    /// at its first comma or brace.
+    #[test]
+    fn nested_values_are_refused() {
+        let text = sample_trace().to_jsonl();
+        let nested_header = text.replacen("\"dropped\":0}", "\"dropped\":0,\"x\":{\"a\":1}}", 1);
+        assert_eq!(Trace::parse(&nested_header), Err(TraceError::NotATrace));
+        let nested_event = format!("{text}{{\"ev\":\"round_begin\",\"round\":{{\"a\":1}}}}\n");
+        assert!(
+            matches!(
+                Trace::parse(&nested_event),
+                Err(TraceError::Malformed { line: 7, .. })
+            ),
+            "{:?}",
+            Trace::parse(&nested_event)
+        );
     }
 
     #[test]

@@ -76,7 +76,6 @@ pub use alloc::{AllocPolicy, SubstarAllocator};
 pub use job::{JobId, JobSpec, TenantRouting, TrafficProfile};
 pub use policy::{AdmissionPolicy, ReleaseMode, SchedConfig, SchedPolicy, SubstarEmbedding};
 pub use scheduler::{
-    schedule, schedule_profiled, schedule_traced, schedule_with, Placement, Schedule,
-    ScheduleReport, TenantRun,
+    schedule, schedule_profiled, schedule_with, Placement, Schedule, ScheduleReport, TenantRun,
 };
 pub use stream::{generate, ArrivalPattern, StreamConfig};

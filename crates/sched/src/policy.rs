@@ -122,17 +122,6 @@ pub enum AdmissionPolicy {
     UniformEscape,
 }
 
-impl AdmissionPolicy {
-    /// Table/report label.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            AdmissionPolicy::AsRequested => "as-requested",
-            AdmissionPolicy::UniformEscape => "uniform-escape",
-        }
-    }
-}
-
 /// The scheduler's policy bundle, consumed by
 /// [`crate::scheduler::schedule_with`].
 ///

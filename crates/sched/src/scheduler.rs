@@ -16,9 +16,7 @@ use crate::job::{JobId, JobSpec, TenantRouting};
 use crate::policy::{tenant_policy, AdmissionPolicy, ReleaseMode, SchedConfig, SchedPolicy};
 use rayon::prelude::*;
 use sg_net::{Injection, Network, QuiescenceViolation, RoutingPolicy, TrafficStats, Workload};
-use sg_obs::{
-    Event, EventLog, NullProbe, Probe, SchedPhaseProfile, Trace, TraceHeader, SCHEMA_VERSION,
-};
+use sg_obs::{Event, NullProbe, Probe, SchedPhaseProfile};
 use sg_star::substar::SubStar;
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -360,9 +358,9 @@ pub fn schedule_with<P: Probe>(
 /// **byte-identical** to the unprofiled one (profiling only reads the
 /// clock; it never touches scheduling state).
 ///
-/// Use [`sg_obs::wall_clock`] for real timings or the deterministic
-/// [`sg_obs::tick_clock`] (after [`sg_obs::reset_tick_clock`]) for
-/// exact assertable phase counts.
+/// Use [`sg_obs::wall_clock`] for real timings, or a counting clock
+/// (a thread-local counter each call advances by one) for exact
+/// assertable phase counts.
 ///
 /// # Panics
 /// As [`schedule_with`].
@@ -642,49 +640,6 @@ fn schedule_inner<P: Probe>(
         },
         profile,
     )
-}
-
-/// Record a profiled scheduling run as an `sg-trace` [`Trace`]:
-/// engine `"sched"`, the [`SchedPhaseProfile`] embedded in the
-/// header's `"sched_profile"` field, a policy-bundle fingerprint, and
-/// the full job event stream. Scheduler traces carry no packet
-/// preamble (`packets: 0`) — jobs, not flits, are the unit here.
-///
-/// # Panics
-/// As [`schedule_with`].
-#[must_use]
-pub fn schedule_traced(
-    jobs: &[JobSpec],
-    alloc: &mut dyn SubstarAllocator,
-    cfg: &SchedConfig<'_>,
-    seed: u64,
-    clock: fn() -> u64,
-) -> (Schedule, Trace) {
-    let n = alloc.n();
-    let mut log = EventLog::new();
-    let (schedule, prof) = schedule_profiled(jobs, alloc, cfg, &mut log, clock);
-    let trace = Trace {
-        header: TraceHeader {
-            schema: SCHEMA_VERSION,
-            engine: "sched".to_string(),
-            n: n as u32,
-            seed,
-            fingerprint: format!(
-                "sched;release={};policy={};admission={}",
-                cfg.release.name(),
-                cfg.policy.name(),
-                cfg.admission.name(),
-            ),
-            jobs: jobs.len() as u32,
-            packets: 0,
-            events: log.events().len() as u64,
-            dropped: log.dropped(),
-            sched_profile: Some(prof),
-        },
-        packets: Vec::new(),
-        events: log.events().to_vec(),
-    };
-    (schedule, trace)
 }
 
 /// A schedule compiled down to one shared-network run: the composed
@@ -1304,9 +1259,8 @@ mod tests {
         assert_eq!(last.pending, 0);
     }
 
-    /// A tick clock private to the calling thread, so exact phase
-    /// counts cannot be perturbed by parallel tests sharing the
-    /// process-wide [`sg_obs::tick_clock`].
+    /// A counting clock private to the calling thread, so parallel
+    /// tests cannot perturb each other's exact phase counts.
     fn thread_tick() -> u64 {
         use std::cell::Cell;
         thread_local!(static T: Cell<u64> = const { Cell::new(0) });
@@ -1386,39 +1340,5 @@ mod tests {
         assert_eq!(prof.placement_ticks, prof.rounds + placed);
         assert_eq!(prof.backfill_ticks, prof.rounds);
         assert_eq!(prof.release_ticks, prof.rounds + 1);
-    }
-
-    #[test]
-    fn traced_run_embeds_profile_and_round_trips() {
-        let (s, trace) = schedule_traced(
-            &tiny_jobs(),
-            AllocPolicy::Buddy.build(4).as_mut(),
-            &SchedConfig::default(),
-            42,
-            thread_tick,
-        );
-        assert_eq!(trace.header.engine, "sched");
-        assert_eq!(trace.header.jobs, 3);
-        assert_eq!(trace.header.packets, 0);
-        assert_eq!(trace.header.seed, 42);
-        assert!(trace
-            .header
-            .fingerprint
-            .starts_with("sched;release=declared"));
-        let prof = trace.header.sched_profile.expect("profile embedded");
-        assert!(prof.rounds > 0);
-        // Event stream matches an independent probed run, and the
-        // whole trace survives the JSONL round trip.
-        let mut log = EventLog::new();
-        let probed = schedule_with(
-            &tiny_jobs(),
-            AllocPolicy::Buddy.build(4).as_mut(),
-            &SchedConfig::default(),
-            &mut log,
-        );
-        assert_eq!(probed, s);
-        assert_eq!(trace.events, log.events());
-        let back = Trace::parse(&trace.to_jsonl()).expect("round-trips");
-        assert_eq!(back, trace);
     }
 }
