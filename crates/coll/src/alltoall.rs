@@ -17,6 +17,7 @@
 
 use crate::schedule::{CollSchedule, Send, SlotAction};
 use sg_perm::factorial::factorial;
+use std::sync::Arc;
 
 /// Slot where a block *received from* PE `u` lands (disjoint from the
 /// outgoing slots `0..m!`).
@@ -39,7 +40,7 @@ pub fn all_to_all_rotation(order: usize) -> CollSchedule {
                     Send {
                         src: u,
                         dst: v,
-                        slots: vec![(v, origin_slot(order, u))],
+                        slots: Arc::from([(v, origin_slot(order, u))]),
                         action: SlotAction::Move,
                     }
                 })
@@ -59,7 +60,7 @@ pub fn all_to_all_naive(order: usize) -> CollSchedule {
             (0..nodes).filter(move |&v| v != u).map(move |v| Send {
                 src: u,
                 dst: v,
-                slots: vec![(v, origin_slot(order, u))],
+                slots: Arc::from([(v, origin_slot(order, u))]),
                 action: SlotAction::Move,
             })
         })

@@ -94,7 +94,7 @@ pub fn execute(schedule: &CollSchedule, init: &GlobalState) -> Result<GlobalStat
         for s in phase {
             let src_state = state.get(&s.src);
             let mut values = Vec::with_capacity(s.slots.len());
-            for &(src_slot, _) in &s.slots {
+            for &(src_slot, _) in s.slots.iter() {
                 match src_state.and_then(|m| m.get(&src_slot)) {
                     Some(&v) => values.push(v),
                     None => {
@@ -114,7 +114,7 @@ pub fn execute(schedule: &CollSchedule, init: &GlobalState) -> Result<GlobalStat
                 continue;
             }
             let src_state = state.entry(s.src).or_default();
-            for &(src_slot, _) in &s.slots {
+            for &(src_slot, _) in s.slots.iter() {
                 if src_state.remove(&src_slot).is_none() {
                     return Err(PayloadError::DoubleGive {
                         phase: phase_idx,

@@ -37,35 +37,52 @@
 //! schedules are measured against.
 
 use crate::schedule::{CollSchedule, Send, SlotAction};
-use sg_star::substar::{substars_of_order, SubStar};
+use sg_perm::factorial::factorial;
+use sg_star::substar::substars_of_order;
+use std::sync::Arc;
 
-/// Counterpart-exchange phases over the lattice, parameterized by the
-/// payload rule for "node `u` of child `C_i` sends to its counterpart
-/// in `C_j`".
+/// A shared list of `(slot at the sender, slot at the receiver)` pairs.
+type BlockList = Arc<[(u64, u64)]>;
+
+/// Counterpart-exchange phases over the lattice. Each level builds
+/// one block list per child sub-star, `(b, b)` for each node rank `b`
+/// of the child in local-rank order, and a send from child `C_i` to
+/// its counterpart in `C_j` ships the list of child `ships(i, j)`:
+/// every send of that block set holds the same list.
 fn lattice_phases(
     order: usize,
     levels: impl Iterator<Item = usize>,
-    send: impl Fn(&[u64], &[u64], usize) -> Vec<(u64, u64)>,
+    ships: impl Fn(usize, usize) -> usize,
     action: SlotAction,
 ) -> Vec<Vec<Send>> {
+    let nodes = factorial(order) as usize;
     let mut phases = Vec::new();
     for lvl in levels {
         // All order-`lvl` sub-stars of the local S_order, split into
-        // their children; cache every child's node table once.
-        let families: Vec<Vec<Vec<u64>>> = substars_of_order(order, lvl)
+        // their children. A child's block list doubles as its node
+        // table: entry `local` holds the rank of its node `local`.
+        let families: Vec<Vec<BlockList>> = substars_of_order(order, lvl)
             .iter()
-            .map(|parent| parent.children().iter().map(SubStar::node_ranks).collect())
+            .map(|parent| {
+                parent
+                    .children()
+                    .iter()
+                    .map(|child| child.node_ranks().into_iter().map(|b| (b, b)).collect())
+                    .collect()
+            })
             .collect();
         for t in 1..lvl {
-            let mut sends = Vec::new();
+            // Every node sends exactly once per phase.
+            let mut sends = Vec::with_capacity(nodes);
             for kids in &families {
-                for (i, ranks_i) in kids.iter().enumerate() {
-                    let ranks_j = &kids[(i + t) % lvl];
-                    for (local, (&u, &v)) in ranks_i.iter().zip(ranks_j).enumerate() {
+                for (i, kid) in kids.iter().enumerate() {
+                    let j = (i + t) % lvl;
+                    let slots = &kids[ships(i, j)];
+                    for (&(u, _), &(v, _)) in kid.iter().zip(kids[j].iter()) {
                         sends.push(Send {
                             src: u,
                             dst: v,
-                            slots: send(ranks_i, ranks_j, local),
+                            slots: Arc::clone(slots),
                             action,
                         });
                     }
@@ -75,6 +92,12 @@ fn lattice_phases(
         }
     }
     phases
+}
+
+/// One single-block list `(b, b)` per PE `b` of `S_order`, shared by
+/// every naive send that ships block `b`.
+fn single_blocks(order: usize) -> Vec<BlockList> {
+    (0..factorial(order)).map(|b| Arc::from([(b, b)])).collect()
 }
 
 /// Recursive-doubling allgather: block slot = origin PE rank; node
@@ -87,7 +110,7 @@ pub fn allgather_doubling(order: usize) -> CollSchedule {
         2..=order,
         // Ship every block of the sender's own child — by the level
         // invariant, exactly what the sender holds.
-        |ranks_i, _, _| ranks_i.iter().map(|&b| (b, b)).collect(),
+        |i, _| i,
         SlotAction::Copy,
     );
     CollSchedule::new("allgather/doubling", order, phases)
@@ -97,14 +120,15 @@ pub fn allgather_doubling(order: usize) -> CollSchedule {
 /// every other PE — `m!(m!−1)` packets.
 #[must_use]
 pub fn allgather_naive(order: usize) -> CollSchedule {
-    let whole = SubStar::whole(order);
-    let nodes = whole.size();
+    let blocks = single_blocks(order);
+    let nodes = blocks.len() as u64;
     let phase = (0..nodes)
         .flat_map(|u| {
+            let slots = &blocks[u as usize];
             (0..nodes).filter(move |&v| v != u).map(move |v| Send {
                 src: u,
                 dst: v,
-                slots: vec![(u, u)],
+                slots: Arc::clone(slots),
                 action: SlotAction::Copy,
             })
         })
@@ -121,7 +145,7 @@ pub fn reduce_scatter_halving(order: usize) -> CollSchedule {
         order,
         (2..=order).rev(),
         // Ship the partials destined for the *target* child's nodes.
-        |_, ranks_j, _| ranks_j.iter().map(|&b| (b, b)).collect(),
+        |_, j| j,
         SlotAction::Reduce,
     );
     CollSchedule::new("reduce-scatter/halving", order, phases)
@@ -131,14 +155,15 @@ pub fn reduce_scatter_halving(order: usize) -> CollSchedule {
 /// partial straight to it.
 #[must_use]
 pub fn reduce_scatter_naive(order: usize) -> CollSchedule {
-    let whole = SubStar::whole(order);
-    let nodes = whole.size();
+    let blocks = single_blocks(order);
+    let nodes = blocks.len() as u64;
     let phase = (0..nodes)
         .flat_map(|u| {
+            let blocks = &blocks;
             (0..nodes).filter(move |&v| v != u).map(move |v| Send {
                 src: u,
                 dst: v,
-                slots: vec![(v, v)],
+                slots: Arc::clone(&blocks[v as usize]),
                 action: SlotAction::Reduce,
             })
         })
@@ -152,7 +177,7 @@ pub fn reduce_scatter_naive(order: usize) -> CollSchedule {
 pub fn allreduce_lattice(order: usize) -> CollSchedule {
     CollSchedule::concat(
         "allreduce/lattice",
-        &[reduce_scatter_halving(order), allgather_doubling(order)],
+        [reduce_scatter_halving(order), allgather_doubling(order)],
     )
 }
 
@@ -161,6 +186,6 @@ pub fn allreduce_lattice(order: usize) -> CollSchedule {
 pub fn allreduce_naive(order: usize) -> CollSchedule {
     CollSchedule::concat(
         "allreduce/naive",
-        &[reduce_scatter_naive(order), allgather_naive(order)],
+        [reduce_scatter_naive(order), allgather_naive(order)],
     )
 }

@@ -21,6 +21,14 @@
 //!   block for `(u + t) mod m!` — every phase a clean rank-space
 //!   permutation.
 //!
+//! A schedule stores each block set once: [`Send::slots`] is a shared
+//! list, and every send that ships the same set holds it — in a
+//! lattice level, one list per child sub-star, held by every send out
+//! of it (allgather) or into it (reduce-scatter).
+//! [`CollSchedule::concat`] moves its parts' phases and
+//! [`CollSchedule::lifted`] only relabels PEs, so neither copies slot
+//! data.
+//!
 //! Every algorithm carries a **naive reference** (flat send-to-root /
 //! send-to-all in one phase) and is checked two independent ways:
 //!

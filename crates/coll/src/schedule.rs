@@ -13,6 +13,7 @@
 use sg_net::{ChainedWorkload, Injection, Network, RoutingPolicy, Workload};
 use sg_perm::factorial::factorial;
 use sg_star::SubStar;
+use std::sync::Arc;
 
 /// How a transfer combines into the receiver's state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,14 +38,20 @@ pub enum SlotAction {
 /// (the unit-message, latency-dominated cost model — see the crate
 /// docs); at the payload level it moves each `(src_slot, dst_slot)`
 /// pair under the phase's snapshot semantics.
+///
+/// Cloning a send copies no slot data: the list is shared.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Send {
     /// Sending PE (rank in the schedule's `S_order`).
     pub src: u64,
     /// Receiving PE (rank in the schedule's `S_order`).
     pub dst: u64,
-    /// `(slot at the sender, slot at the receiver)` pairs carried.
-    pub slots: Vec<(u64, u64)>,
+    /// `(slot at the sender, slot at the receiver)` pairs carried. A
+    /// schedule stores each block set once and every send that ships
+    /// it holds the same list: in a lattice level, every send out of
+    /// one child sub-star (allgather) or into one (reduce-scatter).
+    /// Equality still compares the pairs, not the pointers.
+    pub slots: Arc<[(u64, u64)]>,
     /// How the payload combines at the receiver.
     pub action: SlotAction,
 }
@@ -124,19 +131,28 @@ impl CollSchedule {
     }
 
     /// Concatenates schedules over the same order into one (e.g.
-    /// allreduce = reduce-scatter ++ allgather).
+    /// allreduce = reduce-scatter ++ allgather). It consumes its parts
+    /// and moves their phases into the result: no send and no slot
+    /// list is copied.
     ///
     /// # Panics
     /// Panics if the parts disagree on order or `parts` is empty.
     #[must_use]
-    pub fn concat(name: &str, parts: &[CollSchedule]) -> Self {
-        let order = parts.first().expect("at least one part").order;
-        let mut phases = Vec::new();
+    pub fn concat(name: &str, parts: impl IntoIterator<Item = CollSchedule>) -> Self {
+        let mut parts = parts.into_iter();
+        let first = parts.next().expect("at least one part");
+        let order = first.order;
+        let mut phases = first.phases;
         for p in parts {
             assert_eq!(p.order, order, "concat of schedules over different orders");
-            phases.extend(p.phases.iter().cloned());
+            phases.extend(p.phases);
         }
-        CollSchedule::new(name, order, phases)
+        // Every part validated its sends when it was built.
+        CollSchedule {
+            name: name.to_owned(),
+            order,
+            phases,
+        }
     }
 
     /// One round-0 [`Workload`] per phase — each send is a single
@@ -180,7 +196,8 @@ impl CollSchedule {
     }
 
     /// The same schedule with every PE lifted onto `sub`'s nodes in
-    /// the host star — slots are payload keys and stay as they are.
+    /// the host star — slots are payload keys and stay as they are,
+    /// so every lifted send shares its original's slot list.
     /// Because lift commutes with the generators, the lifted sends
     /// stay inside the sub-star under greedy routing (geodesic
     /// closure), which is what lets a collective run as a confined,
@@ -207,7 +224,7 @@ impl CollSchedule {
                     .map(|s| Send {
                         src: nodes[s.src as usize],
                         dst: nodes[s.dst as usize],
-                        slots: s.slots.clone(),
+                        slots: Arc::clone(&s.slots),
                         action: s.action,
                     })
                     .collect()

@@ -27,9 +27,16 @@ use crate::schedule::{CollSchedule, Send, SlotAction};
 use sg_perm::factorial::factorial;
 use sg_perm::lehmer::{rank, unrank};
 use sg_star::distance::{distance, improving_generators};
+use std::sync::Arc;
 
 /// The payload slot broadcast and reduce operate on.
 pub const TREE_SLOT: u64 = 0;
+
+/// The one-pair list every rooted send ships, [`TREE_SLOT`] to
+/// [`TREE_SLOT`]; each schedule builds it once and its sends share it.
+fn tree_slot() -> Arc<[(u64, u64)]> {
+    Arc::new([(TREE_SLOT, TREE_SLOT)])
+}
 
 /// The lowest-generator-first spanning tree of `S_order` oriented
 /// toward `root`.
@@ -123,6 +130,7 @@ impl SpanningTree {
 #[must_use]
 pub fn broadcast_tree(order: usize, root: u64) -> CollSchedule {
     let tree = SpanningTree::new(order, root);
+    let slots = tree_slot();
     let phases = tree
         .levels()
         .into_iter()
@@ -133,7 +141,7 @@ pub fn broadcast_tree(order: usize, root: u64) -> CollSchedule {
                 .map(|v| Send {
                     src: tree.parent(v),
                     dst: v,
-                    slots: vec![(TREE_SLOT, TREE_SLOT)],
+                    slots: Arc::clone(&slots),
                     action: SlotAction::Copy,
                 })
                 .collect()
@@ -147,12 +155,13 @@ pub fn broadcast_tree(order: usize, root: u64) -> CollSchedule {
 /// `m − 1` links, so the makespan is at least `(m! − 1)/(m − 1)`.
 #[must_use]
 pub fn broadcast_naive(order: usize, root: u64) -> CollSchedule {
+    let slots = tree_slot();
     let phase = (0..factorial(order))
         .filter(|&v| v != root)
         .map(|v| Send {
             src: root,
             dst: v,
-            slots: vec![(TREE_SLOT, TREE_SLOT)],
+            slots: Arc::clone(&slots),
             action: SlotAction::Copy,
         })
         .collect();
@@ -167,6 +176,7 @@ pub fn broadcast_naive(order: usize, root: u64) -> CollSchedule {
 #[must_use]
 pub fn reduce_tree(order: usize, root: u64) -> CollSchedule {
     let tree = SpanningTree::new(order, root);
+    let slots = tree_slot();
     let phases = tree
         .levels()
         .into_iter()
@@ -178,7 +188,7 @@ pub fn reduce_tree(order: usize, root: u64) -> CollSchedule {
                 .map(|v| Send {
                     src: v,
                     dst: tree.parent(v),
-                    slots: vec![(TREE_SLOT, TREE_SLOT)],
+                    slots: Arc::clone(&slots),
                     action: SlotAction::Reduce,
                 })
                 .collect()
@@ -192,12 +202,13 @@ pub fn reduce_tree(order: usize, root: u64) -> CollSchedule {
 /// serialize exactly as in [`broadcast_naive`].
 #[must_use]
 pub fn reduce_naive(order: usize, root: u64) -> CollSchedule {
+    let slots = tree_slot();
     let phase = (0..factorial(order))
         .filter(|&v| v != root)
         .map(|v| Send {
             src: v,
             dst: root,
-            slots: vec![(TREE_SLOT, TREE_SLOT)],
+            slots: Arc::clone(&slots),
             action: SlotAction::Reduce,
         })
         .collect();

@@ -20,8 +20,11 @@ use crate::packet::PacketRecord;
 use crate::routing::RoutingPolicy;
 use crate::stats::TrafficStats;
 use crate::workload::Workload;
-use sg_obs::{EventLog, NetReplay, Trace, TraceError, TraceHeader, TracePacket, SCHEMA_VERSION};
+use sg_obs::{
+    Event, EventLog, NetReplay, Trace, TraceError, TraceHeader, TracePacket, SCHEMA_VERSION,
+};
 use sg_perm::factorial::factorial;
+use sg_perm::lehmer::{rank, unrank};
 
 /// The header label for an [`Engine`].
 #[must_use]
@@ -169,7 +172,9 @@ pub struct ReplayedStats {
 /// or streams that fail replay invariants
 /// ([`TraceError::Inconsistent`]): an order outside
 /// `2..=`[`MAX_ORDER`], a packet without an owner or with one the
-/// header does not declare, and every check of [`NetReplay`].
+/// header does not declare, a `forwarded` event whose `to` is not
+/// `from`'s neighbour through its `gen`, and every check of
+/// [`NetReplay`].
 pub fn replay(trace: &Trace) -> Result<ReplayedStats, TraceError> {
     let h = &trace.header;
     if h.dropped > 0 {
@@ -200,6 +205,9 @@ pub fn replay(trace: &Trace) -> Result<ReplayedStats, TraceError> {
     )?;
     for ev in &trace.events {
         run.observe(ev);
+        if let Some(msg) = off_its_link(n, ev) {
+            run.refuse(msg);
+        }
     }
     let run = run.finish()?;
     let records: Vec<PacketRecord> = trace
@@ -223,6 +231,34 @@ pub fn replay(trace: &Trace) -> Result<ReplayedStats, TraceError> {
     })
 }
 
+/// Why a `forwarded` event's `to` is not `from`'s neighbour through
+/// its `gen` in `S_n`. `None` for every other event, and for one naming
+/// a PE or generator out of range, which [`NetReplay`] refuses itself.
+fn off_its_link(n: usize, ev: &Event) -> Option<String> {
+    let Event::Forwarded {
+        round,
+        pid,
+        from,
+        to,
+        gen,
+        ..
+    } = *ev
+    else {
+        return None;
+    };
+    let node = unrank(u64::from(from), n).ok()?;
+    if !(1..n).contains(&usize::from(gen)) {
+        return None;
+    }
+    let via = rank(&node.with_slots_swapped(0, usize::from(gen)));
+    (via != u64::from(to)).then(|| {
+        format!(
+            "round {round}: packet {pid} forwarded from PE {from} to PE {to} through g{gen}, \
+             which leads to PE {via}"
+        )
+    })
+}
+
 /// Parse and replay a JSONL trace in one step.
 ///
 /// # Errors
@@ -235,7 +271,6 @@ pub fn replay_jsonl(text: &str) -> Result<ReplayedStats, TraceError> {
 mod tests {
     use super::*;
     use crate::routing::GreedyRouting;
-    use sg_obs::Event;
 
     #[test]
     fn recorded_run_replays_byte_identical() {
@@ -319,6 +354,37 @@ mod tests {
                 *gen = bad;
             }
             inconsistent(&trace.to_jsonl());
+        }
+    }
+
+    /// An in-range generator that does not lead from `from` to `to`
+    /// would charge the flit to another PE's or another generator's
+    /// link.
+    #[test]
+    fn forward_off_its_link_is_inconsistent() {
+        let net = Network::new(4);
+        let w = Workload::random_permutation(4, 9);
+        let (_, trace) = record(&net, &w, &GreedyRouting, Engine::Fast, 9);
+        let k = trace
+            .events
+            .iter()
+            .position(|ev| matches!(ev, Event::Forwarded { .. }))
+            .expect("a forwarded event");
+        let Event::Forwarded { pid, gen, to, .. } = trace.events[k] else {
+            unreachable!()
+        };
+        let others = (1..4).filter(|&g| g != gen).map(|g| (g, to));
+        for (bad_gen, bad_to) in others.chain([(gen, to ^ 1)]) {
+            let mut trace = trace.clone();
+            if let Event::Forwarded { gen, to, .. } = &mut trace.events[k] {
+                (*gen, *to) = (bad_gen, bad_to);
+            }
+            match replay_jsonl(&trace.to_jsonl()) {
+                Err(TraceError::Inconsistent { msg }) => {
+                    assert!(msg.contains(&format!("packet {pid} forwarded")), "{msg}");
+                }
+                other => panic!("g{bad_gen} to PE {bad_to}: {other:?}"),
+            }
         }
     }
 

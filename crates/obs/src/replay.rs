@@ -19,7 +19,10 @@
 //! must equal the replayed census. Per-PE occupancy can never
 //! underflow, and every packet must resolve. A truncated or
 //! hand-damaged log fails loudly instead of producing quietly wrong
-//! statistics, and never panics.
+//! statistics, and never panics. A check that needs the star graph,
+//! such as whether a forward's generator leads from `from` to `to`,
+//! is the caller's: it reports a failure through
+//! [`NetReplay::refuse`].
 //!
 //! One accounting subtlety lives here rather than in the tally: the
 //! strand round. Both kinds of strand close their round with a
@@ -125,6 +128,14 @@ impl<'o> NetReplay<'o> {
                 self.error = Some(msg);
             }
         }
+    }
+
+    /// Refuse the stream at the event just observed, for a check only
+    /// the caller can make: this crate has no star-graph dependency,
+    /// so `sg-net` checks that a forward follows its link. An earlier
+    /// failure keeps precedence.
+    pub fn refuse(&mut self, msg: String) {
+        self.error.get_or_insert(msg);
     }
 
     fn packet(&self, pid: u32) -> Result<(), String> {

@@ -36,7 +36,9 @@ pub const SCHEMA_VERSION: u32 = 1;
 pub enum TraceError {
     /// The input had no lines at all.
     Empty,
-    /// The first line is not an `sg-trace` header record.
+    /// The first line is not an `sg-trace` header record. A line that
+    /// names itself one (`"trace":"sg-trace"`) but does not parse is
+    /// [`TraceError::Malformed`] on line 1 instead, with the reason.
     NotATrace,
     /// The header names a schema version this build cannot read.
     UnsupportedSchema {
@@ -416,13 +418,18 @@ impl Event {
     }
 }
 
+/// A line that names itself an sg-trace header (in the fields read
+/// before any scan error) but fails to parse is `Malformed` with the
+/// reason; any other first line is `NotATrace`.
 fn parse_header(line: &str) -> Result<TraceHeader, TraceError> {
-    let fields = parse_flat(line).map_err(|_| TraceError::NotATrace)?;
+    let mut fields = Vec::new();
+    let scanned = scan_flat(line, &mut fields);
     match get(&fields, "trace").map(unquote) {
         Some(Ok(tag)) if tag == "sg-trace" => {}
         _ => return Err(TraceError::NotATrace),
     }
     let err = |msg: String| TraceError::Malformed { line: 1, msg };
+    scanned.map_err(err)?;
     let schema = req_u32(&fields, "schema").map_err(err)?;
     if schema != SCHEMA_VERSION {
         return Err(TraceError::UnsupportedSchema { found: schema });
@@ -449,12 +456,19 @@ fn parse_header(line: &str) -> Result<TraceHeader, TraceError> {
 
 /// Split one JSON object into `(key, raw-value)` slices.
 fn parse_flat(line: &str) -> Result<Vec<(&str, &str)>, String> {
+    let mut pairs = Vec::new();
+    scan_flat(line, &mut pairs)?;
+    Ok(pairs)
+}
+
+/// [`parse_flat`] into `pairs`, which keeps the pairs read before a
+/// scan error.
+fn scan_flat<'a>(line: &'a str, pairs: &mut Vec<(&'a str, &'a str)>) -> Result<(), String> {
     let s = line.trim();
     let b = s.as_bytes();
     if b.first() != Some(&b'{') {
         return Err("expected '{'".into());
     }
-    let mut pairs = Vec::new();
     let mut i = 1usize;
     loop {
         while i < b.len() && b[i].is_ascii_whitespace() {
@@ -510,7 +524,7 @@ fn parse_flat(line: &str) -> Result<Vec<(&str, &str)>, String> {
         }
         i += 1;
     }
-    Ok(pairs)
+    Ok(())
 }
 
 /// Index of the closing quote of a string whose body starts at `i`.
@@ -856,7 +870,14 @@ mod tests {
     fn nested_values_are_refused() {
         let text = sample_trace().to_jsonl();
         let nested_header = text.replacen("\"dropped\":0}", "\"dropped\":0,\"x\":{\"a\":1}}", 1);
-        assert_eq!(Trace::parse(&nested_header), Err(TraceError::NotATrace));
+        assert!(
+            matches!(
+                Trace::parse(&nested_header),
+                Err(TraceError::Malformed { line: 1, .. })
+            ),
+            "{:?}",
+            Trace::parse(&nested_header)
+        );
         let nested_event = format!("{text}{{\"ev\":\"round_begin\",\"round\":{{\"a\":1}}}}\n");
         assert!(
             matches!(
@@ -866,6 +887,27 @@ mod tests {
             "{:?}",
             Trace::parse(&nested_event)
         );
+    }
+
+    /// A first line that names itself an sg-trace header says why it
+    /// failed the scan; one that does not is not a trace.
+    #[test]
+    fn header_scan_errors_keep_their_reason() {
+        let reason = |line: &str| match Trace::parse(line) {
+            Err(TraceError::Malformed { line: 1, msg }) => msg,
+            other => panic!("{line}: expected Malformed on line 1, got {other:?}"),
+        };
+        let nested = r#"{"trace":"sg-trace","schema":1,"engine":"fast","n":{"x":1}}"#;
+        assert_eq!(reason(nested), "value of \"n\" is not flat");
+        let open = r#"{"trace":"sg-trace","schema":1,"engine":"fast"#;
+        assert_eq!(reason(open), "unterminated string");
+        for line in [
+            r#"{"trace":"other","n":{"x":1}}"#,
+            r#"{"n":{"x":1},"trace":"sg-trace"}"#,
+            r#"{"trace":"sg-trace"#,
+        ] {
+            assert_eq!(Trace::parse(line), Err(TraceError::NotATrace), "{line}");
+        }
     }
 
     #[test]

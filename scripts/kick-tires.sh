@@ -6,7 +6,7 @@
 # 1. `tables -- all`: every paper table and figure, with the asserts
 #    inside the extension grids.
 # 2. Every example under examples/; each asserts its own numbers.
-# 3. The `trace` CLI: record, replay and self-diff an S_6 run, then three
+# 3. The `trace` CLI: record, replay and self-diff an S_6 run, then four
 #    corrupted logs that replay must refuse with exit code 2.
 # 4. starbench: its self-tests, then one traced second of each workload
 #    in BENCHMARK.json, whose result line must report a verified output.
@@ -34,11 +34,19 @@ trace replay "$tmp/s6.jsonl" > /dev/null
 trace diff "$tmp/s6.jsonl" "$tmp/s6.jsonl" --context 3
 # A header promising u64::MAX packets, an event at PE 3 000 000 000 and
 # an event on generator 0 must be refused with code 2, not a panic (101)
-# or an aborting allocation.
+# or an aborting allocation. So must the first forwarded event moved to
+# another in-range generator (1 -> 2, any other -> 1), whose link does
+# not lead to the PE the flit reached.
 sed '1s/"packets":[0-9]*/"packets":18446744073709551615/' "$tmp/s6.jsonl" > "$tmp/s6-packets.jsonl"
 sed '0,/"pe":[0-9]*/s//"pe":3000000000/' "$tmp/s6.jsonl" > "$tmp/s6-pe.jsonl"
 sed '0,/"gen":[0-9]*/s//"gen":0/' "$tmp/s6.jsonl" > "$tmp/s6-gen.jsonl"
-for f in "$tmp/s6-packets.jsonl" "$tmp/s6-pe.jsonl" "$tmp/s6-gen.jsonl"; do
+sed -E '0,/"ev":"forwarded"/{/"ev":"forwarded"/{s/"gen":1,/"gen":2,/;t;s/"gen":[0-9]+/"gen":1/}}' \
+  "$tmp/s6.jsonl" > "$tmp/s6-link.jsonl"
+if cmp -s "$tmp/s6.jsonl" "$tmp/s6-link.jsonl"; then
+  echo "the forwarded-generator corruption changed nothing" >&2
+  exit 1
+fi
+for f in "$tmp/s6-packets.jsonl" "$tmp/s6-pe.jsonl" "$tmp/s6-gen.jsonl" "$tmp/s6-link.jsonl"; do
   code=0
   trace replay "$f" > /dev/null 2>&1 || code=$?
   if [ "$code" -ne 2 ]; then
