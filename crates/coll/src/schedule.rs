@@ -1,6 +1,8 @@
 //! The collective schedule IR: barrier-synchronized phases of
 //! point-to-point transfers, compiled onto `sg-net` via
-//! [`Network::chain_phases`].
+//! [`Workload::chain`]. Compiling simulates nothing: the barriers
+//! travel inside the workload, and the caller's one run opens each
+//! phase one round after the previous phase's last packet resolves.
 //!
 //! A [`CollSchedule`] is pure data — which PE sends which payload
 //! slots to which PE in which phase — so the same schedule drives
@@ -179,12 +181,14 @@ impl CollSchedule {
 
     /// Compiles the schedule for the whole of `net` (which must be
     /// `S_order`): phases become a [`ChainedWorkload`] with
-    /// inject-after-quiescence barriers under `policy`.
+    /// inject-after-quiescence barriers, without simulating anything.
+    /// Run its workload under any policy; each phase starts when the
+    /// run has resolved the one before it. `_policy` is not consulted.
     ///
     /// # Panics
     /// Panics if `net.n() != order`.
     #[must_use]
-    pub fn compile(&self, net: &Network, policy: &dyn RoutingPolicy) -> ChainedWorkload {
+    pub fn compile(&self, net: &Network, _policy: &dyn RoutingPolicy) -> ChainedWorkload {
         assert_eq!(
             net.n(),
             self.order,
@@ -192,7 +196,7 @@ impl CollSchedule {
             self.order,
             net.n()
         );
-        net.chain_phases(&self.name, &self.phase_workloads(), policy)
+        Workload::chain(&self.name, self.order, &self.phase_workloads())
     }
 
     /// The same schedule with every PE lifted onto `sub`'s nodes in
@@ -238,10 +242,12 @@ impl CollSchedule {
     }
 
     /// Compiles the schedule onto sub-star `sub` of the **host**
-    /// network: lifts every send, then chains the phases on the host
-    /// (barrier offsets are measured where the packets will actually
-    /// run). The result injects only at `sub`'s nodes and, under a
-    /// confined policy, never leaves them.
+    /// network: lifts every send, then chains the phases on the host,
+    /// simulating nothing. The barriers stay phase-local when the
+    /// result is composed with other tenants, so its phases open
+    /// exactly as when it runs alone. The result injects only at
+    /// `sub`'s nodes and, under a confined policy, never leaves them.
+    /// `_policy` is not consulted.
     ///
     /// # Panics
     /// Panics if `sub.order() != order` or `net.n() != sub.n()`.
@@ -250,10 +256,10 @@ impl CollSchedule {
         &self,
         net: &Network,
         sub: &SubStar,
-        policy: &dyn RoutingPolicy,
+        _policy: &dyn RoutingPolicy,
     ) -> ChainedWorkload {
         assert_eq!(net.n(), sub.n(), "sub-star of a different host");
         let lifted = self.lifted(sub);
-        net.chain_phases(&lifted.name, &lifted.phase_workloads(), policy)
+        Workload::chain(&lifted.name, sub.n(), &lifted.phase_workloads())
     }
 }

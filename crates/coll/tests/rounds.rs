@@ -11,10 +11,24 @@ use sg_coll::{
     broadcast_naive, broadcast_tree, distance_lower_bound, naive_root_lower_bound, reduce_naive,
     reduce_scatter_halving, reduce_tree, CollSchedule,
 };
-use sg_net::{GreedyRouting, Network, TrafficStats};
+use sg_net::{ChainedWorkload, FlowControl, GreedyRouting, NetConfig, Network, TrafficStats};
 use sg_perm::factorial::factorial;
+use sg_star::SubStar;
 
-fn compile_and_run(net: &Network, s: &CollSchedule) -> (sg_net::ChainedWorkload, TrafficStats) {
+/// Each phase's `(start, makespan)` as the run realized them: its
+/// packets' injection round (every send is due at the phase's round
+/// 0) and the last resolution counted from there.
+fn phase_windows(chained: &ChainedWorkload, stats: &TrafficStats) -> Vec<(u32, u32)> {
+    let mut windows = vec![(u32::MAX, 0); chained.phase_count()];
+    for (rec, &k) in stats.packets.iter().zip(&chained.owner) {
+        let (start, end) = &mut windows[k as usize];
+        *start = (*start).min(rec.inject_round);
+        *end = (*end).max(rec.outcome.resolution_round().expect("no stranded packets"));
+    }
+    windows.iter().map(|&(s, e)| (s, e - s)).collect()
+}
+
+fn compile_and_run(net: &Network, s: &CollSchedule) -> (ChainedWorkload, TrafficStats) {
     let chained = s.compile(net, &GreedyRouting);
     let stats = net.run(&chained.workload, &GreedyRouting);
     assert_eq!(
@@ -52,7 +66,9 @@ fn tree_collectives_hit_two_ecc_minus_one() {
                     s.name()
                 );
                 // Every phase is a single parallel hop.
-                assert!(chained.phase_makespans.iter().all(|&ms| ms == 1));
+                assert!(phase_windows(&chained, &stats)
+                    .iter()
+                    .all(|&(_, ms)| ms == 1));
             }
         }
     }
@@ -144,7 +160,8 @@ fn lattice_phase_counts_and_round_bounds() {
                 stats.makespan + 1,
                 s.phase_count()
             );
-            assert_eq!(chained.total_rounds(), stats.makespan + 1);
+            let (start, makespan) = *phase_windows(&chained, &stats).last().expect("phases");
+            assert_eq!(start + makespan + 1, stats.makespan + 1);
         }
     }
 }
@@ -188,4 +205,29 @@ fn all_to_all_rotation_is_a_permutation_schedule() {
         let naive = all_to_all_naive(m);
         assert_eq!(naive.total_sends(), s.total_sends());
     }
+}
+
+/// Compiling simulates nothing: on networks whose one-slot credit
+/// pools wedge the naive all-pairs allgather, `compile` and
+/// `compile_on` still return the whole chained workload, and only the
+/// run strands.
+#[test]
+fn compiling_simulates_nothing() {
+    let wedging = NetConfig {
+        queue_capacity: Some(1),
+        flow_control: FlowControl::CreditBased,
+        ..NetConfig::default()
+    };
+    let m = 4;
+    let s = allgather_naive(m);
+    let net = Network::new(m).with_config(wedging);
+    let chained = s.compile(&net, &GreedyRouting);
+    assert_eq!(chained.workload.len(), s.total_sends());
+    assert!(net.run(&chained.workload, &GreedyRouting).stranded > 0);
+
+    let host = Network::new(m + 1).with_config(wedging);
+    let sub = SubStar::new(m + 1, vec![3]);
+    let on = s.compile_on(&host, &sub, &GreedyRouting);
+    assert_eq!(on.owner, chained.owner);
+    assert!(host.run(&on.workload, &GreedyRouting).stranded > 0);
 }

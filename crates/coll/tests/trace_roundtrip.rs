@@ -88,8 +88,10 @@ fn partitioned_collective_traces_attribute_phases() {
         assert_eq!(replayed.total, total, "{}", s.name());
         assert_eq!(replayed.per_job, per_phase, "{}", s.name());
         for (k, w) in phases.iter().enumerate() {
+            // The phase's start is its packets' injection round.
+            let start = per_phase[k].packets[0].inject_round;
             assert_eq!(
-                per_phase[k].rebased(chained.phase_starts[k]),
+                per_phase[k].rebased(start),
                 net.run(w, &GreedyRouting),
                 "{} phase {k}",
                 s.name()

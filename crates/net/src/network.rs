@@ -86,7 +86,7 @@ use crate::fault::{FaultPlan, FaultPolicy};
 use crate::packet::{PacketId, PacketOutcome, PacketRecord};
 use crate::routing::RoutingPolicy;
 use crate::stats::{RunCounters, TrafficStats};
-use crate::workload::{ChainedWorkload, Injection, Workload};
+use crate::workload::{Gate, Injection, Workload};
 use rayon::prelude::*;
 use sg_core::convert::convert_s_d_coords;
 use sg_obs::{DropReason, Event, NullProbe, PhaseProfile, Probe, RunTally, StallKind};
@@ -359,79 +359,6 @@ impl Network {
         self.run_with(workload, policy, Engine::Fast)
     }
 
-    /// Composes `phases` into one workload with
-    /// inject-after-quiescence barriers: phase `k + 1` starts
-    /// strictly after the round in which phase `k`'s last packet
-    /// resolves (delivery or drop), so the network is completely
-    /// empty at every phase boundary.
-    ///
-    /// Each phase is first run alone (fast engine, `policy`) to
-    /// measure its isolated makespan; phase `k + 1` then starts at
-    /// `start_k + makespan_k + 1` (an empty phase advances the clock
-    /// by one round). Because the network state at each boundary is
-    /// empty and the simulator is deterministic, the composed run
-    /// behaves per phase exactly like the isolated runs shifted in
-    /// time — the temporal analogue of the spatial isolation theorem;
-    /// `tests/phases.rs` asserts byte-identical per-phase statistics
-    /// on both engines. This is the primitive `sg-coll` compiles
-    /// multi-phase collectives onto.
-    ///
-    /// The returned [`ChainedWorkload`] carries the phase start
-    /// rounds, the isolated makespans, and an owner map (phase index
-    /// per packet) ready for [`Network::run_partitioned`].
-    ///
-    /// # Panics
-    /// Panics if a phase targets a different star order, if a phase
-    /// strands packets under this network's flow control (a stranded
-    /// packet never resolves, so "after quiescence" would be
-    /// meaningless), or if the chain's rounds run past `u32::MAX`.
-    #[must_use]
-    pub fn chain_phases(
-        &self,
-        name: &str,
-        phases: &[Workload],
-        policy: &dyn RoutingPolicy,
-    ) -> ChainedWorkload {
-        let mut phase_starts = Vec::with_capacity(phases.len());
-        let mut phase_makespans = Vec::with_capacity(phases.len());
-        let mut next_start = Some(0u32);
-        for (k, phase) in phases.iter().enumerate() {
-            assert_eq!(
-                phase.n(),
-                self.n,
-                "phase {k} targets S_{} not S_{}",
-                phase.n(),
-                self.n
-            );
-            let start =
-                next_start.unwrap_or_else(|| panic!("phase {k} starts past round u32::MAX"));
-            let makespan = if phase.injections().is_empty() {
-                0
-            } else {
-                let stats = self.run(phase, policy);
-                assert_eq!(
-                    stats.stranded,
-                    0,
-                    "phase {k} ({:?}) strands packets and never quiesces",
-                    phase.name()
-                );
-                stats.makespan
-            };
-            phase_starts.push(start);
-            phase_makespans.push(makespan);
-            next_start = start.checked_add(makespan).and_then(|r| r.checked_add(1));
-        }
-        let parts: Vec<(&Workload, u32)> =
-            phases.iter().zip(phase_starts.iter().copied()).collect();
-        let (workload, owner) = Workload::compose(name, self.n, &parts);
-        ChainedWorkload {
-            workload,
-            phase_starts,
-            phase_makespans,
-            owner,
-        }
-    }
-
     /// Runs a multi-tenant `workload` on the fast engine and splits
     /// the statistics by job: `owner[pid]` names the job each packet
     /// belongs to (see [`Workload::compose`]) and `policies[j]`
@@ -480,8 +407,8 @@ impl Network {
         escape: &[bool],
         probe: &mut P,
     ) -> (TrafficStats, Vec<TrafficStats>) {
-        let (inj, routes, pkts) = self.prepare_partitioned(workload, policies, owner, escape);
-        let mut sim = FastSim::new(self, inj, routes, pkts, probe);
+        let (routes, pkts) = self.prepare_partitioned(workload, policies, owner, escape);
+        let mut sim = FastSim::new(self, workload, routes, pkts, probe);
         sim.tally = RunTally::partitioned(owner, policies.len());
         let (total, per_job, _) = sim.run();
         let per_job = TrafficStats::split_by_owner(self.n, &total.packets, owner, per_job);
@@ -508,8 +435,8 @@ impl Network {
         escape: &[bool],
         probe: &mut P,
     ) -> TrafficStats {
-        let (inj, routes, pkts) = self.prepare_partitioned(workload, policies, owner, escape);
-        ReferenceSim::new(self, inj, routes, pkts, probe).run()
+        let (routes, pkts) = self.prepare_partitioned(workload, policies, owner, escape);
+        ReferenceSim::new(self, workload, routes, pkts, probe).run()
     }
 
     /// Collects every region-handoff violation of a finished
@@ -612,10 +539,10 @@ impl Network {
         engine: Engine,
         probe: &mut P,
     ) -> TrafficStats {
-        let (inj, routes, pkts) = self.prepare(workload, policy);
+        let (routes, pkts) = self.prepare(workload, policy);
         match engine {
-            Engine::Fast => FastSim::new(self, inj, routes, pkts, probe).run().0,
-            Engine::Reference => ReferenceSim::new(self, inj, routes, pkts, probe).run(),
+            Engine::Fast => FastSim::new(self, workload, routes, pkts, probe).run().0,
+            Engine::Reference => ReferenceSim::new(self, workload, routes, pkts, probe).run(),
         }
     }
 
@@ -635,9 +562,9 @@ impl Network {
         workload: &Workload,
         policy: &dyn RoutingPolicy,
     ) -> (TrafficStats, PhaseProfile) {
-        let (inj, routes, pkts) = self.prepare(workload, policy);
+        let (routes, pkts) = self.prepare(workload, policy);
         let mut probe = NullProbe;
-        let mut sim = FastSim::new(self, inj, routes, pkts, &mut probe);
+        let mut sim = FastSim::new(self, workload, routes, pkts, &mut probe);
         sim.profile = Some((
             self.clock.unwrap_or(sg_obs::wall_clock),
             PhaseProfile::default(),
@@ -650,11 +577,11 @@ impl Network {
     /// precomputation into the shared [`RouteArena`], and the initial
     /// packet table. Adaptive packets carry an empty span and pick
     /// hops at enqueue time.
-    fn prepare<'w>(
+    fn prepare(
         &self,
-        workload: &'w Workload,
+        workload: &Workload,
         policy: &dyn RoutingPolicy,
-    ) -> (&'w [Injection], RouteArena, Vec<SimPacket>) {
+    ) -> (RouteArena, Vec<SimPacket>) {
         self.check_order(workload);
         let inj = workload.injections();
         let n = self.n;
@@ -665,20 +592,19 @@ impl Network {
                 .map(|chunk| route_chunk(n, chunk, |_| policy))
                 .collect()
         };
-        let (arena, pkts) = assemble_routes(inj, chunks);
-        (inj, arena, pkts)
+        assemble_routes(inj, chunks)
     }
 
     /// [`Network::prepare`] for both partitioned entry points, which
     /// it validates: packet `pid` routes under `policies[owner[pid]]`
     /// and may divert onto the escape channel iff `escape[owner[pid]]`.
-    fn prepare_partitioned<'w>(
+    fn prepare_partitioned(
         &self,
-        workload: &'w Workload,
+        workload: &Workload,
         policies: &[&dyn RoutingPolicy],
         owner: &[u32],
         escape: &[bool],
-    ) -> (&'w [Injection], RouteArena, Vec<SimPacket>) {
+    ) -> (RouteArena, Vec<SimPacket>) {
         self.check_order(workload);
         assert_eq!(
             owner.len(),
@@ -706,7 +632,7 @@ impl Network {
         for (pkt, &j) in pkts.iter_mut().zip(owner) {
             pkt.may_escape = escape[j as usize];
         }
-        (inj, arena, pkts)
+        (arena, pkts)
     }
 
     fn check_order(&self, workload: &Workload) {
@@ -1123,13 +1049,145 @@ fn strand_remaining(outcomes: &mut [Option<PacketOutcome>], resolved: &mut usize
     }
 }
 
+/// A run's injection schedule, shared verbatim by both engines: the
+/// ungated packets walk by round, and each barrier phase opens one
+/// round after the last packet of the phase before it resolves.
+/// Packets due in the same round come out in packet-id order.
+struct Injector<'a> {
+    inj: &'a [Injection],
+    gates: &'a [Gate],
+    /// First gated packet id (`inj.len()` without barriers).
+    lead: usize,
+    /// Next ungated packet to inject.
+    next_lead: usize,
+    /// Round each phase opened, once it has.
+    open: Vec<Option<u32>>,
+    /// Next packet of each phase to inject.
+    next: Vec<u32>,
+    /// Packets of each phase not yet resolved.
+    left: Vec<u32>,
+    /// Opened phases with packets still to inject, ascending.
+    live: Vec<u32>,
+    /// The phase of the last resolution: the next one is most likely
+    /// in it too.
+    hint: usize,
+    /// Round the run gave up: the injection round recorded for every
+    /// packet whose phase never opened.
+    gave_up: u32,
+}
+
+impl<'a> Injector<'a> {
+    fn new(workload: &'a Workload) -> Self {
+        let gates = workload.gates();
+        let mut due = Injector {
+            inj: workload.injections(),
+            gates,
+            lead: workload.lead(),
+            next_lead: 0,
+            open: vec![None; gates.len()],
+            next: gates.iter().map(|g| g.start).collect(),
+            left: gates.iter().map(|g| g.end - g.start).collect(),
+            live: Vec::new(),
+            hint: 0,
+            gave_up: 0,
+        };
+        for (k, g) in gates.iter().enumerate() {
+            if let Some(t) = g.at {
+                due.open_phase(k, t);
+            }
+        }
+        due
+    }
+
+    /// Opens phase `k` at round `t`. An empty phase resolves as it
+    /// opens, so its successor opens one round later.
+    fn open_phase(&mut self, mut k: usize, mut t: u32) {
+        loop {
+            self.open[k] = Some(t);
+            let g = self.gates[k];
+            if g.start < g.end {
+                let at = self.live.partition_point(|&j| (j as usize) < k);
+                self.live.insert(at, k as u32);
+                return;
+            }
+            match self.gates.get(k + 1) {
+                Some(next) if next.at.is_none() => (k, t) = (k + 1, t.saturating_add(1)),
+                _ => return,
+            }
+        }
+    }
+
+    /// Packet `pid` resolved at `round`: the last packet of its phase
+    /// opens the next phase one round later.
+    #[inline]
+    fn resolved(&mut self, pid: PacketId, round: u32) {
+        let p = pid as usize;
+        if p < self.lead {
+            return;
+        }
+        let g = self.gates[self.hint];
+        if !(g.start as usize <= p && p < g.end as usize) {
+            self.hint = self.gates.partition_point(|g| g.end as usize <= p);
+        }
+        let k = self.hint;
+        self.left[k] -= 1;
+        if self.left[k] == 0 && self.gates.get(k + 1).is_some_and(|g| g.at.is_none()) {
+            self.open_phase(k + 1, round.saturating_add(1));
+        }
+    }
+
+    /// The next packet due at or before `round`, in packet-id order.
+    #[inline]
+    fn next_due(&mut self, round: u32) -> Option<PacketId> {
+        if self.next_lead < self.lead && self.inj[self.next_lead].round <= round {
+            self.next_lead += 1;
+            return Some((self.next_lead - 1) as PacketId);
+        }
+        for i in 0..self.live.len() {
+            let k = self.live[i] as usize;
+            let pid = self.next[k];
+            if self.due_round(k, pid) <= round {
+                self.next[k] += 1;
+                if self.next[k] == self.gates[k].end {
+                    self.live.remove(i);
+                }
+                return Some(pid);
+            }
+        }
+        None
+    }
+
+    /// Round packet `pid` of opened phase `k` is due.
+    fn due_round(&self, k: usize, pid: u32) -> u32 {
+        let open = self.open[k].expect("live phases are open");
+        open.saturating_add(self.inj[pid as usize].round)
+    }
+
+    /// The round the next packet is due, if any is scheduled.
+    fn next_round(&self) -> Option<u32> {
+        let lead = (self.next_lead < self.lead).then(|| self.inj[self.next_lead].round);
+        let gated = self.live.iter().map(|&k| {
+            let k = k as usize;
+            self.due_round(k, self.next[k])
+        });
+        lead.into_iter().chain(gated).min()
+    }
+
+    /// `true` once no packet is scheduled: every remaining one waits on
+    /// a phase that has not opened.
+    fn exhausted(&self) -> bool {
+        self.next_lead == self.lead && self.live.is_empty()
+    }
+}
+
 fn finish(
     net: &Network,
-    inj: &[Injection],
+    due: &Injector,
     outcomes: &[Option<PacketOutcome>],
     counters: RunCounters,
 ) -> TrafficStats {
-    let records: Vec<PacketRecord> = inj
+    let mut records: Vec<PacketRecord> = due
+        .inj
         .iter()
         .zip(outcomes)
         .map(|(i, o)| PacketRecord {
@@ -1139,6 +1197,12 @@ fn finish(
             outcome: o.expect("all packets resolved"),
         })
         .collect();
+    // A gated packet's round counts from its phase's realized start.
+    for (g, open) in due.gates.iter().zip(&due.open) {
+        for rec in &mut records[g.start as usize..g.end as usize] {
+            rec.inject_round = open.map_or(due.gave_up, |t| t.saturating_add(rec.inject_round));
+        }
+    }
     TrafficStats::from_records(net.n, records, counters)
 }
 
@@ -1153,7 +1217,7 @@ struct ReferenceSim<'a, P: Probe> {
     net: &'a Network,
     gens: usize,
     lanes: usize,
-    inj: &'a [Injection],
+    due: Injector<'a>,
     pkts: Vec<SimPacket>,
     routes: RouteArena,
     outcomes: Vec<Option<PacketOutcome>>,
@@ -1198,11 +1262,12 @@ struct ReferenceSim<'a, P: Probe> {
 impl<'a, P: Probe> ReferenceSim<'a, P> {
     fn new(
         net: &'a Network,
-        inj: &'a [Injection],
+        workload: &'a Workload,
         routes: RouteArena,
         pkts: Vec<SimPacket>,
         probe: &'a mut P,
     ) -> Self {
+        let inj = workload.injections();
         let gens = net.n - 1;
         let lanes = net.config.link_latency as usize + 1;
         let esc_mode = net.config.flow_control == FlowControl::EscapeChannel;
@@ -1210,7 +1275,7 @@ impl<'a, P: Probe> ReferenceSim<'a, P> {
             net,
             gens,
             lanes,
-            inj,
+            due: Injector::new(workload),
             pkts,
             routes,
             outcomes: vec![None; inj.len()],
@@ -1240,6 +1305,7 @@ impl<'a, P: Probe> ReferenceSim<'a, P> {
         self.outcomes[pid as usize] = Some(outcome);
         self.resolved += 1;
         self.counters.last_event = self.counters.last_event.max(round);
+        self.due.resolved(pid, round);
     }
 
     /// Emits `ev`, opening the round bracket first when this is the
@@ -1550,9 +1616,8 @@ impl<'a, P: Probe> ReferenceSim<'a, P> {
     }
 
     fn run(mut self) -> TrafficStats {
-        let total = self.inj.len();
+        let total = self.due.inj.len();
         let latency = self.net.config.link_latency as usize;
-        let mut inj_ptr = 0usize;
         let mut round: u32 = 0;
         while self.resolved < total {
             if round >= self.net.config.max_rounds {
@@ -1560,6 +1625,7 @@ impl<'a, P: Probe> ReferenceSim<'a, P> {
                     self.emit_strand(round);
                 }
                 strand_remaining(&mut self.outcomes, &mut self.resolved);
+                self.due.gave_up = round;
                 break;
             }
             let mut progress = false;
@@ -1619,10 +1685,9 @@ impl<'a, P: Probe> ReferenceSim<'a, P> {
                     self.stalled.push_back(pid);
                 }
             }
-            while inj_ptr < total && self.inj[inj_ptr].round <= round {
-                let pid = inj_ptr as PacketId;
-                let (src, dst) = (self.inj[inj_ptr].src, self.inj[inj_ptr].dst);
-                inj_ptr += 1;
+            while let Some(pid) = self.due.next_due(round) {
+                let i = self.due.inj[pid as usize];
+                let (src, dst) = (i.src, i.dst);
                 if self.faulty && self.net.faults.is_node_dead(src) {
                     self.resolve(pid, round, PacketOutcome::DroppedFault { round });
                     if P::ENABLED {
@@ -1748,13 +1813,15 @@ impl<'a, P: Probe> ReferenceSim<'a, P> {
             self.counters.total_wait_rounds += self.total_queued;
             self.counters.injection_stall_rounds += self.stalled.len() as u64;
             // Credit deadlock: no event fired, nothing in flight, no
-            // workload left — the state is a fixed point, so the
-            // survivors can never move again.
-            if !progress && self.in_flight == 0 && inj_ptr == total && self.resolved < total {
+            // packet scheduled (a phase that has not opened waits on
+            // one that cannot resolve) — the state is a fixed point,
+            // so the survivors can never move again.
+            if !progress && self.in_flight == 0 && self.due.exhausted() && self.resolved < total {
                 if P::ENABLED {
                     self.emit_strand(round);
                 }
                 strand_remaining(&mut self.outcomes, &mut self.resolved);
+                self.due.gave_up = round;
                 break;
             }
             if P::ENABLED && self.round_open {
@@ -1768,7 +1835,7 @@ impl<'a, P: Probe> ReferenceSim<'a, P> {
             }
             round += 1;
         }
-        finish(self.net, self.inj, &self.outcomes, self.counters)
+        finish(self.net, &self.due, &self.outcomes, self.counters)
     }
 }
 
@@ -1847,7 +1914,7 @@ struct FastSim<'a, P: Probe> {
     net: &'a Network,
     gens: usize,
     lanes: usize,
-    inj: &'a [Injection],
+    due: Injector<'a>,
     pkts: Vec<SimPacket>,
     routes: RouteArena,
     outcomes: Vec<Option<PacketOutcome>>,
@@ -1909,11 +1976,12 @@ struct FastSim<'a, P: Probe> {
 impl<'a, P: Probe> FastSim<'a, P> {
     fn new(
         net: &'a Network,
-        inj: &'a [Injection],
+        workload: &'a Workload,
         routes: RouteArena,
         pkts: Vec<SimPacket>,
         probe: &'a mut P,
     ) -> Self {
+        let inj = workload.injections();
         let gens = net.n - 1;
         let lanes = net.config.link_latency as usize + 1;
         let queues = net.node_count * gens;
@@ -1931,7 +1999,7 @@ impl<'a, P: Probe> FastSim<'a, P> {
             net,
             gens,
             lanes,
-            inj,
+            due: Injector::new(workload),
             pkts,
             routes,
             outcomes: vec![None; inj.len()],
@@ -1964,6 +2032,7 @@ impl<'a, P: Probe> FastSim<'a, P> {
         self.outcomes[pid as usize] = Some(outcome);
         self.resolved += 1;
         self.tally.resolved(pid, round);
+        self.due.resolved(pid, round);
     }
 
     /// Mirror of [`ReferenceSim::emit`]: opens the round bracket on
@@ -2320,10 +2389,9 @@ impl<'a, P: Probe> FastSim<'a, P> {
     /// counters of a partitioned tally (empty otherwise), and the
     /// phase profile when armed.
     fn run(mut self) -> (TrafficStats, Vec<RunCounters>, Option<PhaseProfile>) {
-        let total = self.inj.len();
+        let total = self.due.inj.len();
         let latency = self.net.config.link_latency as usize;
         let max_rounds = self.net.config.max_rounds;
-        let mut inj_ptr = 0usize;
         let mut round: u32 = 0;
         while self.resolved < total {
             if round >= max_rounds {
@@ -2331,6 +2399,7 @@ impl<'a, P: Probe> FastSim<'a, P> {
                     self.emit_strand(round);
                 }
                 strand_remaining(&mut self.outcomes, &mut self.resolved);
+                self.due.gave_up = round;
                 break;
             }
             let mut mark = None;
@@ -2407,10 +2476,9 @@ impl<'a, P: Probe> FastSim<'a, P> {
                     self.stalled.push_back(pid);
                 }
             }
-            while inj_ptr < total && self.inj[inj_ptr].round <= round {
-                let pid = inj_ptr as PacketId;
-                let (src, dst) = (self.inj[inj_ptr].src, self.inj[inj_ptr].dst);
-                inj_ptr += 1;
+            while let Some(pid) = self.due.next_due(round) {
+                let i = self.due.inj[pid as usize];
+                let (src, dst) = (i.src, i.dst);
                 if self.faulty && self.net.faults.is_node_dead(src) {
                     self.resolve(pid, round, PacketOutcome::DroppedFault { round });
                     if P::ENABLED {
@@ -2574,11 +2642,12 @@ impl<'a, P: Probe> FastSim<'a, P> {
             self.tally
                 .end_round(self.total_queued, self.stalled.len() as u64);
             self.sample(&mut mark, 3);
-            if !progress && self.in_flight == 0 && inj_ptr == total && self.resolved < total {
+            if !progress && self.in_flight == 0 && self.due.exhausted() && self.resolved < total {
                 if P::ENABLED {
                     self.emit_strand(round);
                 }
                 strand_remaining(&mut self.outcomes, &mut self.resolved);
+                self.due.gave_up = round;
                 break;
             }
             if P::ENABLED && self.round_open {
@@ -2591,14 +2660,15 @@ impl<'a, P: Probe> FastSim<'a, P> {
                 });
             }
             // Idle skip: with nothing queued and nothing stalled,
-            // rounds pass eventlessly until the next injection or
-            // landing — jump straight there. Unobservable in the
+            // rounds pass eventlessly until the next injection (a
+            // phase's opening round included) or landing — jump
+            // straight there. Unobservable in the
             // stats: idle rounds accrue zero wait, and the stalled
             // guard keeps injection_stall_rounds accounting exact
             // (a stalled packet is charged every round even when the
             // pool is held only by in-flight reservations).
             round = if self.total_queued == 0 && self.stalled.is_empty() && self.resolved < total {
-                let next_inj = (inj_ptr < total).then(|| self.inj[inj_ptr].round);
+                let next_inj = self.due.next_round();
                 let next_arr = (0..self.lanes)
                     .filter(|&s| !self.arrivals[s].is_empty())
                     .map(|s| self.arrival_round[s])
@@ -2614,7 +2684,7 @@ impl<'a, P: Probe> FastSim<'a, P> {
         let (counters, per_owner) = self.tally.finish();
         let profile = self.profile.map(|(_, prof)| prof);
         (
-            finish(self.net, self.inj, &self.outcomes, counters),
+            finish(self.net, &self.due, &self.outcomes, counters),
             per_owner,
             profile,
         )

@@ -4,8 +4,11 @@
 //! [`record`] / [`record_partitioned`] run a workload with an
 //! [`EventLog`] attached and package the result as a self-describing
 //! [`Trace`]: header (schema version, engine, config fingerprint,
-//! seed, drop count), packet preamble (one line per injection — what
-//! events alone cannot reconstruct), and the verbatim event stream.
+//! seed, drop count), packet preamble (one line per packet, written
+//! from the run's [`PacketRecord`]s — what events alone cannot
+//! reconstruct), and the verbatim event stream. The preamble holds
+//! each packet's realized injection round, so a run with phase
+//! barriers replays with no barrier logic at all.
 //! [`replay`] inverts it: from a parsed trace alone it rebuilds
 //! [`TrafficStats`] — and per-tenant stats for partitioned runs —
 //! **byte-identical** to what the live run returned. It feeds the
@@ -59,30 +62,29 @@ pub fn fingerprint(net: &Network) -> String {
     )
 }
 
-/// Package a finished [`EventLog`] (plus the workload it watched) as
-/// a [`Trace`]. This is the primitive under [`record`]; use it
-/// directly when you need control over the log (e.g. a
-/// capacity-bounded capture, whose drop count lands in the header and
-/// makes [`replay`] refuse the file).
+/// Package a finished [`EventLog`] (plus the packet records of the
+/// run it watched) as a [`Trace`]. This is the primitive under
+/// [`record`]; use it directly when you need control over the log
+/// (e.g. a capacity-bounded capture, whose drop count lands in the
+/// header and makes [`replay`] refuse the file).
 #[must_use]
 pub fn assemble(
     net: &Network,
-    workload: &Workload,
+    records: &[PacketRecord],
     engine: Engine,
     seed: u64,
     owner: Option<&[u32]>,
     jobs: usize,
     log: &EventLog,
 ) -> Trace {
-    let packets: Vec<TracePacket> = workload
-        .injections()
+    let packets: Vec<TracePacket> = records
         .iter()
         .enumerate()
-        .map(|(pid, inj)| TracePacket {
+        .map(|(pid, rec)| TracePacket {
             pid: pid as u32,
-            src: inj.src,
-            dst: inj.dst,
-            round: inj.round,
+            src: rec.src,
+            dst: rec.dst,
+            round: rec.inject_round,
             job: owner.map(|o| o[pid]),
         })
         .collect();
@@ -120,7 +122,7 @@ pub fn record(
 ) -> (TrafficStats, Trace) {
     let mut log = EventLog::new();
     let stats = net.run_probed(workload, policy, engine, &mut log);
-    let trace = assemble(net, workload, engine, seed, None, 0, &log);
+    let trace = assemble(net, &stats.packets, engine, seed, None, 0, &log);
     (stats, trace)
 }
 
@@ -144,7 +146,7 @@ pub fn record_partitioned(
     let (total, per_job) = net.run_partitioned(workload, policies, owner, escape, &mut log);
     let trace = assemble(
         net,
-        workload,
+        &total.packets,
         Engine::Fast,
         seed,
         Some(owner),
@@ -393,9 +395,9 @@ mod tests {
         let net = Network::new(4);
         let w = Workload::random_permutation(4, 7);
         let mut log = EventLog::with_capacity(10);
-        let _ = net.run_probed(&w, &GreedyRouting, Engine::Fast, &mut log);
+        let stats = net.run_probed(&w, &GreedyRouting, Engine::Fast, &mut log);
         assert!(log.dropped() > 0, "cap must actually truncate");
-        let trace = assemble(&net, &w, Engine::Fast, 7, None, 0, &log);
+        let trace = assemble(&net, &stats.packets, Engine::Fast, 7, None, 0, &log);
         assert_eq!(trace.header.dropped, log.dropped());
         let parsed = Trace::parse(&trace.to_jsonl()).expect("parses fine — replay refuses");
         assert_eq!(

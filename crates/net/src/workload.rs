@@ -5,6 +5,10 @@
 //! generators are seeded, so a `(generator, seed)` pair always
 //! produces byte-identical traffic — the determinism property the
 //! test suite asserts end-to-end.
+//!
+//! A workload can also carry **phase barriers** ([`Workload::chain`]):
+//! phase `k + 1`'s rounds count from one round after the last packet
+//! of phase `k` resolves, a round only the run itself can tell.
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -23,12 +27,28 @@ pub struct Injection {
     pub dst: u64,
 }
 
-/// A named batch of injections, sorted by round.
+/// A named batch of injections, sorted by round, optionally followed
+/// by barrier phases (see [`Workload::chain`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Workload {
     name: String,
     n: usize,
     injections: Vec<Injection>,
+    /// The barrier phases, in packet order; empty for an ungated
+    /// workload. Packets before the first phase are ungated.
+    gates: Vec<Gate>,
+}
+
+/// One barrier phase: packet ids `start..end`, whose injection rounds
+/// count from the round the phase opens.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Gate {
+    pub(crate) start: u32,
+    pub(crate) end: u32,
+    /// `Some(t)`: the phase opens at round `t` (the head of a chain).
+    /// `None`: it opens one round after the last packet of the phase
+    /// before it resolves.
+    pub(crate) at: Option<u32>,
 }
 
 impl Workload {
@@ -48,6 +68,7 @@ impl Workload {
             name: name.to_string(),
             n,
             injections,
+            gates: Vec::new(),
         }
     }
 
@@ -215,37 +236,105 @@ impl Workload {
     /// workload, aligned with [`Workload::injections`]) is what
     /// [`crate::Network::run_partitioned`] attributes statistics by.
     ///
+    /// Barriers stay phase-local: a part's phases keep gating only
+    /// each other, its chain heads open at their rounds plus the
+    /// part's offset, and the ungated packets of every part never
+    /// wait on them. Packet ids run in this order: first the ungated
+    /// packets of all parts, merged as above, then each gated part's
+    /// phases in part order, phase by phase. Without barriers this is
+    /// the plain stable merge.
+    ///
     /// # Panics
     /// Panics if a part targets a different star order, or if a
     /// part's offset pushes one of its rounds past `u32::MAX`.
     #[must_use]
     pub fn compose(name: &str, n: usize, parts: &[(&Workload, u32)]) -> (Workload, Vec<u32>) {
+        let shift = |j: usize, round: u32, offset: u32| {
+            round.checked_add(offset).unwrap_or_else(|| {
+                panic!("part {j}: round {round} + offset {offset} overflows u32")
+            })
+        };
         let mut tagged: Vec<(Injection, u32)> = Vec::new();
         for (j, &(w, offset)) in parts.iter().enumerate() {
             assert_eq!(w.n(), n, "part {j} targets S_{} not S_{n}", w.n());
-            tagged.extend(w.injections().iter().map(|i| {
-                let round = i.round.checked_add(offset).unwrap_or_else(|| {
-                    panic!(
-                        "part {j}: round {} + offset {offset} overflows u32",
-                        i.round
-                    )
-                });
-                (
-                    Injection {
-                        round,
-                        src: i.src,
-                        dst: i.dst,
-                    },
-                    j as u32,
-                )
+            tagged.extend(w.injections[..w.lead()].iter().map(|i| {
+                let round = shift(j, i.round, offset);
+                (Injection { round, ..*i }, j as u32)
             }));
         }
         tagged.sort_by_key(|(i, _)| i.round);
-        let owner = tagged.iter().map(|&(_, j)| j).collect();
-        let injections = tagged.into_iter().map(|(i, _)| i).collect();
-        // Already round-sorted; the constructor's stable sort is a
-        // no-op, so the owner map stays aligned.
-        (Workload::from_injections(name, n, injections), owner)
+        let mut owner: Vec<u32> = tagged.iter().map(|&(_, j)| j).collect();
+        let mut injections: Vec<Injection> = tagged.into_iter().map(|(i, _)| i).collect();
+        let mut gates = Vec::new();
+        for (j, &(w, offset)) in parts.iter().enumerate() {
+            let (lead, base) = (w.lead() as u32, injections.len() as u32);
+            injections.extend_from_slice(&w.injections[lead as usize..]);
+            owner.resize(injections.len(), j as u32);
+            gates.extend(w.gates.iter().map(|g| Gate {
+                start: g.start - lead + base,
+                end: g.end - lead + base,
+                at: g.at.map(|t| shift(j, t, offset)),
+            }));
+        }
+        // Every part validated its ranks, and the ungated packets are
+        // already round-sorted.
+        let merged = Workload {
+            name: name.to_string(),
+            n,
+            injections,
+            gates,
+        };
+        (merged, owner)
+    }
+
+    /// Chains `phases` behind barriers, simulating nothing: phase `0`
+    /// injects from round 0, and phase `k + 1`'s rounds count from one
+    /// round after the last packet of phase `k` resolves (delivery or
+    /// drop). The network is then empty at every phase boundary, so a
+    /// run behaves, phase by phase, exactly like each phase run alone
+    /// and shifted in time — the temporal analogue of the spatial
+    /// isolation theorem. An empty phase still advances the clock by
+    /// one round.
+    ///
+    /// Packets are numbered phase by phase, and the owner map names
+    /// each packet's phase. A run records every packet's realized
+    /// injection round in [`crate::PacketRecord::inject_round`]; if a
+    /// phase never resolves (a credit deadlock, or the round cap),
+    /// the phases after it never open, and their packets end
+    /// [`crate::PacketOutcome::Stranded`] with the round the run gave
+    /// up as their injection round.
+    ///
+    /// # Panics
+    /// Panics if a phase targets a different star order or carries
+    /// barriers of its own.
+    #[must_use]
+    pub fn chain(name: &str, n: usize, phases: &[Workload]) -> ChainedWorkload {
+        let total = phases.iter().map(Workload::len).sum();
+        let mut injections = Vec::with_capacity(total);
+        let mut owner = Vec::with_capacity(total);
+        let mut gates = Vec::with_capacity(phases.len());
+        for (k, phase) in phases.iter().enumerate() {
+            assert_eq!(phase.n, n, "phase {k} targets S_{} not S_{n}", phase.n);
+            assert!(
+                phase.gates.is_empty(),
+                "phase {k} carries barriers of its own"
+            );
+            let start = injections.len() as u32;
+            injections.extend_from_slice(&phase.injections);
+            owner.resize(injections.len(), k as u32);
+            gates.push(Gate {
+                start,
+                end: injections.len() as u32,
+                at: (k == 0).then_some(0),
+            });
+        }
+        let workload = Workload {
+            name: name.to_string(),
+            n,
+            injections,
+            gates,
+        };
+        ChainedWorkload { workload, owner }
     }
 
     /// Workload name (used in tables and reports).
@@ -260,10 +349,24 @@ impl Workload {
         self.n
     }
 
-    /// The injections, sorted by round.
+    /// The injections: the ungated packets sorted by round, then each
+    /// barrier phase's packets sorted by their round relative to the
+    /// round the phase opens.
     #[must_use]
     pub fn injections(&self) -> &[Injection] {
         &self.injections
+    }
+
+    /// The barrier phases, in packet order.
+    pub(crate) fn gates(&self) -> &[Gate] {
+        &self.gates
+    }
+
+    /// Number of ungated packets (they come first).
+    pub(crate) fn lead(&self) -> usize {
+        self.gates
+            .first()
+            .map_or(self.injections.len(), |g| g.start as usize)
     }
 
     /// Number of packets.
@@ -280,28 +383,17 @@ impl Workload {
 }
 
 /// A multi-phase workload with inject-after-quiescence barriers,
-/// produced by [`crate::Network::chain_phases`].
-///
-/// Phase `k + 1`'s injections are scheduled strictly after the round
-/// in which phase `k`'s last packet resolves (delivery or drop), so
-/// at every phase boundary the network is completely empty. Running
-/// [`workload`](Self::workload) therefore behaves, phase by phase,
-/// exactly like running each phase alone — the temporal analogue of
-/// the spatial isolation theorem for confined tenants.
+/// produced by [`Workload::chain`]. Run [`workload`](Self::workload)
+/// like any other [`Workload`]: each phase opens one round after its
+/// predecessor's last packet resolves, so every phase's start and
+/// makespan are read from the run — a packet's realized injection
+/// round is its phase's start plus its round within the phase.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainedWorkload {
-    /// The composed workload: all phases merged, each shifted to its
-    /// start round. Run it like any other [`Workload`].
+    /// The chained workload: every phase, numbered phase by phase.
     pub workload: Workload,
-    /// Round at which each phase begins injecting. `phase_starts[0]`
-    /// is 0; `phase_starts[k + 1] = phase_starts[k] +
-    /// phase_makespans[k] + 1`.
-    pub phase_starts: Vec<u32>,
-    /// Makespan of each phase run in isolation on its own clock (the
-    /// round of its last packet resolution; 0 for an empty phase).
-    pub phase_makespans: Vec<u32>,
     /// Phase index of each packet of [`workload`](Self::workload), in
-    /// injection order — the owner map
+    /// packet order — the owner map
     /// [`crate::Network::run_partitioned`] expects, so per-phase
     /// statistics of the chained run can be split out directly.
     pub owner: Vec<u32>,
@@ -311,19 +403,7 @@ impl ChainedWorkload {
     /// Number of phases.
     #[must_use]
     pub fn phase_count(&self) -> usize {
-        self.phase_starts.len()
-    }
-
-    /// Total rounds the chain occupies: the round after the last
-    /// phase's final resolution (0 for an empty chain). Equals the
-    /// composed run's `makespan + 1` when the last phase is
-    /// non-empty.
-    #[must_use]
-    pub fn total_rounds(&self) -> u32 {
-        match (self.phase_starts.last(), self.phase_makespans.last()) {
-            (Some(s), Some(m)) => s + m + 1,
-            _ => 0,
-        }
+        self.workload.gates.len()
     }
 }
 

@@ -40,6 +40,19 @@ fn workloads(n: usize, seed: u64) -> Vec<Workload> {
         Workload::transpose(n),
         Workload::hot_spot(n, seed % 5, 60, seed),
         Workload::uniform_pairs(n, 64, seed),
+        // Phase barriers: each phase opens one round after the one
+        // before it resolves, the empty one included.
+        Workload::chain(
+            "chain",
+            n,
+            &[
+                Workload::dimension_sweep(n, 1, true),
+                Workload::random_permutation(n, seed),
+                Workload::from_injections("empty", n, Vec::new()),
+                Workload::uniform_pairs(n, 24, seed),
+            ],
+        )
+        .workload,
     ]
 }
 

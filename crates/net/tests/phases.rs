@@ -1,140 +1,183 @@
-//! Inject-after-quiescence phase chaining ([`Network::chain_phases`]).
+//! Phase barriers inside the engine ([`Workload::chain`]).
 //!
 //! The contract under test is the temporal analogue of the spatial
-//! isolation theorem: because phase `k + 1` injects strictly after
+//! isolation theorem: because phase `k + 1` opens one round after
 //! phase `k`'s last packet resolves, the network is empty at every
-//! phase boundary, so the composed run must behave per phase exactly
-//! like each phase run alone — byte-identical per-phase statistics
-//! after rebasing, on both engines, under tail-drop and credit-based
-//! flow control alike.
+//! phase boundary, so a barrier run must behave per phase exactly like
+//! each phase run alone — byte-identical per-phase statistics after
+//! rebasing to the phase's realized start, on both engines, under
+//! tail-drop and credit-based flow control alike. Nothing but the run
+//! knows the starts: each is read from the run's packet records (a
+//! packet's realized injection round minus its round within the
+//! phase).
 
+use sg_net::trace::{record, replay};
 use sg_net::{
-    Engine, FlowControl, GreedyRouting, NetConfig, Network, RoutingPolicy, TrafficStats, Workload,
+    ChainedWorkload, Engine, FlowControl, GreedyRouting, Injection, NetConfig, Network,
+    PacketOutcome, PacketRecord, RoutingPolicy, RunCounters, TrafficStats, Workload,
 };
-use sg_obs::NullProbe;
+use sg_obs::{DropReason, Event, EventLog, NullProbe};
+use sg_star::SubStar;
 
 /// A mixed bag of phases: contention-free sweep, random permutation,
 /// hot-spot burst, an *empty* phase (the barrier must still advance
-/// the clock), and scattered pairs.
+/// the clock), open-loop traffic spread over three rounds of its
+/// phase, and scattered pairs.
 fn phases(n: usize, seed: u64) -> Vec<Workload> {
     vec![
         Workload::dimension_sweep(n, 1, true),
         Workload::random_permutation(n, seed),
         Workload::hot_spot(n, seed % 3, 30, seed),
         Workload::from_injections("empty", n, Vec::new()),
+        Workload::bernoulli_uniform(n, 3, 20, seed),
         Workload::uniform_pairs(n, 40, seed ^ 0x5eed),
     ]
 }
 
-/// Phase starts are exactly `prev_start + prev_makespan + 1`, every
-/// packet of phase `k` injects at `start_k + local_round`, and no
-/// packet of phase `k` resolves at or after `start_{k+1}`.
-#[test]
-fn barriers_are_strict() {
-    for n in [4, 5] {
-        for seed in 0..4u64 {
-            let net = Network::new(n);
-            let ws = phases(n, seed);
-            let chained = net.chain_phases("chain", &ws, &GreedyRouting);
-            assert_eq!(chained.phase_count(), ws.len());
-            assert_eq!(chained.phase_starts[0], 0);
-            for k in 0..ws.len() {
-                if k + 1 < ws.len() {
-                    assert_eq!(
-                        chained.phase_starts[k + 1],
-                        chained.phase_starts[k] + chained.phase_makespans[k] + 1,
-                        "n={n} seed={seed} phase {k}"
-                    );
-                }
-                let isolated = if ws[k].injections().is_empty() {
-                    0
-                } else {
-                    net.run(&ws[k], &GreedyRouting).makespan
-                };
-                assert_eq!(chained.phase_makespans[k], isolated);
-            }
-
-            // Resolve the composed run and audit the barrier per packet.
-            let stats = net.run(&chained.workload, &GreedyRouting);
-            assert_eq!(stats.stranded, 0);
-            assert_eq!(stats.makespan + 1, chained.total_rounds());
-            assert_eq!(chained.owner.len(), stats.packets.len());
-            for (rec, &phase) in stats.packets.iter().zip(&chained.owner) {
-                let start = chained.phase_starts[phase as usize];
-                let end = start + chained.phase_makespans[phase as usize];
-                assert!(
-                    rec.inject_round >= start,
-                    "phase {phase} packet injected before its barrier"
-                );
-                let resolved = rec.outcome.resolution_round().expect("no stranded packets");
-                assert!(
-                    resolved <= end,
-                    "phase {phase} packet resolved at {resolved}, after its window end {end}"
-                );
-            }
-        }
+/// Each phase's realized start, read from the run: `None` for an
+/// empty phase, which has no packet to tell.
+fn realized_starts(chained: &ChainedWorkload, stats: &TrafficStats) -> Vec<Option<u32>> {
+    let mut starts = vec![None; chained.phase_count()];
+    let inj = chained.workload.injections();
+    for ((rec, i), &k) in stats.packets.iter().zip(inj).zip(&chained.owner) {
+        let start = rec.inject_round - i.round;
+        let slot = &mut starts[k as usize];
+        assert!(
+            slot.is_none_or(|s| s == start),
+            "phase {k}: packets disagree on its start"
+        );
+        *slot = Some(start);
     }
+    starts
 }
 
-/// The composed run, split per phase via the owner map and rebased
-/// onto each phase's own clock, is **byte-identical** to running each
-/// phase alone — `TrafficStats::eq` compares every counter, the full
-/// latency histogram, and every per-packet record.
-#[test]
-fn chained_phases_equal_isolated_runs() {
-    for n in [4, 5] {
-        for seed in 0..4u64 {
-            let net = Network::new(n);
-            let ws = phases(n, seed);
-            let chained = net.chain_phases("chain", &ws, &GreedyRouting);
-            let policies: Vec<Box<dyn RoutingPolicy>> =
-                ws.iter().map(|_| Box::new(GreedyRouting) as _).collect();
-            let refs: Vec<&dyn RoutingPolicy> = policies.iter().map(|p| p.as_ref()).collect();
-            let escape = vec![true; refs.len()];
-            let (_, per_phase) = net.run_partitioned(
-                &chained.workload,
-                &refs,
-                &chained.owner,
-                &escape,
-                &mut NullProbe,
+/// One greedy policy and one escape flag per phase.
+fn per_phase_run(net: &Network, chained: &ChainedWorkload) -> (TrafficStats, Vec<TrafficStats>) {
+    let refs: Vec<&dyn RoutingPolicy> = vec![&GreedyRouting; chained.phase_count()];
+    let escape = vec![true; refs.len()];
+    net.run_partitioned(
+        &chained.workload,
+        &refs,
+        &chained.owner,
+        &escape,
+        &mut NullProbe,
+    )
+}
+
+/// The records of phase `k`'s packets, rebased to its start.
+fn phase_records(stats: &TrafficStats, owner: &[u32], k: usize, start: u32) -> Vec<PacketRecord> {
+    let mine: Vec<PacketRecord> = stats
+        .packets
+        .iter()
+        .zip(owner)
+        .filter(|&(_, &o)| o as usize == k)
+        .map(|(r, _)| *r)
+        .collect();
+    TrafficStats::from_records(stats.n, mine, RunCounters::default())
+        .rebased(start)
+        .packets
+}
+
+/// The whole theorem on one network: per-phase stats rebased to the
+/// realized starts equal the isolated runs (fast engine, fully
+/// attributed; reference engine, per-packet records), the starts obey
+/// `start_{k+1} = start_k + makespan_k + 1` with the isolated
+/// makespans, and the barrier run equals, byte for byte on each
+/// engine, the ungated compose of its phases at those starts.
+fn assert_barrier_theorem(net: &Network, ws: &[Workload], context: &str) {
+    let n = net.n();
+    let chained = Workload::chain("chain", n, ws);
+    assert_eq!(chained.phase_count(), ws.len());
+    let fast = net.run_with(&chained.workload, &GreedyRouting, Engine::Fast);
+    let reference = net.run_with(&chained.workload, &GreedyRouting, Engine::Reference);
+    assert_eq!(fast, reference, "{context}: engines disagree");
+    assert_eq!(fast.stranded, 0, "{context}");
+
+    let starts = realized_starts(&chained, &fast);
+    let mut expect = 0u32;
+    let mut at = Vec::with_capacity(ws.len());
+    for (k, w) in ws.iter().enumerate() {
+        if let Some(s) = starts[k] {
+            assert_eq!(
+                s, expect,
+                "{context}: phase {k} opened at {s}, not {expect}"
             );
-            assert_eq!(per_phase.len(), ws.len());
-            for (k, w) in ws.iter().enumerate() {
-                let rebased = per_phase[k].rebased(chained.phase_starts[k]);
-                let isolated = net.run(w, &GreedyRouting);
-                assert_eq!(
-                    rebased, isolated,
-                    "n={n} seed={seed} phase {k} diverges from its isolated run"
+        }
+        at.push(expect);
+        let makespan = if w.is_empty() {
+            0
+        } else {
+            net.run(w, &GreedyRouting).makespan
+        };
+        expect += makespan + 1;
+    }
+    assert_eq!(
+        fast.makespan + 1,
+        expect,
+        "{context}: the last phase ends the run"
+    );
+
+    let (total, per_phase) = per_phase_run(net, &chained);
+    assert_eq!(total, fast, "{context}: attribution is free");
+    for (k, w) in ws.iter().enumerate() {
+        for engine in [Engine::Fast, Engine::Reference] {
+            let alone = net.run_with(w, &GreedyRouting, engine);
+            let run = if engine == Engine::Fast {
+                &fast
+            } else {
+                &reference
+            };
+            assert_eq!(
+                phase_records(run, &chained.owner, k, at[k]),
+                alone.packets,
+                "{context} {engine:?}: phase {k} records diverge from its isolated run"
+            );
+        }
+        assert_eq!(
+            per_phase[k].rebased(at[k]),
+            net.run(w, &GreedyRouting),
+            "{context}: phase {k} diverges from its isolated run"
+        );
+    }
+
+    let parts: Vec<(&Workload, u32)> = ws.iter().zip(at.iter().copied()).collect();
+    let (ungated, owner) = Workload::compose("ungated", n, &parts);
+    assert_eq!(owner, chained.owner, "{context}: same packets, same order");
+    for (engine, barrier) in [(Engine::Fast, &fast), (Engine::Reference, &reference)] {
+        assert_eq!(
+            &net.run_with(&ungated, &GreedyRouting, engine),
+            barrier,
+            "{context} {engine:?}: barrier run differs from the ungated compose"
+        );
+    }
+}
+
+/// The temporal-isolation theorem under tail-drop flow control, with
+/// unbounded and with tight (dropping) queues.
+#[test]
+fn barrier_runs_equal_isolated_phases_under_tail_drop() {
+    for n in [4, 5] {
+        for seed in 0..4u64 {
+            for cap in [None, Some(1)] {
+                let config = NetConfig {
+                    queue_capacity: cap,
+                    ..NetConfig::default()
+                };
+                let net = Network::new(n).with_config(config);
+                assert_barrier_theorem(
+                    &net,
+                    &phases(n, seed),
+                    &format!("n={n} seed={seed} cap={cap:?}"),
                 );
             }
         }
     }
 }
 
-/// Both engines agree byte-for-byte on the chained workload — the
-/// barrier structure (long idle gaps between phases) is exactly what
-/// the fast engine's idle-round skipping accelerates, so this pins it
-/// against the reference oracle.
+/// The same theorem under credit-based flow control: the barrier
+/// keeps every phase's credit pressure from leaking into the next.
 #[test]
-fn engines_agree_on_chained_workloads() {
-    for n in [4, 5] {
-        for seed in 0..4u64 {
-            let net = Network::new(n);
-            let chained = net.chain_phases("chain", &phases(n, seed), &GreedyRouting);
-            let fast = net.run_with(&chained.workload, &GreedyRouting, Engine::Fast);
-            let reference = net.run_with(&chained.workload, &GreedyRouting, Engine::Reference);
-            assert_eq!(fast, reference, "n={n} seed={seed}");
-            assert_eq!(fast.delivered, fast.injected);
-        }
-    }
-}
-
-/// Chaining under credit-based flow control: quiescence is judged
-/// under the same configuration the chain will run under, the barrier
-/// keeps every phase's credit pressure from leaking into the next,
-/// and both engines still agree.
-#[test]
-fn credit_based_chains_stay_isolated() {
+fn barrier_runs_equal_isolated_phases_under_credit() {
     let n = 4;
     let config = NetConfig {
         queue_capacity: Some(2),
@@ -146,46 +189,210 @@ fn credit_based_chains_stay_isolated() {
         let ws = vec![
             Workload::uniform_pairs(n, 48, seed),
             Workload::random_permutation(n, seed),
+            Workload::from_injections("empty", n, Vec::new()),
             Workload::uniform_pairs(n, 48, seed ^ 1),
         ];
-        let chained = net.chain_phases("credit-chain", &ws, &GreedyRouting);
-        let fast = net.run_with(&chained.workload, &GreedyRouting, Engine::Fast);
-        let reference = net.run_with(&chained.workload, &GreedyRouting, Engine::Reference);
-        assert_eq!(fast, reference, "seed={seed}");
-        assert_eq!(fast.stranded, 0);
-
-        let policies: Vec<Box<dyn RoutingPolicy>> =
-            ws.iter().map(|_| Box::new(GreedyRouting) as _).collect();
-        let refs: Vec<&dyn RoutingPolicy> = policies.iter().map(|p| p.as_ref()).collect();
-        let escape = vec![true; refs.len()];
-        let (_, per_phase) = net.run_partitioned(
-            &chained.workload,
-            &refs,
-            &chained.owner,
-            &escape,
-            &mut NullProbe,
-        );
-        for (k, w) in ws.iter().enumerate() {
-            let rebased: TrafficStats = per_phase[k].rebased(chained.phase_starts[k]);
-            assert_eq!(rebased, net.run(w, &GreedyRouting), "seed={seed} phase {k}");
-        }
+        assert_barrier_theorem(&net, &ws, &format!("credit seed={seed}"));
     }
 }
 
-/// Shifting every phase by its start on its own (a one-part
-/// `Workload::compose`) and merging by hand reproduces the chained
-/// workload.
+/// Leading and back-to-back empty phases each cost one round, and a
+/// chain of nothing but empty phases is an empty run.
 #[test]
-fn shifted_reconstruction_matches() {
+fn empty_phases_advance_the_clock_one_round_each() {
     let n = 4;
     let net = Network::new(n);
-    let ws = phases(n, 7);
-    let chained = net.chain_phases("chain", &ws, &GreedyRouting);
-    let mut manual: Vec<sg_net::Injection> = Vec::new();
-    for (w, &start) in ws.iter().zip(&chained.phase_starts) {
-        let (shifted, _) = Workload::compose("phase", n, &[(w, start)]);
-        manual.extend(shifted.injections().iter().copied());
+    let empty = || Workload::from_injections("empty", n, Vec::new());
+    let pairs = Workload::uniform_pairs(n, 5, 3);
+    let chained = Workload::chain(
+        "gaps",
+        n,
+        &[empty(), empty(), pairs.clone(), empty(), pairs],
+    );
+    let stats = net.run(&chained.workload, &GreedyRouting);
+    let starts = realized_starts(&chained, &stats);
+    assert_eq!(starts[2], Some(2));
+    let first = net
+        .run(&Workload::uniform_pairs(n, 5, 3), &GreedyRouting)
+        .makespan;
+    assert_eq!(starts[4], Some(2 + first + 2));
+
+    let nothing = Workload::chain("nothing", n, &[empty(), empty()]);
+    assert_eq!(nothing.phase_count(), 2);
+    assert_eq!(net.run(&nothing.workload, &GreedyRouting).injected, 0);
+}
+
+/// A phase that strands: `n = 4` at a one-slot credit pool under
+/// sustained full-rate traffic wedges (the `tests/deadlock.rs` sweep),
+/// and one more phase waits behind it. The run reaches an outcome on
+/// both engines without a panic; the successor never opens, so its
+/// packets are `Stranded` with the round the run gave up (the round of
+/// the strand events) as their injection round; and the trace round
+/// trip reproduces all of it.
+#[test]
+fn a_phase_that_strands_strands_its_successors() {
+    let n = 4;
+    let net = Network::new(n).with_config(NetConfig {
+        queue_capacity: Some(1),
+        flow_control: FlowControl::CreditBased,
+        ..NetConfig::default()
+    });
+    let wedge = Workload::bernoulli_uniform(n, 40, 100, 1);
+    assert!(
+        net.run(&wedge, &GreedyRouting).stranded > 0,
+        "the first phase must wedge"
+    );
+    let after = Workload::uniform_pairs(n, 12, 5);
+    let chained = Workload::chain("wedged", n, &[wedge.clone(), after.clone()]);
+    for engine in [Engine::Fast, Engine::Reference] {
+        let mut log = EventLog::new();
+        let stats = net.run_probed(&chained.workload, &GreedyRouting, engine, &mut log);
+        let gave_up = log
+            .events()
+            .iter()
+            .find_map(|ev| match *ev {
+                Event::Dropped {
+                    round,
+                    reason: DropReason::Stranded,
+                    ..
+                } => Some(round),
+                _ => None,
+            })
+            .expect("the run strands");
+        let successor = &stats.packets[wedge.len()..];
+        assert_eq!(successor.len(), after.len());
+        for (rec, i) in successor.iter().zip(after.injections()) {
+            assert_eq!(rec.outcome, PacketOutcome::Stranded, "{engine:?}");
+            assert_eq!(rec.inject_round, gave_up, "{engine:?}");
+            assert_eq!((rec.src, rec.dst), (i.src, i.dst));
+        }
+        assert!(stats.stranded > after.len() as u64);
+
+        let (live, trace) = record(&net, &chained.workload, &GreedyRouting, engine, 1);
+        assert_eq!(live, stats);
+        let replayed = replay(&trace).expect("a stranded barrier run replays");
+        assert_eq!(replayed.total, stats, "{engine:?}: replay diverged");
     }
-    manual.sort_by_key(|i| i.round);
-    assert_eq!(manual, chained.workload.injections());
+    assert_eq!(
+        net.run_with(&chained.workload, &GreedyRouting, Engine::Fast),
+        net.run_with(&chained.workload, &GreedyRouting, Engine::Reference)
+    );
+}
+
+/// The round cap gives up too: phases that have not opened by then
+/// strand at the cap round, and a phase that opened keeps its start.
+#[test]
+fn the_round_cap_strands_unopened_phases_at_the_cap() {
+    let n = 4;
+    let max_rounds = 6;
+    let net = Network::new(n).with_config(NetConfig {
+        max_rounds,
+        ..NetConfig::default()
+    });
+    let ws = [
+        Workload::uniform_pairs(n, 4, 1),
+        Workload::bernoulli_uniform(n, 40, 50, 2),
+        Workload::uniform_pairs(n, 4, 3),
+    ];
+    let chained = Workload::chain("capped", n, &ws);
+    let fast = net.run_with(&chained.workload, &GreedyRouting, Engine::Fast);
+    assert_eq!(
+        fast,
+        net.run_with(&chained.workload, &GreedyRouting, Engine::Reference)
+    );
+    let first = Network::new(n).run(&ws[0], &GreedyRouting).makespan;
+    let opened = first + 1;
+    assert!(opened < max_rounds, "phase 1 must open before the cap");
+    let p1 = &fast.packets[ws[0].len()..ws[0].len() + ws[1].len()];
+    for (rec, i) in p1.iter().zip(ws[1].injections()) {
+        assert_eq!(rec.inject_round, opened + i.round);
+    }
+    for rec in &fast.packets[ws[0].len() + ws[1].len()..] {
+        assert_eq!(rec.outcome, PacketOutcome::Stranded);
+        assert_eq!(rec.inject_round, max_rounds);
+    }
+}
+
+/// `traffic` confined to `sub`: each PE of the local `S_m` relabeled
+/// to its global rank.
+fn lifted(sub: &SubStar, traffic: &Workload) -> Workload {
+    let map = sub.node_ranks();
+    let injections = traffic
+        .injections()
+        .iter()
+        .map(|i| Injection {
+            round: i.round,
+            src: map[i.src as usize],
+            dst: map[i.dst as usize],
+        })
+        .collect();
+    Workload::from_injections(traffic.name(), sub.n(), injections)
+}
+
+/// A chained part composed with an ungated tenant on a disjoint
+/// sub-star opens its phases exactly as when it runs alone: the
+/// barrier is phase-local, so the tenant's ongoing traffic never holds
+/// a phase back. The composed packet order is pinned: every ungated
+/// packet first, then the chained part's phases.
+#[test]
+fn barriers_are_phase_local_under_compose() {
+    let n = 5;
+    let net = Network::new(n);
+    let (a, b) = (SubStar::new(n, vec![0]), SubStar::new(n, vec![1]));
+    for seed in 0..3u64 {
+        let chain_phases: Vec<Workload> = [
+            Workload::random_permutation(4, seed),
+            Workload::dimension_sweep(4, 2, true),
+            Workload::hot_spot(4, 3, 50, seed),
+        ]
+        .iter()
+        .map(|w| lifted(&a, w))
+        .collect();
+        let chained = Workload::chain("chain", n, &chain_phases);
+        let tenant = lifted(&b, &Workload::bernoulli_uniform(4, 30, 60, seed));
+        let offset = 3;
+        let (merged, owner) =
+            Workload::compose("mixed", n, &[(&chained.workload, offset), (&tenant, 0)]);
+        let pinned: Vec<u32> = std::iter::repeat_n(1, tenant.len())
+            .chain(std::iter::repeat_n(0, chained.workload.len()))
+            .collect();
+        assert_eq!(owner, pinned, "ungated packets first, then the chain");
+        assert_eq!(&merged.injections()[..tenant.len()], tenant.injections());
+
+        let policies: [&dyn RoutingPolicy; 2] = [&GreedyRouting; 2];
+        let (total, jobs) =
+            net.run_partitioned(&merged, &policies, &owner, &[true; 2], &mut NullProbe);
+        assert_eq!(
+            total,
+            net.run_with(&merged, &GreedyRouting, Engine::Reference),
+            "seed={seed}: engines disagree on the mixed compose"
+        );
+        let alone = net.run(&chained.workload, &GreedyRouting);
+        assert_eq!(
+            jobs[0].rebased(offset),
+            alone,
+            "seed={seed}: the chain was held back"
+        );
+        assert_eq!(jobs[1], net.run(&tenant, &GreedyRouting), "seed={seed}");
+        // The tenant is still injecting when the chain's phases open.
+        let starts = realized_starts(&chained, &alone);
+        assert!(starts.iter().flatten().any(|&s| s + offset < 30));
+    }
+}
+
+/// The lone chain numbers its packets phase by phase, and its owner
+/// map names each packet's phase.
+#[test]
+fn a_chain_numbers_its_packets_phase_by_phase() {
+    let n = 4;
+    let ws = phases(n, 7);
+    let chained = Workload::chain("chain", n, &ws);
+    let mut want: Vec<Injection> = Vec::new();
+    let mut owner = Vec::new();
+    for (k, w) in ws.iter().enumerate() {
+        want.extend_from_slice(w.injections());
+        owner.extend(std::iter::repeat_n(k as u32, w.len()));
+    }
+    assert_eq!(chained.workload.injections(), &want[..]);
+    assert_eq!(chained.owner, owner);
 }

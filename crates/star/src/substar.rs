@@ -90,11 +90,17 @@ pub fn lift_from_substar(q: &Perm, fixed: u8) -> Perm {
 /// [`SubStar::project`]/[`SubStar::lift`] are graph isomorphisms onto
 /// `S_m` that commute with those generators — the structural fact
 /// behind tenant isolation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// The suffix is stored inline, so building, cloning and descending
+/// sub-stars never touches the heap.
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct SubStar {
     n: usize,
-    /// `fixed[i]` = symbol pinned in slot `n−1−i`.
-    fixed: Vec<u8>,
+    /// `fixed[i]` = symbol pinned in slot `n−1−i`, for `i < len`; the
+    /// rest stays zero, so the derived equality and hash see only the
+    /// suffix.
+    fixed: [u8; MAX_N],
+    len: usize,
 }
 
 impl SubStar {
@@ -107,7 +113,8 @@ impl SubStar {
         assert!(n >= 2, "S_n needs n >= 2");
         SubStar {
             n,
-            fixed: Vec::new(),
+            fixed: [0; MAX_N],
+            len: 0,
         }
     }
 
@@ -119,19 +126,30 @@ impl SubStar {
     /// leaves order `< 1`.
     #[must_use]
     pub fn new(n: usize, fixed: Vec<u8>) -> Self {
+        Self::from_suffix(n, &fixed)
+    }
+
+    /// [`SubStar::new`] from a borrowed suffix.
+    fn from_suffix(n: usize, suffix: &[u8]) -> Self {
         assert!(n >= 2, "S_n needs n >= 2");
         assert!(
-            fixed.len() < n,
+            suffix.len() < n,
             "fixing {} slots of S_{n} leaves no star",
-            fixed.len()
+            suffix.len()
         );
-        let mut seen = vec![false; n];
-        for &s in &fixed {
+        let mut seen = 0u32;
+        for &s in suffix {
             assert!((s as usize) < n, "symbol {s} out of range for S_{n}");
-            assert!(!seen[s as usize], "symbol {s} fixed twice");
-            seen[s as usize] = true;
+            assert!(seen >> s & 1 == 0, "symbol {s} fixed twice");
+            seen |= 1 << s;
         }
-        SubStar { n, fixed }
+        let mut fixed = [0; MAX_N];
+        fixed[..suffix.len()].copy_from_slice(suffix);
+        SubStar {
+            n,
+            fixed,
+            len: suffix.len(),
+        }
     }
 
     /// Host star order `n`.
@@ -143,7 +161,7 @@ impl SubStar {
     /// Order `m` of the sub-star (`n −` fixed slots).
     #[must_use]
     pub fn order(&self) -> usize {
-        self.n - self.fixed.len()
+        self.n - self.len
     }
 
     /// Nodes in the sub-star (`order()!`).
@@ -155,7 +173,7 @@ impl SubStar {
     /// The fixed suffix, outermost slot first.
     #[must_use]
     pub fn fixed_suffix(&self) -> &[u8] {
-        &self.fixed
+        &self.fixed[..self.len]
     }
 
     /// Symbols still free inside the sub-star, ascending. The local
@@ -168,7 +186,7 @@ impl SubStar {
 
     /// Bitmask of the fixed symbols.
     fn pinned(&self) -> u32 {
-        self.fixed.iter().fold(0, |mask, &s| mask | 1 << s)
+        self.fixed_suffix().iter().fold(0, |mask, &s| mask | 1 << s)
     }
 
     /// [`SubStar::free_symbols`] on the stack: the first `order()`
@@ -191,18 +209,18 @@ impl SubStar {
     #[must_use]
     pub fn child(&self, symbol: u8) -> Self {
         assert!(self.order() >= 2, "an S_1 sub-star has no children");
-        let mut fixed = self.fixed.clone();
-        fixed.push(symbol);
-        SubStar::new(self.n, fixed)
+        let mut suffix = self.fixed;
+        suffix[self.len] = symbol;
+        Self::from_suffix(self.n, &suffix[..=self.len])
     }
 
     /// All `order()` children (one per free symbol, ascending) — the
     /// canonical split of the allocation tree.
     #[must_use]
     pub fn children(&self) -> Vec<Self> {
-        self.free_symbols()
-            .into_iter()
-            .map(|s| self.child(s))
+        self.free_array()[..self.order()]
+            .iter()
+            .map(|&s| self.child(s))
             .collect()
     }
 
@@ -213,7 +231,7 @@ impl SubStar {
     #[must_use]
     pub fn contains(&self, p: &Perm) -> bool {
         assert_eq!(p.len(), self.n, "node of the wrong star order");
-        self.fixed
+        self.fixed_suffix()
             .iter()
             .enumerate()
             .all(|(i, &s)| p.symbol_at(self.n - 1 - i) == s)
@@ -242,7 +260,7 @@ impl SubStar {
         for (slot, &v) in out.iter_mut().zip(q.as_slice()) {
             *slot = free[v as usize];
         }
-        for (i, &s) in self.fixed.iter().enumerate() {
+        for (i, &s) in self.fixed_suffix().iter().enumerate() {
             out[self.n - 1 - i] = s;
         }
         Perm::from_slice(&out[..self.n]).expect("lift is a valid permutation")
@@ -300,8 +318,8 @@ impl SubStar {
     #[must_use]
     pub fn contains_substar(&self, other: &Self) -> bool {
         self.n == other.n
-            && other.fixed.len() >= self.fixed.len()
-            && other.fixed[..self.fixed.len()] == self.fixed[..]
+            && other.len >= self.len
+            && other.fixed[..self.len] == *self.fixed_suffix()
     }
 
     /// `true` iff the two sub-stars share no node. Two fixed-suffix
@@ -313,15 +331,25 @@ impl SubStar {
     #[must_use]
     pub fn is_disjoint(&self, other: &Self) -> bool {
         assert_eq!(self.n, other.n, "sub-stars of different hosts");
-        let k = self.fixed.len().min(other.fixed.len());
+        let k = self.len.min(other.len);
         self.fixed[..k] != other.fixed[..k]
+    }
+}
+
+/// Prints the fields a `Vec` suffix would: `SubStar { n, fixed }`.
+impl std::fmt::Debug for SubStar {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SubStar")
+            .field("n", &self.n)
+            .field("fixed", &self.fixed_suffix())
+            .finish()
     }
 }
 
 impl std::fmt::Display for SubStar {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "S_{}[", self.order())?;
-        for (i, s) in self.fixed.iter().enumerate() {
+        for (i, s) in self.fixed_suffix().iter().enumerate() {
             if i > 0 {
                 write!(f, " ")?;
             }
@@ -339,19 +367,20 @@ impl std::fmt::Display for SubStar {
 #[must_use]
 pub fn substars_of_order(n: usize, m: usize) -> Vec<SubStar> {
     assert!(m >= 1 && m <= n, "order out of range");
-    let mut out = Vec::new();
-    let mut stack = vec![SubStar::whole(n)];
-    while let Some(sub) = stack.pop() {
-        if sub.order() == m {
-            out.push(sub);
-        } else {
-            // Reverse so the ascending-symbol child pops first.
-            let mut kids = sub.children();
-            kids.reverse();
-            stack.extend(kids);
-        }
-    }
+    let mut out = Vec::with_capacity((factorial(n) / factorial(m)) as usize);
+    descend(SubStar::whole(n), m, &mut out);
     out
+}
+
+/// Appends every order-`m` sub-star below `sub` in DFS order.
+fn descend(sub: SubStar, m: usize, out: &mut Vec<SubStar>) {
+    if sub.order() == m {
+        out.push(sub);
+        return;
+    }
+    for &s in &sub.free_array()[..sub.order()] {
+        descend(sub.child(s), m, out);
+    }
 }
 
 #[cfg(test)]

@@ -5,14 +5,25 @@ Checks PARENT and CHANGE out into a temporary directory (git worktree
 add --detach), then for every workload and seed runs the command in
 BENCHMARK.json once in each checkout, untraced and for the manifest's
 run_seconds, alternating which side goes first from seed to seed.
-Prints each side's provenance line and, per workload, a markdown table
-of every end-to-end metric: both sides' median and quartiles, the
-change/parent ratio of the medians, the number of pairs in which the
-change was better (in the direction the manifest declares; ties count
-for neither side) and whether the medians differ by more than the
-parent's interquartile range. Exits 1 if a pair's output digests
-differ, a run is not correct or a call failed. The checkouts are
-removed on exit.
+Prints one line per finished pair as it completes (workload, seed,
+each side's wall_s, whether the digests are equal), flushed, so a
+redirected log fills during the run. Then prints each side's
+provenance line and, per workload, a markdown table of every
+end-to-end metric: both sides' median and quartiles, the change/parent
+ratio of the medians, the interval from the 2nd-smallest to the
+2nd-largest paired change/parent ratio, the number of pairs in which
+the change was better (in the direction the manifest declares; ties
+count for neither side) and whether the medians differ by more than
+the parent's interquartile range.
+
+The interval is distribution-free: the median of the paired ratios
+lies between the 2nd-smallest and the 2nd-largest of n pairs with
+probability 1 - (n + 1) / 2^(n - 1), which is 97.9 % for 10 pairs. For
+a lower-is-better metric its upper end is below 1 exactly when the
+change is better in all but at most one pair.
+
+Exits 1 if a pair's output digests differ, a run is not correct or a
+call failed. The checkouts are removed on exit.
 
 The revisions may be any committed git revision; the checkouts go
 under $TMPDIR:
@@ -43,6 +54,19 @@ def git(*args):
 def quartiles(vals):
     q1, med, q3 = statistics.quantiles(vals, n=4)
     return med, q1, q3
+
+
+def ratio_interval(parent, change):
+    """2nd-smallest to 2nd-largest paired change/parent ratio, or None."""
+    if len(parent) < 4 or not all(parent):
+        return None
+    ratios = sorted(c / p for p, c in zip(parent, change))
+    return ratios[1], ratios[-2]
+
+
+def coverage(pairs):
+    """Probability that the interval above holds the median ratio."""
+    return 1 - (pairs + 1) / 2 ** (pairs - 1)
 
 
 def main():
@@ -96,24 +120,31 @@ def compare(manifest, sides, workloads, seeds):
                     ok = False
                 for name, m in result["metrics"].items():
                     values[side].setdefault(name, []).append(m["value"])
-            if digests["parent"] != digests["change"]:
+            same = digests["parent"] == digests["change"]
+            if not same:
                 print(f"{workload} seed {seed}: digests differ {digests}")
                 ok = False
+            walls = " ".join(f"{side} {values[side]['wall_s'][-1]:.6g}" for side in sides)
+            print(f"pair {k + 1}/{len(seeds)}: {workload} seed {seed}: wall_s {walls}; "
+                  f"digests {'equal' if same else 'DIFFER'}", flush=True)
         print(f"\n== {workload}: {len(seeds)} pairs, seeds {seeds}, {seconds} s\n")
-        print("| metric | parent median [q1, q3] | change median [q1, q3] "
-              "| change/parent | change better | beyond parent IQR |")
-        print("|---|---|---|---|---|---|")
+        print("| metric | parent median [q1, q3] | change median [q1, q3] | change/parent "
+              f"| paired ratio, {coverage(len(seeds)):.1%} interval "
+              "| change better | beyond parent IQR |")
+        print("|---|---|---|---|---|---|---|")
         for name, direction in better.items():
             p, c = values["parent"][name], values["change"][name]
             (pm, p1, p3), (cm, c1, c3) = quartiles(p), quartiles(c)
             wins = sum((b < a) if direction == "lower" else (b > a) for a, b in zip(p, c))
             ratio = f"{cm / pm:.3f}" if pm else "-"
+            interval = ratio_interval(p, c)
+            interval = f"[{interval[0]:.3f}, {interval[1]:.3f}]" if interval else "-"
             beyond = "yes" if abs(cm - pm) > p3 - p1 else "no"
             print(f"| `{name}` | {pm:.6g} [{p1:.6g}, {p3:.6g}] | {cm:.6g} [{c1:.6g}, {c3:.6g}] "
-                  f"| {ratio} | {wins}/{len(seeds)} | {beyond} |")
+                  f"| {ratio} | {interval} | {wins}/{len(seeds)} | {beyond} |", flush=True)
     print()
     for side, prov in provenance.items():
-        print(f"{side}: {json.dumps(prov)}")
+        print(f"{side}: {json.dumps(prov)}", flush=True)
     return ok
 
 
