@@ -2,27 +2,32 @@
 //!
 //! ```sh
 //! cargo run --release -p sg-bench --bin trace -- record /tmp/s6.jsonl --n 6 --seed 7
+//! cargo run --release -p sg-bench --bin trace -- record /tmp/ar6.jsonl --allreduce --n 6
 //! cargo run --release -p sg-bench --bin trace -- replay /tmp/s6.jsonl
 //! cargo run --release -p sg-bench --bin trace -- stats /tmp/s6.jsonl
 //! cargo run --release -p sg-bench --bin trace -- diff /tmp/a.jsonl /tmp/b.jsonl --context 3
 //! ```
 //!
-//! `replay` reconstructs the run's statistics and dashboards from the
-//! log alone — byte-identical to what the live run reported. `diff`
-//! exits 1 when the two logs diverge (localizing the first diverging
-//! round and event) and 0 when they are identical, so it slots into
-//! CI scripts directly.
+//! `record` records a random-permutation run, or with `--allreduce`
+//! the lattice allreduce compiled on `S_n` (`n ≤ 6`) as a partitioned
+//! trace whose owners are its phases (fast engine only), and replays
+//! the log it wrote before writing it. `replay` reconstructs the run's
+//! statistics and dashboards from the log alone — byte-identical to
+//! what the live run reported. `diff` exits 1 when the two logs
+//! diverge (localizing the first diverging round and event) and 0 when
+//! they are identical, so it slots into CI scripts directly.
 
 use sg_bench::parse_flag;
-use sg_net::trace::{record, replay};
-use sg_net::{Engine, GreedyRouting, Network, TrafficStats, Workload, MAX_ORDER};
+use sg_coll::allreduce_lattice;
+use sg_net::trace::{record, record_partitioned, replay, replay_jsonl};
+use sg_net::{Engine, GreedyRouting, Network, RoutingPolicy, TrafficStats, Workload, MAX_ORDER};
 use sg_obs::{diff_events, NetProbe, Probe, Trace};
 use sg_perm::factorial::factorial;
 
 fn usage() -> ! {
     eprintln!(
         "usage:\n  \
-         trace record <path> [--n N] [--seed S] [--reference]\n  \
+         trace record <path> [--n N] [--seed S] [--reference | --allreduce]\n  \
          trace replay <path> [--top K]\n  \
          trace stats <path>\n  \
          trace diff <a> <b> [--context K]"
@@ -57,30 +62,70 @@ fn summary(tag: &str, s: &TrafficStats) {
     );
 }
 
+/// Largest order `--allreduce` records: the `allreduce-s6`
+/// benchmark's. At `S_7` the log would run to millions of events.
+const ALLREDUCE_MAX_ORDER: usize = 6;
+
 fn cmd_record(args: &[String]) {
     let path = args.first().unwrap_or_else(|| usage());
-    let n = parse_flag("trace record", args, "--n", 5, 2..=MAX_ORDER);
+    let allreduce = args.iter().any(|a| a == "--allreduce");
+    let reference = args.iter().any(|a| a == "--reference");
+    let max_n = if allreduce {
+        ALLREDUCE_MAX_ORDER
+    } else {
+        MAX_ORDER
+    };
+    let n = parse_flag("trace record", args, "--n", 5, 2..=max_n);
     let seed = parse_flag("trace record", args, "--seed", 7, 0..=u64::MAX);
-    let engine = if args.iter().any(|a| a == "--reference") {
+    if allreduce && reference {
+        eprintln!(
+            "usage: trace record <path> --allreduce [--n N] [--seed S]  \
+             (the partitioned recorder runs the fast engine only; drop --reference)"
+        );
+        std::process::exit(2);
+    }
+    let engine = if reference {
         Engine::Reference
     } else {
         Engine::Fast
     };
     let net = Network::new(n);
-    let w = Workload::random_permutation(n, seed);
-    let (live, trace) = record(&net, &w, &GreedyRouting, engine, seed);
+    let (live, per_phase, trace, what) = if allreduce {
+        // One owner per phase: the replay splits the run per phase.
+        let chained = allreduce_lattice(n).compile(&net, &GreedyRouting);
+        let policies: Vec<&dyn RoutingPolicy> = vec![&GreedyRouting; chained.phase_count()];
+        let escape = vec![false; policies.len()];
+        let (live, per_phase, trace) = record_partitioned(
+            &net,
+            &chained.workload,
+            &policies,
+            &chained.owner,
+            &escape,
+            seed,
+        );
+        let what = format!("allreduce run ({} phases as owners)", policies.len());
+        (live, per_phase, trace, what)
+    } else {
+        let w = Workload::random_permutation(n, seed);
+        let (live, trace) = record(&net, &w, &GreedyRouting, engine, seed);
+        (live, Vec::new(), trace, "permutation run".to_string())
+    };
     let text = trace.to_jsonl();
     // Self-check before writing: the file we emit must replay to the
-    // exact statistics the live run produced.
-    let back = sg_net::trace::replay_jsonl(&text)
-        .unwrap_or_else(|e| die(&format!("self-check replay failed: {e}")));
+    // exact statistics the live run produced, per phase included.
+    let back =
+        replay_jsonl(&text).unwrap_or_else(|e| die(&format!("self-check replay failed: {e}")));
     assert_eq!(
         back.total, live,
         "self-check: replayed stats diverge from live run"
     );
+    assert_eq!(
+        back.per_job, per_phase,
+        "self-check: replayed per-phase stats diverge from live run"
+    );
     std::fs::write(path, &text).unwrap_or_else(|e| die(&format!("{path}: {e}")));
     println!(
-        "recorded S_{n} permutation run ({}) to {path}: {} packets, {} events, replay self-check ok",
+        "recorded S_{n} {what} ({}) to {path}: {} packets, {} events, replay self-check ok",
         trace.header.engine, trace.header.packets, trace.header.events
     );
     summary("live", &live);

@@ -95,3 +95,39 @@ fn trace_replay_and_diff_refuse_a_bad_count() {
     let out = run("trace", &["diff", &path, &path, "--context", "0"]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
 }
+
+#[test]
+fn trace_record_allreduce_replays_per_phase() {
+    let path = temp_path("trace-allreduce-s3.jsonl");
+    let out = run("trace", &["record", &path, "--allreduce", "--n", "3"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("allreduce run (6 phases as owners)"),
+        "{stdout}"
+    );
+    let out = run("trace", &["stats", &path]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("jobs 6"), "{stdout}");
+    assert_eq!(stdout.matches("  job ").count(), 6, "{stdout}");
+}
+
+#[test]
+fn trace_record_allreduce_refuses_the_reference_engine_and_large_orders() {
+    let path = temp_path("trace-allreduce-refused.jsonl");
+    for args in [
+        &["--allreduce", "--reference"][..],
+        &["--reference", "--allreduce", "--n", "4"],
+        &["--allreduce", "--n", "7"],
+    ] {
+        let _ = std::fs::remove_file(&path);
+        let mut argv = vec!["record", path.as_str()];
+        argv.extend_from_slice(args);
+        assert_usage_error("trace", &argv);
+        assert!(
+            !Path::new(&path).exists(),
+            "trace record {args:?} wrote a log"
+        );
+    }
+}

@@ -37,10 +37,11 @@
 //!   final state must equal the reference fold — exhaustively for
 //!   `m ≤ 5`, seeded at `m = 6, 7`.
 //! * **Cost-level**: schedules compile to multi-phase workloads via
-//!   [`sg_net::Network::chain_phases`] (a phase injects only after
-//!   the previous phase fully resolves) and measured rounds are
-//!   asserted against the distance lower bound — see the cost model
-//!   below.
+//!   [`sg_net::Workload::chain`] (a phase opens only one round after
+//!   the previous phase fully resolves, which the run itself
+//!   determines — compiling simulates nothing) and measured rounds
+//!   are asserted against the distance lower bound — see the cost
+//!   model below.
 //!
 //! ## Cost model
 //!
@@ -69,9 +70,12 @@
 //! the generators, so under confined routing the collective is
 //! **byte-isolated** by the existing `sg-sched` theorem — it runs as
 //! a tenant via `Schedule::tenant_run_with` with zero perturbation of
-//! (or by) its neighbors. Compiled runs are ordinary `sg-net`
-//! workloads: they emit the standard `Probe` event stream, and
-//! `sg-trace` record/replay/diff works on them unchanged.
+//! (or by) its neighbors: its barriers are phase-local, so composed
+//! with other tenants it opens its phases exactly as when it runs
+//! alone. Compiled runs are ordinary `sg-net` workloads: they emit the
+//! standard `Probe` event stream, each packet record holds its
+//! realized injection round, and `sg-trace` record/replay/diff works
+//! on them unchanged.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

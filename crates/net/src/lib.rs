@@ -81,7 +81,8 @@
 //! ## Multi-tenancy
 //!
 //! [`Workload::compose`] stably merges per-tenant workloads with
-//! round offsets and an owner map;
+//! round offsets and an owner map, keeping any part's phase barriers
+//! ([`Workload::chain`]) local to that part;
 //! [`Network::run_partitioned`] drives the merged traffic with **one
 //! routing policy and one escape opt-in per job** (so adaptivity is a
 //! per-job choice) and returns fully attributed per-job

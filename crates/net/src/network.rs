@@ -24,6 +24,27 @@
 //! PEs are scanned in rank order and queues in generator order, so a
 //! run is a pure function of `(workload, policy, config, faults)`.
 //!
+//! ## Phase barriers
+//!
+//! A workload built by [`Workload::chain`] carries barriers: its
+//! phases are contiguous packet-id ranges whose injection rounds count
+//! from the round the phase opens. Both engines drive the same
+//! injection schedule: ungated packets inject at their rounds, a chain
+//! head opens at its round, and every later phase opens one round
+//! after the last packet of the phase before it resolves (delivery or
+//! drop). The engines learn that at the end of the round: a phase
+//! that has injected every packet scans forward over its packets'
+//! outcomes, so each outcome is looked at about once per run and a
+//! resolution itself costs nothing extra. An empty phase opens and
+//! resolves at once, so its successor opens a round later. Packets due
+//! in the same round inject in packet-id order. The fast engine's idle
+//! skip jumps straight to a phase's opening round. If the run gives up
+//! (round cap or credit deadlock), phases that never opened strand
+//! with the round it gave up as their injection round. Each
+//! [`crate::PacketRecord::inject_round`] holds the realized round, so
+//! nothing downstream — statistics, rebasing, trace replay — needs to
+//! know about barriers.
+//!
 //! ## The two engines
 //!
 //! [`Engine::Reference`] is the transparent oracle: a `VecDeque` per
@@ -95,6 +116,7 @@ use sg_perm::lehmer::{rank, unrank};
 use sg_perm::Perm;
 use sg_star::distance::improving_mask;
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 
 /// Largest star order the simulator materializes: `9! = 362 880` PEs.
 /// [`Network::new`] enforces it, and through `MAX_GENS = MAX_ORDER − 1`
@@ -1055,43 +1077,50 @@ fn strand_remaining(outcomes: &mut [Option<PacketOutcome>], resolved: &mut usize
 /// Packets due in the same round come out in packet-id order.
 struct Injector<'a> {
     inj: &'a [Injection],
-    gates: &'a [Gate],
     /// First gated packet id (`inj.len()` without barriers).
     lead: usize,
     /// Next ungated packet to inject.
     next_lead: usize,
-    /// Round each phase opened, once it has.
-    open: Vec<Option<u32>>,
-    /// Next packet of each phase to inject.
-    next: Vec<u32>,
-    /// Packets of each phase not yet resolved.
-    left: Vec<u32>,
+    phases: Vec<PhaseState>,
     /// Opened phases with packets still to inject, ascending.
     live: Vec<u32>,
-    /// The phase of the last resolution: the next one is most likely
-    /// in it too.
-    hint: usize,
+    /// Phases with every packet injected and some still unresolved.
+    draining: Vec<u32>,
     /// Round the run gave up: the injection round recorded for every
     /// packet whose phase never opened.
     gave_up: u32,
 }
 
+/// One barrier phase during a run.
+#[derive(Clone, Copy)]
+struct PhaseState {
+    gate: Gate,
+    /// Round the phase opened, once it has.
+    open: Option<u32>,
+    /// Next packet to inject.
+    next: u32,
+    /// Every packet before this one has resolved.
+    settled: u32,
+}
+
 impl<'a> Injector<'a> {
     fn new(workload: &'a Workload) -> Self {
-        let gates = workload.gates();
+        let phases = workload.gates().iter().map(|&gate| PhaseState {
+            gate,
+            open: None,
+            next: gate.start,
+            settled: gate.start,
+        });
         let mut due = Injector {
             inj: workload.injections(),
-            gates,
             lead: workload.lead(),
             next_lead: 0,
-            open: vec![None; gates.len()],
-            next: gates.iter().map(|g| g.start).collect(),
-            left: gates.iter().map(|g| g.end - g.start).collect(),
+            phases: phases.collect(),
             live: Vec::new(),
-            hint: 0,
+            draining: Vec::new(),
             gave_up: 0,
         };
-        for (k, g) in gates.iter().enumerate() {
+        for (k, g) in workload.gates().iter().enumerate() {
             if let Some(t) = g.at {
                 due.open_phase(k, t);
             }
@@ -1103,72 +1132,90 @@ impl<'a> Injector<'a> {
     /// opens, so its successor opens one round later.
     fn open_phase(&mut self, mut k: usize, mut t: u32) {
         loop {
-            self.open[k] = Some(t);
-            let g = self.gates[k];
+            self.phases[k].open = Some(t);
+            let g = self.phases[k].gate;
             if g.start < g.end {
                 let at = self.live.partition_point(|&j| (j as usize) < k);
                 self.live.insert(at, k as u32);
                 return;
             }
-            match self.gates.get(k + 1) {
-                Some(next) if next.at.is_none() => (k, t) = (k + 1, t.saturating_add(1)),
+            match self.phases.get(k + 1) {
+                Some(next) if next.gate.at.is_none() => (k, t) = (k + 1, t.saturating_add(1)),
                 _ => return,
             }
         }
     }
 
-    /// Packet `pid` resolved at `round`: the last packet of its phase
-    /// opens the next phase one round later.
-    #[inline]
-    fn resolved(&mut self, pid: PacketId, round: u32) {
-        let p = pid as usize;
-        if p < self.lead {
-            return;
-        }
-        let g = self.gates[self.hint];
-        if !(g.start as usize <= p && p < g.end as usize) {
-            self.hint = self.gates.partition_point(|g| g.end as usize <= p);
-        }
-        let k = self.hint;
-        self.left[k] -= 1;
-        if self.left[k] == 0 && self.gates.get(k + 1).is_some_and(|g| g.at.is_none()) {
-            self.open_phase(k + 1, round.saturating_add(1));
-        }
-    }
-
-    /// The next packet due at or before `round`, in packet-id order.
-    #[inline]
-    fn next_due(&mut self, round: u32) -> Option<PacketId> {
-        if self.next_lead < self.lead && self.inj[self.next_lead].round <= round {
+    /// The next run of consecutive packets due at or before `round`:
+    /// runs come out in packet-id order, the ungated packets first.
+    fn next_due(&mut self, round: u32) -> Option<Range<usize>> {
+        let start = self.next_lead;
+        while self.next_lead < self.lead && self.inj[self.next_lead].round <= round {
             self.next_lead += 1;
-            return Some((self.next_lead - 1) as PacketId);
+        }
+        if self.next_lead > start {
+            return Some(start..self.next_lead);
         }
         for i in 0..self.live.len() {
-            let k = self.live[i] as usize;
-            let pid = self.next[k];
-            if self.due_round(k, pid) <= round {
-                self.next[k] += 1;
-                if self.next[k] == self.gates[k].end {
+            let k = self.live[i];
+            let ph = &mut self.phases[k as usize];
+            let open = ph.open.expect("live phases are open");
+            let (start, end) = (ph.next as usize, ph.gate.end as usize);
+            let mut next = start;
+            while next < end && open.saturating_add(self.inj[next].round) <= round {
+                next += 1;
+            }
+            if next > start {
+                ph.next = next as u32;
+                if next == end {
                     self.live.remove(i);
+                    self.draining.push(k);
                 }
-                return Some(pid);
+                return Some(start..next);
             }
         }
         None
     }
 
-    /// Round packet `pid` of opened phase `k` is due.
-    fn due_round(&self, k: usize, pid: u32) -> u32 {
-        let open = self.open[k].expect("live phases are open");
-        open.saturating_add(self.inj[pid as usize].round)
+    /// Ends `round`, after all of its resolutions: a phase whose last
+    /// packet resolved in it opens its successor at `round + 1`. Each
+    /// packet's outcome is looked at about once over the run.
+    #[inline]
+    fn end_round(&mut self, round: u32, outcomes: &[Option<PacketOutcome>]) {
+        if !self.draining.is_empty() {
+            self.settle(round, outcomes);
+        }
+    }
+
+    fn settle(&mut self, round: u32, outcomes: &[Option<PacketOutcome>]) {
+        let mut i = 0;
+        while i < self.draining.len() {
+            let k = self.draining[i] as usize;
+            let ph = &mut self.phases[k];
+            let end = ph.gate.end as usize;
+            let mut p = ph.settled as usize;
+            while p < end && outcomes[p].is_some() {
+                p += 1;
+            }
+            ph.settled = p as u32;
+            if p < end {
+                i += 1;
+                continue;
+            }
+            self.draining.remove(i);
+            if self.phases.get(k + 1).is_some_and(|n| n.gate.at.is_none()) {
+                self.open_phase(k + 1, round.saturating_add(1));
+            }
+        }
     }
 
     /// The round the next packet is due, if any is scheduled.
     fn next_round(&self) -> Option<u32> {
         let lead = (self.next_lead < self.lead).then(|| self.inj[self.next_lead].round);
         let gated = self.live.iter().map(|&k| {
-            let k = k as usize;
-            self.due_round(k, self.next[k])
+            let ph = &self.phases[k as usize];
+            let open = ph.open.expect("live phases are open");
+            open.saturating_add(self.inj[ph.next as usize].round)
         });
         lead.into_iter().chain(gated).min()
     }
@@ -1198,9 +1245,11 @@ fn finish(
         })
         .collect();
     // A gated packet's round counts from its phase's realized start.
-    for (g, open) in due.gates.iter().zip(&due.open) {
-        for rec in &mut records[g.start as usize..g.end as usize] {
-            rec.inject_round = open.map_or(due.gave_up, |t| t.saturating_add(rec.inject_round));
+    for ph in &due.phases {
+        for rec in &mut records[ph.gate.start as usize..ph.gate.end as usize] {
+            rec.inject_round = ph
+                .open
+                .map_or(due.gave_up, |t| t.saturating_add(rec.inject_round));
         }
     }
     TrafficStats::from_records(net.n, records, counters)
@@ -1305,7 +1354,6 @@ impl<'a, P: Probe> ReferenceSim<'a, P> {
         self.outcomes[pid as usize] = Some(outcome);
         self.resolved += 1;
         self.counters.last_event = self.counters.last_event.max(round);
-        self.due.resolved(pid, round);
     }
 
     /// Emits `ev`, opening the round bracket first when this is the
@@ -1685,53 +1733,55 @@ impl<'a, P: Probe> ReferenceSim<'a, P> {
                     self.stalled.push_back(pid);
                 }
             }
-            while let Some(pid) = self.due.next_due(round) {
-                let i = self.due.inj[pid as usize];
-                let (src, dst) = (i.src, i.dst);
-                if self.faulty && self.net.faults.is_node_dead(src) {
-                    self.resolve(pid, round, PacketOutcome::DroppedFault { round });
-                    if P::ENABLED {
-                        self.emit(
-                            round,
-                            Event::Dropped {
+            while let Some(due) = self.due.next_due(round) {
+                for p in due {
+                    let pid = p as PacketId;
+                    let (src, dst) = (self.due.inj[p].src, self.due.inj[p].dst);
+                    if self.faulty && self.net.faults.is_node_dead(src) {
+                        self.resolve(pid, round, PacketOutcome::DroppedFault { round });
+                        if P::ENABLED {
+                            self.emit(
                                 round,
-                                pid,
-                                pe: src as u32,
-                                reason: DropReason::Fault,
-                            },
-                        );
-                    }
-                    progress = true;
-                } else if src == dst {
-                    self.resolve(pid, round, PacketOutcome::Delivered { round, hops: 0 });
-                    if P::ENABLED {
-                        self.emit(
-                            round,
-                            Event::Delivered {
+                                Event::Dropped {
+                                    round,
+                                    pid,
+                                    pe: src as u32,
+                                    reason: DropReason::Fault,
+                                },
+                            );
+                        }
+                        progress = true;
+                    } else if src == dst {
+                        self.resolve(pid, round, PacketOutcome::Delivered { round, hops: 0 });
+                        if P::ENABLED {
+                            self.emit(
                                 round,
-                                pid,
-                                pe: dst as u32,
-                                hops: 0,
-                            },
-                        );
-                    }
-                    progress = true;
-                } else if !self.has_credit(src as u32) {
-                    if P::ENABLED {
-                        self.emit(
-                            round,
-                            Event::Stalled {
+                                Event::Delivered {
+                                    round,
+                                    pid,
+                                    pe: dst as u32,
+                                    hops: 0,
+                                },
+                            );
+                        }
+                        progress = true;
+                    } else if !self.has_credit(src as u32) {
+                        if P::ENABLED {
+                            self.emit(
                                 round,
-                                pid,
-                                pe: src as u32,
-                                kind: StallKind::Injection,
-                            },
-                        );
+                                Event::Stalled {
+                                    round,
+                                    pid,
+                                    pe: src as u32,
+                                    kind: StallKind::Injection,
+                                },
+                            );
+                        }
+                        self.stalled.push_back(pid);
+                    } else {
+                        self.enqueue_next(pid, round);
+                        progress = true;
                     }
-                    self.stalled.push_back(pid);
-                } else {
-                    self.enqueue_next(pid, round);
-                    progress = true;
                 }
             }
             // 3. Arbitration: one flit per link per round, scanning
@@ -1809,9 +1859,11 @@ impl<'a, P: Probe> ReferenceSim<'a, P> {
                 progress |= self.apply_diversion(li, pid, round);
             }
             self.divert.clear();
-            // 4. Wait + stall accounting.
+            // 4. Wait + stall accounting; phases whose predecessor
+            // resolved this round open next round.
             self.counters.total_wait_rounds += self.total_queued;
             self.counters.injection_stall_rounds += self.stalled.len() as u64;
+            self.due.end_round(round, &self.outcomes);
             // Credit deadlock: no event fired, nothing in flight, no
             // packet scheduled (a phase that has not opened waits on
             // one that cannot resolve) — the state is a fixed point,
@@ -2032,7 +2084,6 @@ impl<'a, P: Probe> FastSim<'a, P> {
         self.outcomes[pid as usize] = Some(outcome);
         self.resolved += 1;
         self.tally.resolved(pid, round);
-        self.due.resolved(pid, round);
     }
 
     /// Mirror of [`ReferenceSim::emit`]: opens the round bracket on
@@ -2476,54 +2527,56 @@ impl<'a, P: Probe> FastSim<'a, P> {
                     self.stalled.push_back(pid);
                 }
             }
-            while let Some(pid) = self.due.next_due(round) {
-                let i = self.due.inj[pid as usize];
-                let (src, dst) = (i.src, i.dst);
-                if self.faulty && self.net.faults.is_node_dead(src) {
-                    self.resolve(pid, round, PacketOutcome::DroppedFault { round });
-                    if P::ENABLED {
-                        self.emit(
-                            round,
-                            Event::Dropped {
+            while let Some(due) = self.due.next_due(round) {
+                for p in due {
+                    let pid = p as PacketId;
+                    let (src, dst) = (self.due.inj[p].src, self.due.inj[p].dst);
+                    if self.faulty && self.net.faults.is_node_dead(src) {
+                        self.resolve(pid, round, PacketOutcome::DroppedFault { round });
+                        if P::ENABLED {
+                            self.emit(
                                 round,
-                                pid,
-                                pe: src as u32,
-                                reason: DropReason::Fault,
-                            },
-                        );
-                    }
-                    progress = true;
-                } else if src == dst {
-                    self.resolve(pid, round, PacketOutcome::Delivered { round, hops: 0 });
-                    if P::ENABLED {
-                        self.emit(
-                            round,
-                            Event::Delivered {
+                                Event::Dropped {
+                                    round,
+                                    pid,
+                                    pe: src as u32,
+                                    reason: DropReason::Fault,
+                                },
+                            );
+                        }
+                        progress = true;
+                    } else if src == dst {
+                        self.resolve(pid, round, PacketOutcome::Delivered { round, hops: 0 });
+                        if P::ENABLED {
+                            self.emit(
                                 round,
-                                pid,
-                                pe: dst as u32,
-                                hops: 0,
-                            },
-                        );
-                    }
-                    progress = true;
-                } else if !self.has_credit(src as u32) {
-                    if P::ENABLED {
-                        self.emit(
-                            round,
-                            Event::Stalled {
+                                Event::Delivered {
+                                    round,
+                                    pid,
+                                    pe: dst as u32,
+                                    hops: 0,
+                                },
+                            );
+                        }
+                        progress = true;
+                    } else if !self.has_credit(src as u32) {
+                        if P::ENABLED {
+                            self.emit(
                                 round,
-                                pid,
-                                pe: src as u32,
-                                kind: StallKind::Injection,
-                            },
-                        );
+                                Event::Stalled {
+                                    round,
+                                    pid,
+                                    pe: src as u32,
+                                    kind: StallKind::Injection,
+                                },
+                            );
+                        }
+                        self.tally.stalled(pid);
+                        self.stalled.push_back(pid);
+                    } else {
+                        self.enqueue_next(pid, round);
+                        progress = true;
                     }
-                    self.tally.stalled(pid);
-                    self.stalled.push_back(pid);
-                } else {
-                    self.enqueue_next(pid, round);
-                    progress = true;
                 }
             }
             self.sample(&mut mark, 1);
@@ -2638,9 +2691,11 @@ impl<'a, P: Probe> FastSim<'a, P> {
                 self.arrival_round[land] = round + latency as u32;
             }
             self.sample(&mut mark, 2);
-            // 4. Wait + stall accounting, deadlock detection.
+            // 4. Wait + stall accounting, phase openings, deadlock
+            // detection.
             self.tally
                 .end_round(self.total_queued, self.stalled.len() as u64);
+            self.due.end_round(round, &self.outcomes);
             self.sample(&mut mark, 3);
             if !progress && self.in_flight == 0 && self.due.exhausted() && self.resolved < total {
                 if P::ENABLED {

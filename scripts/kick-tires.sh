@@ -6,8 +6,10 @@
 # 1. `tables -- all`: every paper table and figure, with the asserts
 #    inside the extension grids.
 # 2. Every example under examples/; each asserts its own numbers.
-# 3. The `trace` CLI: record, replay and self-diff an S_6 run, then four
-#    corrupted logs that replay must refuse with exit code 2.
+# 3. The `trace` CLI: record, replay and self-diff an S_6 run and the S_6
+#    lattice allreduce (a partitioned trace, one owner per barrier
+#    phase, whose per-phase stats the recorder's self-check replays),
+#    then four corrupted logs that replay must refuse with exit code 2.
 # 4. starbench: its self-tests, then one traced second of each workload
 #    in BENCHMARK.json, whose result line must report a verified output.
 #
@@ -32,6 +34,9 @@ trace() { cargo run --release -q --offline -p sg-bench --bin trace -- "$@"; }
 trace record "$tmp/s6.jsonl" --n 6 --seed 7
 trace replay "$tmp/s6.jsonl" > /dev/null
 trace diff "$tmp/s6.jsonl" "$tmp/s6.jsonl" --context 3
+trace record "$tmp/ar6.jsonl" --allreduce --n 6
+trace replay "$tmp/ar6.jsonl" > /dev/null
+trace diff "$tmp/ar6.jsonl" "$tmp/ar6.jsonl" --context 3
 # A header promising u64::MAX packets, an event at PE 3 000 000 000 and
 # an event on generator 0 must be refused with code 2, not a panic (101)
 # or an aborting allocation. So must the first forwarded event moved to
