@@ -1086,9 +1086,6 @@ struct Injector<'a> {
     live: Vec<u32>,
     /// Phases with every packet injected and some still unresolved.
     draining: Vec<u32>,
-    /// Round the run gave up: the injection round recorded for every
-    /// packet whose phase never opened.
-    gave_up: u32,
 }
 
 /// One barrier phase during a run.
@@ -1118,7 +1115,6 @@ impl<'a> Injector<'a> {
             phases: phases.collect(),
             live: Vec::new(),
             draining: Vec::new(),
-            gave_up: 0,
         };
         for (k, g) in workload.gates().iter().enumerate() {
             if let Some(t) = g.at {
@@ -1180,14 +1176,7 @@ impl<'a> Injector<'a> {
     /// Ends `round`, after all of its resolutions: a phase whose last
     /// packet resolved in it opens its successor at `round + 1`. Each
     /// packet's outcome is looked at about once over the run.
-    #[inline]
     fn end_round(&mut self, round: u32, outcomes: &[Option<PacketOutcome>]) {
-        if !self.draining.is_empty() {
-            self.settle(round, outcomes);
-        }
-    }
-
-    fn settle(&mut self, round: u32, outcomes: &[Option<PacketOutcome>]) {
         let mut i = 0;
         while i < self.draining.len() {
             let k = self.draining[i] as usize;
@@ -1227,11 +1216,15 @@ impl<'a> Injector<'a> {
     }
 }
 
+/// The run's statistics. `stopped` is the round the round loop ended
+/// in: for a run that gave up, the round it gave up, which is recorded
+/// as the injection round of every packet whose phase never opened.
 fn finish(
     net: &Network,
     due: &Injector,
     outcomes: &[Option<PacketOutcome>],
     counters: RunCounters,
+    stopped: u32,
 ) -> TrafficStats {
     let mut records: Vec<PacketRecord> = due
         .inj
@@ -1249,7 +1242,7 @@ fn finish(
         for rec in &mut records[ph.gate.start as usize..ph.gate.end as usize] {
             rec.inject_round = ph
                 .open
-                .map_or(due.gave_up, |t| t.saturating_add(rec.inject_round));
+                .map_or(stopped, |t| t.saturating_add(rec.inject_round));
         }
     }
     TrafficStats::from_records(net.n, records, counters)
@@ -1316,7 +1309,6 @@ impl<'a, P: Probe> ReferenceSim<'a, P> {
         pkts: Vec<SimPacket>,
         probe: &'a mut P,
     ) -> Self {
-        let inj = workload.injections();
         let gens = net.n - 1;
         let lanes = net.config.link_latency as usize + 1;
         let esc_mode = net.config.flow_control == FlowControl::EscapeChannel;
@@ -1327,7 +1319,7 @@ impl<'a, P: Probe> ReferenceSim<'a, P> {
             due: Injector::new(workload),
             pkts,
             routes,
-            outcomes: vec![None; inj.len()],
+            outcomes: vec![None; workload.len()],
             queues: vec![VecDeque::new(); net.node_count * gens],
             node_occ: vec![0; net.node_count],
             reserved: vec![0; net.node_count],
@@ -1673,7 +1665,6 @@ impl<'a, P: Probe> ReferenceSim<'a, P> {
                     self.emit_strand(round);
                 }
                 strand_remaining(&mut self.outcomes, &mut self.resolved);
-                self.due.gave_up = round;
                 break;
             }
             let mut progress = false;
@@ -1873,7 +1864,6 @@ impl<'a, P: Probe> ReferenceSim<'a, P> {
                     self.emit_strand(round);
                 }
                 strand_remaining(&mut self.outcomes, &mut self.resolved);
-                self.due.gave_up = round;
                 break;
             }
             if P::ENABLED && self.round_open {
@@ -1887,7 +1877,7 @@ impl<'a, P: Probe> ReferenceSim<'a, P> {
             }
             round += 1;
         }
-        finish(self.net, &self.due, &self.outcomes, self.counters)
+        finish(self.net, &self.due, &self.outcomes, self.counters, round)
     }
 }
 
@@ -2033,7 +2023,6 @@ impl<'a, P: Probe> FastSim<'a, P> {
         pkts: Vec<SimPacket>,
         probe: &'a mut P,
     ) -> Self {
-        let inj = workload.injections();
         let gens = net.n - 1;
         let lanes = net.config.link_latency as usize + 1;
         let queues = net.node_count * gens;
@@ -2054,8 +2043,8 @@ impl<'a, P: Probe> FastSim<'a, P> {
             due: Injector::new(workload),
             pkts,
             routes,
-            outcomes: vec![None; inj.len()],
-            qs: LinkedQueues::new(queues, inj.len()),
+            outcomes: vec![None; workload.len()],
+            qs: LinkedQueues::new(queues, workload.len()),
             active_bits: vec![0; queues.div_ceil(64)],
             node_occ: vec![0; net.node_count],
             reserved: per_pe(pool.is_some()),
@@ -2450,7 +2439,6 @@ impl<'a, P: Probe> FastSim<'a, P> {
                     self.emit_strand(round);
                 }
                 strand_remaining(&mut self.outcomes, &mut self.resolved);
-                self.due.gave_up = round;
                 break;
             }
             let mut mark = None;
@@ -2702,7 +2690,6 @@ impl<'a, P: Probe> FastSim<'a, P> {
                     self.emit_strand(round);
                 }
                 strand_remaining(&mut self.outcomes, &mut self.resolved);
-                self.due.gave_up = round;
                 break;
             }
             if P::ENABLED && self.round_open {
@@ -2739,7 +2726,7 @@ impl<'a, P: Probe> FastSim<'a, P> {
         let (counters, per_owner) = self.tally.finish();
         let profile = self.profile.map(|(_, prof)| prof);
         (
-            finish(self.net, &self.due, &self.outcomes, counters),
+            finish(self.net, &self.due, &self.outcomes, counters, round),
             per_owner,
             profile,
         )
