@@ -58,27 +58,22 @@ fn lattice_phases(
     let nodes = factorial(order) as usize;
     let mut phases = Vec::new();
     for lvl in levels {
-        // All order-`lvl` sub-stars of the local S_order, split into
-        // their children. A child's block list doubles as its node
-        // table: entry `local` holds the rank of its node `local`.
-        let families: Vec<Vec<BlockList>> = substars_of_order(order, lvl)
+        // In DFS order, the children of the order-`lvl` sub-stars are
+        // the order-`lvl − 1` sub-stars, `lvl` consecutive ones per
+        // parent. A child's block list doubles as its node table:
+        // entry `local` holds the rank of its node `local`.
+        let kids: Vec<BlockList> = substars_of_order(order, lvl - 1)
             .iter()
-            .map(|parent| {
-                parent
-                    .children()
-                    .iter()
-                    .map(|child| child.node_ranks().into_iter().map(|b| (b, b)).collect())
-                    .collect()
-            })
+            .map(|child| child.node_rank_iter().map(|b| (b, b)).collect())
             .collect();
         for t in 1..lvl {
             // Every node sends exactly once per phase.
             let mut sends = Vec::with_capacity(nodes);
-            for kids in &families {
-                for (i, kid) in kids.iter().enumerate() {
+            for family in kids.chunks(lvl) {
+                for (i, kid) in family.iter().enumerate() {
                     let j = (i + t) % lvl;
-                    let slots = &kids[ships(i, j)];
-                    for (&(u, _), &(v, _)) in kid.iter().zip(kids[j].iter()) {
+                    let slots = &family[ships(i, j)];
+                    for (&(u, _), &(v, _)) in kid.iter().zip(family[j].iter()) {
                         sends.push(Send {
                             src: u,
                             dst: v,

@@ -72,7 +72,7 @@ fn send_table(s: &CollSchedule) -> u64 {
 }
 
 /// The send table (0.86 MB) plus at most 1 MiB for the block lists
-/// and the lattice scaffolding (0.57 MB). A list per send would add
+/// and the lattice scaffolding (0.30 MB). A list per send would add
 /// 16.5 MB; a `concat` that clones its parts, a second send table.
 #[test]
 fn building_the_allreduce_allocates_no_list_per_send() {
@@ -85,19 +85,18 @@ fn building_the_allreduce_allocates_no_list_per_send() {
     );
 }
 
-/// Allocations per build: each phase's send vector, two per child
-/// sub-star per level (its node table and its block list: 2 × 1 236
-/// per half), two per split sub-star (its child vector and the family
-/// of block lists: 2 × 517 per half) and one or two per level — 7 072
-/// in all. The sub-star scaffolding itself allocates nothing; when
-/// every sub-star carried its own suffix vector, the build made
-/// 20 614 allocations, 14 586 of them there.
+/// Allocations per build: each phase's send vector, one block list
+/// per child sub-star per level, collected straight from its node
+/// ranks (1 236 per half), and one or two per level — 2 532 in all.
+/// The sub-star scaffolding itself allocates nothing. A node-rank
+/// vector per child and a child vector and block-list family per
+/// split sub-star made 7 072; a suffix vector per sub-star, 20 614.
 #[test]
 fn building_the_allreduce_allocates_nothing_per_sub_star() {
     let (s, calls, _) = allocations(|| allreduce_lattice(ORDER));
     assert_eq!(s.total_sends(), 21_600);
     assert!(
-        calls < 8_000,
+        calls < 2_600,
         "allreduce_lattice({ORDER}) made {calls} allocations"
     );
 }

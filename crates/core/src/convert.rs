@@ -131,6 +131,12 @@ pub fn convert_s_d(pi: &Perm) -> MeshPoint {
 /// `1 ≤ i < n`; `coords[0]` and the tail are 0. The kernel routers use
 /// to walk mesh coordinates without a heap-allocated [`MeshPoint`].
 ///
+/// Still Figure 6's loop, written branch-free: `d_i = i − q(i)` for
+/// every `i` (it is 0 when `q(i) = i`, and then no smaller position
+/// holds a larger value), and each `q(j) > q(i)` drops by one through
+/// a subtraction of the comparison instead of a branch, whose outcome
+/// a random node makes unpredictable.
+///
 /// # Panics
 /// Panics on a length-1 permutation (`D_1` does not exist).
 #[must_use]
@@ -151,13 +157,9 @@ pub fn convert_s_d_coords(pi: &Perm) -> [u32; MAX_N] {
             qi <= i as u32,
             "invariant: after removing larger symbols, q(i) <= i"
         );
-        if (i as u32) > qi {
-            coords[i] = i as u32 - qi;
-            for qj in q.iter_mut().take(i).skip(1) {
-                if *qj > qi {
-                    *qj -= 1;
-                }
-            }
+        coords[i] = i as u32 - qi;
+        for qj in q.iter_mut().take(i).skip(1) {
+            *qj -= u32::from(*qj > qi);
         }
     }
     coords

@@ -112,16 +112,16 @@ use rayon::prelude::*;
 use sg_core::convert::convert_s_d_coords;
 use sg_obs::{DropReason, Event, NullProbe, PhaseProfile, Probe, RunTally, StallKind};
 use sg_perm::factorial::factorial;
-use sg_perm::lehmer::{rank, unrank};
-use sg_perm::Perm;
-use sg_star::distance::improving_mask;
+use sg_perm::lehmer::{next_perm, unrank};
+use sg_perm::{Perm, MAX_N};
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 
 /// Largest star order the simulator materializes: `9! = 362 880` PEs.
-/// [`Network::new`] enforces it, and through `MAX_GENS = MAX_ORDER − 1`
-/// it sizes every per-PE stack buffer (the neighbor rows built there
-/// and the adaptive selector's occupancy array).
+/// [`Network::new`] enforces it. Through `MAX_GENS = MAX_ORDER − 1` it
+/// sizes the adaptive selector's per-PE occupancy array, and a node's
+/// `MAX_ORDER` symbols fit the 4-bit fields of an adaptive packet's
+/// carried state.
 pub const MAX_ORDER: usize = 9;
 
 /// Generators per PE at [`MAX_ORDER`]: the length of the per-PE stack
@@ -267,22 +267,8 @@ impl Network {
         );
         let node_count = factorial(n) as usize;
         let gens = n - 1;
-        // Neighbor table, built in parallel: one fixed-size row per PE.
-        let rows: Vec<[u32; MAX_GENS]> = (0..node_count)
-            .into_par_iter()
-            .map(|u| {
-                let p = unrank(u as u64, n).expect("rank in range");
-                let mut row = [0u32; MAX_GENS];
-                for (g, v) in (1..n).zip(&mut row) {
-                    *v = rank(&p.with_slots_swapped(0, g)) as u32;
-                }
-                row
-            })
-            .collect();
-        let mut neighbor = Vec::with_capacity(node_count * gens);
-        for row in &rows {
-            neighbor.extend_from_slice(&row[..gens]);
-        }
+        let mut neighbor = vec![0u32; node_count * gens];
+        neighbor_rows(n, &mut neighbor);
         Network {
             n,
             node_count,
@@ -614,7 +600,7 @@ impl Network {
                 .map(|chunk| route_chunk(n, chunk, |_| policy))
                 .collect()
         };
-        assemble_routes(inj, chunks)
+        assemble_routes(n, inj, chunks)
     }
 
     /// [`Network::prepare`] for both partitioned entry points, which
@@ -650,7 +636,7 @@ impl Network {
             .into_par_iter()
             .map(|(ic, oc)| route_chunk(n, ic, |k| policies[oc[k] as usize]))
             .collect();
-        let (arena, mut pkts) = assemble_routes(inj, chunks);
+        let (arena, mut pkts) = assemble_routes(n, inj, chunks);
         for (pkt, &j) in pkts.iter_mut().zip(owner) {
             pkt.may_escape = escape[j as usize];
         }
@@ -665,6 +651,45 @@ impl Network {
             workload.n(),
             self.n
         );
+    }
+}
+
+/// Fills the neighbor table `rows` of `S_n` (`n − 1` ranks per PE,
+/// generator order) without ranking a neighbor. PEs are visited in
+/// rank order by [`next_perm`]. Swapping slots 0 and `g` of a node `s`
+/// only changes the Lehmer digits of slots `0..=g` (each digit `c_i`
+/// counts the smaller symbols after slot `i`), so with `a = s_0` and
+/// `b = s_g` the neighbor's rank is the PE's own plus
+///
+/// * `(b − a)·(n−1)!` for slot 0 (its digit is its symbol);
+/// * `([a < s_i] − [b < s_i])·(n−1−i)!` for `0 < i < g`, where `b`
+///   after slot `i` became `a`;
+/// * `(#{j > g : s_j < a} − #{j > g : s_j < b})·(n−1−g)!` for slot
+///   `g`, counted from the symbols before `g` (`#{j > g : s_j < x}` is
+///   `x` less the smaller symbols in slots `0..=g`).
+fn neighbor_rows(n: usize, rows: &mut [u32]) {
+    let f = |k: usize| factorial(k) as i64;
+    let mut p = Perm::identity(n);
+    for (u, row) in rows.chunks_exact_mut(n - 1).enumerate() {
+        let s = p.as_slice();
+        let a = i64::from(s[0]);
+        for (g, v) in (1..n).zip(row) {
+            let b = i64::from(s[g]);
+            let mut delta = (b - a) * f(n - 1);
+            // Symbols in slots 1..g below a and below b.
+            let (mut below_a, mut below_b) = (0, 0);
+            for (i, &si) in s.iter().enumerate().take(g).skip(1) {
+                let si = i64::from(si);
+                delta += (i64::from(a < si) - i64::from(b < si)) * f(n - 1 - i);
+                below_a += i64::from(si < a);
+                below_b += i64::from(si < b);
+            }
+            let after_a = a - below_a - i64::from(b < a);
+            let after_b = b - below_b - i64::from(a < b);
+            delta += (after_a - after_b) * f(n - 1 - g);
+            *v = (u as i64 + delta) as u32;
+        }
+        next_perm(&mut p);
     }
 }
 
@@ -713,10 +738,24 @@ fn route_chunk<'p>(
 }
 
 /// Stitches the per-chunk slabs into the shared arena and the packet
-/// table, assigning each packet its `(offset, len)` span.
-fn assemble_routes(inj: &[Injection], chunks: Vec<RouteChunk>) -> (RouteArena, Vec<SimPacket>) {
+/// table, assigning each source-routed packet its `(offset, len)` span
+/// and packing each adaptive packet's [`AdaptiveState`] into the side
+/// table its `route_off` indexes.
+fn assemble_routes(
+    n: usize,
+    inj: &[Injection],
+    chunks: Vec<RouteChunk>,
+) -> (RouteArena, Vec<SimPacket>) {
     let total_bytes = chunks.iter().map(|(d, _)| d.len()).sum();
-    let mut arena = RouteArena::with_capacity(total_bytes);
+    let adaptive_count = chunks
+        .iter()
+        .flat_map(|(_, spans)| spans)
+        .filter(|&&(_, adaptive)| adaptive)
+        .count();
+    let mut arena = RouteArena {
+        data: Vec::with_capacity(total_bytes),
+        adaptive: Vec::with_capacity(adaptive_count),
+    };
     let mut pkts = Vec::with_capacity(inj.len());
     let mut next = 0usize;
     for (data, spans) in chunks {
@@ -725,10 +764,18 @@ fn assemble_routes(inj: &[Injection], chunks: Vec<RouteChunk>) -> (RouteArena, V
         for (len, adaptive) in spans {
             let i = &inj[next];
             next += 1;
+            let route_off = if adaptive {
+                let a = unrank(i.src, n).expect("rank in range");
+                let b = unrank(i.dst, n).expect("rank in range");
+                arena.adaptive.push(AdaptiveState::new(&a, &b));
+                (arena.adaptive.len() - 1) as u32
+            } else {
+                off
+            };
             pkts.push(SimPacket {
                 cur: i.src as u32,
                 dst: i.dst as u32,
-                route_off: off,
+                route_off,
                 route_len: len,
                 route_pos: 0,
                 hops: 0,
@@ -756,17 +803,16 @@ fn assemble_routes(inj: &[Injection], chunks: Vec<RouteChunk>) -> (RouteArena, V
 /// PR. Fault reroutes append their BFS detour and repoint the span;
 /// the stale bytes are never reclaimed (reroutes are rare and
 /// per-run).
+///
+/// Adaptive packets have no route bytes; their otherwise unused
+/// `route_off` indexes `adaptive`, the side table of the state they
+/// carry from hop to hop. Source-routed records do not grow.
 struct RouteArena {
     data: Vec<u8>,
+    adaptive: Vec<AdaptiveState>,
 }
 
 impl RouteArena {
-    fn with_capacity(bytes: usize) -> Self {
-        RouteArena {
-            data: Vec::with_capacity(bytes),
-        }
-    }
-
     /// Appends a route, returning its `(offset, len)` span.
     fn push(&mut self, route: &[u8]) -> (u32, u32) {
         let off = self.data.len() as u32;
@@ -775,8 +821,9 @@ impl RouteArena {
     }
 }
 
-/// In-flight per-packet state. Routes live in the shared
-/// [`RouteArena`]; `route_off`/`route_len` span this packet's bytes.
+/// In-flight per-packet state (32 B). Routes live in the shared
+/// [`RouteArena`]; `route_off`/`route_len` span this packet's bytes,
+/// or, while `adaptive`, `route_off` indexes its [`AdaptiveState`].
 struct SimPacket {
     cur: u32,
     dst: u32,
@@ -785,7 +832,8 @@ struct SimPacket {
     route_pos: u32,
     hops: u32,
     /// Hop chosen at enqueue time; cleared when a fault pins the
-    /// packet to a BFS detour route.
+    /// packet to a BFS detour route or it diverts onto the escape
+    /// channel.
     adaptive: bool,
     /// The packet diverted onto the escape channel (escape mode only;
     /// a one-way transition — escaped packets stay escape-routed).
@@ -807,27 +855,124 @@ enum HopChoice {
     Blocked,
 }
 
+/// What an adaptive packet carries from hop to hop, packed in 4-bit
+/// fields (field `i` is bits `4i..4i + 4`; the `n ≤ MAX_ORDER = 9`
+/// fields of a node fit a `u64`). Route setup packs it once from the
+/// packet's endpoints, so the selector never unranks. When the
+/// selector picks generator `g`, [`AdaptiveState::advance`] swaps
+/// fields 0 and `g` of `rel` and `cur`: from then on the flit only
+/// leaves by that link, is dropped, or stops being adaptive (a fault
+/// reroute or an escape diversion), so when it next asks for a hop, at
+/// the PE that link leads to, the state describes that PE.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct AdaptiveState {
+    /// `dst⁻¹ ∘ cur`: field `i` is the slot of `dst` that holds
+    /// `cur`'s slot-`i` symbol.
+    rel: u64,
+    /// `cur`: field `i` is the symbol in slot `i`.
+    cur: u64,
+    /// `dst`'s mesh coordinates ([`convert_s_d_coords`]): field `k` is
+    /// `d_k ≤ k`, for `1 ≤ k < n`.
+    target: u64,
+}
+
+/// Field `i` of a packed [`AdaptiveState`] word.
+#[inline]
+fn field(x: u64, i: usize) -> usize {
+    (x >> (4 * i) & 0xF) as usize
+}
+
+/// Packs `vals` (each below 16) into 4-bit fields, field 0 first.
+fn pack(vals: impl IntoIterator<Item = u32>) -> u64 {
+    vals.into_iter()
+        .enumerate()
+        .fold(0, |x, (i, v)| x | u64::from(v) << (4 * i))
+}
+
+impl AdaptiveState {
+    fn new(cur: &Perm, dst: &Perm) -> Self {
+        let n = cur.len();
+        let symbols = |p: &Perm| pack(p.as_slice().iter().map(|&s| u32::from(s)));
+        AdaptiveState {
+            rel: symbols(&cur.relative_to(dst)),
+            cur: symbols(cur),
+            target: pack(convert_s_d_coords(dst).into_iter().take(n)),
+        }
+    }
+
+    /// [`sg_star::distance::improving_mask`] of `rel`, read off the
+    /// packed fields: the generators that move the packet one hop
+    /// closer to `dst`.
+    #[inline]
+    fn improving(&self, n: usize) -> u32 {
+        let rel = self.rel;
+        let mut misplaced = 0u32;
+        for j in 1..n {
+            misplaced |= u32::from(field(rel, j) != j) << j;
+        }
+        let front = field(rel, 0);
+        if front == 0 {
+            return misplaced;
+        }
+        let mut own_cycle = 0u32;
+        let mut j = front;
+        while j != 0 {
+            own_cycle |= 1 << j;
+            j = field(rel, j);
+        }
+        (misplaced & !own_cycle) | 1 << front
+    }
+
+    /// The tie-break: the first generator of
+    /// [`crate::EmbeddingRouting`]'s path from `cur` to `dst`, from one
+    /// `CONVERT-S-D` of `cur` against the carried target.
+    fn embedding_hop(&self, n: usize) -> usize {
+        let symbols: [u8; MAX_ORDER] = std::array::from_fn(|i| field(self.cur, i) as u8);
+        let cur = Perm::from_slice(&symbols[..n]).expect("carried node is a permutation");
+        let mut target = [0u32; MAX_N];
+        for (k, d) in target.iter_mut().enumerate().take(n) {
+            *d = field(self.target, k) as u32;
+        }
+        usize::from(crate::routing::embedding_first_hop(&cur, &target))
+    }
+
+    /// Takes generator `g`: slots 0 and `g` of `cur` swap, and so do
+    /// the same fields of `dst⁻¹ ∘ cur`.
+    #[inline]
+    fn advance(&mut self, g: usize) {
+        let swap = |x: u64| {
+            let d = (x ^ x >> (4 * g)) & 0xF;
+            x ^ d ^ d << (4 * g)
+        };
+        self.rel = swap(self.rel);
+        self.cur = swap(self.cur);
+    }
+}
+
 /// The adaptive hop selector both engines call: among the generators
-/// that move the packet strictly closer to `dst` and whose link
-/// survives the fault plan, pick the one with the smallest output
-/// queue at the current PE (`occ[g−1]` is that queue's occupancy).
-/// Ties prefer the next generator of the dimension-order embedding
-/// path, then the smallest generator index. Allocation-free: this
-/// runs once per hop of every adaptive packet, so the candidates come
-/// from one [`improving_mask`] of `dst⁻¹ ∘ cur`.
-fn adaptive_hop(net: &Network, u: u32, dst: u32, occ: &[u32]) -> HopChoice {
+/// that move the packet strictly closer to its destination and whose
+/// link survives the fault plan, pick the one with the smallest output
+/// queue at the current PE `u` (`occ[g−1]` is that queue's
+/// occupancy). Ties prefer the next generator of the dimension-order
+/// embedding path, then the smallest generator index. This runs once
+/// per hop of every adaptive packet, so it reads everything off the
+/// packet's carried [`AdaptiveState`]: the candidates are the
+/// improving set of its packed `dst⁻¹ ∘ cur`, and only a tie converts
+/// `cur` to mesh coordinates. Allocation-free, and nothing is
+/// unranked.
+fn adaptive_hop(net: &Network, u: u32, state: &AdaptiveState, occ: &[u32]) -> HopChoice {
     let n = net.n;
-    let cur_p = unrank(u64::from(u), n).expect("rank in range");
-    let dst_p = unrank(u64::from(dst), n).expect("rank in range");
-    let improving = improving_mask(&cur_p.relative_to(&dst_p));
+    let improving = state.improving(n);
     debug_assert!(improving != 0, "adaptive hop requested at the destination");
     let faulty = !net.faults.is_empty();
     let mut cands = 0u32;
     let mut min_occ = u32::MAX;
     for g in (1..n).filter(|&g| improving >> g & 1 == 1) {
-        let v = net.neighbor_of(u, g);
-        if faulty && net.faults.is_link_dead(u64::from(u), u64::from(v), g) {
-            continue;
+        if faulty {
+            let v = net.neighbor_of(u, g);
+            if net.faults.is_link_dead(u64::from(u), u64::from(v), g) {
+                continue;
+            }
         }
         cands |= 1 << g;
         min_occ = min_occ.min(occ[g - 1]);
@@ -841,34 +986,12 @@ fn adaptive_hop(net: &Network, u: u32, dst: u32, occ: &[u32]) -> HopChoice {
     if best.next().is_some() {
         // Tie: follow the embedding path's order when it is one of
         // the tied candidates.
-        let eg = embedding_first_generator(&cur_p, &dst_p);
+        let eg = state.embedding_hop(n);
         if is_best(eg) {
             return HopChoice::Go(eg);
         }
     }
     HopChoice::Go(first)
-}
-
-/// First generator of [`EmbeddingRouting::route`]`(cur, dst)` without
-/// building the whole route: the dimension-order walk, stopped after
-/// its first hop.
-///
-/// # Panics
-/// Panics if `cur == dst` (there is no first hop).
-///
-/// [`EmbeddingRouting::route`]: crate::EmbeddingRouting
-fn embedding_first_generator(cur: &Perm, dst: &Perm) -> usize {
-    let mut first = None;
-    crate::routing::embedding_walk(
-        cur,
-        convert_s_d_coords(cur),
-        &convert_s_d_coords(dst),
-        |g| {
-            first = Some(usize::from(g));
-            false
-        },
-    );
-    first.expect("cur == dst has no first embedding hop")
 }
 
 /// Why [`select_generator`] could not name a next hop.
@@ -882,12 +1005,13 @@ enum HopFail {
 /// Decides which generator link packet `pid` takes next from its
 /// current PE: the fixed route's next entry (source-routed), or the
 /// least-occupied shortest-path candidate (adaptive, `occ` holds the
-/// current PE's queue occupancies). When faults block the hop this
-/// applies the fault policy — dropping, or pinning the BFS detour
-/// over the surviving subgraph (which also turns an adaptive packet
-/// into a source-routed one). Shared verbatim by both engines so the
-/// fault/credit fallback can never drift between them; only queue
-/// bookkeeping stays engine-specific.
+/// current PE's queue occupancies), after which the adaptive packet's
+/// carried state advances over the chosen link. When faults block the
+/// hop this applies the fault policy — dropping, or pinning the BFS
+/// detour over the surviving subgraph (which also turns an adaptive
+/// packet into a source-routed one). Shared verbatim by both engines
+/// so the fault/credit fallback can never drift between them; only
+/// queue bookkeeping stays engine-specific.
 fn select_generator(
     net: &Network,
     faulty: bool,
@@ -900,7 +1024,17 @@ fn select_generator(
     let p = pid as usize;
     let u = pkts[p].cur;
     if pkts[p].adaptive {
-        if let HopChoice::Go(g) = adaptive_hop(net, u, pkts[p].dst, occ) {
+        let state = &mut routes.adaptive[pkts[p].route_off as usize];
+        debug_assert_eq!(
+            *state,
+            AdaptiveState::new(
+                &unrank(u64::from(u), net.n).expect("rank in range"),
+                &unrank(u64::from(pkts[p].dst), net.n).expect("rank in range"),
+            ),
+            "carried state drifted from the packet's PE"
+        );
+        if let HopChoice::Go(g) = adaptive_hop(net, u, state, occ) {
+            state.advance(g);
             return Ok(g);
         }
     } else {
@@ -2741,7 +2875,8 @@ mod tests {
     use proptest::prelude::*;
     use rand::prelude::*;
     use rand_chacha::ChaCha8Rng;
-    use sg_star::distance::distance;
+    use sg_perm::lehmer::rank;
+    use sg_star::distance::{distance, improving_mask};
 
     /// The [`RunCounters`] a run's statistics were built from.
     fn tallied(s: &TrafficStats) -> RunCounters {
@@ -2760,7 +2895,7 @@ mod tests {
 
     #[test]
     fn neighbor_rows_match_the_sequential_definition() {
-        // The parallel fixed-size row build against rank(unrank(u)·τ_g).
+        // The Lehmer-delta build against rank(unrank(u)·τ_g).
         for n in 2..=8usize {
             let net = Network::new(n);
             for u in 0..net.node_count() {
@@ -2772,6 +2907,20 @@ mod tests {
                         "n={n} u={u} g={g}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn neighbor_rows_at_max_order_match_the_definition() {
+        // Every 101st PE of S_9, whose ranks need every Lehmer digit.
+        let n = MAX_ORDER;
+        let net = Network::new(n);
+        for u in (0..net.node_count()).step_by(101) {
+            let p = unrank(u as u64, n).unwrap();
+            for g in 1..n {
+                let v = rank(&p.with_slots_swapped(0, g));
+                assert_eq!(u64::from(net.neighbor_of(u as u32, g)), v, "u={u} g={g}");
             }
         }
     }
@@ -3144,6 +3293,82 @@ mod tests {
             let g = net.run(&w, &GreedyRouting);
             assert_eq!(a.forwarded_flits, g.forwarded_flits, "seed {seed}");
             assert_eq!(a.sum_latency, g.sum_latency, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn sim_packet_stays_32_bytes() {
+        // The adaptive state lives in a side table, so the record every
+        // forward reads does not grow.
+        assert_eq!(std::mem::size_of::<SimPacket>(), 32);
+    }
+
+    /// Drives one adaptive packet `src → dst` through [`adaptive_hop`]
+    /// hop by hop, under queue occupancies drawn from `rng` (0 or 1 per
+    /// link, so most hops tie). At every hop the carried state must
+    /// agree with its definitions: the improving set with
+    /// [`improving_mask`] of `dst⁻¹ ∘ cur`, the tie-break with the
+    /// first generator of [`EmbeddingRouting`]'s route `cur → dst`, and
+    /// the choice with the least-occupied improving link, ties going to
+    /// that generator when it is tied, else to the smallest index.
+    fn drive_adaptive_packet(net: &Network, src: &Perm, dst: &Perm, rng: &mut ChaCha8Rng) {
+        let n = net.n();
+        let mut state = AdaptiveState::new(src, dst);
+        let mut cur = *src;
+        let mut hops = 0;
+        while cur != *dst {
+            let improving = improving_mask(&cur.relative_to(dst));
+            assert_eq!(state.improving(n), improving, "{src} -> {dst} at {cur}");
+            let embed = usize::from(EmbeddingRouting.route(&cur, dst)[0]);
+            assert_eq!(state.embedding_hop(n), embed, "{src} -> {dst} at {cur}");
+            let occ: Vec<u32> = (1..n).map(|_| rng.gen_range(0..2)).collect();
+            let min = (1..n)
+                .filter(|&g| improving >> g & 1 == 1)
+                .map(|g| occ[g - 1])
+                .min()
+                .expect("an improving generator exists");
+            let tied: Vec<usize> = (1..n)
+                .filter(|&g| improving >> g & 1 == 1 && occ[g - 1] == min)
+                .collect();
+            let want = if tied.len() > 1 && tied.contains(&embed) {
+                embed
+            } else {
+                tied[0]
+            };
+            let HopChoice::Go(g) = adaptive_hop(net, rank(&cur) as u32, &state, &occ) else {
+                panic!("a clean network never blocks {src} -> {dst} at {cur}");
+            };
+            assert_eq!(g, want, "{src} -> {dst} at {cur}, occupancies {occ:?}");
+            state.advance(g);
+            cur.swap_slots(0, g);
+            hops += 1;
+        }
+        assert_eq!(hops, distance(src, dst), "adaptive hops are minimal");
+    }
+
+    #[test]
+    fn adaptive_selector_matches_its_oracle_on_every_pair() {
+        let mut rng = ChaCha8Rng::seed_from_u64(22);
+        for n in 2..=5usize {
+            let net = Network::new(n);
+            for ra in 0..factorial(n) {
+                let a = unrank(ra, n).unwrap();
+                for rb in (0..factorial(n)).filter(|&rb| rb != ra) {
+                    drive_adaptive_packet(&net, &a, &unrank(rb, n).unwrap(), &mut rng);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn adaptive_selector_matches_its_oracle_at_max_order() {
+        let n = MAX_ORDER;
+        let net = Network::new(n);
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        for _ in 0..256 {
+            let a = unrank(rng.gen_range(0..factorial(n)), n).unwrap();
+            let b = unrank(rng.gen_range(0..factorial(n)), n).unwrap();
+            drive_adaptive_packet(&net, &a, &b, &mut rng);
         }
     }
 

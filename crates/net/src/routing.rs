@@ -22,8 +22,6 @@
 //!   surviving subgraph when faults block every candidate.
 
 use sg_core::convert::convert_s_d_coords;
-use sg_core::lemma3::{minus_swap_symbols, plus_swap_symbols};
-use sg_core::paths::transposition_hops;
 use sg_perm::{Perm, MAX_N};
 use sg_star::distance::length_to_identity;
 use sg_star::routing::greedy_sort;
@@ -62,9 +60,10 @@ pub trait RoutingPolicy: Sync {
 
     /// `true` for policies that pick each hop at enqueue time from
     /// live queue occupancy instead of following a fixed source
-    /// route. The engines then skip route precomputation and call
-    /// their shared hop selector per hop; [`RoutingPolicy::route`] is
-    /// only a static description of the zero-contention path. In
+    /// route. The engines then skip route precomputation, pack the
+    /// state the choice needs once per packet instead, and call their
+    /// shared hop selector per hop; [`RoutingPolicy::route`] is only a
+    /// static description of the zero-contention path. In
     /// multi-tenant runs ([`crate::Network::run_partitioned`]) each
     /// job brings its own policy, so adaptivity is effectively
     /// per packet.
@@ -134,29 +133,41 @@ impl RoutingPolicy for EmbeddingRouting {
 /// into the Lemma-2 hops of its Lemma-3 symbol pair. Each generator
 /// goes to `emit`; the walk stops early when `emit` returns `false`.
 /// Allocation-free.
-pub(crate) fn embedding_walk(
+///
+/// A unit move along dimension `k` transposes the symbol in slot
+/// `s = n−1−k` with its Lemma-3 partner, found by one scan of the
+/// slots after `s` ([`lemma3_partner`]). For `k < n−1` neither symbol
+/// is in front, so the Lemma-2 path is `[s, partner, s]`; for
+/// `k = n−1` the symbol is the front one and the path is the one hop
+/// `[partner]`. Either way the move's net effect is one slot swap,
+/// which is all the walk applies to its copy of the node — the same
+/// hops [`sg_core::lemma3::plus_swap_symbols`] (or `minus_`) and
+/// [`sg_core::paths::transposition_hops`] give, without rescanning
+/// for the symbols' slots.
+fn embedding_walk(
     src: &Perm,
     mut at: [u32; MAX_N],
     target: &[u32; MAX_N],
     mut emit: impl FnMut(u8) -> bool,
 ) {
+    let n = src.len();
     let mut cur = *src;
-    for k in 1..src.len() {
+    for k in 1..n {
+        let s = n - 1 - k;
         while at[k] != target[k] {
             let plus = at[k] < target[k];
-            let (a, b) = if plus {
-                plus_swap_symbols(&cur, k)
+            let partner = lemma3_partner(&cur, s, plus);
+            let (hops, len) = if s == 0 {
+                ([partner, 0, 0], 1)
             } else {
-                minus_swap_symbols(&cur, k)
-            }
-            .expect("interior coordinate always has a neighbor toward the target");
-            let (gens, len) = transposition_hops(&cur, a, b);
-            for &g in &gens[..len] {
+                ([s as u8, partner, s as u8], 3)
+            };
+            for &g in &hops[..len] {
                 if !emit(g) {
                     return;
                 }
-                cur.swap_slots(0, usize::from(g));
             }
+            cur.swap_slots(s, usize::from(partner));
             at[k] = if plus { at[k] + 1 } else { at[k] - 1 };
         }
     }
@@ -165,6 +176,57 @@ pub(crate) fn embedding_walk(
         *target,
         "mesh walk must land on dst"
     );
+}
+
+/// The slot of the Lemma-3 partner of the symbol in slot `s` of
+/// `cur`: among the slots after `s`, the one holding the largest
+/// smaller symbol (`plus`, the move `d_k + 1` for `k = n−1−s`) or the
+/// smallest larger one (`d_k − 1`). One scan; the walk only asks for a
+/// move toward its target, whose partner always exists.
+fn lemma3_partner(cur: &Perm, s: usize, plus: bool) -> u8 {
+    let slots = cur.as_slice();
+    let a = slots[s];
+    // 0 on the wrong side of `a`, growing toward `a` on the right one:
+    // the partner holds the largest key.
+    let key = |b: u8| match (plus, b < a) {
+        (true, true) => b + 1,
+        (false, false) => MAX_N as u8 - b,
+        _ => 0,
+    };
+    let (mut best, mut slot) = (0, 0);
+    for (t, &b) in slots.iter().enumerate().skip(s + 1) {
+        let k = key(b);
+        if k > best {
+            (best, slot) = (k, t);
+        }
+    }
+    assert!(
+        best > 0,
+        "interior coordinate always has a neighbor toward the target"
+    );
+    slot as u8
+}
+
+/// The first generator of the dimension-order walk from `cur` to the
+/// node whose mesh coordinates are `target`, which differs from `cur`'s:
+/// one [`convert_s_d_coords`] of `cur` finds the first dimension `k`
+/// the walk corrects, whose first hop is slot `n−1−k` when
+/// `k < n−1`, and the Lemma-3 partner's slot when `k = n−1`.
+///
+/// # Panics
+/// Panics if `target` is `cur`'s own coordinates (there is no first
+/// hop).
+pub(crate) fn embedding_first_hop(cur: &Perm, target: &[u32; MAX_N]) -> u8 {
+    let n = cur.len();
+    let at = convert_s_d_coords(cur);
+    let k = (1..n)
+        .find(|&k| at[k] != target[k])
+        .expect("cur == dst has no first embedding hop");
+    if k < n - 1 {
+        (n - 1 - k) as u8
+    } else {
+        lemma3_partner(cur, 0, at[k] < target[k])
+    }
 }
 
 /// Contention-aware minimal routing, decided hop by hop.
@@ -181,6 +243,12 @@ pub(crate) fn embedding_walk(
 /// packet falls back to [`crate::FaultPolicy`] semantics (drop, or
 /// pin the BFS detour over the surviving subgraph and follow it to
 /// the end).
+///
+/// The engines pay for this choice about what a source-routed hop
+/// costs: at route setup each adaptive packet gets `dst⁻¹ ∘ cur`,
+/// `cur` and `dst`'s mesh coordinates packed once, every hop swaps two
+/// of their fields, and only a tie converts `cur` to mesh coordinates
+/// (one `CONVERT-S-D`) to find the embedding path's next generator.
 ///
 /// [`RoutingPolicy::route`] returns the greedy shortest path — the
 /// route an adaptive packet takes when it never meets contention.

@@ -1,6 +1,8 @@
 //! The permutation kernels on the routing path allocate nothing, a
-//! route allocates exactly the `Vec` it returns, and appending a route
-//! to a `Vec` with room for it allocates nothing.
+//! route allocates exactly the `Vec` it returns, appending a route to
+//! a `Vec` with room for it allocates nothing, and a run's allocations
+//! do not grow with its hops: adaptive hop selection and the embedding
+//! walk allocate nothing per hop or per packet.
 //!
 //! A counting global allocator (a thread-local counter in front of
 //! [`System`]) measures each call. The `unsafe` that implementing
@@ -9,7 +11,10 @@
 //! benchmark network; order 9 is the largest the simulator
 //! materializes.
 
-use sg_net::{EmbeddingRouting, GreedyRouting, RoutingPolicy};
+use sg_net::{
+    AdaptiveRouting, EmbeddingRouting, GreedyRouting, Network, RoutingPolicy, TrafficStats,
+    Workload,
+};
 use sg_perm::factorial::factorial;
 use sg_perm::lehmer::{rank, unrank};
 use sg_perm::Perm;
@@ -150,4 +155,52 @@ fn substar_lift_and_project_allocate_nothing() {
             assert_eq!(back, q);
         }
     }
+}
+
+/// Fixed setup allocations of one run: the packet table, the route
+/// slab (grown by doubling) and the adaptive side table, the per-run
+/// queue and outcome state, and the statistics (about 30 at `S_7`).
+const RUN_SETUP: u64 = 64;
+
+/// What a run of `k` packets may allocate: its setup, plus in each
+/// executed round (at most `makespan + 1` of them) the growth of the
+/// arrival lane the round fills, which starts empty and doubles up to
+/// at most `k` flits. A buffer per hop would add one per forwarded
+/// flit, a buffer per packet `k`; neither fits.
+fn run_allocation_bound(k: usize, stats: &TrafficStats) -> u64 {
+    let doublings = u64::from(k.next_power_of_two().trailing_zeros()) + 1;
+    RUN_SETUP + (u64::from(stats.makespan) + 1) * doublings
+}
+
+/// Runs `k` packets injected at once on `S_7` under `policy` and holds
+/// the run's allocations to [`run_allocation_bound`], which its
+/// forwarded flits must exceed for the check to mean anything.
+fn assert_run_allocates_nothing_per_hop(policy: &dyn RoutingPolicy) {
+    let net = Network::new(7);
+    for k in [64, 512, 2048] {
+        let w = Workload::uniform_pairs(7, k, 5);
+        let (stats, count) = allocations(|| net.run(&w, policy));
+        assert_eq!(stats.delivered, k as u64, "{}", policy.name());
+        let bound = run_allocation_bound(k, &stats);
+        assert!(
+            count <= bound,
+            "{} run of {k} packets made {count} allocations, over {bound} ({} rounds, {} flits)",
+            policy.name(),
+            stats.makespan,
+            stats.forwarded_flits
+        );
+        assert!(stats.forwarded_flits > bound + k as u64, "vacuous bound");
+    }
+}
+
+#[test]
+fn adaptive_runs_allocate_nothing_per_hop() {
+    // Every hop goes through the selector and the carried state.
+    assert_run_allocates_nothing_per_hop(&AdaptiveRouting);
+}
+
+#[test]
+fn embedding_runs_allocate_nothing_per_hop() {
+    // Every route goes through the embedding walk.
+    assert_run_allocates_nothing_per_hop(&EmbeddingRouting);
 }

@@ -303,14 +303,19 @@ impl SubStar {
     /// stack.
     #[must_use]
     pub fn node_ranks(&self) -> Vec<u64> {
+        self.node_rank_iter().collect()
+    }
+
+    /// [`SubStar::node_ranks`] as an iterator of known length, so a
+    /// caller can collect it straight into the container it keeps
+    /// (one allocation, no intermediate `Vec`).
+    pub fn node_rank_iter(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
         let mut q = Perm::identity(self.order());
-        let mut ranks = Vec::with_capacity(self.size() as usize);
-        loop {
-            ranks.push(rank(&self.lift(&q)));
-            if !next_perm(&mut q) {
-                return ranks;
-            }
-        }
+        (0..self.size() as usize).map(move |_| {
+            let r = rank(&self.lift(&q));
+            next_perm(&mut q);
+            r
+        })
     }
 
     /// `true` iff this sub-star is `other` or contains it (i.e. our
