@@ -244,11 +244,11 @@ pub(crate) fn embedding_first_hop(cur: &Perm, target: &[u32; MAX_N]) -> u8 {
 /// pin the BFS detour over the surviving subgraph and follow it to
 /// the end).
 ///
-/// The engines pay for this choice about what a source-routed hop
-/// costs: at route setup each adaptive packet gets `dst⁻¹ ∘ cur`,
-/// `cur` and `dst`'s mesh coordinates packed once, every hop swaps two
-/// of their fields, and only a tie converts `cur` to mesh coordinates
-/// (one `CONVERT-S-D`) to find the embedding path's next generator.
+/// The engines make this choice without unranking: at route setup
+/// each adaptive packet gets `dst⁻¹ ∘ cur`, `cur` and `dst`'s mesh
+/// coordinates packed once, every hop swaps two of their fields, and
+/// only a tie converts `cur` to mesh coordinates (one `CONVERT-S-D`)
+/// to find the embedding path's next generator.
 ///
 /// [`RoutingPolicy::route`] returns the greedy shortest path — the
 /// route an adaptive packet takes when it never meets contention.
