@@ -157,28 +157,6 @@ impl CollSchedule {
         }
     }
 
-    /// One round-0 [`Workload`] per phase — each send is a single
-    /// packet. Packets are emitted in the schedule's send order, so
-    /// the compiled run is deterministic.
-    #[must_use]
-    pub fn phase_workloads(&self) -> Vec<Workload> {
-        self.phases
-            .iter()
-            .enumerate()
-            .map(|(k, phase)| {
-                let injections = phase
-                    .iter()
-                    .map(|s| Injection {
-                        round: 0,
-                        src: s.src,
-                        dst: s.dst,
-                    })
-                    .collect();
-                Workload::from_injections(&format!("{}/p{k}", self.name), self.order, injections)
-            })
-            .collect()
-    }
-
     /// Compiles the schedule for the whole of `net` (which must be
     /// `S_order`): phases become a [`ChainedWorkload`] with
     /// inject-after-quiescence barriers, without simulating anything.
@@ -196,7 +174,21 @@ impl CollSchedule {
             self.order,
             net.n()
         );
-        Workload::chain(&self.name, self.order, &self.phase_workloads())
+        self.chain(&self.name, self.order, |pe| pe)
+    }
+
+    /// Chains the phases, each send one round-0 packet from `pe(src)`
+    /// to `pe(dst)`, in the schedule's send order, so the compiled run
+    /// is deterministic.
+    fn chain(&self, name: &str, n: usize, pe: impl Fn(u64) -> u64 + Copy) -> ChainedWorkload {
+        let phases = self.phases.iter().map(|phase| {
+            phase.iter().map(move |s| Injection {
+                round: 0,
+                src: pe(s.src),
+                dst: pe(s.dst),
+            })
+        });
+        Workload::chain(name, n, phases)
     }
 
     /// The same schedule with every PE lifted onto `sub`'s nodes in
@@ -211,14 +203,7 @@ impl CollSchedule {
     /// Panics if `sub.order() != order`.
     #[must_use]
     pub fn lifted(&self, sub: &SubStar) -> CollSchedule {
-        assert_eq!(
-            sub.order(),
-            self.order,
-            "schedule over S_{} lifted onto an order-{} sub-star",
-            self.order,
-            sub.order()
-        );
-        let nodes = sub.node_ranks();
+        let (name, nodes) = self.lift(sub);
         let phases = self
             .phases
             .iter()
@@ -235,31 +220,39 @@ impl CollSchedule {
             })
             .collect();
         CollSchedule {
-            name: format!("{}@{:?}", self.name, sub.fixed_suffix()),
+            name,
             order: sub.n(),
             phases,
         }
     }
 
     /// Compiles the schedule onto sub-star `sub` of the **host**
-    /// network: lifts every send, then chains the phases on the host,
-    /// simulating nothing. The barriers stay phase-local when the
-    /// result is composed with other tenants, so its phases open
-    /// exactly as when it runs alone. The result injects only at
+    /// network: lifts every send straight into the chain of phases on
+    /// the host, simulating nothing. The barriers stay phase-local
+    /// when the result is composed with other tenants, so its phases
+    /// open exactly as when it runs alone. The result injects only at
     /// `sub`'s nodes and, under a confined policy, never leaves them.
-    /// `_policy` is not consulted.
     ///
     /// # Panics
     /// Panics if `sub.order() != order` or `net.n() != sub.n()`.
     #[must_use]
-    pub fn compile_on(
-        &self,
-        net: &Network,
-        sub: &SubStar,
-        _policy: &dyn RoutingPolicy,
-    ) -> ChainedWorkload {
+    pub fn compile_on(&self, net: &Network, sub: &SubStar) -> ChainedWorkload {
         assert_eq!(net.n(), sub.n(), "sub-star of a different host");
-        let lifted = self.lifted(sub);
-        Workload::chain(&lifted.name, sub.n(), &lifted.phase_workloads())
+        let (name, nodes) = self.lift(sub);
+        self.chain(&name, sub.n(), |pe| nodes[pe as usize])
+    }
+
+    /// The lifted schedule's name and the host rank of each of `sub`'s
+    /// nodes, by local rank.
+    fn lift(&self, sub: &SubStar) -> (String, Vec<u64>) {
+        assert_eq!(
+            sub.order(),
+            self.order,
+            "schedule over S_{} lifted onto an order-{} sub-star",
+            self.order,
+            sub.order()
+        );
+        let name = format!("{}@{:?}", self.name, sub.fixed_suffix());
+        (name, sub.node_ranks())
     }
 }

@@ -227,7 +227,7 @@ fn compiling_simulates_nothing() {
 
     let host = Network::new(m + 1).with_config(wedging);
     let sub = SubStar::new(m + 1, vec![3]);
-    let on = s.compile_on(&host, &sub, &GreedyRouting);
+    let on = s.compile_on(&host, &sub);
     assert_eq!(on.owner, chained.owner);
     assert!(host.run(&on.workload, &GreedyRouting).stranded > 0);
 }

@@ -73,12 +73,8 @@ fn collective_tenants_are_byte_isolated() {
 
         // Compile the collective onto the granted sub-star; barriers
         // are measured on the host network, where the packets run.
-        let run = s.tenant_run_with(|i, p| {
-            (i == 0).then(|| {
-                coll.compile_on(&net, &p.substar, &sg_net::GreedyRouting)
-                    .workload
-            })
-        });
+        let run =
+            s.tenant_run_with(|i, p| (i == 0).then(|| coll.compile_on(&net, &p.substar).workload));
 
         // The composed run completes, hands off clean, and no tenant
         // perturbs (or is perturbed by) any other: the isolation

@@ -10,7 +10,7 @@ use sg_coll::{
     reduce_scatter_halving, reduce_tree, CollSchedule,
 };
 use sg_net::trace::{record, record_partitioned, replay, replay_jsonl};
-use sg_net::{Engine, GreedyRouting, Network, RoutingPolicy};
+use sg_net::{Engine, GreedyRouting, Injection, Network, RoutingPolicy, Workload};
 use sg_obs::{diff_events, Trace};
 
 fn schedules(m: usize) -> Vec<CollSchedule> {
@@ -69,7 +69,18 @@ fn partitioned_collective_traces_attribute_phases() {
     let net = Network::new(m);
     for s in [broadcast_tree(m, 0), allreduce_lattice(m)] {
         let chained = s.compile(&net, &GreedyRouting);
-        let phases = s.phase_workloads();
+        let phases: Vec<Workload> = s
+            .phases()
+            .iter()
+            .map(|phase| {
+                let sends = phase.iter().map(|x| Injection {
+                    round: 0,
+                    src: x.src,
+                    dst: x.dst,
+                });
+                Workload::from_injections("phase", m, sends.collect())
+            })
+            .collect();
         let policies: Vec<Box<dyn RoutingPolicy>> = phases
             .iter()
             .map(|_| Box::new(GreedyRouting) as _)

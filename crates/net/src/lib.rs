@@ -44,15 +44,21 @@
 //!
 //! ## Engines
 //!
-//! Two engines execute that model. [`Engine::Reference`] scans every
-//! queue every round — the transparent oracle. [`Engine::Fast`] (the
-//! default behind [`Network::run`]) drives an active-queue worklist
-//! over intrusive per-link FIFOs with batched round-keyed arrivals
-//! whose records name each flit's next queue, and skips idle rounds —
-//! the engine that makes
-//! full-injection sweeps at `n = 8` (40 320 PEs) finish in seconds.
-//! `tests/differential.rs` proves them observationally identical:
-//! byte-equal [`TrafficStats`] across every workload × routing ×
+//! Two engines execute that model, both driving one run core that
+//! holds every rule they share (injection, landing, hop selection,
+//! tail drop, the escape bank, strands, the event bracket), generic
+//! over the queue store and the accounting sink.
+//! [`Engine::Reference`] is the transparent oracle: a `VecDeque` per
+//! queue scanned in full every round, every landing routed through
+//! hop selection, no skipped rounds, and its own counter arithmetic.
+//! [`Engine::Fast`] (the default behind [`Network::run`]) drives an
+//! active-queue worklist over intrusive per-link FIFOs with batched
+//! round-keyed arrivals whose records name each flit's next queue,
+//! skips idle rounds, and counts through an [`sg_obs::RunTally`] —
+//! the engine that makes full-injection sweeps at `n = 8` (40 320
+//! PEs) finish in seconds. `tests/differential.rs` proves them
+//! observationally identical, and so checks everything they keep
+//! apart: byte-equal [`TrafficStats`] across every workload × routing ×
 //! fault axis. Three scenario axes ride on the engines:
 //! [`AdaptiveRouting`] (contention-aware least-occupied shortest-path
 //! hops), [`FlowControl::CreditBased`] (packets stall at the source

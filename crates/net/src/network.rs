@@ -47,10 +47,22 @@
 //!
 //! ## The two engines
 //!
-//! [`Engine::Reference`] is the transparent oracle: a `VecDeque` per
-//! queue, and an arbitration phase that scans *every* queue every
-//! round — obviously correct, and `O(n!·(n−1))` per round no matter
-//! how idle the network is.
+//! Both engines drive one run core, generic over the two things they
+//! keep differently: the queue store and the accounting sink. The core
+//! holds every rule they share — the packet table, routes and
+//! outcomes; credits; the injection phase with its stalled retries;
+//! landing and delivery; next-hop selection with its drop path;
+//! tail-drop placement; the escape bank's landing, forwarding and
+//! diversions; strands; and the lazy round bracket — so a rule is
+//! written once and each engine's round loop is statically dispatched.
+//!
+//! [`Engine::Reference`] is the transparent oracle. It keeps what the
+//! differential suite checks the fast engine against: a `VecDeque` per
+//! queue, an arbitration phase that scans *every* queue every round
+//! (`O(n!·(n−1))` per round no matter how idle the network is),
+//! arrivals that name no queue, so every flit lands through next-hop
+//! selection, no skipped rounds, and its own arithmetic on the
+//! [`RunCounters`].
 //!
 //! [`Engine::Fast`] (the default behind [`Network::run`]) is the
 //! production engine:
@@ -69,23 +81,26 @@
 //!   short of its destination on a fault-free network), so that flit
 //!   lands without reading its packet record or route;
 //! * **idle-round skipping** — when nothing is queued, time jumps
-//!   straight to the next injection or landing round.
+//!   straight to the next injection or landing round;
+//! * every counter update goes to an [`sg_obs::RunTally`] (shared with
+//!   the trace replayer, and the only place per-job attribution lives).
 //!
 //! The two engines are **observationally identical**: for any
 //! `(workload, policy, config, faults)` they produce byte-identical
 //! [`TrafficStats`] — enforced by `tests/differential.rs` across
-//! every workload × policy × fault-plan axis. The fast engine hands
-//! every counter update to an [`sg_obs::RunTally`] (shared with the
-//! trace replayer, and the only place per-job attribution lives); the
-//! reference engine keeps its own inline counters, so that comparison
-//! is also the independent check on the tally. Queue capacity is
-//! enforced at enqueue time (tail drop) or as stalling buffer credits
-//! (see [`FlowControl`]); faults are consulted whenever a flit is
-//! about to take a link (see [`crate::FaultPlan`]).
+//! every workload × policy × fault-plan axis. That suite checks what
+//! the engines keep apart: the queue store, the scan, the arrival
+//! hints, the idle skip and the tally. The rules they share are pinned
+//! by hand-derived fixtures and oracles instead (`tests/escape_fixture.rs`
+//! and `tests/deadlock.rs` for the escape bank, the routing-kernel
+//! oracles for hop selection). Queue capacity is enforced at enqueue
+//! time (tail drop) or as stalling buffer credits (see
+//! [`FlowControl`]); faults are consulted whenever a flit is about to
+//! take a link (see [`crate::FaultPlan`]).
 //!
 //! ## Observability
 //!
-//! Both engines are generic over an [`sg_obs::Probe`] and emit typed
+//! The run core is generic over an [`sg_obs::Probe`] and emits typed
 //! [`sg_obs::Event`]s at every state transition (enqueues, forwards,
 //! stalls, diversions, drops, deliveries), in reference-scan order —
 //! the differential suite asserts the two engines produce *identical
@@ -415,10 +430,9 @@ impl Network {
         escape: &[bool],
         probe: &mut P,
     ) -> (TrafficStats, Vec<TrafficStats>) {
-        let (routes, pkts) = self.prepare_partitioned(workload, policies, owner, escape);
-        let mut sim = FastSim::new(self, workload, routes, pkts, probe);
-        sim.tally = RunTally::partitioned(owner, policies.len());
-        let (total, per_job, _) = sim.run();
+        let prepared = self.prepare(workload, policies, Some((owner, escape)));
+        let tally = RunTally::partitioned(owner, policies.len());
+        let (total, per_job, _) = FastSim::new(self, workload, prepared, tally, probe).run();
         let per_job = TrafficStats::split_by_owner(self.n, &total.packets, owner, per_job);
         (total, per_job)
     }
@@ -443,8 +457,8 @@ impl Network {
         escape: &[bool],
         probe: &mut P,
     ) -> TrafficStats {
-        let (routes, pkts) = self.prepare_partitioned(workload, policies, owner, escape);
-        ReferenceSim::new(self, workload, routes, pkts, probe).run()
+        let prepared = self.prepare(workload, policies, Some((owner, escape)));
+        ReferenceSim::new(self, workload, prepared, probe).run()
     }
 
     /// Collects every region-handoff violation of a finished
@@ -547,10 +561,13 @@ impl Network {
         engine: Engine,
         probe: &mut P,
     ) -> TrafficStats {
-        let (routes, pkts) = self.prepare(workload, policy);
+        let prepared = self.prepare(workload, &[policy], None);
         match engine {
-            Engine::Fast => FastSim::new(self, workload, routes, pkts, probe).run().0,
-            Engine::Reference => ReferenceSim::new(self, workload, routes, pkts, probe).run(),
+            Engine::Fast => {
+                let tally = RunTally::default();
+                FastSim::new(self, workload, prepared, tally, probe).run().0
+            }
+            Engine::Reference => ReferenceSim::new(self, workload, prepared, probe).run(),
         }
     }
 
@@ -570,9 +587,9 @@ impl Network {
         workload: &Workload,
         policy: &dyn RoutingPolicy,
     ) -> (TrafficStats, PhaseProfile) {
-        let (routes, pkts) = self.prepare(workload, policy);
+        let prepared = self.prepare(workload, &[policy], None);
         let mut probe = NullProbe;
-        let mut sim = FastSim::new(self, workload, routes, pkts, &mut probe);
+        let mut sim = FastSim::new(self, workload, prepared, RunTally::default(), &mut probe);
         sim.profile = Some((
             self.clock.unwrap_or(sg_obs::wall_clock),
             PhaseProfile::default(),
@@ -581,69 +598,19 @@ impl Network {
         (stats, profile.expect("profiler was armed"))
     }
 
-    /// Shared run setup: workload validation, parallel route
-    /// precomputation into the shared [`RouteArena`], and the initial
-    /// packet table. Adaptive packets carry an empty span and pick
-    /// hops at enqueue time.
+    /// Run setup: workload validation, parallel route precomputation
+    /// into the shared [`RouteArena`], and the initial packet table.
+    /// With an `(owner, escape)` map, packet `pid` routes under
+    /// `policies[owner[pid]]` and may divert onto the escape channel
+    /// iff `escape[owner[pid]]`; without one, every packet routes under
+    /// `policies[0]` and may divert. Adaptive packets carry an empty
+    /// span and pick hops at enqueue time.
     fn prepare(
         &self,
         workload: &Workload,
-        policy: &dyn RoutingPolicy,
-    ) -> (RouteArena, Vec<SimPacket>) {
-        self.check_order(workload);
-        let inj = workload.injections();
-        let n = self.n;
-        let chunks: Vec<RouteChunk> = if inj.is_empty() {
-            Vec::new()
-        } else {
-            inj.par_chunks(route_chunk_len(inj.len()))
-                .map(|chunk| route_chunk(n, chunk, |_| policy))
-                .collect()
-        };
-        assemble_routes(n, inj, chunks)
-    }
-
-    /// [`Network::prepare`] for both partitioned entry points, which
-    /// it validates: packet `pid` routes under `policies[owner[pid]]`
-    /// and may divert onto the escape channel iff `escape[owner[pid]]`.
-    fn prepare_partitioned(
-        &self,
-        workload: &Workload,
         policies: &[&dyn RoutingPolicy],
-        owner: &[u32],
-        escape: &[bool],
+        owner: Option<(&[u32], &[bool])>,
     ) -> (RouteArena, Vec<SimPacket>) {
-        self.check_order(workload);
-        assert_eq!(
-            owner.len(),
-            workload.len(),
-            "owner map must cover every packet"
-        );
-        assert!(
-            owner.iter().all(|&j| (j as usize) < policies.len()),
-            "owner names a job >= policies.len()"
-        );
-        assert_eq!(
-            escape.len(),
-            policies.len(),
-            "escape eligibility must name every job"
-        );
-        let inj = workload.injections();
-        let n = self.n;
-        let len = route_chunk_len(inj.len());
-        let pairs: Vec<(&[Injection], &[u32])> = inj.chunks(len).zip(owner.chunks(len)).collect();
-        let chunks: Vec<RouteChunk> = pairs
-            .into_par_iter()
-            .map(|(ic, oc)| route_chunk(n, ic, |k| policies[oc[k] as usize]))
-            .collect();
-        let (arena, mut pkts) = assemble_routes(n, inj, chunks);
-        for (pkt, &j) in pkts.iter_mut().zip(owner) {
-            pkt.may_escape = escape[j as usize];
-        }
-        (arena, pkts)
-    }
-
-    fn check_order(&self, workload: &Workload) {
         assert_eq!(
             workload.n(),
             self.n,
@@ -651,6 +618,42 @@ impl Network {
             workload.n(),
             self.n
         );
+        if let Some((owner, escape)) = owner {
+            assert_eq!(
+                owner.len(),
+                workload.len(),
+                "owner map must cover every packet"
+            );
+            assert!(
+                owner.iter().all(|&j| (j as usize) < policies.len()),
+                "owner names a job >= policies.len()"
+            );
+            assert_eq!(
+                escape.len(),
+                policies.len(),
+                "escape eligibility must name every job"
+            );
+        }
+        let inj = workload.injections();
+        let n = self.n;
+        let len = route_chunk_len(inj.len());
+        let chunks: Vec<RouteChunk> = (0..inj.len().div_ceil(len))
+            .into_par_iter()
+            .map(|c| {
+                let start = c * len;
+                let chunk = &inj[start..inj.len().min(start + len)];
+                route_chunk(n, chunk, |k| {
+                    policies[owner.map_or(0, |(owner, _)| owner[start + k] as usize)]
+                })
+            })
+            .collect();
+        let (arena, mut pkts) = assemble_routes(n, inj, chunks);
+        if let Some((owner, escape)) = owner {
+            for (pkt, &j) in pkts.iter_mut().zip(owner) {
+                pkt.may_escape = escape[j as usize];
+            }
+        }
+        (arena, pkts)
     }
 }
 
@@ -791,7 +794,8 @@ fn assemble_routes(
 }
 
 // ---------------------------------------------------------------------
-// Logic shared verbatim by both engines.
+// Run state and the rules the run core applies: routes, packets, hop
+// selection, the escape bank and the injection schedule.
 // ---------------------------------------------------------------------
 
 /// All precomputed routes packed into one flat byte arena; each
@@ -949,11 +953,10 @@ impl AdaptiveState {
     }
 }
 
-/// The adaptive hop selector both engines call: among the generators
-/// that move the packet strictly closer to its destination and whose
-/// link survives the fault plan, pick the one with the smallest output
-/// queue at the current PE `u` (`occ[g−1]` is that queue's
-/// occupancy). Ties prefer the next generator of the dimension-order
+/// The adaptive hop selector: among the generators that move the
+/// packet strictly closer to its destination and whose link survives
+/// the fault plan, pick the one with the smallest output queue at the
+/// current PE `u` (`occ[g−1]` is that queue's occupancy). Ties prefer the next generator of the dimension-order
 /// embedding path, then the smallest generator index. This runs once
 /// per hop of every adaptive packet, so it reads everything off the
 /// packet's carried [`AdaptiveState`]: the candidates are the
@@ -1009,9 +1012,7 @@ enum HopFail {
 /// carried state advances over the chosen link. When faults block the
 /// hop this applies the fault policy — dropping, or pinning the BFS
 /// detour over the surviving subgraph (which also turns an adaptive
-/// packet into a source-routed one). Shared verbatim by both engines
-/// so the fault/credit fallback can never drift between them; only
-/// queue bookkeeping stays engine-specific.
+/// packet into a source-routed one).
 fn select_generator(
     net: &Network,
     faulty: bool,
@@ -1151,6 +1152,14 @@ impl EscapeBank {
         self.holder(c, u) == ESC_FREE
     }
 
+    /// The packet occupying PE `u`'s class-`c` slot: neither free nor
+    /// reserved for a holder still in flight.
+    #[inline]
+    fn resident(&self, c: usize, u: usize) -> Option<PacketId> {
+        let h = self.holder(c, u);
+        (h != ESC_FREE && h & ESC_RESV == 0).then_some(h)
+    }
+
     fn set(&mut self, c: usize, u: usize, val: u32) {
         if self.classes.len() <= c {
             self.classes
@@ -1194,21 +1203,10 @@ fn escape_span(
     span
 }
 
-/// Resolves every still-open packet as [`PacketOutcome::Stranded`]
-/// (round cap or credit deadlock).
-fn strand_remaining(outcomes: &mut [Option<PacketOutcome>], resolved: &mut usize) {
-    for o in outcomes.iter_mut() {
-        if o.is_none() {
-            *o = Some(PacketOutcome::Stranded);
-            *resolved += 1;
-        }
-    }
-}
-
-/// A run's injection schedule, shared verbatim by both engines: the
-/// ungated packets walk by round, and each barrier phase opens one
-/// round after the last packet of the phase before it resolves.
-/// Packets due in the same round come out in packet-id order.
+/// A run's injection schedule: the ungated packets walk by round, and
+/// each barrier phase opens one round after the last packet of the
+/// phase before it resolves. Packets due in the same round come out in
+/// packet-id order.
 struct Injector<'a> {
     inj: &'a [Injection],
     /// First gated packet id (`inj.len()` without barriers).
@@ -1350,59 +1348,100 @@ impl<'a> Injector<'a> {
     }
 }
 
-/// The run's statistics. `stopped` is the round the round loop ended
-/// in: for a run that gave up, the round it gave up, which is recorded
-/// as the injection round of every packet whose phase never opened.
-fn finish(
-    net: &Network,
-    due: &Injector,
-    outcomes: &[Option<PacketOutcome>],
-    counters: RunCounters,
-    stopped: u32,
-) -> TrafficStats {
-    let mut records: Vec<PacketRecord> = due
-        .inj
-        .iter()
-        .zip(outcomes)
-        .map(|(i, o)| PacketRecord {
-            src: i.src,
-            dst: i.dst,
-            inject_round: i.round,
-            outcome: o.expect("all packets resolved"),
-        })
-        .collect();
-    // A gated packet's round counts from its phase's realized start.
-    for ph in &due.phases {
-        for rec in &mut records[ph.gate.start as usize..ph.gate.end as usize] {
-            rec.inject_round = ph
-                .open
-                .map_or(stopped, |t| t.saturating_add(rec.inject_round));
-        }
-    }
-    TrafficStats::from_records(net.n, records, counters)
+// ---------------------------------------------------------------------
+// The run core: one copy of every rule both engines apply.
+// ---------------------------------------------------------------------
+
+/// The output queues of an engine, `qi = u·(n−1) + (g−1)` for PE `u`'s
+/// generator-`g` link. One of the two things the engines keep
+/// differently; the other is the [`Sink`].
+trait Queues {
+    /// Empty queues for a run of `packets` packets.
+    fn new(queues: usize, packets: usize) -> Self;
+    /// Flits queued on `qi`.
+    fn len(&self, qi: usize) -> u32;
+    /// The head flit of `qi`, if any.
+    fn front(&self, qi: usize) -> Option<PacketId>;
+    /// Appends `pid` to `qi`.
+    fn push(&mut self, qi: usize, pid: PacketId);
+    /// Removes and returns the head flit of non-empty `qi`.
+    fn pop(&mut self, qi: usize) -> PacketId;
+    /// An escape resident of link `li`'s PE now wants that link.
+    fn want(&mut self, li: usize);
 }
 
-// ---------------------------------------------------------------------
-// Reference engine: the scan-everything oracle.
-// ---------------------------------------------------------------------
+/// Where a run's counter updates go: a [`RunTally`] in the fast
+/// engine, a [`RunCounters`] with its own arithmetic in the reference
+/// engine, so that the differential suite checks one against the
+/// other. The arguments are those of the [`RunTally`] methods.
+trait Sink {
+    fn queued(&mut self, pid: PacketId, escape: bool, depth: u64, at_pe: u64);
+    fn forwarded(&mut self, pid: PacketId, escape: bool);
+    fn diverted(&mut self, pid: PacketId, escape_at_pe: u64);
+    fn stalled(&mut self, pid: PacketId);
+    fn resolved(&mut self, pid: PacketId, round: u32);
+    fn end_round(&mut self, queued: u64, stalled: u64);
+    /// The whole-run counters, and one per owner (empty unless the
+    /// tally is partitioned).
+    fn finish(self) -> (RunCounters, Vec<RunCounters>);
+}
 
-/// One reference run's mutable state. A `VecDeque` per queue, every
-/// queue scanned every round — the simplest faithful implementation
-/// of the phase semantics, kept as the differential oracle.
-struct ReferenceSim<'a, P: Probe> {
+impl Sink for RunTally<'_> {
+    #[inline]
+    fn queued(&mut self, pid: PacketId, escape: bool, depth: u64, at_pe: u64) {
+        RunTally::queued(self, pid, escape, depth, at_pe);
+    }
+    #[inline]
+    fn forwarded(&mut self, pid: PacketId, escape: bool) {
+        RunTally::forwarded(self, pid, escape);
+    }
+    #[inline]
+    fn diverted(&mut self, pid: PacketId, escape_at_pe: u64) {
+        RunTally::diverted(self, pid, escape_at_pe);
+    }
+    #[inline]
+    fn stalled(&mut self, pid: PacketId) {
+        RunTally::stalled(self, pid);
+    }
+    #[inline]
+    fn resolved(&mut self, pid: PacketId, round: u32) {
+        RunTally::resolved(self, pid, round);
+    }
+    #[inline]
+    fn end_round(&mut self, queued: u64, stalled: u64) {
+        RunTally::end_round(self, queued, stalled);
+    }
+    fn finish(self) -> (RunCounters, Vec<RunCounters>) {
+        RunTally::finish(self)
+    }
+}
+
+/// The arrival record's marker for a flit whose next queue the
+/// forward cannot name: a delivery, an adaptive or escape flit, or
+/// any flit on a network with faults. Such a flit lands the long way,
+/// through its packet record ([`Core::land`]).
+const NO_HINT: u32 = u32::MAX;
+
+/// One run's state and every rule both engines apply to it: the
+/// packet table, routes and outcomes; credits; injection with its
+/// stalled retries; landing and delivery; next-hop selection with its
+/// drop path; tail-drop placement; the escape bank's landing,
+/// forwarding and diversions; strands; and the lazy round bracket.
+/// Generic over the engine's [`Queues`] and [`Sink`], so each engine's
+/// round loop is monomorphized with no dynamic call.
+struct Core<'a, P: Probe, Q: Queues, T: Sink> {
     net: &'a Network,
     gens: usize,
-    lanes: usize,
     due: Injector<'a>,
     pkts: Vec<SimPacket>,
     routes: RouteArena,
     outcomes: Vec<Option<PacketOutcome>>,
-    queues: Vec<VecDeque<PacketId>>,
+    q: Q,
     node_occ: Vec<u32>,
-    /// Buffer slots promised to in-flight flits (credit mode).
+    /// Credits reserved at each PE by flits in flight toward it.
+    /// Allocated only when a credit pool exists: every access is
+    /// guarded by `pool`.
     reserved: Vec<u32>,
-    /// Ring buffer of arrival lists, indexed by `round % lanes`.
-    arrivals: Vec<Vec<PacketId>>,
     in_flight: usize,
     /// Packets waiting at their source for a buffer credit, FIFO.
     stalled: VecDeque<PacketId>,
@@ -1419,67 +1458,78 @@ struct ReferenceSim<'a, P: Probe> {
     esc: Option<EscapeBank>,
     /// Escape residents per PE (adaptive occupancy stays in
     /// `node_occ`, so the credit math is untouched by escape traffic).
+    /// Allocated only in escape mode: every access is guarded by `esc`.
     esc_node: Vec<u32>,
     /// Memoized escape-route spans per `(PE, dst)`.
     esc_memo: HashMap<(u32, u32), Option<(u32, u32)>>,
     /// Diversion attempts staged during the arbitration scan, applied
-    /// after it in scan order (so a diversion can never alter the
-    /// scan it was decided in).
+    /// after it in scan order, so a diversion can never alter the scan
+    /// it was decided in.
     divert: Vec<(usize, PacketId)>,
-    counters: RunCounters,
-    /// Event sink; [`NullProbe`] (the default) disables every
-    /// emission site at compile time.
+    tally: T,
+    /// Event sink; [`NullProbe`]'s `ENABLED = false` folds every
+    /// emission site out of the monomorphized loop.
     probe: &'a mut P,
     /// Lazy round bracket: set by the first [`Event`] of a round, so
     /// eventless rounds emit neither `RoundBegin` nor `RoundEnd`.
     round_open: bool,
 }
 
-impl<'a, P: Probe> ReferenceSim<'a, P> {
+impl<'a, P: Probe, Q: Queues, T: Sink> Core<'a, P, Q, T> {
     fn new(
         net: &'a Network,
         workload: &'a Workload,
-        routes: RouteArena,
-        pkts: Vec<SimPacket>,
+        (routes, pkts): (RouteArena, Vec<SimPacket>),
+        tally: T,
         probe: &'a mut P,
     ) -> Self {
-        let gens = net.n - 1;
-        let lanes = net.config.link_latency as usize + 1;
         let esc_mode = net.config.flow_control == FlowControl::EscapeChannel;
-        ReferenceSim {
+        let pool = net.credit_pool();
+        // Per-PE state a mode never reads stays unallocated.
+        let per_pe = |needed: bool| {
+            if needed {
+                vec![0; net.node_count]
+            } else {
+                Vec::new()
+            }
+        };
+        Core {
             net,
-            gens,
-            lanes,
+            gens: net.n - 1,
             due: Injector::new(workload),
             pkts,
             routes,
             outcomes: vec![None; workload.len()],
-            queues: vec![VecDeque::new(); net.node_count * gens],
+            q: Q::new(net.node_count * (net.n - 1), workload.len()),
             node_occ: vec![0; net.node_count],
-            reserved: vec![0; net.node_count],
-            arrivals: vec![Vec::new(); lanes],
+            reserved: per_pe(pool.is_some()),
             in_flight: 0,
             stalled: VecDeque::new(),
             reroute_memo: HashMap::new(),
             resolved: 0,
             total_queued: 0,
-            pool: net.credit_pool(),
+            pool,
             faulty: !net.faults.is_empty(),
             esc: esc_mode.then(|| EscapeBank::new(net.node_count)),
-            esc_node: vec![0; net.node_count],
+            esc_node: per_pe(esc_mode),
             esc_memo: HashMap::new(),
             divert: Vec::new(),
-            counters: RunCounters::default(),
+            tally,
             probe,
             round_open: false,
         }
+    }
+
+    /// `true` while some packet is unresolved.
+    fn running(&self) -> bool {
+        self.resolved < self.outcomes.len()
     }
 
     fn resolve(&mut self, pid: PacketId, round: u32, outcome: PacketOutcome) {
         debug_assert!(self.outcomes[pid as usize].is_none(), "double resolution");
         self.outcomes[pid as usize] = Some(outcome);
         self.resolved += 1;
-        self.counters.last_event = self.counters.last_event.max(round);
+        self.tally.resolved(pid, round);
     }
 
     /// Emits `ev`, opening the round bracket first when this is the
@@ -1492,24 +1542,8 @@ impl<'a, P: Probe> ReferenceSim<'a, P> {
         self.probe.event(&ev);
     }
 
-    /// Emits a `Dropped { Stranded }` for every unresolved packet (in
-    /// pid order), then closes the round bracket. Called just before
-    /// `strand_remaining` on both strand paths (round cap, deadlock).
-    fn emit_strand(&mut self, round: u32) {
-        for pid in 0..self.outcomes.len() {
-            if self.outcomes[pid].is_none() {
-                let pe = self.pkts[pid].cur;
-                self.emit(
-                    round,
-                    Event::Dropped {
-                        round,
-                        pid: pid as PacketId,
-                        pe,
-                        reason: DropReason::Stranded,
-                    },
-                );
-            }
-        }
+    /// Closes the round bracket if the round emitted anything.
+    fn close_round(&mut self, round: u32) {
         if self.round_open {
             self.round_open = false;
             self.probe.event(&Event::RoundEnd {
@@ -1521,10 +1555,147 @@ impl<'a, P: Probe> ReferenceSim<'a, P> {
         }
     }
 
+    fn deliver(&mut self, pid: PacketId, pe: u32, round: u32, hops: u32) {
+        self.resolve(pid, round, PacketOutcome::Delivered { round, hops });
+        if P::ENABLED {
+            self.emit(
+                round,
+                Event::Delivered {
+                    round,
+                    pid,
+                    pe,
+                    hops,
+                },
+            );
+        }
+    }
+
+    /// Drops `pid` at PE `pe` for `reason`, which is never
+    /// [`DropReason::Stranded`] (see [`Core::strand`]).
+    fn drop_packet(&mut self, pid: PacketId, pe: u32, round: u32, reason: DropReason) {
+        let outcome = match reason {
+            DropReason::Fault => PacketOutcome::DroppedFault { round },
+            DropReason::Unreachable => PacketOutcome::DroppedUnreachable { round },
+            DropReason::Overflow => PacketOutcome::DroppedOverflow { round },
+            DropReason::Stranded => unreachable!("strands resolve through Core::strand"),
+        };
+        self.resolve(pid, round, outcome);
+        if P::ENABLED {
+            self.emit(
+                round,
+                Event::Dropped {
+                    round,
+                    pid,
+                    pe,
+                    reason,
+                },
+            );
+        }
+    }
+
+    /// Gives up at `round` (round cap or credit deadlock): every
+    /// unresolved packet strands, with a `Dropped { Stranded }` event
+    /// each in pid order, and the round bracket closes.
+    fn strand(&mut self, round: u32) {
+        for pid in 0..self.outcomes.len() {
+            if self.outcomes[pid].is_some() {
+                continue;
+            }
+            if P::ENABLED {
+                let pe = self.pkts[pid].cur;
+                self.emit(
+                    round,
+                    Event::Dropped {
+                        round,
+                        pid: pid as PacketId,
+                        pe,
+                        reason: DropReason::Stranded,
+                    },
+                );
+            }
+            self.outcomes[pid] = Some(PacketOutcome::Stranded);
+            self.resolved += 1;
+        }
+        if P::ENABLED {
+            self.close_round(round);
+        }
+    }
+
     fn has_credit(&self, v: u32) -> bool {
         self.pool.is_none_or(|pool| {
             u64::from(self.node_occ[v as usize]) + u64::from(self.reserved[v as usize]) < pool
         })
+    }
+
+    /// Phase 1 for a flit whose next queue the arrival does not name:
+    /// delivered at its destination, otherwise its forward-time credit
+    /// reservation becomes occupancy and it joins its next queue.
+    /// Escaped flits reserve class slots instead of pool credits.
+    fn land(&mut self, pid: PacketId, round: u32) {
+        let pkt = &self.pkts[pid as usize];
+        let (pe, hops) = (pkt.cur, pkt.hops);
+        if pe == pkt.dst {
+            self.deliver(pid, pe, round, hops);
+            return;
+        }
+        if self.pool.is_some() && !pkt.escaped {
+            self.reserved[pe as usize] -= 1;
+        }
+        self.enqueue_next(pid, round);
+    }
+
+    /// Phase 2: packets stalled for credit retry in FIFO order, then
+    /// this round's packets enter their source PE. Returns whether any
+    /// packet moved or resolved.
+    fn inject(&mut self, round: u32) -> bool {
+        let mut progress = false;
+        for _ in 0..self.stalled.len() {
+            let pid = self.stalled.pop_front().expect("len checked");
+            let src = self.pkts[pid as usize].cur;
+            if self.has_credit(src) {
+                self.enqueue_next(pid, round);
+                progress = true;
+            } else {
+                self.stall(pid, src, round);
+            }
+        }
+        while let Some(due) = self.due.next_due(round) {
+            for p in due {
+                let pid = p as PacketId;
+                let (src, dst) = (self.due.inj[p].src, self.due.inj[p].dst);
+                let pe = src as u32;
+                if self.faulty && self.net.faults.is_node_dead(src) {
+                    self.drop_packet(pid, pe, round, DropReason::Fault);
+                    progress = true;
+                } else if src == dst {
+                    self.deliver(pid, pe, round, 0);
+                    progress = true;
+                } else if !self.has_credit(pe) {
+                    self.stall(pid, pe, round);
+                } else {
+                    self.enqueue_next(pid, round);
+                    progress = true;
+                }
+            }
+        }
+        progress
+    }
+
+    /// `pid` waits at its source `pe` for a credit, once more.
+    fn stall(&mut self, pid: PacketId, pe: u32, round: u32) {
+        if P::ENABLED {
+            self.emit(
+                round,
+                Event::Stalled {
+                    round,
+                    pid,
+                    pe,
+                    kind: StallKind::Injection,
+                },
+            );
+        }
+        self.tally.stalled(pid);
+        self.stalled.push_back(pid);
     }
 
     /// Places a packet (known not to be at its destination) onto an
@@ -1537,7 +1708,7 @@ impl<'a, P: Probe> ReferenceSim<'a, P> {
         if self.pkts[p].adaptive {
             let base = u as usize * self.gens;
             for (i, slot) in occ[..self.gens].iter_mut().enumerate() {
-                *slot = self.queues[base + i].len() as u32;
+                *slot = self.q.len(base + i);
             }
         }
         let g = match select_generator(
@@ -1558,67 +1729,52 @@ impl<'a, P: Probe> ReferenceSim<'a, P> {
                     let bank = self.esc.as_mut().expect("escaped packet implies bank");
                     bank.clear(c, u as usize);
                 }
-                let (outcome, reason) = match fail {
-                    HopFail::Fault => (PacketOutcome::DroppedFault { round }, DropReason::Fault),
-                    HopFail::Unreachable => (
-                        PacketOutcome::DroppedUnreachable { round },
-                        DropReason::Unreachable,
-                    ),
+                let reason = match fail {
+                    HopFail::Fault => DropReason::Fault,
+                    HopFail::Unreachable => DropReason::Unreachable,
                 };
-                self.resolve(pid, round, outcome);
-                if P::ENABLED {
-                    self.emit(
-                        round,
-                        Event::Dropped {
-                            round,
-                            pid,
-                            pe: u,
-                            reason,
-                        },
-                    );
-                }
+                self.drop_packet(pid, u, round, reason);
                 return;
             }
         };
         if self.pkts[p].escaped {
             self.place_escape(pid, g, round);
-            return;
+        } else {
+            self.place(pid, u as usize * self.gens + (g - 1), round);
         }
-        let qi = u as usize * self.gens + (g - 1);
+    }
+
+    /// Enqueues `pid` on output queue `qi`, or tail-drops it when the
+    /// queue is full. Reads nothing of the packet, so a flit whose
+    /// arrival names its queue lands without touching `pkts` or the
+    /// route arena.
+    fn place(&mut self, pid: PacketId, qi: usize, round: u32) {
+        let u = qi / self.gens;
         if self.net.config.flow_control == FlowControl::TailDrop {
             if let Some(cap) = self.net.config.queue_capacity {
-                if self.queues[qi].len() >= cap as usize {
-                    self.resolve(pid, round, PacketOutcome::DroppedOverflow { round });
-                    if P::ENABLED {
-                        self.emit(
-                            round,
-                            Event::Dropped {
-                                round,
-                                pid,
-                                pe: u,
-                                reason: DropReason::Overflow,
-                            },
-                        );
-                    }
+                if self.q.len(qi) >= cap {
+                    self.drop_packet(pid, u as u32, round, DropReason::Overflow);
                     return;
                 }
             }
         }
-        self.queues[qi].push_back(pid);
+        self.q.push(qi, pid);
         self.total_queued += 1;
-        self.counters.peak_edge = self.counters.peak_edge.max(self.queues[qi].len() as u64);
-        self.node_occ[u as usize] += 1;
-        let at_pe = u64::from(self.node_occ[u as usize]) + u64::from(self.esc_node[u as usize]);
-        self.counters.peak_node = self.counters.peak_node.max(at_pe);
+        self.node_occ[u] += 1;
+        let mut at_pe = u64::from(self.node_occ[u]);
+        if self.esc.is_some() {
+            at_pe += u64::from(self.esc_node[u]);
+        }
+        let depth = self.q.len(qi);
+        self.tally.queued(pid, false, u64::from(depth), at_pe);
         if P::ENABLED {
-            let depth = self.queues[qi].len() as u32;
             self.emit(
                 round,
                 Event::Queued {
                     round,
                     pid,
-                    pe: u,
-                    gen: g as u8,
+                    pe: u as u32,
+                    gen: (qi % self.gens + 1) as u8,
                     depth,
                     escape: false,
                 },
@@ -1628,7 +1784,7 @@ impl<'a, P: Probe> ReferenceSim<'a, P> {
 
     /// An escaped packet lands: its forward-time slot reservation
     /// becomes occupancy and the packet sits in the escape bank (not
-    /// in any FIFO) until link arbitration forwards it.
+    /// in any queue) until link arbitration forwards it.
     fn place_escape(&mut self, pid: PacketId, g: usize, round: u32) {
         let p = pid as usize;
         let u = self.pkts[p].cur as usize;
@@ -1648,11 +1804,11 @@ impl<'a, P: Probe> ReferenceSim<'a, P> {
         bank.set(c as usize, u, pid);
         self.esc_node[u] += 1;
         self.total_queued += 1;
-        self.counters.peak_escape = self.counters.peak_escape.max(u64::from(self.esc_node[u]));
-        let at_pe = u64::from(self.node_occ[u]) + u64::from(self.esc_node[u]);
-        self.counters.peak_node = self.counters.peak_node.max(at_pe);
+        self.q.want(u * self.gens + (g - 1));
+        let depth = self.esc_node[u];
+        let at_pe = u64::from(self.node_occ[u]) + u64::from(depth);
+        self.tally.queued(pid, true, u64::from(depth), at_pe);
         if P::ENABLED {
-            let depth = self.esc_node[u];
             self.emit(
                 round,
                 Event::Queued {
@@ -1667,81 +1823,170 @@ impl<'a, P: Probe> ReferenceSim<'a, P> {
         }
     }
 
-    /// Escape-channel arbitration for link `li`: forward the resident
-    /// of the **lowest** residual class bound for this link whose
-    /// downstream slot is free (final hops need none). Returns whether
-    /// the link was used. Lowest-class-first service is what the
-    /// deadlock-freedom argument leans on: the globally minimal class
-    /// always finds its next slot empty.
-    fn try_escape_forward(&mut self, li: usize, round: u32, land: usize) -> bool {
+    /// The generator escape resident `pid` takes next.
+    #[inline]
+    fn next_gen(&self, pid: PacketId) -> u8 {
+        let pkt = &self.pkts[pid as usize];
+        self.routes.data[(pkt.route_off + pkt.route_pos) as usize]
+    }
+
+    /// `true` iff some escape resident's next hop uses link `li`.
+    fn escape_wants(&self, li: usize) -> bool {
         let u = li / self.gens;
         if self.esc_node[u] == 0 {
             return false;
         }
         let g = (li % self.gens + 1) as u8;
+        let bank = self.esc.as_ref().expect("escape mode");
+        (1..bank.classes.len()).any(|c| bank.resident(c, u).is_some_and(|p| self.next_gen(p) == g))
+    }
+
+    /// Phase 3 for link `li`: the escape channel first (escape mode),
+    /// then the head of the link's queue, which under credit flow
+    /// control forwards only if the downstream PE has a free credit
+    /// and otherwise stalls and, if it may, stages a diversion.
+    /// Returns the flit that left over the link, with the queue it
+    /// joins on landing as [`Core::hop`] names it.
+    #[inline]
+    fn serve(&mut self, li: usize, round: u32) -> Option<(PacketId, u32)> {
+        if self.esc.is_some() {
+            if let Some(pid) = self.escape_forward(li, round) {
+                return Some((pid, NO_HINT));
+            }
+        }
+        let pid = self.q.front(li)?;
+        let v = self.net.neighbor[li];
+        let p = pid as usize;
+        // Final hops need no downstream buffer: delivery consumes the
+        // ejection port, not a credit.
+        if self.pool.is_some() && self.pkts[p].dst != v {
+            if !self.has_credit(v) {
+                if P::ENABLED {
+                    let pe = (li / self.gens) as u32;
+                    self.emit(
+                        round,
+                        Event::Stalled {
+                            round,
+                            pid,
+                            pe,
+                            kind: StallKind::CreditHead,
+                        },
+                    );
+                }
+                if self.esc.is_some() && self.pkts[p].may_escape {
+                    self.divert.push((li, pid));
+                }
+                return None;
+            }
+            self.reserved[v as usize] += 1;
+        }
+        self.q.pop(li);
+        self.total_queued -= 1;
+        self.node_occ[li / self.gens] -= 1;
+        let next_q = self.hop(pid, li, v, false, round);
+        Some((pid, next_q))
+    }
+
+    /// Escape-channel arbitration for link `li`: forwards the resident
+    /// of the **lowest** residual class bound for this link whose
+    /// downstream slot is free (final hops need none). Lowest-class-
+    /// first service is what the deadlock-freedom argument leans on:
+    /// the globally minimal class always finds its next slot empty.
+    /// Kept out of line so that [`Core::serve`], which every forward
+    /// runs, stays small outside escape mode.
+    #[inline(never)]
+    fn escape_forward(&mut self, li: usize, round: u32) -> Option<PacketId> {
+        let u = li / self.gens;
+        if self.esc_node[u] == 0 {
+            return None;
+        }
+        let g = (li % self.gens + 1) as u8;
         let v = self.net.neighbor[li];
         let nclasses = self.esc.as_ref().expect("escape mode").classes.len();
         for c in 1..nclasses {
-            let slot = self.esc.as_ref().expect("escape mode").holder(c, u);
-            if slot == ESC_FREE || slot & ESC_RESV != 0 {
+            let bank = self.esc.as_ref().expect("escape mode");
+            let Some(pid) = bank.resident(c, u).filter(|&p| self.next_gen(p) == g) else {
                 continue;
-            }
-            let pid = slot;
-            let p = pid as usize;
-            let next = self.routes.data[(self.pkts[p].route_off + self.pkts[p].route_pos) as usize];
-            if next != g {
-                continue;
-            }
-            debug_assert_eq!(self.pkts[p].esc_class as usize, c, "bank/class drift");
-            let remaining = self.pkts[p].route_len - self.pkts[p].route_pos;
+            };
+            let pkt = &mut self.pkts[pid as usize];
+            debug_assert_eq!(pkt.esc_class as usize, c, "bank/class drift");
             let bank = self.esc.as_mut().expect("escape mode");
-            if v == self.pkts[p].dst {
-                // Final hop — delivered on arrival even when the
-                // pinned route only *passes through* dst (dilation-3
-                // transpositions revisit lattice points), so no
-                // downstream slot is needed.
-            } else {
-                let c_next = (remaining - 1) as usize;
+            // A final hop is delivered on arrival even when the pinned
+            // route only passes through dst (dilation-3 transpositions
+            // revisit lattice points), so it needs no downstream slot.
+            if v != pkt.dst {
+                let c_next = (pkt.route_len - pkt.route_pos - 1) as usize;
                 if !bank.is_free(c_next, v as usize) {
                     continue; // this class stalls; a higher one may still go
                 }
                 bank.set(c_next, v as usize, pid | ESC_RESV);
-                self.pkts[p].esc_class = c_next as u32;
+                pkt.esc_class = c_next as u32;
             }
             bank.clear(c, u);
             self.esc_node[u] -= 1;
             self.total_queued -= 1;
-            self.pkts[p].cur = v;
-            self.pkts[p].hops += 1;
-            self.pkts[p].route_pos += 1;
-            self.counters.forwarded += 1;
-            self.counters.escape_forwarded += 1;
-            self.arrivals[land].push(pid);
-            self.in_flight += 1;
-            if P::ENABLED {
-                self.emit(
-                    round,
-                    Event::Forwarded {
-                        round,
-                        pid,
-                        from: u as u32,
-                        to: v,
-                        gen: g,
-                        escape: true,
-                    },
-                );
-            }
-            return true;
+            self.hop(pid, li, v, true, round);
+            return Some(pid);
         }
-        false
+        None
     }
 
-    /// Applies one staged diversion: the (still-)head of adaptive
-    /// queue `li` moves onto the escape channel if its residual-class
-    /// slot at this PE is free and an escape route exists. Frees one
-    /// adaptive pool slot at the PE; the flit stays buffered (and
-    /// charged wait rounds) throughout.
-    fn apply_diversion(&mut self, li: usize, pid: PacketId, round: u32) -> bool {
+    /// `pid` leaves over link `li` toward `v`. Returns the queue it
+    /// joins at `v`, named while its record is at hand, when the
+    /// forward can know it: a source-routed flit short of its
+    /// destination, off the escape channel, on a clean network joins
+    /// the queue of its next route byte. Any other flit gets
+    /// [`NO_HINT`]. Only the fast engine's arrivals carry the name; the
+    /// reference engine lands every flit through [`Core::land`].
+    #[inline]
+    fn hop(&mut self, pid: PacketId, li: usize, v: u32, escape: bool, round: u32) -> u32 {
+        let pkt = &mut self.pkts[pid as usize];
+        pkt.cur = v;
+        pkt.hops += 1;
+        pkt.route_pos += 1;
+        let next_q = if escape || self.faulty || pkt.adaptive || pkt.dst == v {
+            NO_HINT
+        } else {
+            debug_assert!(pkt.route_pos < pkt.route_len, "route ends short of dst");
+            let g = self.routes.data[(pkt.route_off + pkt.route_pos) as usize];
+            v * self.gens as u32 + u32::from(g) - 1
+        };
+        self.tally.forwarded(pid, escape);
+        self.in_flight += 1;
+        if P::ENABLED {
+            self.emit(
+                round,
+                Event::Forwarded {
+                    round,
+                    pid,
+                    from: (li / self.gens) as u32,
+                    to: v,
+                    gen: (li % self.gens + 1) as u8,
+                    escape,
+                },
+            );
+        }
+        next_q
+    }
+
+    /// Applies the diversions staged by this round's scan, in scan
+    /// order, and returns whether any took place. The staged list is
+    /// left for the engine to clear.
+    fn apply_diversions(&mut self, round: u32) -> bool {
+        let mut progress = false;
+        for i in 0..self.divert.len() {
+            let (li, pid) = self.divert[i];
+            progress |= self.divert_head(li, pid, round);
+        }
+        progress
+    }
+
+    /// One staged diversion: the (still-)head of adaptive queue `li`
+    /// moves onto the escape channel if its residual-class slot at
+    /// this PE is free and an escape route exists. Frees one adaptive
+    /// pool slot at the PE; the flit stays buffered (and charged wait
+    /// rounds) throughout.
+    fn divert_head(&mut self, li: usize, pid: PacketId, round: u32) -> bool {
         let p = pid as usize;
         let u = (li / self.gens) as u32;
         let dst = self.pkts[p].dst;
@@ -1760,21 +2005,19 @@ impl<'a, P: Probe> ReferenceSim<'a, P> {
             return false;
         }
         bank.set(len as usize, u as usize, pid);
-        let popped = self.queues[li].pop_front();
-        debug_assert_eq!(popped, Some(pid), "staged head moved before apply");
-        self.pkts[p].route_off = off;
-        self.pkts[p].route_len = len;
-        self.pkts[p].route_pos = 0;
-        self.pkts[p].adaptive = false;
-        self.pkts[p].escaped = true;
-        self.pkts[p].esc_class = len;
+        let popped = self.q.pop(li);
+        debug_assert_eq!(popped, pid, "staged head moved before apply");
+        let pkt = &mut self.pkts[p];
+        pkt.route_off = off;
+        pkt.route_len = len;
+        pkt.route_pos = 0;
+        pkt.adaptive = false;
+        pkt.escaped = true;
+        pkt.esc_class = len;
         self.node_occ[u as usize] -= 1;
         self.esc_node[u as usize] += 1;
-        self.counters.escape_diversions += 1;
-        self.counters.peak_escape = self
-            .counters
-            .peak_escape
-            .max(u64::from(self.esc_node[u as usize]));
+        self.tally
+            .diverted(pid, u64::from(self.esc_node[u as usize]));
         if P::ENABLED {
             self.emit(
                 round,
@@ -1786,232 +2029,198 @@ impl<'a, P: Probe> ReferenceSim<'a, P> {
                 },
             );
         }
+        // The resident now wants the first link of its escape route.
+        let g_e = self.routes.data[off as usize] as usize;
+        self.q.want(u as usize * self.gens + (g_e - 1));
         true
     }
 
+    /// Phase 4: wait and stall charges, phase openings, and credit
+    /// deadlock detection, which strands the survivors. Returns `true`
+    /// when the run stranded.
+    fn end_round(&mut self, round: u32, progress: bool) -> bool {
+        self.tally
+            .end_round(self.total_queued, self.stalled.len() as u64);
+        // Phases whose predecessor resolved this round open next round.
+        self.due.end_round(round, &self.outcomes);
+        // Credit deadlock: no event fired, nothing in flight, no packet
+        // scheduled (a phase that has not opened waits on one that
+        // cannot resolve) — the state is a fixed point, so the
+        // survivors can never move again.
+        if !progress && self.in_flight == 0 && self.due.exhausted() && self.running() {
+            self.strand(round);
+            return true;
+        }
+        if P::ENABLED {
+            self.close_round(round);
+        }
+        false
+    }
+
+    /// The run's statistics, and the per-owner counters of a
+    /// partitioned tally. `stopped` is the round the round loop ended
+    /// in: for a run that gave up, the round it gave up, which is
+    /// recorded as the injection round of every packet whose phase
+    /// never opened.
+    fn finish(self, stopped: u32) -> (TrafficStats, Vec<RunCounters>) {
+        let mut records: Vec<PacketRecord> = self
+            .due
+            .inj
+            .iter()
+            .zip(&self.outcomes)
+            .map(|(i, o)| PacketRecord {
+                src: i.src,
+                dst: i.dst,
+                inject_round: i.round,
+                outcome: o.expect("all packets resolved"),
+            })
+            .collect();
+        // A gated packet's round counts from its phase's realized start.
+        for ph in &self.due.phases {
+            for rec in &mut records[ph.gate.start as usize..ph.gate.end as usize] {
+                rec.inject_round = ph
+                    .open
+                    .map_or(stopped, |t| t.saturating_add(rec.inject_round));
+            }
+        }
+        let (counters, per_owner) = self.tally.finish();
+        (
+            TrafficStats::from_records(self.net.n, records, counters),
+            per_owner,
+        )
+    }
+}
+
+// ---------------------------------------------------------------------
+// Reference engine: the scan-everything oracle.
+// ---------------------------------------------------------------------
+
+/// The reference engine's queues: a `VecDeque` per queue and no
+/// worklist, since its scan visits every link every round.
+impl Queues for Vec<VecDeque<PacketId>> {
+    fn new(queues: usize, _packets: usize) -> Self {
+        vec![VecDeque::new(); queues]
+    }
+
+    fn len(&self, qi: usize) -> u32 {
+        self[qi].len() as u32
+    }
+
+    fn front(&self, qi: usize) -> Option<PacketId> {
+        self[qi].front().copied()
+    }
+
+    fn push(&mut self, qi: usize, pid: PacketId) {
+        self[qi].push_back(pid);
+    }
+
+    fn pop(&mut self, qi: usize) -> PacketId {
+        self[qi].pop_front().expect("pop from empty queue")
+    }
+
+    fn want(&mut self, _li: usize) {}
+}
+
+/// The reference engine's accounting: its own arithmetic on the
+/// counters, independent of [`RunTally`].
+impl Sink for RunCounters {
+    fn queued(&mut self, _pid: PacketId, escape: bool, depth: u64, at_pe: u64) {
+        if escape {
+            self.peak_escape = self.peak_escape.max(depth);
+        } else {
+            self.peak_edge = self.peak_edge.max(depth);
+        }
+        self.peak_node = self.peak_node.max(at_pe);
+    }
+
+    fn forwarded(&mut self, _pid: PacketId, escape: bool) {
+        self.forwarded += 1;
+        if escape {
+            self.escape_forwarded += 1;
+        }
+    }
+
+    fn diverted(&mut self, _pid: PacketId, escape_at_pe: u64) {
+        self.escape_diversions += 1;
+        self.peak_escape = self.peak_escape.max(escape_at_pe);
+    }
+
+    // Stalls are charged from the stalled queue's length each round.
+    fn stalled(&mut self, _pid: PacketId) {}
+
+    fn resolved(&mut self, _pid: PacketId, round: u32) {
+        self.last_event = self.last_event.max(round);
+    }
+
+    fn end_round(&mut self, queued: u64, stalled: u64) {
+        self.total_wait_rounds += queued;
+        self.injection_stall_rounds += stalled;
+    }
+
+    fn finish(self) -> (RunCounters, Vec<RunCounters>) {
+        (self, Vec::new())
+    }
+}
+
+/// One reference run: the run core over a `VecDeque` per queue, every
+/// queue scanned every round, every landing routed through next-hop
+/// selection, and no round skipped — the simplest faithful
+/// implementation of the phase semantics, kept as the differential
+/// oracle.
+struct ReferenceSim<'a, P: Probe> {
+    core: Core<'a, P, Vec<VecDeque<PacketId>>, RunCounters>,
+    /// Ring buffer of arrival lists, indexed by `round % lanes`.
+    arrivals: Vec<Vec<PacketId>>,
+}
+
+impl<'a, P: Probe> ReferenceSim<'a, P> {
+    fn new(
+        net: &'a Network,
+        workload: &'a Workload,
+        prepared: (RouteArena, Vec<SimPacket>),
+        probe: &'a mut P,
+    ) -> Self {
+        ReferenceSim {
+            core: Core::new(net, workload, prepared, RunCounters::default(), probe),
+            arrivals: vec![Vec::new(); net.config.link_latency as usize + 1],
+        }
+    }
+
     fn run(mut self) -> TrafficStats {
-        let total = self.due.inj.len();
-        let latency = self.net.config.link_latency as usize;
+        let lanes = self.arrivals.len();
         let mut round: u32 = 0;
-        while self.resolved < total {
-            if round >= self.net.config.max_rounds {
-                if P::ENABLED {
-                    self.emit_strand(round);
-                }
-                strand_remaining(&mut self.outcomes, &mut self.resolved);
+        while self.core.running() {
+            if round >= self.core.net.config.max_rounds {
+                self.core.strand(round);
                 break;
             }
-            let mut progress = false;
             // 1. Arrivals.
-            let slot = round as usize % self.lanes;
-            let arrived = std::mem::take(&mut self.arrivals[slot]);
-            self.in_flight -= arrived.len();
+            let arrived = std::mem::take(&mut self.arrivals[round as usize % lanes]);
+            let mut progress = !arrived.is_empty();
+            self.core.in_flight -= arrived.len();
             for pid in arrived {
-                progress = true;
-                let p = pid as usize;
-                if self.pkts[p].cur == self.pkts[p].dst {
-                    let hops = self.pkts[p].hops;
-                    self.resolve(pid, round, PacketOutcome::Delivered { round, hops });
-                    if P::ENABLED {
-                        let pe = self.pkts[p].cur;
-                        self.emit(
-                            round,
-                            Event::Delivered {
-                                round,
-                                pid,
-                                pe,
-                                hops,
-                            },
-                        );
-                    }
-                } else {
-                    if self.pool.is_some() && !self.pkts[p].escaped {
-                        // The reservation taken at forward time turns
-                        // into real occupancy (or is released if the
-                        // enqueue drops on a fault). Escaped packets
-                        // reserve class slots instead of pool credits.
-                        self.reserved[self.pkts[p].cur as usize] -= 1;
-                    }
-                    self.enqueue_next(pid, round);
-                }
+                self.core.land(pid, round);
             }
-            // 2. Injections: stalled retries first (FIFO), then this
-            // round's workload.
-            for _ in 0..self.stalled.len() {
-                let pid = self.stalled.pop_front().expect("len checked");
-                let src = self.pkts[pid as usize].cur;
-                if self.has_credit(src) {
-                    self.enqueue_next(pid, round);
+            // 2. Injections.
+            progress |= self.core.inject(round);
+            // 3. Arbitration: every link in index order, then the
+            // staged diversions.
+            let land = (round as usize + lanes - 1) % lanes;
+            for li in 0..self.core.q.len() {
+                if let Some((pid, _)) = self.core.serve(li, round) {
                     progress = true;
-                } else {
-                    if P::ENABLED {
-                        self.emit(
-                            round,
-                            Event::Stalled {
-                                round,
-                                pid,
-                                pe: src,
-                                kind: StallKind::Injection,
-                            },
-                        );
-                    }
-                    self.stalled.push_back(pid);
+                    self.arrivals[land].push(pid);
                 }
             }
-            while let Some(due) = self.due.next_due(round) {
-                for p in due {
-                    let pid = p as PacketId;
-                    let (src, dst) = (self.due.inj[p].src, self.due.inj[p].dst);
-                    if self.faulty && self.net.faults.is_node_dead(src) {
-                        self.resolve(pid, round, PacketOutcome::DroppedFault { round });
-                        if P::ENABLED {
-                            self.emit(
-                                round,
-                                Event::Dropped {
-                                    round,
-                                    pid,
-                                    pe: src as u32,
-                                    reason: DropReason::Fault,
-                                },
-                            );
-                        }
-                        progress = true;
-                    } else if src == dst {
-                        self.resolve(pid, round, PacketOutcome::Delivered { round, hops: 0 });
-                        if P::ENABLED {
-                            self.emit(
-                                round,
-                                Event::Delivered {
-                                    round,
-                                    pid,
-                                    pe: dst as u32,
-                                    hops: 0,
-                                },
-                            );
-                        }
-                        progress = true;
-                    } else if !self.has_credit(src as u32) {
-                        if P::ENABLED {
-                            self.emit(
-                                round,
-                                Event::Stalled {
-                                    round,
-                                    pid,
-                                    pe: src as u32,
-                                    kind: StallKind::Injection,
-                                },
-                            );
-                        }
-                        self.stalled.push_back(pid);
-                    } else {
-                        self.enqueue_next(pid, round);
-                        progress = true;
-                    }
-                }
-            }
-            // 3. Arbitration: one flit per link per round, scanning
-            // every link in index order. Under escape flow control the
-            // escape channel has priority on each link; an adaptive
-            // head that fails its credit check stages a diversion
-            // attempt instead, applied after the scan so the scan
-            // itself never observes its own diversions.
-            let esc_mode = self.esc.is_some();
-            let land = (round as usize + latency) % self.lanes;
-            for qi in 0..self.queues.len() {
-                if esc_mode && self.try_escape_forward(qi, round, land) {
-                    progress = true;
-                    continue; // the escape flit consumed the link
-                }
-                let Some(&pid) = self.queues[qi].front() else {
-                    continue;
-                };
-                let v = self.net.neighbor[qi];
-                let p = pid as usize;
-                if self.pool.is_some() {
-                    // Final hops need no downstream buffer: delivery
-                    // consumes the ejection port, not a credit.
-                    let final_hop = self.pkts[p].dst == v;
-                    if !final_hop {
-                        if !self.has_credit(v) {
-                            if P::ENABLED {
-                                let pe = (qi / self.gens) as u32;
-                                self.emit(
-                                    round,
-                                    Event::Stalled {
-                                        round,
-                                        pid,
-                                        pe,
-                                        kind: StallKind::CreditHead,
-                                    },
-                                );
-                            }
-                            if esc_mode && self.pkts[p].may_escape {
-                                self.divert.push((qi, pid));
-                            }
-                            continue; // head stalls for credit
-                        }
-                        self.reserved[v as usize] += 1;
-                    }
-                }
-                self.queues[qi].pop_front();
-                let u = qi / self.gens;
-                self.total_queued -= 1;
-                self.node_occ[u] -= 1;
-                self.pkts[p].cur = v;
-                self.pkts[p].hops += 1;
-                self.pkts[p].route_pos += 1;
-                self.counters.forwarded += 1;
-                progress = true;
-                self.arrivals[land].push(pid);
-                self.in_flight += 1;
-                if P::ENABLED {
-                    let gen = (qi % self.gens + 1) as u8;
-                    self.emit(
-                        round,
-                        Event::Forwarded {
-                            round,
-                            pid,
-                            from: u as u32,
-                            to: v,
-                            gen,
-                            escape: false,
-                        },
-                    );
-                }
-            }
-            for i in 0..self.divert.len() {
-                let (li, pid) = self.divert[i];
-                progress |= self.apply_diversion(li, pid, round);
-            }
-            self.divert.clear();
-            // 4. Wait + stall accounting; phases whose predecessor
-            // resolved this round open next round.
-            self.counters.total_wait_rounds += self.total_queued;
-            self.counters.injection_stall_rounds += self.stalled.len() as u64;
-            self.due.end_round(round, &self.outcomes);
-            // Credit deadlock: no event fired, nothing in flight, no
-            // packet scheduled (a phase that has not opened waits on
-            // one that cannot resolve) — the state is a fixed point,
-            // so the survivors can never move again.
-            if !progress && self.in_flight == 0 && self.due.exhausted() && self.resolved < total {
-                if P::ENABLED {
-                    self.emit_strand(round);
-                }
-                strand_remaining(&mut self.outcomes, &mut self.resolved);
+            progress |= self.core.apply_diversions(round);
+            self.core.divert.clear();
+            // 4. Accounting.
+            if self.core.end_round(round, progress) {
                 break;
-            }
-            if P::ENABLED && self.round_open {
-                self.round_open = false;
-                self.probe.event(&Event::RoundEnd {
-                    round,
-                    queued: self.total_queued,
-                    in_flight: self.in_flight as u64,
-                    stalled: self.stalled.len() as u64,
-                });
             }
             round += 1;
         }
-        finish(self.net, &self.due, &self.outcomes, self.counters, round)
+        self.core.finish(round).0
     }
 }
 
@@ -2028,22 +2237,42 @@ struct QState {
     len: u32,
 }
 
-/// All output queues of the network as intrusive FIFOs: each queue
-/// keeps only its [`QState`], and `next[pid]` chains the flit queued
-/// behind `pid`. A flit sits in at most one output queue at a time,
-/// so one link per packet serves every queue, and pushing or popping
-/// a queue one flit deep touches nothing but its `QState`.
+/// All output queues of the network as intrusive FIFOs, plus the fast
+/// engine's worklist. Each queue keeps only its [`QState`], and
+/// `next[pid]` chains the flit queued behind `pid`. A flit sits in at
+/// most one output queue at a time, so one link per packet serves
+/// every queue, and pushing or popping a queue one flit deep touches
+/// nothing but its `QState` and worklist word.
 struct LinkedQueues {
     q: Vec<QState>,
     next: Vec<PacketId>,
+    /// Occupancy-bitmap worklist: bit `qi` is set iff queue `qi` is
+    /// non-empty or, in escape mode, an escape resident wants its
+    /// link. [`Queues::push`] and [`Queues::want`] set bits, and
+    /// [`FastSim::settle`] clears them after arbitration pops. The
+    /// scan walks words and skips zeros, visiting the set links in
+    /// ascending index order — the reference engine's scan order —
+    /// with no per-round sorting.
+    active: Vec<u64>,
 }
 
-impl LinkedQueues {
+impl Queues for LinkedQueues {
     fn new(queues: usize, packets: usize) -> Self {
         LinkedQueues {
             q: vec![QState::default(); queues],
             next: vec![0; packets],
+            active: vec![0; queues.div_ceil(64)],
         }
+    }
+
+    #[inline]
+    fn len(&self, qi: usize) -> u32 {
+        self.q[qi].len
+    }
+
+    fn front(&self, qi: usize) -> Option<PacketId> {
+        let q = self.q[qi];
+        (q.len > 0).then_some(q.head)
     }
 
     fn push(&mut self, qi: usize, pid: PacketId) {
@@ -2055,11 +2284,7 @@ impl LinkedQueues {
         }
         q.tail = pid;
         q.len += 1;
-    }
-
-    fn front(&self, qi: usize) -> Option<PacketId> {
-        let q = self.q[qi];
-        (q.len > 0).then_some(q.head)
+        self.want(qi);
     }
 
     fn pop(&mut self, qi: usize) -> PacketId {
@@ -2074,76 +2299,22 @@ impl LinkedQueues {
     }
 
     #[inline]
-    fn len(&self, qi: usize) -> u32 {
-        self.q[qi].len
+    fn want(&mut self, li: usize) {
+        self.active[li / 64] |= 1u64 << (li % 64);
     }
 }
 
-/// The arrival record's marker for a flit whose next queue the
-/// forward cannot name: a delivery, an adaptive or escape flit, or
-/// any flit on a network with faults. Such a flit lands the long way,
-/// through its packet record ([`FastSim::enqueue_next`]).
-const NO_HINT: u32 = u32::MAX;
-
-/// One fast run's mutable state.
+/// One fast run: the run core over intrusive FIFOs and a worklist,
+/// with hinted arrivals, idle-round skipping, the optional profiler
+/// and a [`RunTally`].
 struct FastSim<'a, P: Probe> {
-    net: &'a Network,
-    gens: usize,
-    lanes: usize,
-    due: Injector<'a>,
-    pkts: Vec<SimPacket>,
-    routes: RouteArena,
-    outcomes: Vec<Option<PacketOutcome>>,
-    qs: LinkedQueues,
-    /// Occupancy-bitmap worklist: bit `qi` is set iff queue `qi` is
-    /// non-empty. Arbitration scans words and skips zeros, visiting
-    /// exactly the non-empty queues in ascending index order — the
-    /// reference engine's scan order — with no per-round sorting.
-    active_bits: Vec<u64>,
-    node_occ: Vec<u32>,
-    /// Credits reserved at each PE by flits in flight toward it.
-    /// Allocated only when a credit pool exists: every access is
-    /// guarded by `pool`.
-    reserved: Vec<u32>,
+    core: Core<'a, P, LinkedQueues, RunTally<'a>>,
     /// Arrival batches keyed by landing round, one lane per possible
     /// in-flight round (`link_latency + 1`). Each record pairs the
     /// flit with the output queue it joins at the landing PE, named
     /// at forward time, or [`NO_HINT`].
     arrivals: Vec<Vec<(PacketId, u32)>>,
     arrival_round: Vec<u32>,
-    in_flight: usize,
-    stalled: VecDeque<PacketId>,
-    reroute_memo: HashMap<u32, Vec<u8>>,
-    resolved: usize,
-    total_queued: u64,
-    pool: Option<u64>,
-    /// Cached `!faults.is_empty()`: skips the per-hop fault lookups
-    /// entirely on a clean network.
-    faulty: bool,
-    /// The escape partition — `Some` only under
-    /// [`FlowControl::EscapeChannel`]. In escape mode a worklist bit
-    /// covers **both** channels of its link: set while the adaptive
-    /// queue is non-empty *or* some escape resident wants the link.
-    esc: Option<EscapeBank>,
-    /// Escape residents per PE (adaptive occupancy stays in
-    /// `node_occ`, so the credit math is untouched by escape traffic).
-    /// Allocated only in escape mode: every access is guarded by `esc`.
-    esc_node: Vec<u32>,
-    /// Memoized escape-route spans per `(PE, dst)`.
-    esc_memo: HashMap<(u32, u32), Option<(u32, u32)>>,
-    /// Diversion attempts staged during the arbitration scan, applied
-    /// after it in scan order — which also keeps every worklist-bit
-    /// mutation out of the word currently being iterated.
-    divert: Vec<(usize, PacketId)>,
-    /// The run's accounting: every counter update goes through it,
-    /// split per job when [`Network::run_partitioned`] installs an
-    /// owner map.
-    tally: RunTally<'a>,
-    /// Event sink; [`NullProbe`]'s `ENABLED = false` folds every
-    /// emission site out of this monomorphization.
-    probe: &'a mut P,
-    /// Whether the current round's `RoundBegin` has been emitted.
-    round_open: bool,
     /// Armed only by [`Network::run_profiled`]: the injected phase
     /// clock plus the accumulating profile.
     profile: Option<(fn() -> u64, PhaseProfile)>,
@@ -2153,98 +2324,16 @@ impl<'a, P: Probe> FastSim<'a, P> {
     fn new(
         net: &'a Network,
         workload: &'a Workload,
-        routes: RouteArena,
-        pkts: Vec<SimPacket>,
+        prepared: (RouteArena, Vec<SimPacket>),
+        tally: RunTally<'a>,
         probe: &'a mut P,
     ) -> Self {
-        let gens = net.n - 1;
         let lanes = net.config.link_latency as usize + 1;
-        let queues = net.node_count * gens;
-        let esc_mode = net.config.flow_control == FlowControl::EscapeChannel;
-        let pool = net.credit_pool();
-        // Per-PE state a mode never reads stays unallocated.
-        let per_pe = |needed: bool| {
-            if needed {
-                vec![0; net.node_count]
-            } else {
-                Vec::new()
-            }
-        };
         FastSim {
-            net,
-            gens,
-            lanes,
-            due: Injector::new(workload),
-            pkts,
-            routes,
-            outcomes: vec![None; workload.len()],
-            qs: LinkedQueues::new(queues, workload.len()),
-            active_bits: vec![0; queues.div_ceil(64)],
-            node_occ: vec![0; net.node_count],
-            reserved: per_pe(pool.is_some()),
+            core: Core::new(net, workload, prepared, tally, probe),
             arrivals: vec![Vec::new(); lanes],
             arrival_round: vec![0; lanes],
-            in_flight: 0,
-            stalled: VecDeque::new(),
-            reroute_memo: HashMap::new(),
-            resolved: 0,
-            total_queued: 0,
-            pool,
-            faulty: !net.faults.is_empty(),
-            esc: esc_mode.then(|| EscapeBank::new(net.node_count)),
-            esc_node: per_pe(esc_mode),
-            esc_memo: HashMap::new(),
-            divert: Vec::new(),
-            tally: RunTally::default(),
-            probe,
-            round_open: false,
             profile: None,
-        }
-    }
-
-    fn resolve(&mut self, pid: PacketId, round: u32, outcome: PacketOutcome) {
-        debug_assert!(self.outcomes[pid as usize].is_none(), "double resolution");
-        self.outcomes[pid as usize] = Some(outcome);
-        self.resolved += 1;
-        self.tally.resolved(pid, round);
-    }
-
-    /// Mirror of [`ReferenceSim::emit`]: opens the round bracket on
-    /// the round's first event. Call sites are guarded by `P::ENABLED`.
-    fn emit(&mut self, round: u32, ev: Event) {
-        if !self.round_open {
-            self.round_open = true;
-            self.probe.event(&Event::RoundBegin { round });
-        }
-        self.probe.event(&ev);
-    }
-
-    /// Mirror of [`ReferenceSim::emit_strand`]: a `Dropped { Stranded }`
-    /// per unresolved packet in pid order, then the round bracket
-    /// closes.
-    fn emit_strand(&mut self, round: u32) {
-        for pid in 0..self.outcomes.len() {
-            if self.outcomes[pid].is_none() {
-                let pe = self.pkts[pid].cur;
-                self.emit(
-                    round,
-                    Event::Dropped {
-                        round,
-                        pid: pid as PacketId,
-                        pe,
-                        reason: DropReason::Stranded,
-                    },
-                );
-            }
-        }
-        if self.round_open {
-            self.round_open = false;
-            self.probe.event(&Event::RoundEnd {
-                round,
-                queued: self.total_queued,
-                in_flight: self.in_flight as u64,
-                stalled: self.stalled.len() as u64,
-            });
         }
     }
 
@@ -2266,313 +2355,28 @@ impl<'a, P: Probe> FastSim<'a, P> {
         }
     }
 
-    fn has_credit(&self, v: u32) -> bool {
-        self.pool.is_none_or(|pool| {
-            u64::from(self.node_occ[v as usize]) + u64::from(self.reserved[v as usize]) < pool
-        })
-    }
-
-    /// Mirror of [`ReferenceSim::enqueue_next`]: picks the next hop,
-    /// then [`FastSim::place`]s the flit on that link's queue.
-    fn enqueue_next(&mut self, pid: PacketId, round: u32) {
-        let p = pid as usize;
-        let u = self.pkts[p].cur;
-        let mut occ = [0u32; MAX_GENS];
-        if self.pkts[p].adaptive {
-            let base = u as usize * self.gens;
-            for (i, slot) in occ[..self.gens].iter_mut().enumerate() {
-                *slot = self.qs.len(base + i);
-            }
+    /// Clears link `li`'s worklist bit once nothing is left for it:
+    /// its queue is empty and no escape resident wants it. Runs after
+    /// every link the worklist visits, so it must inline.
+    #[inline(always)]
+    fn settle(&mut self, li: usize) {
+        let core = &mut self.core;
+        if core.q.len(li) == 0 && !(core.esc.is_some() && core.escape_wants(li)) {
+            core.q.active[li / 64] &= !(1u64 << (li % 64));
         }
-        let g = match select_generator(
-            self.net,
-            self.faulty,
-            &mut self.pkts,
-            &mut self.routes,
-            &mut self.reroute_memo,
-            pid,
-            &occ[..self.gens],
-        ) {
-            Ok(g) => g,
-            Err(fail) => {
-                if self.pkts[p].escaped {
-                    // The class slot reserved at forward time is
-                    // surrendered along with the packet.
-                    let c = self.pkts[p].esc_class as usize;
-                    let bank = self.esc.as_mut().expect("escaped packet implies bank");
-                    bank.clear(c, u as usize);
-                }
-                let (outcome, reason) = match fail {
-                    HopFail::Fault => (PacketOutcome::DroppedFault { round }, DropReason::Fault),
-                    HopFail::Unreachable => (
-                        PacketOutcome::DroppedUnreachable { round },
-                        DropReason::Unreachable,
-                    ),
-                };
-                self.resolve(pid, round, outcome);
-                if P::ENABLED {
-                    self.emit(
-                        round,
-                        Event::Dropped {
-                            round,
-                            pid,
-                            pe: u,
-                            reason,
-                        },
-                    );
-                }
-                return;
-            }
-        };
-        if self.pkts[p].escaped {
-            self.place_escape(pid, g, round);
-            return;
-        }
-        self.place(pid, u as usize * self.gens + (g - 1), round);
-    }
-
-    /// Enqueues `pid` on output queue `qi` — or tail-drops it when
-    /// the queue is full — keeping the worklist invariant: bit `qi`
-    /// is set iff queue `qi` is non-empty. Reads nothing of the
-    /// packet, so a flit whose arrival record names its queue lands
-    /// without touching `pkts` or the route arena.
-    fn place(&mut self, pid: PacketId, qi: usize, round: u32) {
-        let u = qi / self.gens;
-        if self.net.config.flow_control == FlowControl::TailDrop {
-            if let Some(cap) = self.net.config.queue_capacity {
-                if self.qs.len(qi) >= cap {
-                    self.resolve(pid, round, PacketOutcome::DroppedOverflow { round });
-                    if P::ENABLED {
-                        self.emit(
-                            round,
-                            Event::Dropped {
-                                round,
-                                pid,
-                                pe: u as u32,
-                                reason: DropReason::Overflow,
-                            },
-                        );
-                    }
-                    return;
-                }
-            }
-        }
-        self.qs.push(qi, pid);
-        self.active_bits[qi / 64] |= 1u64 << (qi % 64);
-        self.total_queued += 1;
-        self.node_occ[u] += 1;
-        let mut at_pe = u64::from(self.node_occ[u]);
-        if self.esc.is_some() {
-            at_pe += u64::from(self.esc_node[u]);
-        }
-        let depth = self.qs.len(qi);
-        self.tally.queued(pid, false, u64::from(depth), at_pe);
-        if P::ENABLED {
-            self.emit(
-                round,
-                Event::Queued {
-                    round,
-                    pid,
-                    pe: u as u32,
-                    gen: (qi % self.gens + 1) as u8,
-                    depth,
-                    escape: false,
-                },
-            );
-        }
-    }
-
-    /// Mirror of [`ReferenceSim::place_escape`], plus the worklist bit
-    /// for the link the resident wants.
-    fn place_escape(&mut self, pid: PacketId, g: usize, round: u32) {
-        let p = pid as usize;
-        let u = self.pkts[p].cur as usize;
-        let remaining = self.pkts[p].route_len - self.pkts[p].route_pos;
-        let mut c = self.pkts[p].esc_class;
-        let bank = self.esc.as_mut().expect("escaped packet implies bank");
-        if remaining != c && bank.is_free(remaining as usize, u) {
-            bank.clear(c as usize, u);
-            c = remaining;
-            self.pkts[p].esc_class = c;
-        }
-        bank.set(c as usize, u, pid);
-        self.esc_node[u] += 1;
-        self.total_queued += 1;
-        let li = u * self.gens + (g - 1);
-        self.active_bits[li / 64] |= 1u64 << (li % 64);
-        let at_pe = u64::from(self.node_occ[u]) + u64::from(self.esc_node[u]);
-        self.tally
-            .queued(pid, true, u64::from(self.esc_node[u]), at_pe);
-        if P::ENABLED {
-            let depth = self.esc_node[u];
-            self.emit(
-                round,
-                Event::Queued {
-                    round,
-                    pid,
-                    pe: u as u32,
-                    gen: g as u8,
-                    depth,
-                    escape: true,
-                },
-            );
-        }
-    }
-
-    /// `true` iff some escape resident's next hop uses link `li` —
-    /// the escape half of the worklist-bit invariant.
-    fn escape_wants(&self, li: usize) -> bool {
-        let u = li / self.gens;
-        if self.esc_node[u] == 0 {
-            return false;
-        }
-        let g = (li % self.gens + 1) as u8;
-        let bank = self.esc.as_ref().expect("escape mode");
-        for c in 1..bank.classes.len() {
-            let slot = bank.classes[c][u];
-            if slot == ESC_FREE || slot & ESC_RESV != 0 {
-                continue;
-            }
-            let p = slot as usize;
-            let next = self.routes.data[(self.pkts[p].route_off + self.pkts[p].route_pos) as usize];
-            if next == g {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Mirror of [`ReferenceSim::try_escape_forward`]. Worklist-bit
-    /// upkeep stays with the caller.
-    fn try_escape_forward(&mut self, li: usize, round: u32, land: usize) -> bool {
-        let u = li / self.gens;
-        if self.esc_node[u] == 0 {
-            return false;
-        }
-        let g = (li % self.gens + 1) as u8;
-        let v = self.net.neighbor[li];
-        let nclasses = self.esc.as_ref().expect("escape mode").classes.len();
-        for c in 1..nclasses {
-            let slot = self.esc.as_ref().expect("escape mode").holder(c, u);
-            if slot == ESC_FREE || slot & ESC_RESV != 0 {
-                continue;
-            }
-            let pid = slot;
-            let p = pid as usize;
-            let next = self.routes.data[(self.pkts[p].route_off + self.pkts[p].route_pos) as usize];
-            if next != g {
-                continue;
-            }
-            debug_assert_eq!(self.pkts[p].esc_class as usize, c, "bank/class drift");
-            let remaining = self.pkts[p].route_len - self.pkts[p].route_pos;
-            let bank = self.esc.as_mut().expect("escape mode");
-            if v == self.pkts[p].dst {
-                // Final hop — delivered on arrival even when the
-                // pinned route only passes through dst mid-route.
-            } else {
-                let c_next = (remaining - 1) as usize;
-                if !bank.is_free(c_next, v as usize) {
-                    continue; // this class stalls; a higher one may still go
-                }
-                bank.set(c_next, v as usize, pid | ESC_RESV);
-                self.pkts[p].esc_class = c_next as u32;
-            }
-            bank.clear(c, u);
-            self.esc_node[u] -= 1;
-            self.total_queued -= 1;
-            self.pkts[p].cur = v;
-            self.pkts[p].hops += 1;
-            self.pkts[p].route_pos += 1;
-            self.tally.forwarded(pid, true);
-            self.arrivals[land].push((pid, NO_HINT));
-            self.in_flight += 1;
-            if P::ENABLED {
-                self.emit(
-                    round,
-                    Event::Forwarded {
-                        round,
-                        pid,
-                        from: u as u32,
-                        to: v,
-                        gen: g,
-                        escape: true,
-                    },
-                );
-            }
-            return true;
-        }
-        false
-    }
-
-    /// Mirror of [`ReferenceSim::apply_diversion`], plus worklist-bit
-    /// upkeep (runs post-scan, so setting bits is safe).
-    fn apply_diversion(&mut self, li: usize, pid: PacketId, round: u32) -> bool {
-        let p = pid as usize;
-        let u = (li / self.gens) as u32;
-        let dst = self.pkts[p].dst;
-        let Some((off, len)) = escape_span(
-            self.net,
-            &mut self.routes,
-            &mut self.esc_memo,
-            &mut self.reroute_memo,
-            u,
-            dst,
-        ) else {
-            return false;
-        };
-        let bank = self.esc.as_mut().expect("escape mode");
-        if !bank.is_free(len as usize, u as usize) {
-            return false;
-        }
-        bank.set(len as usize, u as usize, pid);
-        let popped = self.qs.pop(li);
-        debug_assert_eq!(popped, pid, "staged head moved before apply");
-        self.pkts[p].route_off = off;
-        self.pkts[p].route_len = len;
-        self.pkts[p].route_pos = 0;
-        self.pkts[p].adaptive = false;
-        self.pkts[p].escaped = true;
-        self.pkts[p].esc_class = len;
-        self.node_occ[u as usize] -= 1;
-        self.esc_node[u as usize] += 1;
-        self.tally
-            .diverted(pid, u64::from(self.esc_node[u as usize]));
-        if P::ENABLED {
-            self.emit(
-                round,
-                Event::Diverted {
-                    round,
-                    pid,
-                    pe: u,
-                    class: len,
-                },
-            );
-        }
-        // The resident now wants the first link of its escape route;
-        // the source link's bit may or may not still be needed.
-        let g_e = self.routes.data[off as usize] as usize;
-        let le = u as usize * self.gens + (g_e - 1);
-        self.active_bits[le / 64] |= 1u64 << (le % 64);
-        if self.qs.len(li) == 0 && !self.escape_wants(li) {
-            self.active_bits[li / 64] &= !(1u64 << (li % 64));
-        }
-        true
     }
 
     /// Runs to completion: the whole-run statistics, the per-owner
     /// counters of a partitioned tally (empty otherwise), and the
     /// phase profile when armed.
     fn run(mut self) -> (TrafficStats, Vec<RunCounters>, Option<PhaseProfile>) {
-        let total = self.due.inj.len();
-        let latency = self.net.config.link_latency as usize;
-        let max_rounds = self.net.config.max_rounds;
+        let lanes = self.arrivals.len();
+        let latency = lanes as u32 - 1;
+        let max_rounds = self.core.net.config.max_rounds;
         let mut round: u32 = 0;
-        while self.resolved < total {
+        while self.core.running() {
             if round >= max_rounds {
-                if P::ENABLED {
-                    self.emit_strand(round);
-                }
-                strand_remaining(&mut self.outcomes, &mut self.resolved);
+                self.core.strand(round);
                 break;
             }
             let mut mark = None;
@@ -2580,272 +2384,79 @@ impl<'a, P: Probe> FastSim<'a, P> {
                 prof.rounds += 1;
                 mark = Some(clock());
             }
-            let mut progress = false;
             // 1. Arrivals: drain this round's batch. The batch was
-            // filled in ascending forwarding-queue order, which is
+            // filled in ascending forwarding-link order, which is
             // exactly the order the reference engine lands flits in.
             // A record that names its next queue lands straight there.
-            let slot = round as usize % self.lanes;
-            if !self.arrivals[slot].is_empty() {
+            let slot = round as usize % lanes;
+            let mut progress = !self.arrivals[slot].is_empty();
+            if progress {
                 debug_assert_eq!(self.arrival_round[slot], round, "lane landed early/late");
                 let arrived = std::mem::take(&mut self.arrivals[slot]);
-                self.in_flight -= arrived.len();
+                self.core.in_flight -= arrived.len();
                 for (pid, next_q) in arrived {
-                    progress = true;
                     if next_q != NO_HINT {
                         let qi = next_q as usize;
-                        if self.pool.is_some() {
-                            self.reserved[qi / self.gens] -= 1;
+                        if self.core.pool.is_some() {
+                            self.core.reserved[qi / self.core.gens] -= 1;
                         }
-                        self.place(pid, qi, round);
+                        self.core.place(pid, qi, round);
                         continue;
                     }
-                    let p = pid as usize;
-                    if self.pkts[p].cur == self.pkts[p].dst {
-                        let hops = self.pkts[p].hops;
-                        self.resolve(pid, round, PacketOutcome::Delivered { round, hops });
-                        if P::ENABLED {
-                            let pe = self.pkts[p].cur;
-                            self.emit(
-                                round,
-                                Event::Delivered {
-                                    round,
-                                    pid,
-                                    pe,
-                                    hops,
-                                },
-                            );
-                        }
-                    } else {
-                        if self.pool.is_some() && !self.pkts[p].escaped {
-                            self.reserved[self.pkts[p].cur as usize] -= 1;
-                        }
-                        self.enqueue_next(pid, round);
-                    }
+                    self.core.land(pid, round);
                 }
             }
             self.sample(&mut mark, 0);
-            // 2. Injections: stalled retries first (FIFO), then this
-            // round's workload.
-            for _ in 0..self.stalled.len() {
-                let pid = self.stalled.pop_front().expect("len checked");
-                let src = self.pkts[pid as usize].cur;
-                if self.has_credit(src) {
-                    self.enqueue_next(pid, round);
-                    progress = true;
-                } else {
-                    if P::ENABLED {
-                        self.emit(
-                            round,
-                            Event::Stalled {
-                                round,
-                                pid,
-                                pe: src,
-                                kind: StallKind::Injection,
-                            },
-                        );
-                    }
-                    self.tally.stalled(pid);
-                    self.stalled.push_back(pid);
-                }
-            }
-            while let Some(due) = self.due.next_due(round) {
-                for p in due {
-                    let pid = p as PacketId;
-                    let (src, dst) = (self.due.inj[p].src, self.due.inj[p].dst);
-                    if self.faulty && self.net.faults.is_node_dead(src) {
-                        self.resolve(pid, round, PacketOutcome::DroppedFault { round });
-                        if P::ENABLED {
-                            self.emit(
-                                round,
-                                Event::Dropped {
-                                    round,
-                                    pid,
-                                    pe: src as u32,
-                                    reason: DropReason::Fault,
-                                },
-                            );
-                        }
-                        progress = true;
-                    } else if src == dst {
-                        self.resolve(pid, round, PacketOutcome::Delivered { round, hops: 0 });
-                        if P::ENABLED {
-                            self.emit(
-                                round,
-                                Event::Delivered {
-                                    round,
-                                    pid,
-                                    pe: dst as u32,
-                                    hops: 0,
-                                },
-                            );
-                        }
-                        progress = true;
-                    } else if !self.has_credit(src as u32) {
-                        if P::ENABLED {
-                            self.emit(
-                                round,
-                                Event::Stalled {
-                                    round,
-                                    pid,
-                                    pe: src as u32,
-                                    kind: StallKind::Injection,
-                                },
-                            );
-                        }
-                        self.tally.stalled(pid);
-                        self.stalled.push_back(pid);
-                    } else {
-                        self.enqueue_next(pid, round);
-                        progress = true;
-                    }
-                }
-            }
+            // 2. Injections.
+            progress |= self.core.inject(round);
             self.sample(&mut mark, 1);
-            // 3. Arbitration over the occupancy bitmap: visit exactly
-            // the live links in ascending index order (the reference
-            // scan order). In escape mode a set bit means "adaptive
-            // queue non-empty OR an escape resident wants this link";
-            // the escape channel is served first on each link, exactly
-            // as in the reference scan. Enqueues only happen in phases
-            // 1–2 and diversions are staged and applied post-scan, so
-            // no bit is set during this pass.
-            let esc_mode = self.esc.is_some();
-            let land = (round as usize + latency) % self.lanes;
-            for wi in 0..self.active_bits.len() {
-                let mut word = self.active_bits[wi];
+            // 3. Arbitration over the worklist, in the reference scan
+            // order. Enqueues only happen in phases 1–2 and diversions
+            // are applied after the walk, so no bit is set during it.
+            let land = (round as usize + lanes - 1) % lanes;
+            for wi in 0..self.core.q.active.len() {
+                let mut word = self.core.q.active[wi];
                 while word != 0 {
                     let bit = word.trailing_zeros() as usize;
                     word &= word - 1;
-                    let qi = wi * 64 + bit;
-                    if esc_mode && self.try_escape_forward(qi, round, land) {
+                    let li = wi * 64 + bit;
+                    if let Some(left) = self.core.serve(li, round) {
                         progress = true;
-                        if self.qs.len(qi) == 0 && !self.escape_wants(qi) {
-                            self.active_bits[wi] &= !(1u64 << bit);
-                        }
-                        continue;
+                        self.arrivals[land].push(left);
                     }
-                    let Some(pid) = self.qs.front(qi) else {
-                        // Escape-only bit whose resident couldn't move
-                        // (or just left): keep it iff still wanted.
-                        if !(esc_mode && self.escape_wants(qi)) {
-                            self.active_bits[wi] &= !(1u64 << bit);
-                        }
-                        continue;
-                    };
-                    let v = self.net.neighbor[qi];
-                    let p = pid as usize;
-                    if self.pool.is_some() {
-                        let final_hop = self.pkts[p].dst == v;
-                        if !final_hop {
-                            if !self.has_credit(v) {
-                                if P::ENABLED {
-                                    let pe = (qi / self.gens) as u32;
-                                    self.emit(
-                                        round,
-                                        Event::Stalled {
-                                            round,
-                                            pid,
-                                            pe,
-                                            kind: StallKind::CreditHead,
-                                        },
-                                    );
-                                }
-                                if esc_mode && self.pkts[p].may_escape {
-                                    self.divert.push((qi, pid));
-                                }
-                                continue; // head stalls for credit, bit stays
-                            }
-                            self.reserved[v as usize] += 1;
-                        }
-                    }
-                    self.qs.pop(qi);
-                    let u = qi / self.gens;
-                    self.total_queued -= 1;
-                    self.node_occ[u] -= 1;
-                    let pkt = &mut self.pkts[p];
-                    pkt.cur = v;
-                    pkt.hops += 1;
-                    pkt.route_pos += 1;
-                    // A source-routed flit on a clean network that
-                    // lands short of its destination joins the queue
-                    // of its next route byte: name it now, while the
-                    // packet record is at hand.
-                    let next_q = if self.faulty || pkt.adaptive || pkt.dst == v {
-                        NO_HINT
-                    } else {
-                        debug_assert!(pkt.route_pos < pkt.route_len, "route ends short of dst");
-                        let g = self.routes.data[(pkt.route_off + pkt.route_pos) as usize];
-                        v * self.gens as u32 + u32::from(g) - 1
-                    };
-                    self.tally.forwarded(pid, false);
-                    progress = true;
-                    self.arrivals[land].push((pid, next_q));
-                    self.in_flight += 1;
-                    if P::ENABLED {
-                        let gen = (qi % self.gens + 1) as u8;
-                        self.emit(
-                            round,
-                            Event::Forwarded {
-                                round,
-                                pid,
-                                from: u as u32,
-                                to: v,
-                                gen,
-                                escape: false,
-                            },
-                        );
-                    }
-                    if self.qs.len(qi) == 0 && !(esc_mode && self.escape_wants(qi)) {
-                        self.active_bits[wi] &= !(1u64 << bit);
-                    }
+                    self.settle(li);
                 }
             }
-            // Staged escape diversions, applied in scan order — after
-            // the bitmap walk so the bit mutations they perform can't
-            // race the iterated word.
-            for i in 0..self.divert.len() {
-                let (li, pid) = self.divert[i];
-                progress |= self.apply_diversion(li, pid, round);
+            // A diversion pops its link's queue.
+            progress |= self.core.apply_diversions(round);
+            for i in 0..self.core.divert.len() {
+                self.settle(self.core.divert[i].0);
             }
-            self.divert.clear();
+            self.core.divert.clear();
             if !self.arrivals[land].is_empty() {
-                self.arrival_round[land] = round + latency as u32;
+                self.arrival_round[land] = round.saturating_add(latency);
             }
             self.sample(&mut mark, 2);
-            // 4. Wait + stall accounting, phase openings, deadlock
-            // detection.
-            self.tally
-                .end_round(self.total_queued, self.stalled.len() as u64);
-            self.due.end_round(round, &self.outcomes);
+            // 4. Accounting.
+            let stranded = self.core.end_round(round, progress);
             self.sample(&mut mark, 3);
-            if !progress && self.in_flight == 0 && self.due.exhausted() && self.resolved < total {
-                if P::ENABLED {
-                    self.emit_strand(round);
-                }
-                strand_remaining(&mut self.outcomes, &mut self.resolved);
+            if stranded {
                 break;
-            }
-            if P::ENABLED && self.round_open {
-                self.round_open = false;
-                self.probe.event(&Event::RoundEnd {
-                    round,
-                    queued: self.total_queued,
-                    in_flight: self.in_flight as u64,
-                    stalled: self.stalled.len() as u64,
-                });
             }
             // Idle skip: with nothing queued and nothing stalled,
             // rounds pass eventlessly until the next injection (a
             // phase's opening round included) or landing — jump
-            // straight there. Unobservable in the
-            // stats: idle rounds accrue zero wait, and the stalled
-            // guard keeps injection_stall_rounds accounting exact
-            // (a stalled packet is charged every round even when the
-            // pool is held only by in-flight reservations).
-            round = if self.total_queued == 0 && self.stalled.is_empty() && self.resolved < total {
-                let next_inj = self.due.next_round();
-                let next_arr = (0..self.lanes)
+            // straight there. Unobservable in the stats: idle rounds
+            // accrue zero wait, and the stalled guard keeps
+            // injection_stall_rounds accounting exact (a stalled
+            // packet is charged every round even when the pool is held
+            // only by in-flight reservations).
+            round = if self.core.total_queued == 0
+                && self.core.stalled.is_empty()
+                && self.core.running()
+            {
+                let next_inj = self.core.due.next_round();
+                let next_arr = (0..lanes)
                     .filter(|&s| !self.arrivals[s].is_empty())
                     .map(|s| self.arrival_round[s])
                     .min();
@@ -2857,13 +2468,9 @@ impl<'a, P: Probe> FastSim<'a, P> {
                 round + 1
             };
         }
-        let (counters, per_owner) = self.tally.finish();
         let profile = self.profile.map(|(_, prof)| prof);
-        (
-            finish(self.net, &self.due, &self.outcomes, counters, round),
-            per_owner,
-            profile,
-        )
+        let (stats, per_owner) = self.core.finish(round);
+        (stats, per_owner, profile)
     }
 }
 
@@ -3396,6 +3003,34 @@ mod tests {
             fast.injected
         );
         assert_eq!(fast, net.run_with(&w, &GreedyRouting, Engine::Reference));
+    }
+
+    #[test]
+    fn landing_past_the_last_round_strands_at_the_cap() {
+        // Forwarded in round u32::MAX − 1 over two-round links, the
+        // flit would land past u32::MAX: its landing round saturates at
+        // the cap, where the run strands it with its injection round
+        // kept. Fast engine only — the reference engine would step
+        // through every round.
+        let late = u32::MAX - 1;
+        let w = Workload::from_injections(
+            "late",
+            3,
+            vec![Injection {
+                round: late,
+                src: 0,
+                dst: 5,
+            }],
+        );
+        let net = Network::new(3).with_config(NetConfig {
+            link_latency: 2,
+            max_rounds: u32::MAX,
+            ..NetConfig::default()
+        });
+        let stats = net.run(&w, &GreedyRouting);
+        assert_eq!(stats.stranded, 1);
+        assert_eq!(stats.packets[0].outcome, PacketOutcome::Stranded);
+        assert_eq!(stats.packets[0].inject_round, late);
     }
 
     #[test]

@@ -59,11 +59,7 @@ impl Workload {
     /// Panics if any rank is `≥ n!`.
     #[must_use]
     pub fn from_injections(name: &str, n: usize, mut injections: Vec<Injection>) -> Self {
-        let size = factorial(n);
-        for inj in &injections {
-            assert!(inj.src < size && inj.dst < size, "PE rank out of range");
-        }
-        injections.sort_by_key(|i| i.round);
+        check_and_sort(n, &mut injections);
         Workload {
             name: name.to_string(),
             n,
@@ -296,34 +292,32 @@ impl Workload {
     /// isolation theorem. An empty phase still advances the clock by
     /// one round.
     ///
-    /// Packets are numbered phase by phase, and the owner map names
-    /// each packet's phase. A run records every packet's realized
-    /// injection round in [`crate::PacketRecord::inject_round`]; if a
-    /// phase never resolves (a credit deadlock, or the round cap),
-    /// the phases after it never open, and their packets end
-    /// [`crate::PacketOutcome::Stranded`] with the round the run gave
-    /// up as their injection round.
+    /// Each phase is its injections, sorted by round stably as in
+    /// [`Workload::from_injections`]. Packets are numbered phase by
+    /// phase, and the owner map names each packet's phase. A run
+    /// records every packet's realized injection round in
+    /// [`crate::PacketRecord::inject_round`]; if a phase never resolves
+    /// (a credit deadlock, or the round cap), the phases after it never
+    /// open, and their packets end [`crate::PacketOutcome::Stranded`]
+    /// with the round the run gave up as their injection round.
     ///
     /// # Panics
-    /// Panics if a phase targets a different star order or carries
-    /// barriers of its own.
+    /// Panics if any rank is `≥ n!`.
     #[must_use]
-    pub fn chain(name: &str, n: usize, phases: &[Workload]) -> ChainedWorkload {
-        let total = phases.iter().map(Workload::len).sum();
-        let mut injections = Vec::with_capacity(total);
-        let mut owner = Vec::with_capacity(total);
-        let mut gates = Vec::with_capacity(phases.len());
-        for (k, phase) in phases.iter().enumerate() {
-            assert_eq!(phase.n, n, "phase {k} targets S_{} not S_{n}", phase.n);
-            assert!(
-                phase.gates.is_empty(),
-                "phase {k} carries barriers of its own"
-            );
-            let start = injections.len() as u32;
-            injections.extend_from_slice(&phase.injections);
+    pub fn chain<P>(name: &str, n: usize, phases: impl IntoIterator<Item = P>) -> ChainedWorkload
+    where
+        P: IntoIterator<Item = Injection>,
+    {
+        let mut injections = Vec::new();
+        let mut owner = Vec::new();
+        let mut gates = Vec::new();
+        for (k, phase) in phases.into_iter().enumerate() {
+            let start = injections.len();
+            injections.extend(phase);
+            check_and_sort(n, &mut injections[start..]);
             owner.resize(injections.len(), k as u32);
             gates.push(Gate {
-                start,
+                start: start as u32,
                 end: injections.len() as u32,
                 at: (k == 0).then_some(0),
             });
@@ -380,6 +374,16 @@ impl Workload {
     pub fn is_empty(&self) -> bool {
         self.injections.is_empty()
     }
+}
+
+/// Checks every rank against `n!` and sorts by round, stably, so
+/// same-round order is the caller's order.
+fn check_and_sort(n: usize, injections: &mut [Injection]) {
+    let size = factorial(n);
+    for inj in injections.iter() {
+        assert!(inj.src < size && inj.dst < size, "PE rank out of range");
+    }
+    injections.sort_by_key(|i| i.round);
 }
 
 /// A multi-phase workload with inject-after-quiescence barriers,

@@ -45,12 +45,14 @@ fn workloads(n: usize, seed: u64) -> Vec<Workload> {
         Workload::chain(
             "chain",
             n,
-            &[
+            [
                 Workload::dimension_sweep(n, 1, true),
                 Workload::random_permutation(n, seed),
                 Workload::from_injections("empty", n, Vec::new()),
                 Workload::uniform_pairs(n, 24, seed),
-            ],
+            ]
+            .iter()
+            .map(|w| w.injections().iter().copied()),
         )
         .workload,
     ]

@@ -19,6 +19,14 @@ use sg_net::{
 use sg_obs::{DropReason, Event, EventLog, NullProbe};
 use sg_star::SubStar;
 
+/// [`Workload::chain`] over whole workloads, one per phase.
+fn chain(name: &str, n: usize, phases: &[Workload]) -> ChainedWorkload {
+    Workload::chain(
+        name,
+        n,
+        phases.iter().map(|w| w.injections().iter().copied()),
+    )
+}
 /// A mixed bag of phases: contention-free sweep, random permutation,
 /// hot-spot burst, an *empty* phase (the barrier must still advance
 /// the clock), open-loop traffic spread over three rounds of its
@@ -99,7 +107,7 @@ fn phase_records(stats: &TrafficStats, owner: &[u32], k: usize, start: u32) -> V
 /// attributed on the fast engine, packet by packet on the reference
 /// engine (whose partitioned run reports totals only).
 fn assert_phases_isolated(net: &Network, ws: &[Workload], context: &str) {
-    let chained = Workload::chain("chain", net.n(), ws);
+    let chained = chain("chain", net.n(), ws);
     let (total, per_phase) = per_phase_run(net, &chained);
     let reference = net.run_with(&chained.workload, &GreedyRouting, Engine::Reference);
     assert_eq!(total, reference, "{context}: engines disagree");
@@ -131,7 +139,7 @@ fn barriers_are_strict() {
         for seed in 0..4u64 {
             let net = Network::new(n);
             let ws = phases(n, seed);
-            let chained = Workload::chain("chain", n, &ws);
+            let chained = chain("chain", n, &ws);
             assert_eq!(chained.phase_count(), ws.len());
             let want = expected_starts(&net, &ws);
             let stats = net.run(&chained.workload, &GreedyRouting);
@@ -197,7 +205,7 @@ fn engines_agree_on_chained_workloads() {
     for n in [4, 5] {
         for seed in 0..4u64 {
             let net = Network::new(n);
-            let chained = Workload::chain("chain", n, &phases(n, seed));
+            let chained = chain("chain", n, &phases(n, seed));
             let fast = net.run_with(&chained.workload, &GreedyRouting, Engine::Fast);
             let reference = net.run_with(&chained.workload, &GreedyRouting, Engine::Reference);
             assert_eq!(fast, reference, "n={n} seed={seed}");
@@ -248,7 +256,7 @@ fn shifted_reconstruction_matches() {
         });
         for seed in [3, 7] {
             let ws = phases(n, seed);
-            let chained = Workload::chain("chain", n, &ws);
+            let chained = chain("chain", n, &ws);
             let barrier = net.run(&chained.workload, &GreedyRouting);
             let starts = realized_starts(&chained, &barrier);
             let parts: Vec<(&Workload, u32)> = ws
@@ -289,7 +297,7 @@ fn empty_phases_advance_the_clock_one_round_each() {
     let net = Network::new(n);
     let empty = || Workload::from_injections("empty", n, Vec::new());
     let pairs = Workload::uniform_pairs(n, 5, 3);
-    let chained = Workload::chain(
+    let chained = chain(
         "gaps",
         n,
         &[empty(), empty(), pairs.clone(), empty(), pairs],
@@ -302,7 +310,7 @@ fn empty_phases_advance_the_clock_one_round_each() {
         .makespan;
     assert_eq!(starts[4], Some(2 + first + 2));
 
-    let nothing = Workload::chain("nothing", n, &[empty(), empty()]);
+    let nothing = chain("nothing", n, &[empty(), empty()]);
     assert_eq!(nothing.phase_count(), 2);
     assert_eq!(net.run(&nothing.workload, &GreedyRouting).injected, 0);
 }
@@ -328,7 +336,7 @@ fn a_phase_that_strands_strands_its_successors() {
         "the first phase must wedge"
     );
     let after = Workload::uniform_pairs(n, 12, 5);
-    let chained = Workload::chain("wedged", n, &[wedge.clone(), after.clone()]);
+    let chained = chain("wedged", n, &[wedge.clone(), after.clone()]);
     for engine in [Engine::Fast, Engine::Reference] {
         let mut log = EventLog::new();
         let stats = net.run_probed(&chained.workload, &GreedyRouting, engine, &mut log);
@@ -379,7 +387,7 @@ fn the_round_cap_strands_unopened_phases_at_the_cap() {
         Workload::bernoulli_uniform(n, 40, 50, 2),
         Workload::uniform_pairs(n, 4, 3),
     ];
-    let chained = Workload::chain("capped", n, &ws);
+    let chained = chain("capped", n, &ws);
     let fast = net.run_with(&chained.workload, &GreedyRouting, Engine::Fast);
     assert_eq!(
         fast,
@@ -433,7 +441,7 @@ fn barriers_are_phase_local_under_compose() {
         .iter()
         .map(|w| lifted(&a, w))
         .collect();
-        let chained = Workload::chain("chain", n, &ws);
+        let chained = chain("chain", n, &ws);
         let tenant = lifted(&b, &Workload::bernoulli_uniform(4, 30, 60, seed));
         let offset = 3;
         let (merged, owner) =
@@ -509,7 +517,7 @@ fn assert_injections_in_pid_order(events: &[Event], packets: usize, engine: Engi
 fn a_chain_numbers_its_packets_phase_by_phase() {
     let n = 4;
     let ws = phases(n, 7);
-    let chained = Workload::chain("chain", n, &ws);
+    let chained = chain("chain", n, &ws);
     let mut want: Vec<Injection> = Vec::new();
     let mut owner = Vec::new();
     for (k, w) in ws.iter().enumerate() {

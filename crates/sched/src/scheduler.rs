@@ -704,13 +704,7 @@ impl TenantRun {
     /// Panics if `net` is not an `S_n` of the schedule's order.
     #[must_use]
     pub fn run(&self, net: &Network) -> ScheduleReport {
-        assert_eq!(net.n(), self.schedule.n, "network order mismatch");
-        let escape: Vec<bool> = self
-            .schedule
-            .placements
-            .iter()
-            .map(|p| p.job.escape)
-            .collect();
+        let escape = self.escape_flags(net);
         let (total, per_job) = net.run_partitioned(
             &self.workload,
             &self.policies(),
@@ -762,6 +756,19 @@ impl TenantRun {
         Network::region_quiescence_violations(&report.total, &self.owner, &self.release_rounds())
     }
 
+    /// Each placement's escape opt-in, for a run on `net`.
+    ///
+    /// # Panics
+    /// Panics if `net` is not an `S_n` of the schedule's order.
+    fn escape_flags(&self, net: &Network) -> Vec<bool> {
+        assert_eq!(net.n(), self.schedule.n, "network order mismatch");
+        self.schedule
+            .placements
+            .iter()
+            .map(|p| p.job.escape)
+            .collect()
+    }
+
     fn release_rounds(&self) -> Vec<u32> {
         self.schedule.placements.iter().map(|p| p.finish).collect()
     }
@@ -775,13 +782,7 @@ impl TenantRun {
     /// Panics if `net` is not an `S_n` of the schedule's order.
     #[must_use]
     pub fn run_reference_total(&self, net: &Network) -> TrafficStats {
-        assert_eq!(net.n(), self.schedule.n, "network order mismatch");
-        let escape: Vec<bool> = self
-            .schedule
-            .placements
-            .iter()
-            .map(|p| p.job.escape)
-            .collect();
+        let escape = self.escape_flags(net);
         net.run_partitioned_reference(
             &self.workload,
             &self.policies(),

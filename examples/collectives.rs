@@ -99,9 +99,8 @@ fn allreduce_tenant() {
     assert_eq!(s.placements().len(), 3);
     let sub = s.placements()[0].substar.clone();
 
-    let run = s.tenant_run_with(|i, p| {
-        (i == 0).then(|| coll.compile_on(&net, &p.substar, &GreedyRouting).workload)
-    });
+    let run =
+        s.tenant_run_with(|i, p| (i == 0).then(|| coll.compile_on(&net, &p.substar).workload));
     let report = run.run_quiesce_checked(&net);
     assert_eq!(report.total.delivered, report.total.injected);
     let isolated = run.isolated_stats(&net);
