@@ -8,7 +8,7 @@
 //!
 //! Subcommands map 1:1 to the experiment ids of DESIGN.md §2.
 
-use sg_bench::{parse_flag, Table};
+use sg_bench::{parse_flag, print, println, Table};
 use sg_coll::{
     all_to_all_naive, all_to_all_rotation, allgather_doubling, allgather_naive, allreduce_lattice,
     allreduce_naive, broadcast_naive, broadcast_tree, distance_lower_bound, naive_root_lower_bound,
@@ -31,7 +31,7 @@ use sg_mesh::shape::{MeshShape, Sign};
 use sg_mesh::uniform::{
     thm7_slowdown, thm8_slowdown, thm9_approx_log2, thm9_slowdown_log2, UniformMesh,
 };
-use sg_net::{Engine, GreedyRouting, Network, Workload, MAX_ORDER};
+use sg_net::{Engine, GreedyRouting, Network, Tenants, Workload, MAX_ORDER};
 use sg_obs::{NetProbe, SchedProbe};
 use sg_perm::factorial::factorial;
 use sg_perm::MAX_N;
@@ -570,7 +570,8 @@ fn obs(n: usize) {
     let w = Workload::bernoulli_uniform(n, 20, 100, 0xBEEF);
     let bare = net.run(&w, &GreedyRouting);
     let mut probe = NetProbe::new(net.node_count(), net.n() - 1);
-    let probed = net.run_probed(&w, &GreedyRouting, Engine::Fast, &mut probe);
+    let tenants = Tenants::One(&GreedyRouting);
+    let probed = net.simulate(&w, tenants, Engine::Fast, &mut probe).total;
     assert_eq!(probed, bare, "probes never perturb the run");
     println!(
         "uniform full injection, {} packets over {} rounds:\n",

@@ -10,17 +10,21 @@
 //!
 //! `record` records a random-permutation run, or with `--allreduce`
 //! the lattice allreduce compiled on `S_n` (`n ≤ 6`) as a partitioned
-//! trace whose owners are its phases (fast engine only), and replays
-//! the log it wrote before writing it. `replay` reconstructs the run's
-//! statistics and dashboards from the log alone — byte-identical to
-//! what the live run reported. `diff` exits 1 when the two logs
-//! diverge (localizing the first diverging round and event) and 0 when
-//! they are identical, so it slots into CI scripts directly.
+//! trace whose owners are its phases (fast engine only: the reference
+//! engine keeps no per-phase statistics), and replays the log it wrote
+//! before writing it. `replay` reconstructs the run's statistics and
+//! dashboards from the log alone — byte-identical to what the live run
+//! reported. `diff` exits 1 when the two logs diverge (localizing the
+//! first diverging round and event) and 0 when they are identical, so
+//! it slots into CI scripts directly, also when its output is cut
+//! short.
 
-use sg_bench::parse_flag;
+use sg_bench::{parse_flag, print, println, write_out};
 use sg_coll::allreduce_lattice;
-use sg_net::trace::{record, record_partitioned, replay, replay_jsonl};
-use sg_net::{Engine, GreedyRouting, Network, RoutingPolicy, TrafficStats, Workload, MAX_ORDER};
+use sg_net::trace::{record, replay, replay_jsonl};
+use sg_net::{
+    Engine, GreedyRouting, Network, RoutingPolicy, Tenants, TrafficStats, Workload, MAX_ORDER,
+};
 use sg_obs::{diff_events, NetProbe, Probe, Trace};
 use sg_perm::factorial::factorial;
 
@@ -80,7 +84,7 @@ fn cmd_record(args: &[String]) {
     if allreduce && reference {
         eprintln!(
             "usage: trace record <path> --allreduce [--n N] [--seed S]  \
-             (the partitioned recorder runs the fast engine only; drop --reference)"
+             (the reference engine keeps no per-phase statistics; drop --reference)"
         );
         std::process::exit(2);
     }
@@ -90,45 +94,43 @@ fn cmd_record(args: &[String]) {
         Engine::Fast
     };
     let net = Network::new(n);
-    let (live, per_phase, trace, what) = if allreduce {
+    let chained = allreduce.then(|| allreduce_lattice(n).compile(&net, &GreedyRouting));
+    let (policies, escape, permutation);
+    let (workload, tenants, what) = match &chained {
         // One owner per phase: the replay splits the run per phase.
-        let chained = allreduce_lattice(n).compile(&net, &GreedyRouting);
-        let policies: Vec<&dyn RoutingPolicy> = vec![&GreedyRouting; chained.phase_count()];
-        let escape = vec![false; policies.len()];
-        let (live, per_phase, trace) = record_partitioned(
-            &net,
-            &chained.workload,
-            &policies,
-            &chained.owner,
-            &escape,
-            seed,
-        );
-        let what = format!("allreduce run ({} phases as owners)", policies.len());
-        (live, per_phase, trace, what)
-    } else {
-        let w = Workload::random_permutation(n, seed);
-        let (live, trace) = record(&net, &w, &GreedyRouting, engine, seed);
-        (live, Vec::new(), trace, "permutation run".to_string())
+        Some(chained) => {
+            policies = vec![&GreedyRouting as &dyn RoutingPolicy; chained.phase_count()];
+            escape = vec![false; policies.len()];
+            let tenants = Tenants::PerJob {
+                policies: &policies,
+                owner: &chained.owner,
+                escape: &escape,
+            };
+            let what = format!("allreduce run ({} phases as owners)", policies.len());
+            (&chained.workload, tenants, what)
+        }
+        None => {
+            permutation = Workload::random_permutation(n, seed);
+            let what = "permutation run".to_string();
+            (&permutation, Tenants::One(&GreedyRouting), what)
+        }
     };
+    let (live, trace) = record(&net, workload, tenants, engine, seed);
     let text = trace.to_jsonl();
     // Self-check before writing: the file we emit must replay to the
     // exact statistics the live run produced, per phase included.
     let back =
         replay_jsonl(&text).unwrap_or_else(|e| die(&format!("self-check replay failed: {e}")));
     assert_eq!(
-        back.total, live,
+        back, live,
         "self-check: replayed stats diverge from live run"
-    );
-    assert_eq!(
-        back.per_job, per_phase,
-        "self-check: replayed per-phase stats diverge from live run"
     );
     std::fs::write(path, &text).unwrap_or_else(|e| die(&format!("{path}: {e}")));
     println!(
         "recorded S_{n} {what} ({}) to {path}: {} packets, {} events, replay self-check ok",
         trace.header.engine, trace.header.packets, trace.header.events
     );
-    summary("live", &live);
+    summary("live", &live.total);
 }
 
 fn cmd_replay(args: &[String]) {
@@ -177,21 +179,21 @@ fn cmd_diff(args: &[String]) {
     let context = parse_flag("trace diff", args, "--context", 3, 0..=usize::MAX);
     let a = load(pa);
     let b = load(pb);
+    // The verdict is known before anything prints, so that a closed
+    // stdout still exits with it.
+    let diff = diff_events(&a.events, &b.events, context);
+    let status = i32::from(diff.is_some());
+    let mut text = String::new();
     if a.header.fingerprint != b.header.fingerprint {
-        println!(
-            "note: configs differ — a: [{}]  b: [{}]",
-            a.header.fingerprint, b.header.fingerprint
-        );
+        let (fa, fb) = (&a.header.fingerprint, &b.header.fingerprint);
+        text = format!("note: configs differ — a: [{fa}]  b: [{fb}]\n");
     }
-    match diff_events(&a.events, &b.events, context) {
-        None => {
-            println!("identical: {} event(s)", a.events.len());
-        }
-        Some(d) => {
-            print!("{}", d.render());
-            std::process::exit(1);
-        }
-    }
+    text += &diff.map_or_else(
+        || format!("identical: {} event(s)\n", a.events.len()),
+        |d| d.render(),
+    );
+    write_out("trace", status, format_args!("{text}"));
+    std::process::exit(status);
 }
 
 fn main() {

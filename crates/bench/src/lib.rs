@@ -16,9 +16,26 @@ pub mod report;
 
 pub use report::Table;
 
-use std::fmt::Display;
+use std::fmt::{Arguments, Display};
+use std::io::{ErrorKind, Write};
 use std::ops::RangeInclusive;
 use std::str::FromStr;
+
+/// Writes `args` to stdout for the binary `bin`, as `print!` does, but
+/// without panicking when stdout fails. When the reader has gone (a
+/// broken pipe), the command stops printing and exits with `status`,
+/// the status it ends with anyway; any other write error prints
+/// `<bin>: <error>` to stderr and exits 2.
+pub fn write_out(bin: &str, status: i32, args: Arguments<'_>) {
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_fmt(args).and_then(|()| out.flush()) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(status);
+        }
+        eprintln!("{bin}: {e}");
+        std::process::exit(2);
+    }
+}
 
 /// The value of flag `name` in `args`, or `default` when the flag is
 /// absent. A missing, unparsable or out-of-`range` value prints the
@@ -46,4 +63,19 @@ where
             std::process::exit(2);
         }
     }
+}
+
+/// `print!` through [`write_out`], for a command that exits 0. The
+/// binaries import it (and [`println!`]) in place of the standard
+/// macros, so all they print goes through [`write_out`].
+#[macro_export]
+macro_rules! print {
+    ($($arg:tt)*) => { $crate::write_out(env!("CARGO_BIN_NAME"), 0, format_args!($($arg)*)) };
+}
+
+/// `println!` through [`write_out`], for a command that exits 0.
+#[macro_export]
+macro_rules! println {
+    () => { $crate::print!("\n") };
+    ($($arg:tt)*) => { $crate::print!("{}\n", format_args!($($arg)*)) };
 }

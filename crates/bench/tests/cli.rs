@@ -1,19 +1,24 @@
 //! The `tables` and `trace` CLIs refuse a bad flag value with a usage
 //! line and exit code 2 before doing any work, instead of panicking in
 //! a library `assert!` (exit 101) or silently running with the default.
+//! A stdout whose reader has gone ends a command with the status it
+//! would have exited with anyway, not with a panic.
 
 use std::path::Path;
 use std::process::{Command, Output};
 
-fn run(bin: &str, args: &[&str]) -> Output {
+fn command(bin: &str, args: &[&str]) -> Command {
     let exe = match bin {
         "tables" => env!("CARGO_BIN_EXE_tables"),
         _ => env!("CARGO_BIN_EXE_trace"),
     };
-    Command::new(exe)
-        .args(args)
-        .output()
-        .expect("the binary runs")
+    let mut command = Command::new(exe);
+    command.args(args);
+    command
+}
+
+fn run(bin: &str, args: &[&str]) -> Output {
+    command(bin, args).output().expect("the binary runs")
 }
 
 fn assert_usage_error(bin: &str, args: &[&str]) {
@@ -129,5 +134,30 @@ fn trace_record_allreduce_refuses_the_reference_engine_and_large_orders() {
             !Path::new(&path).exists(),
             "trace record {args:?} wrote a log"
         );
+    }
+}
+
+#[test]
+fn closed_stdout_ends_a_command_with_its_own_status() {
+    let a = temp_path("trace-closed-stdout-a.jsonl");
+    let b = temp_path("trace-closed-stdout-b.jsonl");
+    let c = temp_path("trace-closed-stdout-c.jsonl");
+    for (path, seed) in [(&a, "1"), (&b, "2")] {
+        let out = run("trace", &["record", path, "--n", "3", "--seed", seed]);
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+    }
+    for (bin, args, status) in [
+        ("tables", &["table1"][..], 0),
+        ("trace", &["record", &c, "--n", "4"], 0),
+        ("trace", &["stats", &a], 0),
+        ("trace", &["diff", &a, &b], 1),
+    ] {
+        // Stdout is a pipe whose reader is gone: the first write fails.
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let out = command(bin, args).stdout(writer).output().expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(status), "{bin} {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
     }
 }

@@ -9,8 +9,10 @@ use sg_coll::{
     all_to_all_rotation, allgather_doubling, allreduce_lattice, broadcast_naive, broadcast_tree,
     reduce_scatter_halving, reduce_tree, CollSchedule,
 };
-use sg_net::trace::{record, record_partitioned, replay, replay_jsonl};
-use sg_net::{Engine, GreedyRouting, Injection, Network, RoutingPolicy, Workload};
+use sg_net::trace::{record, replay, replay_jsonl};
+use sg_net::{
+    Engine, GreedyRouting, Injection, Network, RoutingPolicy, RunStats, Tenants, Workload,
+};
 use sg_obs::{diff_events, Trace};
 
 fn schedules(m: usize) -> Vec<CollSchedule> {
@@ -41,7 +43,9 @@ fn collective_runs_replay_byte_identically() {
         for s in schedules(m) {
             let chained = s.compile(&net, &GreedyRouting);
             for engine in [Engine::Fast, Engine::Reference] {
-                let (live, trace) = record(&net, &chained.workload, &GreedyRouting, engine, 0xc011);
+                let tenants = Tenants::One(&GreedyRouting);
+                let (RunStats { total: live, .. }, trace) =
+                    record(&net, &chained.workload, tenants, engine, 0xc011);
                 assert_eq!(live.stranded, 0);
                 let replayed = replay(&trace).expect("collective trace replays");
                 assert_eq!(
@@ -87,14 +91,13 @@ fn partitioned_collective_traces_attribute_phases() {
             .collect();
         let refs: Vec<&dyn RoutingPolicy> = policies.iter().map(|p| p.as_ref()).collect();
         let escape = vec![false; phases.len()];
-        let (total, per_phase, trace) = record_partitioned(
-            &net,
-            &chained.workload,
-            &refs,
-            &chained.owner,
-            &escape,
-            0xc011,
-        );
+        let tenants = Tenants::PerJob {
+            policies: &refs,
+            owner: &chained.owner,
+            escape: &escape,
+        };
+        let (live, trace) = record(&net, &chained.workload, tenants, Engine::Fast, 0xc011);
+        let (total, per_phase) = (live.total, live.per_job);
         let replayed = replay(&trace).expect("partitioned collective trace replays");
         assert_eq!(replayed.total, total, "{}", s.name());
         assert_eq!(replayed.per_job, per_phase, "{}", s.name());
@@ -121,7 +124,7 @@ fn mutated_collective_log_divergence_is_localized() {
     let (_, trace) = record(
         &net,
         &chained.workload,
-        &GreedyRouting,
+        Tenants::One(&GreedyRouting),
         Engine::Fast,
         0xd1ff,
     );

@@ -74,30 +74,30 @@
 //!
 //! ## Entry points
 //!
-//! Six methods run a workload: [`Network::run`] (fast engine),
-//! [`Network::run_with`] (either engine), [`Network::run_probed`]
-//! (either engine, with an [`sg_obs::Probe`] attached),
-//! [`Network::run_profiled`] (fast engine, phase profile), and the two
-//! multi-tenant runs below. The fast engine's counters all go through
-//! one [`sg_obs::RunTally`], the same tally the trace replayer feeds
-//! from a log ([`trace`]); the reference engine keeps its own, so the
-//! differential suite checks the tally independently. Per-packet hop
-//! traces come from the event stream: attach a [`HopTraces`] probe.
+//! Every run goes through [`Network::simulate`]: a workload, its
+//! [`Tenants`], an [`Engine`] and an [`sg_obs::Probe`] in, the
+//! [`RunStats`] out. [`Network::run`] and [`Network::run_with`] call
+//! it for one policy, [`Network::run_profiled`] arms the fast engine's
+//! phase profiler, and [`trace::record`] attaches an event log that
+//! [`trace::replay`] turns back into the same [`RunStats`]. The fast
+//! engine's counters all go through one [`sg_obs::RunTally`], the
+//! tally the trace replayer feeds from a log; the reference engine
+//! keeps its own, so the differential suite checks the tally
+//! independently. Per-packet hop traces come from the event stream:
+//! attach a [`HopTraces`] probe.
 //!
 //! ## Multi-tenancy
 //!
 //! [`Workload::compose`] stably merges per-tenant workloads with
 //! round offsets and an owner map, keeping any part's phase barriers
-//! ([`Workload::chain`]) local to that part;
-//! [`Network::run_partitioned`] drives the merged traffic with **one
-//! routing policy and one escape opt-in per job** (so adaptivity is a
-//! per-job choice) and returns fully attributed per-job
-//! [`TrafficStats`] next to the global ones;
-//! [`Network::run_partitioned_reference`] runs the same traffic on
-//! the reference engine for the totals; [`TrafficStats::rebased`]
-//! shifts a tenant's slice onto its own clock for byte-level
-//! comparison against an isolated run. The `sg-sched` crate builds
-//! the sub-star scheduler on these primitives.
+//! ([`Workload::chain`]) local to that part; [`Tenants::PerJob`] runs
+//! the merged traffic with **one routing policy and one escape opt-in
+//! per job** (so adaptivity is a per-job choice), and the fast engine
+//! returns fully attributed per-job [`TrafficStats`] next to the
+//! global ones; [`TrafficStats::rebased`] shifts a tenant's slice onto
+//! its own clock for byte-level comparison against an isolated run.
+//! The `sg-sched` crate builds the sub-star scheduler on these
+//! primitives.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -111,9 +111,10 @@ pub mod trace;
 pub mod workload;
 
 pub use fault::{FaultPlan, FaultPolicy};
-pub use network::{Engine, FlowControl, NetConfig, Network, QuiescenceViolation, MAX_ORDER};
+pub use network::{
+    Engine, FlowControl, NetConfig, Network, QuiescenceViolation, Tenants, MAX_ORDER,
+};
 pub use packet::{HopRecord, HopTraces, PacketId, PacketOutcome, PacketRecord};
 pub use routing::{AdaptiveRouting, EmbeddingRouting, GreedyRouting, RoutingPolicy};
-pub use stats::{saturation_sweep, RunCounters, SaturationPoint, TrafficStats};
-pub use trace::ReplayedStats;
+pub use stats::{saturation_sweep, RunCounters, RunStats, SaturationPoint, TrafficStats};
 pub use workload::{ChainedWorkload, Injection, Workload};

@@ -112,16 +112,16 @@
 //! skipping invisible to probes. The default path runs with
 //! [`sg_obs::NullProbe`], whose `ENABLED = false` constant folds
 //! every emission site out of the monomorphized loop: attach nothing,
-//! pay nothing. Attach probes via [`Network::run_probed`] /
-//! [`Network::run_partitioned`]; profile the fast engine's
-//! phases via [`Network::run_profiled`] (with a clock injected at
-//! construction through [`Network::with_clock`], so profiled runs
-//! stay deterministic and testable).
+//! pay nothing. Attach a probe to any run through [`Network::simulate`];
+//! profile the fast engine's phases via [`Network::run_profiled`]
+//! (with a clock injected at construction through
+//! [`Network::with_clock`], so profiled runs stay deterministic and
+//! testable).
 
 use crate::fault::{FaultPlan, FaultPolicy};
 use crate::packet::{PacketId, PacketOutcome, PacketRecord};
 use crate::routing::RoutingPolicy;
-use crate::stats::{RunCounters, TrafficStats};
+use crate::stats::{RunCounters, RunStats, TrafficStats};
 use crate::workload::{Gate, Injection, Workload};
 use rayon::prelude::*;
 use sg_core::convert::convert_s_d_coords;
@@ -191,6 +191,40 @@ pub enum Engine {
     /// The scan-everything oracle the differential suite compares
     /// against.
     Reference,
+}
+
+/// Who a run's packets belong to: how each routes, and whether it may
+/// divert onto the escape channel.
+#[derive(Clone, Copy)]
+pub enum Tenants<'a> {
+    /// Every packet routes under one policy and may divert.
+    One(&'a dyn RoutingPolicy),
+    /// A multi-tenant run over one shared interconnect (see
+    /// [`Workload::compose`]), with per-job routing and statistics.
+    PerJob {
+        /// `policies[j]` routes job `j`'s packets.
+        policies: &'a [&'a dyn RoutingPolicy],
+        /// `owner[pid]` names the job packet `pid` belongs to.
+        owner: &'a [u32],
+        /// Under [`FlowControl::EscapeChannel`], only jobs with
+        /// `escape[j]` may divert; the others run as under
+        /// [`FlowControl::CreditBased`] and can still deadlock, so
+        /// mixing opt-ins trades the global deadlock-freedom guarantee
+        /// for per-tenant control. Inert under other flow control.
+        escape: &'a [bool],
+    },
+}
+
+impl<'a> Tenants<'a> {
+    /// The owner map and job count of a [`Tenants::PerJob`] run.
+    pub(crate) fn owner(self) -> Option<(&'a [u32], usize)> {
+        match self {
+            Tenants::One(_) => None,
+            Tenants::PerJob {
+                policies, owner, ..
+            } => Some((owner, policies.len())),
+        }
+    }
 }
 
 /// Tunable knobs of the interconnect.
@@ -368,97 +402,101 @@ impl Network {
         }
     }
 
-    /// Runs `workload` under `policy` on the default [`Engine::Fast`]
-    /// and returns the full statistics.
+    /// Runs `workload` for `tenants` on `engine` with `probe` attached:
+    /// the one entry point behind every run method.
     ///
-    /// Routes for all packets are precomputed in parallel (adaptive
-    /// policies route hop-by-hop instead); the round loop itself is
-    /// sequential and deterministic.
+    /// Routes are precomputed in parallel (adaptive policies route
+    /// hop-by-hop instead); the round loop is sequential and
+    /// deterministic. `probe` sees the run's full [`sg_obs::Event`]
+    /// stream in reference-scan order, the same on both engines, and
+    /// leaves the statistics byte-identical; a [`NullProbe`] costs
+    /// nothing.
+    ///
+    /// With [`Tenants::PerJob`] on the fast engine, `per_job` holds one
+    /// fully attributed [`TrafficStats`] per job on the global clock
+    /// ([`TrafficStats::rebased`] shifts it to the job's own): the
+    /// records, latencies, waits, stalls and forwarded flits of the
+    /// job's packets, and the queue and PE peaks seen at the job's own
+    /// enqueues, foreign flits included — on a sub-star of its own
+    /// they equal the isolated run's peaks, under sharing they measure
+    /// interference. `per_job` is empty for [`Tenants::One`] and on
+    /// [`Engine::Reference`], whose own counters cover the whole run
+    /// only.
+    ///
+    /// # Panics
+    /// Panics if the workload targets a different star order, or if a
+    /// [`Tenants::PerJob`] owner map does not cover every packet or
+    /// names a job without a policy, or its escape flags do not name
+    /// every job.
+    #[must_use]
+    pub fn simulate<P: Probe>(
+        &self,
+        workload: &Workload,
+        tenants: Tenants<'_>,
+        engine: Engine,
+        probe: &mut P,
+    ) -> RunStats {
+        match engine {
+            Engine::Fast => self.run_fast(workload, tenants, probe, None).0,
+            Engine::Reference => {
+                let prepared = self.prepare(workload, tenants);
+                RunStats {
+                    total: ReferenceSim::new(self, workload, prepared, probe).run(),
+                    per_job: Vec::new(),
+                }
+            }
+        }
+    }
+
+    /// Runs `workload` under `policy` on the default [`Engine::Fast`].
     ///
     /// # Panics
     /// Panics if the workload targets a different star order.
     #[must_use]
     pub fn run(&self, workload: &Workload, policy: &dyn RoutingPolicy) -> TrafficStats {
-        self.run_with(workload, policy, Engine::Fast)
+        let tenants = Tenants::One(policy);
+        self.simulate(workload, tenants, Engine::Fast, &mut NullProbe)
+            .total
     }
 
-    /// Runs a multi-tenant `workload` on the fast engine and splits
-    /// the statistics by job: `owner[pid]` names the job each packet
-    /// belongs to (see [`Workload::compose`]) and `policies[j]`
-    /// routes job `j`'s packets — per-job routing (and so per-job
-    /// adaptivity) over one shared interconnect. Returns the
-    /// whole-network stats plus one **fully attributed**
-    /// [`TrafficStats`] per job, tallied online by the fast engine:
-    ///
-    /// * per-packet fields (outcomes, latencies, histogram) come from
-    ///   the job's own packet records;
-    /// * `total_wait_rounds` / `injection_stall_rounds` charge each
-    ///   queued or stalled flit to its owner;
-    /// * `forwarded_flits` counts the job's link traversals;
-    /// * `peak_edge_occupancy` / `peak_node_occupancy` are observed at
-    ///   the job's own enqueues — the depth of the queue (and PE) a
-    ///   flit of the job just joined, foreign flits included. On a
-    ///   sub-star the job has to itself they equal the isolated-run
-    ///   peaks; under cross-job sharing they measure interference.
-    ///
-    /// `escape[j]` is job `j`'s escape eligibility: under
-    /// [`FlowControl::EscapeChannel`], only packets of jobs with
-    /// `escape[j] == true` may divert onto the escape channel; opted-
-    /// out jobs behave exactly as under [`FlowControl::CreditBased`]
-    /// (and can therefore still deadlock and strand — mixing opt-ins
-    /// trades the global deadlock-freedom guarantee for per-tenant
-    /// control). Under any other flow control the flags are inert.
-    ///
-    /// `probe` sees the run's full event stream (use e.g.
-    /// [`sg_obs::NetProbe::with_tenants`] with the same owner map for
-    /// per-tenant in-flight peaks, or a [`crate::HopTraces`] for
-    /// containment audits); the statistics are byte-identical to an
-    /// unprobed run. All rounds are global; [`TrafficStats::rebased`]
-    /// shifts a job's stats to its own clock for comparison against
-    /// an isolated run.
+    /// Runs `workload` under `policy` on the chosen engine. Both
+    /// engines produce byte-identical [`TrafficStats`]; the reference
+    /// engine is the differential suite's oracle.
     ///
     /// # Panics
-    /// Panics if the workload targets a different star order, if
-    /// `owner` is not one entry per packet or names a job
-    /// `>= policies.len()`, or if `escape` is not one flag per job.
+    /// Panics if the workload targets a different star order.
     #[must_use]
-    pub fn run_partitioned<P: Probe>(
+    pub fn run_with(
         &self,
         workload: &Workload,
-        policies: &[&dyn RoutingPolicy],
-        owner: &[u32],
-        escape: &[bool],
-        probe: &mut P,
-    ) -> (TrafficStats, Vec<TrafficStats>) {
-        let prepared = self.prepare(workload, policies, Some((owner, escape)));
-        let tally = RunTally::partitioned(owner, policies.len());
-        let (total, per_job, _) = FastSim::new(self, workload, prepared, tally, probe).run();
-        let per_job = TrafficStats::split_by_owner(self.n, &total.packets, owner, per_job);
-        (total, per_job)
-    }
-
-    /// The multi-tenant run on the **reference engine**: same
-    /// per-packet routes, per-job escape eligibility, and round
-    /// semantics as [`Network::run_partitioned`], executed by the
-    /// scan-everything oracle. Returns the whole-network statistics
-    /// only (per-job attribution is a fast-engine feature); the
-    /// differential suite asserts they are byte-identical to the fast
-    /// engine's totals, which is what makes a quiescence violation a
-    /// hard error *in both engines* rather than a fast-path artifact.
-    ///
-    /// # Panics
-    /// As [`Network::run_partitioned`].
-    #[must_use]
-    pub fn run_partitioned_reference<P: Probe>(
-        &self,
-        workload: &Workload,
-        policies: &[&dyn RoutingPolicy],
-        owner: &[u32],
-        escape: &[bool],
-        probe: &mut P,
+        policy: &dyn RoutingPolicy,
+        engine: Engine,
     ) -> TrafficStats {
-        let prepared = self.prepare(workload, policies, Some((owner, escape)));
-        ReferenceSim::new(self, workload, prepared, probe).run()
+        let tenants = Tenants::One(policy);
+        self.simulate(workload, tenants, engine, &mut NullProbe)
+            .total
+    }
+
+    /// Runs `workload` on the fast engine with the self-profiler
+    /// armed: returns the usual statistics plus a [`PhaseProfile`]
+    /// splitting each executed round into its arrivals / injections /
+    /// arbitration / accounting phases, measured with the clock from
+    /// [`Network::with_clock`] (wall-clock nanoseconds by default).
+    /// The clock feeds only the profile — the statistics are
+    /// byte-identical to an unprofiled run.
+    ///
+    /// # Panics
+    /// Panics if the workload targets a different star order.
+    #[must_use]
+    pub fn run_profiled(
+        &self,
+        workload: &Workload,
+        policy: &dyn RoutingPolicy,
+    ) -> (TrafficStats, PhaseProfile) {
+        let clock = self.clock.unwrap_or(sg_obs::wall_clock);
+        let (stats, profile) =
+            self.run_fast(workload, Tenants::One(policy), &mut NullProbe, Some(clock));
+        (stats.total, profile.expect("profiler was armed"))
     }
 
     /// Collects every region-handoff violation of a finished
@@ -526,91 +564,35 @@ impl Network {
         );
     }
 
-    /// Runs `workload` under `policy` on the chosen engine. Both
-    /// engines produce byte-identical [`TrafficStats`]; the reference
-    /// engine exists as the oracle for the differential suite (and
-    /// for debugging the fast one).
-    ///
-    /// # Panics
-    /// Panics if the workload targets a different star order.
-    #[must_use]
-    pub fn run_with(
+    /// A fast-engine run, with the profiler armed when `clock` is set.
+    fn run_fast<P: Probe>(
         &self,
         workload: &Workload,
-        policy: &dyn RoutingPolicy,
-        engine: Engine,
-    ) -> TrafficStats {
-        self.run_probed(workload, policy, engine, &mut NullProbe)
-    }
-
-    /// Runs `workload` under `policy` on the chosen engine with a
-    /// probe attached: `probe` receives the run's full
-    /// [`sg_obs::Event`] stream in deterministic reference-scan order
-    /// — both engines deliver the *same* stream. The returned
-    /// statistics are byte-identical to the unprobed run (asserted by
-    /// the differential suite); the default [`NullProbe`] costs
-    /// nothing at all.
-    ///
-    /// # Panics
-    /// Panics if the workload targets a different star order.
-    #[must_use]
-    pub fn run_probed<P: Probe>(
-        &self,
-        workload: &Workload,
-        policy: &dyn RoutingPolicy,
-        engine: Engine,
+        tenants: Tenants<'_>,
         probe: &mut P,
-    ) -> TrafficStats {
-        let prepared = self.prepare(workload, &[policy], None);
-        match engine {
-            Engine::Fast => {
-                let tally = RunTally::default();
-                FastSim::new(self, workload, prepared, tally, probe).run().0
-            }
-            Engine::Reference => ReferenceSim::new(self, workload, prepared, probe).run(),
-        }
+        clock: Option<fn() -> u64>,
+    ) -> (RunStats, Option<PhaseProfile>) {
+        let prepared = self.prepare(workload, tenants);
+        let owner = tenants.owner();
+        let tally = owner.map_or_else(RunTally::default, |(o, jobs)| {
+            RunTally::partitioned(o, jobs)
+        });
+        let mut sim = FastSim::new(self, workload, prepared, tally, probe);
+        sim.profile = clock.map(|clock| (clock, PhaseProfile::default()));
+        let (total, per_owner, profile) = sim.run();
+        let per_job = owner.map_or_else(Vec::new, |(o, _)| {
+            TrafficStats::split_by_owner(self.n, &total.packets, o, per_owner)
+        });
+        (RunStats { total, per_job }, profile)
     }
 
-    /// Runs `workload` on the fast engine with the self-profiler
-    /// armed: returns the usual statistics plus a [`PhaseProfile`]
-    /// splitting each executed round into its arrivals / injections /
-    /// arbitration / accounting phases, measured with the clock from
-    /// [`Network::with_clock`] (wall-clock nanoseconds by default).
-    /// The clock feeds only the profile — the statistics are
-    /// byte-identical to an unprofiled run.
-    ///
-    /// # Panics
-    /// Panics if the workload targets a different star order.
-    #[must_use]
-    pub fn run_profiled(
-        &self,
-        workload: &Workload,
-        policy: &dyn RoutingPolicy,
-    ) -> (TrafficStats, PhaseProfile) {
-        let prepared = self.prepare(workload, &[policy], None);
-        let mut probe = NullProbe;
-        let mut sim = FastSim::new(self, workload, prepared, RunTally::default(), &mut probe);
-        sim.profile = Some((
-            self.clock.unwrap_or(sg_obs::wall_clock),
-            PhaseProfile::default(),
-        ));
-        let (stats, _, profile) = sim.run();
-        (stats, profile.expect("profiler was armed"))
-    }
-
-    /// Run setup: workload validation, parallel route precomputation
-    /// into the shared [`RouteArena`], and the initial packet table.
-    /// With an `(owner, escape)` map, packet `pid` routes under
-    /// `policies[owner[pid]]` and may divert onto the escape channel
-    /// iff `escape[owner[pid]]`; without one, every packet routes under
-    /// `policies[0]` and may divert. Adaptive packets carry an empty
-    /// span and pick hops at enqueue time.
-    fn prepare(
-        &self,
-        workload: &Workload,
-        policies: &[&dyn RoutingPolicy],
-        owner: Option<(&[u32], &[bool])>,
-    ) -> (RouteArena, Vec<SimPacket>) {
+    /// Run setup: workload and tenant validation, parallel route
+    /// precomputation into the shared [`RouteArena`], and the initial
+    /// packet table. Packet `pid` routes under its job's policy and may
+    /// divert onto the escape channel iff its job opted in (every
+    /// packet may under [`Tenants::One`]). Adaptive packets carry an
+    /// empty span and pick hops at enqueue time.
+    fn prepare(&self, workload: &Workload, tenants: Tenants<'_>) -> (RouteArena, Vec<SimPacket>) {
         assert_eq!(
             workload.n(),
             self.n,
@@ -618,7 +600,12 @@ impl Network {
             workload.n(),
             self.n
         );
-        if let Some((owner, escape)) = owner {
+        if let Tenants::PerJob {
+            policies,
+            owner,
+            escape,
+        } = tenants
+        {
             assert_eq!(
                 owner.len(),
                 workload.len(),
@@ -642,13 +629,16 @@ impl Network {
             .map(|c| {
                 let start = c * len;
                 let chunk = &inj[start..inj.len().min(start + len)];
-                route_chunk(n, chunk, |k| {
-                    policies[owner.map_or(0, |(owner, _)| owner[start + k] as usize)]
+                route_chunk(n, chunk, |k| match tenants {
+                    Tenants::One(policy) => policy,
+                    Tenants::PerJob {
+                        policies, owner, ..
+                    } => policies[owner[start + k] as usize],
                 })
             })
             .collect();
         let (arena, mut pkts) = assemble_routes(n, inj, chunks);
-        if let Some((owner, escape)) = owner {
+        if let Tenants::PerJob { owner, escape, .. } = tenants {
             for (pkt, &j) in pkts.iter_mut().zip(owner) {
                 pkt.may_escape = escape[j as usize];
             }
@@ -842,8 +832,8 @@ struct SimPacket {
     /// The packet diverted onto the escape channel (escape mode only;
     /// a one-way transition — escaped packets stay escape-routed).
     escaped: bool,
-    /// Whether the packet may divert at all: per-job opt-in under
-    /// [`Network::run_partitioned`], `true` elsewhere.
+    /// Whether the packet may divert at all: its job's opt-in under
+    /// [`Tenants::PerJob`], `true` under [`Tenants::One`].
     may_escape: bool,
     /// The residual-hop class whose escape slot the packet currently
     /// holds (occupied while buffered, reserved while in flight).
@@ -2675,13 +2665,13 @@ mod tests {
         // job): A wins the link in round 0 and hops on over g2 in
         // round 1; B joined the queue at depth 2 and leaves in round 1.
         // Both land in round 2.
-        let (total, jobs) = net.run_partitioned(
-            &w,
-            &[&GreedyRouting as &dyn RoutingPolicy; 2],
-            &[0, 1],
-            &[true; 2],
-            &mut NullProbe,
-        );
+        let tenants = Tenants::PerJob {
+            policies: &[&GreedyRouting as &dyn RoutingPolicy; 2],
+            owner: &[0, 1],
+            escape: &[true; 2],
+        };
+        let run = net.simulate(&w, tenants, Engine::Fast, &mut NullProbe);
+        let (total, jobs) = (run.total, run.per_job);
         assert_eq!(total, stats);
         let expect = [
             (
@@ -3038,7 +3028,8 @@ mod tests {
         let net = Network::new(4);
         let w = Workload::random_permutation(4, 21);
         let mut traces = HopTraces::new(w.len());
-        let stats = net.run_probed(&w, &GreedyRouting, Engine::Fast, &mut traces);
+        let tenants = Tenants::One(&GreedyRouting);
+        let stats = net.simulate(&w, tenants, Engine::Fast, &mut traces).total;
         let hops: u64 = traces.hops.iter().map(|t| t.len() as u64).sum();
         assert_eq!(hops, stats.forwarded_flits);
         for (rec, tr) in stats.packets.iter().zip(&traces.hops) {
@@ -3061,13 +3052,13 @@ mod tests {
         let b = Workload::bernoulli_uniform(n, 3, 30, 22);
         let (merged, owner) = Workload::compose("two-tenant", n, &[(&a, 0), (&b, 2)]);
         assert_eq!(owner.len(), merged.len());
-        let (total, jobs) = net.run_partitioned(
-            &merged,
-            &[&GreedyRouting as &dyn RoutingPolicy; 2],
-            &owner,
-            &[true; 2],
-            &mut NullProbe,
-        );
+        let tenants = Tenants::PerJob {
+            policies: &[&GreedyRouting as &dyn RoutingPolicy; 2],
+            owner: &owner,
+            escape: &[true; 2],
+        };
+        let run = net.simulate(&merged, tenants, Engine::Fast, &mut NullProbe);
+        let (total, jobs) = (run.total, run.per_job);
         assert_eq!(
             total,
             net.run(&merged, &GreedyRouting),
@@ -3126,8 +3117,13 @@ mod tests {
         let net = Network::new(n);
         let w = Workload::uniform_pairs(n, 20, 5);
         let (merged, owner) = Workload::compose("solo", n, &[(&w, 7)]);
-        let (_, jobs) =
-            net.run_partitioned(&merged, &[&GreedyRouting], &owner, &[true], &mut NullProbe);
+        let tenants = Tenants::PerJob {
+            policies: &[&GreedyRouting],
+            owner: &owner,
+            escape: &[true],
+        };
+        let RunStats { per_job: jobs, .. } =
+            net.simulate(&merged, tenants, Engine::Fast, &mut NullProbe);
         let alone = net.run(&w, &GreedyRouting);
         assert_eq!(jobs[0].rebased(7), alone, "one tenant, shifted clock");
     }

@@ -57,9 +57,8 @@ pub struct HopRecord {
 }
 
 /// A [`Probe`] that collects every packet's hop trace from a run's
-/// [`Event::Forwarded`] stream: attach it to
-/// [`crate::Network::run_probed`] or
-/// [`crate::Network::run_partitioned`].
+/// [`Event::Forwarded`] stream: attach it to any run through
+/// [`crate::Network::simulate`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HopTraces {
     /// `hops[pid]` lists packet `pid`'s link traversals in order.

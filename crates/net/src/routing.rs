@@ -64,7 +64,7 @@ pub trait RoutingPolicy: Sync {
     /// state the choice needs once per packet instead, and call their
     /// shared hop selector per hop; [`RoutingPolicy::route`] is only a
     /// static description of the zero-contention path. In
-    /// multi-tenant runs ([`crate::Network::run_partitioned`]) each
+    /// multi-tenant runs ([`crate::Tenants::PerJob`]) each
     /// job brings its own policy, so adaptivity is effectively
     /// per packet.
     fn is_adaptive(&self) -> bool {

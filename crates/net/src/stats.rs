@@ -73,6 +73,17 @@ pub struct TrafficStats {
     pub packets: Vec<PacketRecord>,
 }
 
+/// What a run ([`Network::simulate`]) or its replay
+/// ([`crate::trace::replay`]) returns.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RunStats {
+    /// Whole-run statistics.
+    pub total: TrafficStats,
+    /// One [`TrafficStats`] per job of a [`crate::Tenants::PerJob`]
+    /// run on the fast engine, or of a trace that names owners.
+    pub per_job: Vec<TrafficStats>,
+}
+
 /// The latency and outcome tallies folded over a run's records.
 #[derive(Default)]
 struct LatencyAgg {
@@ -177,7 +188,7 @@ impl TrafficStats {
     /// earlier: `makespan` and every per-packet round (injection and
     /// outcome) drop by `offset`; latencies, waits, peaks and flit
     /// counts are round-differences and stay untouched. This is how a
-    /// tenant's slice of a [`crate::Network::run_partitioned`] run is
+    /// tenant's slice of a multi-tenant run ([`RunStats::per_job`]) is
     /// compared **byte for byte** against the same job run in
     /// isolation at round 0 — the executable form of the sub-star
     /// isolation theorem. Rounds saturate at 0 rather than underflow

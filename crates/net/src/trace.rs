@@ -1,27 +1,27 @@
 //! Record and replay network runs through the `sg-trace` JSONL
 //! format.
 //!
-//! [`record`] / [`record_partitioned`] run a workload with an
-//! [`EventLog`] attached and package the result as a self-describing
+//! [`record`] runs a workload through [`Network::simulate`] with an
+//! [`EventLog`] attached and packages the result as a self-describing
 //! [`Trace`]: header (schema version, engine, config fingerprint,
-//! seed, drop count), packet preamble (one line per packet, written
-//! from the run's [`PacketRecord`]s — what events alone cannot
-//! reconstruct), and the verbatim event stream. The preamble holds
-//! each packet's realized injection round, so a run with phase
-//! barriers replays with no barrier logic at all.
-//! [`replay`] inverts it: from a parsed trace alone it rebuilds
-//! [`TrafficStats`] — and per-tenant stats for partitioned runs —
-//! **byte-identical** to what the live run returned. It feeds the
+//! seed, job count, drop count), packet preamble (one line per packet,
+//! with its owner in a multi-tenant run, written from the run's
+//! [`PacketRecord`]s — what events alone cannot reconstruct), and the
+//! verbatim event stream. The preamble holds each packet's realized
+//! injection round, so a run with phase barriers replays with no
+//! barrier logic at all.
+//! [`replay`] inverts it: from a parsed trace alone it rebuilds the
+//! [`RunStats`] — whole-run and per-tenant — **byte-identical** to what
+//! the live run returned, so a round trip is one comparison. It feeds the
 //! event stream through [`NetReplay`] into the same
 //! [`sg_obs::RunTally`] the fast engine drives, then hands the
 //! tallied counters and preamble-derived [`PacketRecord`]s to
 //! [`TrafficStats::from_records`]. The round-trip suite asserts that
 //! equality across the full `n ≤ 5` differential matrix.
 
-use crate::network::{Engine, Network, MAX_ORDER};
+use crate::network::{Engine, Network, Tenants, MAX_ORDER};
 use crate::packet::PacketRecord;
-use crate::routing::RoutingPolicy;
-use crate::stats::TrafficStats;
+use crate::stats::{RunStats, TrafficStats};
 use crate::workload::Workload;
 use sg_obs::{
     Event, EventLog, NetReplay, Trace, TraceError, TraceHeader, TracePacket, SCHEMA_VERSION,
@@ -63,20 +63,20 @@ pub fn fingerprint(net: &Network) -> String {
 }
 
 /// Package a finished [`EventLog`] (plus the packet records of the
-/// run it watched) as a [`Trace`]. This is the primitive under
-/// [`record`]; use it directly when you need control over the log
-/// (e.g. a capacity-bounded capture, whose drop count lands in the
-/// header and makes [`replay`] refuse the file).
+/// run it watched, and the tenants it ran) as a [`Trace`]. This is the
+/// primitive under [`record`]; use it directly when you need control
+/// over the log (e.g. a capacity-bounded capture, whose drop count
+/// lands in the header and makes [`replay`] refuse the file).
 #[must_use]
 pub fn assemble(
     net: &Network,
     records: &[PacketRecord],
     engine: Engine,
     seed: u64,
-    owner: Option<&[u32]>,
-    jobs: usize,
+    tenants: Tenants<'_>,
     log: &EventLog,
 ) -> Trace {
+    let (owner, jobs) = tenants.owner().unzip();
     let packets: Vec<TracePacket> = records
         .iter()
         .enumerate()
@@ -95,7 +95,7 @@ pub fn assemble(
             n: net.n() as u32,
             seed,
             fingerprint: fingerprint(net),
-            jobs: jobs as u32,
+            jobs: jobs.unwrap_or(0) as u32,
             packets: packets.len() as u64,
             events: log.events().len() as u64,
             dropped: log.dropped(),
@@ -105,68 +105,36 @@ pub fn assemble(
     }
 }
 
-/// Run `workload` on the chosen engine with an unbounded event log
-/// attached, and return the live statistics next to the recorded
-/// trace. `seed` is stamped into the header (the `Workload` does not
-/// remember what seeded it).
+/// Run `workload` for `tenants` on the chosen engine with an unbounded
+/// event log attached, and return the live statistics next to the
+/// recorded trace. A [`Tenants::PerJob`] run writes its owner map into
+/// the packet preamble. `seed` is stamped into the header (the
+/// `Workload` does not remember what seeded it).
+///
+/// [`replay`] of the trace equals the returned [`RunStats`], except for
+/// a [`Tenants::PerJob`] run on [`Engine::Reference`]: that engine
+/// keeps no per-job statistics, while the replay attributes the logged
+/// events per job.
 ///
 /// # Panics
-/// Panics if the workload targets a different star order.
+/// As [`Network::simulate`].
 #[must_use]
 pub fn record(
     net: &Network,
     workload: &Workload,
-    policy: &dyn RoutingPolicy,
+    tenants: Tenants<'_>,
     engine: Engine,
     seed: u64,
-) -> (TrafficStats, Trace) {
+) -> (RunStats, Trace) {
     let mut log = EventLog::new();
-    let stats = net.run_probed(workload, policy, engine, &mut log);
-    let trace = assemble(net, &stats.packets, engine, seed, None, 0, &log);
+    let stats = net.simulate(workload, tenants, engine, &mut log);
+    let trace = assemble(net, &stats.total.packets, engine, seed, tenants, &log);
     (stats, trace)
 }
 
-/// [`record`] for a partitioned multi-tenant run (fast engine): one
-/// policy and escape flag per job, the owner map in the packet
-/// preamble, and fully attributed per-job statistics next to the
-/// totals.
-///
-/// # Panics
-/// As [`Network::run_partitioned`].
-#[must_use]
-pub fn record_partitioned(
-    net: &Network,
-    workload: &Workload,
-    policies: &[&dyn RoutingPolicy],
-    owner: &[u32],
-    escape: &[bool],
-    seed: u64,
-) -> (TrafficStats, Vec<TrafficStats>, Trace) {
-    let mut log = EventLog::new();
-    let (total, per_job) = net.run_partitioned(workload, policies, owner, escape, &mut log);
-    let trace = assemble(
-        net,
-        &total.packets,
-        Engine::Fast,
-        seed,
-        Some(owner),
-        policies.len(),
-        &log,
-    );
-    (total, per_job, trace)
-}
-
-/// Statistics reconstructed from a trace alone.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplayedStats {
-    /// Whole-run statistics — byte-identical to the live run's.
-    pub total: TrafficStats,
-    /// Per-job statistics for a partitioned trace (empty otherwise),
-    /// byte-identical to the live run's.
-    pub per_job: Vec<TrafficStats>,
-}
-
-/// Reconstruct a run's statistics from a parsed trace alone.
+/// Reconstruct a run's statistics from a parsed trace alone: the
+/// whole-run statistics, and per-job statistics when the trace names
+/// owners, each byte-identical to the live run's.
 ///
 /// # Errors
 /// Refuses truncated logs ([`TraceError::DroppedEvents`] when the
@@ -177,7 +145,7 @@ pub struct ReplayedStats {
 /// header does not declare, a `forwarded` event whose `to` is not
 /// `from`'s neighbour through its `gen`, and every check of
 /// [`NetReplay`].
-pub fn replay(trace: &Trace) -> Result<ReplayedStats, TraceError> {
+pub fn replay(trace: &Trace) -> Result<RunStats, TraceError> {
     let h = &trace.header;
     if h.dropped > 0 {
         return Err(TraceError::DroppedEvents { dropped: h.dropped });
@@ -227,7 +195,7 @@ pub fn replay(trace: &Trace) -> Result<ReplayedStats, TraceError> {
         Some(owner) => TrafficStats::split_by_owner(n, &records, owner, run.per_job),
         None => Vec::new(),
     };
-    Ok(ReplayedStats {
+    Ok(RunStats {
         total: TrafficStats::from_records(n, records, run.total),
         per_job,
     })
@@ -265,23 +233,26 @@ fn off_its_link(n: usize, ev: &Event) -> Option<String> {
 ///
 /// # Errors
 /// As [`Trace::parse`] and [`replay`].
-pub fn replay_jsonl(text: &str) -> Result<ReplayedStats, TraceError> {
+pub fn replay_jsonl(text: &str) -> Result<RunStats, TraceError> {
     replay(&Trace::parse(text)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routing::GreedyRouting;
+    use crate::routing::{GreedyRouting, RoutingPolicy};
 
     #[test]
     fn recorded_run_replays_byte_identical() {
         let net = Network::new(4);
         let w = Workload::random_permutation(4, 0xBEEF);
-        let (live, trace) = record(&net, &w, &GreedyRouting, Engine::Fast, 0xBEEF);
+        let (live, trace) = record(&net, &w, Tenants::One(&GreedyRouting), Engine::Fast, 0xBEEF);
         let text = trace.to_jsonl();
         let back = replay_jsonl(&text).expect("replays");
-        assert_eq!(back.total, live, "replayed stats must be byte-identical");
+        assert_eq!(
+            back.total, live.total,
+            "replayed stats must be byte-identical"
+        );
         assert!(back.per_job.is_empty());
     }
 
@@ -298,7 +269,12 @@ mod tests {
         let w = Workload::random_permutation(4, 5);
         let owner: Vec<u32> = (0..w.len() as u32).map(|pid| pid % 2).collect();
         let policies: [&dyn RoutingPolicy; 2] = [&GreedyRouting; 2];
-        record_partitioned(&net, &w, &policies, &owner, &[true; 2], 5).2
+        let tenants = Tenants::PerJob {
+            policies: &policies,
+            owner: &owner,
+            escape: &[true; 2],
+        };
+        record(&net, &w, tenants, Engine::Fast, 5).1
     }
 
     #[test]
@@ -326,7 +302,7 @@ mod tests {
     fn pe_past_the_node_count_is_inconsistent() {
         let net = Network::new(4);
         let w = Workload::random_permutation(4, 9);
-        let (_, mut trace) = record(&net, &w, &GreedyRouting, Engine::Fast, 9);
+        let (_, mut trace) = record(&net, &w, Tenants::One(&GreedyRouting), Engine::Fast, 9);
         let ev = trace
             .events
             .iter_mut()
@@ -344,7 +320,7 @@ mod tests {
     fn generator_outside_1_to_n_is_inconsistent() {
         let net = Network::new(4);
         let w = Workload::random_permutation(4, 9);
-        let (_, trace) = record(&net, &w, &GreedyRouting, Engine::Fast, 9);
+        let (_, trace) = record(&net, &w, Tenants::One(&GreedyRouting), Engine::Fast, 9);
         for bad in [0, 4, 200] {
             let mut trace = trace.clone();
             let ev = trace
@@ -366,7 +342,7 @@ mod tests {
     fn forward_off_its_link_is_inconsistent() {
         let net = Network::new(4);
         let w = Workload::random_permutation(4, 9);
-        let (_, trace) = record(&net, &w, &GreedyRouting, Engine::Fast, 9);
+        let (_, trace) = record(&net, &w, Tenants::One(&GreedyRouting), Engine::Fast, 9);
         let k = trace
             .events
             .iter()
@@ -395,9 +371,10 @@ mod tests {
         let net = Network::new(4);
         let w = Workload::random_permutation(4, 7);
         let mut log = EventLog::with_capacity(10);
-        let stats = net.run_probed(&w, &GreedyRouting, Engine::Fast, &mut log);
+        let tenants = Tenants::One(&GreedyRouting);
+        let stats = net.simulate(&w, tenants, Engine::Fast, &mut log).total;
         assert!(log.dropped() > 0, "cap must actually truncate");
-        let trace = assemble(&net, &stats.packets, Engine::Fast, 7, None, 0, &log);
+        let trace = assemble(&net, &stats.packets, Engine::Fast, 7, tenants, &log);
         assert_eq!(trace.header.dropped, log.dropped());
         let parsed = Trace::parse(&trace.to_jsonl()).expect("parses fine — replay refuses");
         assert_eq!(

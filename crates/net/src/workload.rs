@@ -230,7 +230,7 @@ impl Workload {
     /// injection sequence it would see alone, shifted in time. The
     /// returned owner map (one entry per packet of the merged
     /// workload, aligned with [`Workload::injections`]) is what
-    /// [`crate::Network::run_partitioned`] attributes statistics by.
+    /// [`crate::Tenants::PerJob`] attributes statistics by.
     ///
     /// Barriers stay phase-local: a part's phases keep gating only
     /// each other, its chain heads open at their rounds plus the
@@ -397,8 +397,8 @@ pub struct ChainedWorkload {
     /// The chained workload: every phase, numbered phase by phase.
     pub workload: Workload,
     /// Phase index of each packet of [`workload`](Self::workload), in
-    /// packet order — the owner map
-    /// [`crate::Network::run_partitioned`] expects, so per-phase
+    /// packet order — the owner map [`crate::Tenants::PerJob`]
+    /// expects, so per-phase
     /// statistics of the chained run can be split out directly.
     pub owner: Vec<u32>,
 }

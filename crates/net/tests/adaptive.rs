@@ -19,7 +19,7 @@
 
 use sg_net::{
     AdaptiveRouting, Engine, FaultPlan, FaultPolicy, HopRecord, HopTraces, Network, PacketOutcome,
-    Workload,
+    Tenants, Workload,
 };
 use sg_perm::factorial::factorial;
 use sg_perm::lehmer::unrank;
@@ -28,7 +28,8 @@ use sg_perm::lehmer::unrank;
 /// the destination for every delivered packet.
 fn audit(net: &Network, plan: &FaultPlan, w: &Workload, context: &str) {
     let mut traces = HopTraces::new(w.len());
-    let stats = net.run_probed(w, &AdaptiveRouting, Engine::Fast, &mut traces);
+    let tenants = Tenants::One(&AdaptiveRouting);
+    let stats = net.simulate(w, tenants, Engine::Fast, &mut traces).total;
     let n = net.n();
     for (rec, tr) in stats.packets.iter().zip(&traces.hops) {
         // Termination: the engine resolved every packet (the run

@@ -22,7 +22,7 @@
 
 use sg_net::{
     AdaptiveRouting, EmbeddingRouting, Engine, FlowControl, GreedyRouting, NetConfig, Network,
-    RoutingPolicy, Workload,
+    RoutingPolicy, Tenants, Workload,
 };
 use sg_obs::NullProbe;
 
@@ -152,13 +152,21 @@ fn all_opted_out_escape_equals_credit() {
     let w = Workload::bernoulli_uniform(n, 40, 100, 596);
     let owner: Vec<u32> = vec![0; w.len()];
     let policies: [&dyn RoutingPolicy; 1] = [&GreedyRouting];
+    let tenants = |escape| Tenants::PerJob {
+        policies: &policies,
+        owner: &owner,
+        escape,
+    };
     let credit = Network::new(n)
         .with_config(config(FlowControl::CreditBased, 1))
-        .run_partitioned(&w, &policies, &owner, &[true], &mut NullProbe);
+        .simulate(&w, tenants(&[true]), Engine::Fast, &mut NullProbe);
     let escape = Network::new(n)
         .with_config(config(FlowControl::EscapeChannel, 1))
-        .run_partitioned(&w, &policies, &owner, &[false], &mut NullProbe);
-    assert_eq!(credit.0, escape.0, "opted-out escape must match credit");
-    assert_eq!(credit.1, escape.1, "per-job stats too");
-    assert!(credit.0.stranded > 0, "scenario must actually deadlock");
+        .simulate(&w, tenants(&[false]), Engine::Fast, &mut NullProbe);
+    assert_eq!(
+        credit.total, escape.total,
+        "opted-out escape must match credit"
+    );
+    assert_eq!(credit.per_job, escape.per_job, "per-job stats too");
+    assert!(credit.total.stranded > 0, "scenario must actually deadlock");
 }

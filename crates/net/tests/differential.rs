@@ -25,9 +25,9 @@
 
 use sg_net::{
     AdaptiveRouting, EmbeddingRouting, Engine, FaultPlan, FaultPolicy, FlowControl, GreedyRouting,
-    NetConfig, Network, RoutingPolicy, TrafficStats, Workload,
+    NetConfig, Network, RoutingPolicy, Tenants, TrafficStats, Workload,
 };
-use sg_obs::{diff_events, EventLog};
+use sg_obs::{diff_events, EventLog, NullProbe};
 
 const SEEDS: u64 = 8;
 
@@ -182,12 +182,14 @@ fn assert_engines_agree(
 /// The probed column: both engines run with an [`EventLog`] attached;
 /// the probed stats must match the unprobed fast baseline on both
 /// engines, and the two event streams must be identical.
-fn assert_probed_column(net: &Network, w: &Workload, policy: &dyn RoutingPolicy, context: &str) {
-    let baseline = net.run_with(w, policy, Engine::Fast);
+fn assert_probed_column(net: &Network, w: &Workload, tenants: Tenants<'_>, context: &str) {
+    let baseline = net.simulate(w, tenants, Engine::Fast, &mut NullProbe).total;
     let mut fast_log = EventLog::new();
     let mut reference_log = EventLog::new();
-    let fast = net.run_probed(w, policy, Engine::Fast, &mut fast_log);
-    let reference = net.run_probed(w, policy, Engine::Reference, &mut reference_log);
+    let fast = net.simulate(w, tenants, Engine::Fast, &mut fast_log).total;
+    let reference = net
+        .simulate(w, tenants, Engine::Reference, &mut reference_log)
+        .total;
     assert_eq!(fast, baseline, "probe perturbed the fast engine: {context}");
     assert_eq!(
         reference, baseline,
@@ -279,7 +281,7 @@ fn probed_full_cross_product_small_n() {
                         assert_probed_column(
                             &net,
                             &w,
-                            policy.as_ref(),
+                            Tenants::One(policy.as_ref()),
                             &format!(
                                 "probed n={n} seed={seed} workload={} policy={policy_name} \
                                  faults={fault_name}",
@@ -308,7 +310,7 @@ fn probed_config_axis_small_n() {
                         assert_probed_column(
                             &net,
                             &w,
-                            policy.as_ref(),
+                            Tenants::One(policy.as_ref()),
                             &format!(
                                 "probed n={n} seed={seed} workload={} policy={policy_name} \
                                  config={config_name}",
@@ -411,7 +413,11 @@ fn n6_escape_slice() {
 /// policies and mixed escape flags must produce byte-identical total
 /// statistics on both engines — the lock under the scheduler's
 /// drained-release co-simulation and its quiescence audit, which read
-/// per-packet resolution rounds out of exactly these stats.
+/// per-packet resolution rounds out of exactly these stats. It runs
+/// through the probed column, so the two engines must also emit the
+/// same event stream: the `cap1-escape` configuration's opt-ins
+/// `[true, false, true]` hold the per-job escape eligibility to the
+/// oracle event by event.
 #[test]
 fn partitioned_runs_identical_across_engines() {
     for n in 3..=5usize {
@@ -439,24 +445,13 @@ fn partitioned_runs_identical_across_engines() {
                 ),
             ] {
                 let net = Network::new(n).with_config(config);
-                let (fast_total, _) = net.run_partitioned(
-                    &composed,
-                    &per_job,
-                    &owner,
-                    &escape,
-                    &mut sg_obs::NullProbe,
-                );
-                let reference = net.run_partitioned_reference(
-                    &composed,
-                    &per_job,
-                    &owner,
-                    &escape,
-                    &mut sg_obs::NullProbe,
-                );
-                assert_eq!(
-                    fast_total, reference,
-                    "partitioned engines diverged: n={n} seed={seed} config={config_name}"
-                );
+                let tenants = Tenants::PerJob {
+                    policies: &per_job,
+                    owner: &owner,
+                    escape: &escape,
+                };
+                let context = format!("partitioned n={n} seed={seed} config={config_name}");
+                assert_probed_column(&net, &composed, tenants, &context);
             }
         }
     }

@@ -22,7 +22,7 @@
 
 use sg_net::{
     EmbeddingRouting, Engine, FlowControl, GreedyRouting, Injection, NetConfig, Network,
-    RoutingPolicy, Workload,
+    RoutingPolicy, Tenants, Workload,
 };
 use sg_obs::{Event, EventLog, StallKind};
 use sg_perm::lehmer::unrank;
@@ -168,7 +168,8 @@ fn escape_rules_by_hand_on_s3() {
     ];
     for engine in [Engine::Fast, Engine::Reference] {
         let mut log = EventLog::new();
-        let stats = net.run_probed(&w, &GreedyRouting, engine, &mut log);
+        let tenants = Tenants::One(&GreedyRouting);
+        let stats = net.simulate(&w, tenants, engine, &mut log).total;
         assert_eq!(log.events(), want, "{engine:?}");
         assert_eq!(stats.delivered, 4, "{engine:?}");
         assert_eq!(stats.makespan, 5, "{engine:?}");

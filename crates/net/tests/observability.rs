@@ -14,7 +14,7 @@
 
 use sg_net::{
     AdaptiveRouting, Engine, FlowControl, GreedyRouting, Injection, NetConfig, Network,
-    PacketOutcome, TrafficStats, Workload,
+    PacketOutcome, RunStats, Tenants, TrafficStats, Workload,
 };
 use sg_obs::{DropReason, Event, EventLog, NetProbe, NullProbe, Probe, StallKind};
 use std::cell::Cell;
@@ -142,7 +142,8 @@ fn recounted(
     engine: Engine,
 ) -> (TrafficStats, Recount, EventLog) {
     let mut probe = (Recount::new(net.node_count(), w.len()), EventLog::new());
-    let stats = net.run_probed(w, policy, engine, &mut probe);
+    let tenants = Tenants::One(policy);
+    let stats = net.simulate(w, tenants, engine, &mut probe).total;
     let (recount, log) = probe;
     (stats, recount, log)
 }
@@ -211,8 +212,10 @@ fn event_streams_identical_across_engines_smoke() {
         let w = Workload::bernoulli_uniform(4, 25, 100, 77);
         let mut fast = EventLog::new();
         let mut reference = EventLog::new();
-        let sf = net.run_probed(&w, &AdaptiveRouting, Engine::Fast, &mut fast);
-        let sr = net.run_probed(&w, &AdaptiveRouting, Engine::Reference, &mut reference);
+        let tenants = Tenants::One(&AdaptiveRouting);
+        let sf = net.simulate(&w, tenants, Engine::Fast, &mut fast).total;
+        let RunStats { total: sr, .. } =
+            net.simulate(&w, tenants, Engine::Reference, &mut reference);
         assert_eq!(sf, sr, "stats must agree under {config:?}");
         assert_eq!(
             fast.events().len(),
@@ -251,7 +254,8 @@ fn escape_counters_cross_check_against_recount() {
     // The dashboard's hot-link table accounts for every forward,
     // escape-channel forwards included.
     let mut np = NetProbe::new(net.node_count(), net.n() - 1);
-    let probed = net.run_probed(&w, &GreedyRouting, Engine::Fast, &mut np);
+    let tenants = Tenants::One(&GreedyRouting);
+    let probed = net.simulate(&w, tenants, Engine::Fast, &mut np).total;
     assert_eq!(probed, stats);
     assert_eq!(link_total(&np), stats.forwarded_flits);
     // Escape traffic is visible in the log as typed events.
@@ -364,13 +368,15 @@ fn bounded_event_log_drops_past_capacity_without_perturbing() {
     let w = Workload::bernoulli_uniform(4, 20, 80, 5);
     let mut full = EventLog::new();
     let total = {
-        let s = net.run_probed(&w, &GreedyRouting, Engine::Fast, &mut full);
+        let tenants = Tenants::One(&GreedyRouting);
+        let s = net.simulate(&w, tenants, Engine::Fast, &mut full).total;
         assert_eq!(s, net.run(&w, &GreedyRouting));
         full.events().len()
     };
     let cap = total / 2;
     let mut bounded = EventLog::with_capacity(cap);
-    let s = net.run_probed(&w, &GreedyRouting, Engine::Fast, &mut bounded);
+    let tenants = Tenants::One(&GreedyRouting);
+    let s = net.simulate(&w, tenants, Engine::Fast, &mut bounded).total;
     assert_eq!(s, net.run(&w, &GreedyRouting), "cap overflow is silent");
     assert_eq!(bounded.events().len(), cap);
     assert_eq!(bounded.dropped() as usize, total - cap);
@@ -394,9 +400,16 @@ fn partitioned_probe_sees_tenant_traffic() {
     let b = Workload::transpose(4);
     let (w, owner) = Workload::compose("pair", 4, &[(&a, 0), (&b, 0)]);
     let policies: Vec<&dyn sg_net::RoutingPolicy> = vec![&GreedyRouting, &GreedyRouting];
-    let (t0, pj0) = net.run_partitioned(&w, &policies, &owner, &[true; 2], &mut NullProbe);
+    let tenants = Tenants::PerJob {
+        policies: &policies,
+        owner: &owner,
+        escape: &[true; 2],
+    };
+    let s0 = net.simulate(&w, tenants, Engine::Fast, &mut NullProbe);
+    let (t0, pj0) = (s0.total, s0.per_job);
     let mut np = NetProbe::new(net.node_count(), net.n() - 1).with_tenants(owner.clone(), 2);
-    let (t1, pj1) = net.run_partitioned(&w, &policies, &owner, &[true; 2], &mut np);
+    let s1 = net.simulate(&w, tenants, Engine::Fast, &mut np);
+    let (t1, pj1) = (s1.total, s1.per_job);
     assert_eq!(t0, t1, "probed partitioned total must be identical");
     assert_eq!(pj0, pj1, "probed per-job stats must be identical");
     assert!(np.tenant_peak_in_flight(0) > 0);
@@ -430,7 +443,8 @@ fn peak_queued_line_covers_the_whole_run() {
         Recount::new(net.node_count(), w.len()),
         NetProbe::new(net.node_count(), n - 1),
     );
-    let stats = net.run_probed(&w, &GreedyRouting, Engine::Fast, &mut probes);
+    let tenants = Tenants::One(&GreedyRouting);
+    let stats = net.simulate(&w, tenants, Engine::Fast, &mut probes).total;
     let (rc, np) = probes;
     assert_eq!(stats.delivered, stats.injected);
     assert!(rc.rounds_ended > 6000, "{} rounds", rc.rounds_ended);

@@ -14,7 +14,8 @@
 use sg_net::trace::{record, replay};
 use sg_net::{
     ChainedWorkload, Engine, FlowControl, GreedyRouting, Injection, NetConfig, Network,
-    PacketOutcome, PacketRecord, RoutingPolicy, RunCounters, TrafficStats, Workload,
+    PacketOutcome, PacketRecord, RoutingPolicy, RunCounters, RunStats, Tenants, TrafficStats,
+    Workload,
 };
 use sg_obs::{DropReason, Event, EventLog, NullProbe};
 use sg_star::SubStar;
@@ -79,13 +80,13 @@ fn expected_starts(net: &Network, ws: &[Workload]) -> Vec<u32> {
 fn per_phase_run(net: &Network, chained: &ChainedWorkload) -> (TrafficStats, Vec<TrafficStats>) {
     let refs: Vec<&dyn RoutingPolicy> = vec![&GreedyRouting; chained.phase_count()];
     let escape = vec![true; refs.len()];
-    net.run_partitioned(
-        &chained.workload,
-        &refs,
-        &chained.owner,
-        &escape,
-        &mut NullProbe,
-    )
+    let tenants = Tenants::PerJob {
+        policies: &refs,
+        owner: &chained.owner,
+        escape: &escape,
+    };
+    let stats = net.simulate(&chained.workload, tenants, Engine::Fast, &mut NullProbe);
+    (stats.total, stats.per_job)
 }
 
 /// The records of phase `k`'s packets, rebased to its start.
@@ -339,7 +340,9 @@ fn a_phase_that_strands_strands_its_successors() {
     let chained = chain("wedged", n, &[wedge.clone(), after.clone()]);
     for engine in [Engine::Fast, Engine::Reference] {
         let mut log = EventLog::new();
-        let stats = net.run_probed(&chained.workload, &GreedyRouting, engine, &mut log);
+        let tenants = Tenants::One(&GreedyRouting);
+        let RunStats { total: stats, .. } =
+            net.simulate(&chained.workload, tenants, engine, &mut log);
         let gave_up = log
             .events()
             .iter()
@@ -361,8 +364,8 @@ fn a_phase_that_strands_strands_its_successors() {
         }
         assert!(stats.stranded > after.len() as u64);
 
-        let (live, trace) = record(&net, &chained.workload, &GreedyRouting, engine, 1);
-        assert_eq!(live, stats);
+        let (live, trace) = record(&net, &chained.workload, tenants, engine, 1);
+        assert_eq!(live.total, stats);
         let replayed = replay(&trace).expect("a stranded barrier run replays");
         assert_eq!(replayed.total, stats, "{engine:?}: replay diverged");
     }
@@ -453,8 +456,13 @@ fn barriers_are_phase_local_under_compose() {
         assert_eq!(&merged.injections()[..tenant.len()], tenant.injections());
 
         let policies: [&dyn RoutingPolicy; 2] = [&GreedyRouting; 2];
-        let (total, jobs) =
-            net.run_partitioned(&merged, &policies, &owner, &[true; 2], &mut NullProbe);
+        let tenants = Tenants::PerJob {
+            policies: &policies,
+            owner: &owner,
+            escape: &[true; 2],
+        };
+        let run = net.simulate(&merged, tenants, Engine::Fast, &mut NullProbe);
+        let (total, jobs) = (run.total, run.per_job);
         assert_eq!(
             total,
             net.run_with(&merged, &GreedyRouting, Engine::Reference),
@@ -472,7 +480,7 @@ fn barriers_are_phase_local_under_compose() {
         assert!(starts.iter().flatten().any(|&s| s + offset < 30));
         for engine in [Engine::Fast, Engine::Reference] {
             let mut log = EventLog::new();
-            let _ = net.run_probed(&merged, &GreedyRouting, engine, &mut log);
+            let _ = net.simulate(&merged, Tenants::One(&GreedyRouting), engine, &mut log);
             assert_injections_in_pid_order(log.events(), merged.len(), engine);
         }
     }

@@ -11,10 +11,10 @@
 //! single mutated event to its exact round and in-round index.
 
 use proptest::prelude::*;
-use sg_net::trace::{record, record_partitioned, replay, replay_jsonl};
+use sg_net::trace::{record, replay, replay_jsonl};
 use sg_net::{
     AdaptiveRouting, Engine, FaultPlan, FaultPolicy, FlowControl, GreedyRouting, NetConfig,
-    Network, RoutingPolicy, Workload,
+    Network, RoutingPolicy, Tenants, Workload,
 };
 use sg_obs::{diff_events, Trace};
 
@@ -94,7 +94,7 @@ fn assert_round_trip(
     seed: u64,
     context: &str,
 ) {
-    let (live, trace) = record(net, w, policy, engine, seed);
+    let (live, trace) = record(net, w, Tenants::One(policy), engine, seed);
     let text = trace.to_jsonl();
     let parsed = Trace::parse(&text).unwrap_or_else(|e| panic!("parse failed: {context}: {e}"));
     assert_eq!(parsed.header, trace.header, "header mangled: {context}");
@@ -105,7 +105,7 @@ fn assert_round_trip(
     );
     let back = replay(&parsed).unwrap_or_else(|e| panic!("replay failed: {context}: {e}"));
     assert_eq!(
-        back.total, live,
+        back.total, live.total,
         "replayed stats not byte-identical: {context}"
     );
     assert!(back.per_job.is_empty(), "{context}");
@@ -230,8 +230,13 @@ fn partitioned_round_trip_restores_per_tenant_stats() {
                 ),
             ] {
                 let net = Network::new(n).with_config(config);
-                let (total, per_job_live, trace) =
-                    record_partitioned(&net, &composed, &per_job, &owner, &escape, seed);
+                let tenants = Tenants::PerJob {
+                    policies: &per_job,
+                    owner: &owner,
+                    escape: &escape,
+                };
+                let (live, trace) = record(&net, &composed, tenants, Engine::Fast, seed);
+                let (total, per_job_live) = (live.total, live.per_job);
                 let context = format!("n={n} seed={seed} config={config_name}");
                 let back = replay_jsonl(&trace.to_jsonl())
                     .unwrap_or_else(|e| panic!("replay failed: {context}: {e}"));
@@ -253,7 +258,7 @@ fn partitioned_round_trip_restores_per_tenant_stats() {
 fn injected_divergence_is_localized() {
     let net = Network::new(4);
     let w = Workload::random_permutation(4, 0xD1FF);
-    let (_, trace) = record(&net, &w, &GreedyRouting, Engine::Fast, 0xD1FF);
+    let (_, trace) = record(&net, &w, Tenants::One(&GreedyRouting), Engine::Fast, 0xD1FF);
     let a = trace.events.clone();
     // Pick a deterministic victim past the first round and recompute
     // its expected (round, index-in-round) independently of the
@@ -317,12 +322,12 @@ proptest! {
         let engine = if fast { Engine::Fast } else { Engine::Reference };
         let net = Network::new(n).with_config(config);
         let w = Workload::bernoulli_uniform(n, 3, rate, seed);
-        let (live, trace) = record(&net, &w, &GreedyRouting, engine, seed);
+        let (live, trace) = record(&net, &w, Tenants::One(&GreedyRouting), engine, seed);
         let text = trace.to_jsonl();
         let parsed = Trace::parse(&text).expect("parses");
         prop_assert_eq!(&parsed.events, &trace.events);
         let back = replay(&parsed).expect("replays");
-        prop_assert_eq!(back.total, live);
+        prop_assert_eq!(back.total, live.total);
     }
 
     /// Partitioned fuzzing: per-tenant attribution survives the round
@@ -343,8 +348,13 @@ proptest! {
         let greedy = GreedyRouting;
         let per_job: [&dyn RoutingPolicy; 2] = [&greedy, &greedy];
         let net = Network::new(n);
-        let (total, per_job_live, trace) =
-            record_partitioned(&net, &composed, &per_job, &owner, &[e0, e1], seed);
+        let tenants = Tenants::PerJob {
+            policies: &per_job,
+            owner: &owner,
+            escape: &[e0, e1],
+        };
+        let (live, trace) = record(&net, &composed, tenants, Engine::Fast, seed);
+        let (total, per_job_live) = (live.total, live.per_job);
         let back = replay_jsonl(&trace.to_jsonl()).expect("replays");
         prop_assert_eq!(back.total, total);
         prop_assert_eq!(back.per_job, per_job_live);

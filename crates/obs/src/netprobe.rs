@@ -93,10 +93,10 @@ pub struct HotLink {
 ///
 /// Construct with the network's `node_count()` and `n() - 1`
 /// generators; optionally attach a tenant owner map to get per-tenant
-/// in-flight peaks. Attach with [`Network::run_probed`] — the run's
+/// in-flight peaks. Attach with [`Network::simulate`] — the run's
 /// `TrafficStats` are untouched (asserted by the differential suite).
 ///
-/// [`Network::run_probed`]: ../sg_net/struct.Network.html#method.run_probed
+/// [`Network::simulate`]: ../sg_net/struct.Network.html#method.simulate
 #[derive(Debug, Clone)]
 pub struct NetProbe {
     gens: usize,

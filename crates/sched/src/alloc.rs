@@ -5,14 +5,15 @@
 //! order-`(m−1)` children, one per symbol pinned into slot `m−1`.
 //! Allocating an order-`k` sub-star means claiming one tree node such
 //! that no ancestor or descendant is claimed — which makes tenant
-//! placements **pairwise node-disjoint by construction**. Three
-//! pluggable policies ([`FirstFit`], [`BestFit`], [`BuddySplit`])
-//! differ only in *which* feasible node they claim, i.e. in how they
-//! fragment the machine.
+//! placements **pairwise node-disjoint by construction**. One
+//! [`Allocator`] claims nodes under one of three policies
+//! ([`AllocPolicy::FirstFit`], [`AllocPolicy::BestFit`],
+//! [`AllocPolicy::Buddy`]), which differ only in *which* feasible node
+//! they claim, i.e. in how they fragment the machine.
 //!
-//! [`AllocTree`] materializes only the visited part of the lattice
-//! and re-coalesces fully-free siblings on release, so a drained
-//! machine always reports a whole free `S_n` again.
+//! The allocation tree materializes only the visited part of the
+//! lattice and re-coalesces fully-free siblings on release, so a
+//! drained machine always reports a whole free `S_n` again.
 
 use sg_perm::factorial::factorial;
 use sg_star::substar::SubStar;
@@ -39,7 +40,7 @@ struct Node {
 
 /// The materialized allocation tree shared by every policy.
 #[derive(Debug, Clone)]
-pub struct AllocTree {
+struct AllocTree {
     n: usize,
     nodes: Vec<Node>,
     allocated_pes: u64,
@@ -152,14 +153,7 @@ impl AllocTree {
         (top, dead)
     }
 
-    /// PEs not currently allocated (free or unreachable fragments of
-    /// split nodes — split nodes themselves hold nothing).
-    fn free_pes(&self) -> u64 {
-        factorial(self.n) - self.allocated_pes
-    }
-
-    /// Ids of all live nodes in DFS (canonical) order, with their
-    /// state.
+    /// Ids of all live nodes in DFS (canonical) order.
     fn dfs(&self) -> Vec<u32> {
         let mut out = Vec::new();
         let mut stack = vec![0u32];
@@ -170,93 +164,168 @@ impl AllocTree {
         }
         out
     }
+}
 
-    fn largest_free_order(&self) -> usize {
-        self.dfs()
-            .into_iter()
-            .filter(|&id| self.nodes[id as usize].state == NodeState::Free)
-            .map(|id| self.order(id))
-            .max()
-            .unwrap_or(0)
+/// Placement policy: which feasible node of the lattice an
+/// [`Allocator`] claims.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AllocPolicy {
+    /// First fit: claims the **canonically first** (leftmost in tree
+    /// DFS order) feasible order-`k` sub-star, splitting free ancestors
+    /// along the way — spatially greedy, oblivious to block sizes.
+    FirstFit,
+    /// Best fit by fragmentation score: claims inside the **smallest**
+    /// free block that still fits, preferring blocks whose siblings are
+    /// already busy (packing nearly-full parents tight), ties broken
+    /// canonically. Large free blocks are split only when nothing
+    /// smaller fits.
+    BestFit,
+    /// Buddy-style splitter: per-order LIFO free lists. An exact-order
+    /// block is reused if one exists (most recently split or freed
+    /// first — temporal locality); otherwise the smallest larger block
+    /// is popped and split level by level, siblings going onto the
+    /// free lists. Releases coalesce merged siblings back off the
+    /// lists, so a drained machine is one whole free `S_n` again.
+    Buddy,
+}
+
+impl AllocPolicy {
+    /// All shipped policies.
+    pub const ALL: [AllocPolicy; 3] = [
+        AllocPolicy::FirstFit,
+        AllocPolicy::BestFit,
+        AllocPolicy::Buddy,
+    ];
+
+    /// Table label.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            AllocPolicy::FirstFit => "first-fit",
+            AllocPolicy::BestFit => "best-fit",
+            AllocPolicy::Buddy => "buddy",
+        }
     }
 
-    fn live_allocations(&self) -> Vec<SubStar> {
-        self.dfs()
-            .into_iter()
-            .filter(|&id| self.nodes[id as usize].state == NodeState::Allocated)
-            .map(|id| self.nodes[id as usize].sub.clone())
-            .collect()
+    /// Builds the allocator over an empty `S_n`.
+    #[must_use]
+    pub fn build(self, n: usize) -> Box<Allocator> {
+        Box::new(Allocator::new(self, n))
     }
 }
 
-/// A pluggable placement policy over the sub-star lattice. All
-/// implementations guarantee disjointness and exact capacity
-/// accounting; they differ in fragmentation behavior.
-pub trait SubstarAllocator {
-    /// Policy label for tables and reports.
-    fn name(&self) -> &'static str;
+/// The sub-star allocator: the allocation tree and the
+/// [`AllocPolicy`] that claims its nodes. Every policy guarantees
+/// disjointness and exact capacity accounting; they differ in
+/// fragmentation behavior.
+///
+/// A clone is an independent copy in the current state — the shadow
+/// the EASY backfill reservation probes ("when could the blocked head
+/// start if running jobs released on schedule?") without touching the
+/// live tree. A failed `allocate` never mutates the allocator, so
+/// probing the clone has no side effect on the real machine state.
+#[derive(Debug, Clone)]
+pub struct Allocator {
+    policy: AllocPolicy,
+    tree: AllocTree,
+    /// Buddy free lists: `free[m]` = free node ids of order `m`, LIFO.
+    /// Empty under the other policies.
+    free: Vec<Vec<u32>>,
+}
+
+impl Allocator {
+    /// An allocator over an empty `S_n`.
+    #[must_use]
+    pub fn new(policy: AllocPolicy, n: usize) -> Self {
+        let mut free = Vec::new();
+        if policy == AllocPolicy::Buddy {
+            free = vec![Vec::new(); n + 1];
+            free[n].push(0);
+        }
+        Allocator {
+            policy,
+            tree: AllocTree::new(n),
+            free,
+        }
+    }
 
     /// Host star order.
-    fn n(&self) -> usize;
+    #[must_use]
+    pub fn n(&self) -> usize {
+        self.tree.n
+    }
 
     /// Claims a free order-`order` sub-star, or `None` if the current
     /// allocation state cannot fit one.
     ///
     /// # Panics
     /// Panics if `order` is below [`MIN_ORDER`] or above `n`.
-    fn allocate(&mut self, order: usize) -> Option<SubStar>;
+    pub fn allocate(&mut self, order: usize) -> Option<SubStar> {
+        let n = self.tree.n;
+        assert!(
+            (MIN_ORDER..=n).contains(&order),
+            "allocation order {order} outside {MIN_ORDER}..={n}"
+        );
+        match self.policy {
+            AllocPolicy::FirstFit => self.first_fit(0, order),
+            AllocPolicy::BestFit => self.best_fit(order),
+            AllocPolicy::Buddy => self.buddy(order),
+        }
+    }
 
     /// Returns a previously allocated sub-star to the pool,
     /// re-coalescing fully free blocks.
     ///
     /// # Panics
     /// Panics if `sub` is not a live allocation of this allocator.
-    fn release(&mut self, sub: &SubStar);
-
-    /// PEs not held by any allocation.
-    fn free_pes(&self) -> u64;
-
-    /// Order of the largest sub-star an `allocate` could currently
-    /// claim (0 when the machine is completely full).
-    fn largest_free_order(&self) -> usize;
-
-    /// Every live allocation, in canonical tree order.
-    fn live_allocations(&self) -> Vec<SubStar>;
-
-    /// An independent copy of the allocator in its current state —
-    /// the shadow the EASY backfill reservation probes ("when could
-    /// the blocked head start if running jobs released on schedule?")
-    /// without touching the live tree. A failed `allocate` never
-    /// mutates any shipped policy, so probing the clone is free of
-    /// side effects on the real machine state.
-    fn box_clone(&self) -> Box<dyn SubstarAllocator>;
-}
-
-fn check_order(n: usize, order: usize) {
-    assert!(
-        (MIN_ORDER..=n).contains(&order),
-        "allocation order {order} outside {MIN_ORDER}..={n}"
-    );
-}
-
-/// First fit: claims the **canonically first** (leftmost in tree DFS
-/// order) feasible order-`k` sub-star, splitting free ancestors along
-/// the way — spatially greedy, oblivious to block sizes.
-#[derive(Debug, Clone)]
-pub struct FirstFit {
-    tree: AllocTree,
-}
-
-impl FirstFit {
-    /// A first-fit allocator over an empty `S_n`.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        FirstFit {
-            tree: AllocTree::new(n),
+    pub fn release(&mut self, sub: &SubStar) {
+        let id = self.tree.find(sub).expect("release of unknown sub-star");
+        let (top, dead) = self.tree.release(id);
+        if self.policy == AllocPolicy::Buddy {
+            if !dead.is_empty() {
+                for list in &mut self.free {
+                    list.retain(|c| !dead.contains(c));
+                }
+            }
+            self.free[self.tree.order(top)].push(top);
         }
     }
 
-    fn try_at(&mut self, id: u32, order: usize) -> Option<SubStar> {
+    /// PEs not held by any allocation (free or unreachable fragments
+    /// of split nodes — split nodes themselves hold nothing).
+    #[must_use]
+    pub fn free_pes(&self) -> u64 {
+        factorial(self.tree.n) - self.tree.allocated_pes
+    }
+
+    /// Order of the largest sub-star an `allocate` could currently
+    /// claim (0 when the machine is completely full).
+    #[must_use]
+    pub fn largest_free_order(&self) -> usize {
+        self.in_state(NodeState::Free)
+            .map(|id| self.tree.order(id))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Every live allocation, in canonical tree order.
+    #[must_use]
+    pub fn live_allocations(&self) -> Vec<SubStar> {
+        self.in_state(NodeState::Allocated)
+            .map(|id| self.tree.nodes[id as usize].sub.clone())
+            .collect()
+    }
+
+    /// Ids of the live nodes in `state`, in DFS (canonical) order.
+    fn in_state(&self, state: NodeState) -> impl Iterator<Item = u32> + '_ {
+        self.tree
+            .dfs()
+            .into_iter()
+            .filter(move |&id| self.tree.nodes[id as usize].state == state)
+    }
+
+    /// The first fit below node `id`.
+    fn first_fit(&mut self, id: u32, order: usize) -> Option<SubStar> {
         match self.tree.nodes[id as usize].state {
             NodeState::Allocated => None,
             NodeState::Free => {
@@ -267,93 +336,27 @@ impl FirstFit {
                     return None; // children are strictly smaller
                 }
                 let kids = self.tree.nodes[id as usize].children.clone();
-                kids.into_iter().find_map(|c| self.try_at(c, order))
+                kids.into_iter().find_map(|c| self.first_fit(c, order))
             }
         }
     }
-}
 
-impl SubstarAllocator for FirstFit {
-    fn name(&self) -> &'static str {
-        "first-fit"
-    }
-
-    fn n(&self) -> usize {
-        self.tree.n
-    }
-
-    fn allocate(&mut self, order: usize) -> Option<SubStar> {
-        check_order(self.tree.n, order);
-        self.try_at(0, order)
-    }
-
-    fn release(&mut self, sub: &SubStar) {
-        let id = self.tree.find(sub).expect("release of unknown sub-star");
-        self.tree.release(id);
-    }
-
-    fn free_pes(&self) -> u64 {
-        self.tree.free_pes()
-    }
-
-    fn largest_free_order(&self) -> usize {
-        self.tree.largest_free_order()
-    }
-
-    fn live_allocations(&self) -> Vec<SubStar> {
-        self.tree.live_allocations()
-    }
-
-    fn box_clone(&self) -> Box<dyn SubstarAllocator> {
-        Box::new(self.clone())
-    }
-}
-
-/// Best fit by fragmentation score: claims inside the **smallest**
-/// free block that still fits, preferring blocks whose siblings are
-/// already busy (packing nearly-full parents tight), ties broken
-/// canonically. Large free blocks are split only when nothing
-/// smaller fits.
-#[derive(Debug, Clone)]
-pub struct BestFit {
-    tree: AllocTree,
-}
-
-impl BestFit {
-    /// A best-fit allocator over an empty `S_n`.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        BestFit {
-            tree: AllocTree::new(n),
-        }
-    }
-}
-
-impl SubstarAllocator for BestFit {
-    fn name(&self) -> &'static str {
-        "best-fit"
-    }
-
-    fn n(&self) -> usize {
-        self.tree.n
-    }
-
-    fn allocate(&mut self, order: usize) -> Option<SubStar> {
-        check_order(self.tree.n, order);
+    fn best_fit(&mut self, order: usize) -> Option<SubStar> {
         // Scan the live tree for free nodes that fit; score =
         // (block order, free siblings, DFS position), minimized.
+        let tree = &self.tree;
         let mut best: Option<(usize, usize, usize, u32)> = None;
-        for (pos, id) in self.tree.dfs().into_iter().enumerate() {
-            let node = &self.tree.nodes[id as usize];
+        for (pos, id) in tree.dfs().into_iter().enumerate() {
+            let node = &tree.nodes[id as usize];
             if node.state != NodeState::Free || node.sub.order() < order {
                 continue;
             }
             let free_siblings = match node.parent {
                 None => 0,
-                Some(p) => self.tree.nodes[p as usize]
+                Some(p) => tree.nodes[p as usize]
                     .children
                     .iter()
-                    .filter(|&&c| c != id && self.tree.nodes[c as usize].state == NodeState::Free)
+                    .filter(|&&c| c != id && tree.nodes[c as usize].state == NodeState::Free)
                     .count(),
             };
             let score = (node.sub.order(), free_siblings, pos, id);
@@ -364,65 +367,7 @@ impl SubstarAllocator for BestFit {
         best.map(|(_, _, _, id)| self.tree.allocate_descending(id, order))
     }
 
-    fn release(&mut self, sub: &SubStar) {
-        let id = self.tree.find(sub).expect("release of unknown sub-star");
-        self.tree.release(id);
-    }
-
-    fn free_pes(&self) -> u64 {
-        self.tree.free_pes()
-    }
-
-    fn largest_free_order(&self) -> usize {
-        self.tree.largest_free_order()
-    }
-
-    fn live_allocations(&self) -> Vec<SubStar> {
-        self.tree.live_allocations()
-    }
-
-    fn box_clone(&self) -> Box<dyn SubstarAllocator> {
-        Box::new(self.clone())
-    }
-}
-
-/// Buddy-style splitter: per-order LIFO free lists. An exact-order
-/// block is reused if one exists (most recently split or freed
-/// first — temporal locality); otherwise the smallest larger block is
-/// popped and split level by level, siblings going onto the free
-/// lists. Releases coalesce merged siblings back off the lists, so a
-/// drained machine is one whole free `S_n` again.
-#[derive(Debug, Clone)]
-pub struct BuddySplit {
-    tree: AllocTree,
-    /// `free[m]` = free node ids of order `m`, LIFO.
-    free: Vec<Vec<u32>>,
-}
-
-impl BuddySplit {
-    /// A buddy allocator over an empty `S_n`.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        let mut free = vec![Vec::new(); n + 1];
-        free[n].push(0);
-        BuddySplit {
-            tree: AllocTree::new(n),
-            free,
-        }
-    }
-}
-
-impl SubstarAllocator for BuddySplit {
-    fn name(&self) -> &'static str {
-        "buddy"
-    }
-
-    fn n(&self) -> usize {
-        self.tree.n
-    }
-
-    fn allocate(&mut self, order: usize) -> Option<SubStar> {
-        check_order(self.tree.n, order);
+    fn buddy(&mut self, order: usize) -> Option<SubStar> {
         let source = (order..=self.tree.n).find(|&m| !self.free[m].is_empty())?;
         let mut id = self.free[source].pop().expect("non-empty list");
         while self.tree.order(id) > order {
@@ -437,80 +382,13 @@ impl SubstarAllocator for BuddySplit {
         }
         Some(self.tree.mark_allocated(id))
     }
-
-    fn release(&mut self, sub: &SubStar) {
-        let id = self.tree.find(sub).expect("release of unknown sub-star");
-        let (top, dead) = self.tree.release(id);
-        if !dead.is_empty() {
-            for list in &mut self.free {
-                list.retain(|c| !dead.contains(c));
-            }
-        }
-        self.free[self.tree.order(top)].push(top);
-    }
-
-    fn free_pes(&self) -> u64 {
-        self.tree.free_pes()
-    }
-
-    fn largest_free_order(&self) -> usize {
-        self.tree.largest_free_order()
-    }
-
-    fn live_allocations(&self) -> Vec<SubStar> {
-        self.tree.live_allocations()
-    }
-
-    fn box_clone(&self) -> Box<dyn SubstarAllocator> {
-        Box::new(self.clone())
-    }
-}
-
-/// Policy selector for streams, tables and CLI surfaces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AllocPolicy {
-    /// [`FirstFit`].
-    FirstFit,
-    /// [`BestFit`].
-    BestFit,
-    /// [`BuddySplit`].
-    Buddy,
-}
-
-impl AllocPolicy {
-    /// All shipped policies.
-    pub const ALL: [AllocPolicy; 3] = [
-        AllocPolicy::FirstFit,
-        AllocPolicy::BestFit,
-        AllocPolicy::Buddy,
-    ];
-
-    /// Table label (matches the allocator's `name`).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            AllocPolicy::FirstFit => "first-fit",
-            AllocPolicy::BestFit => "best-fit",
-            AllocPolicy::Buddy => "buddy",
-        }
-    }
-
-    /// Builds the allocator over an empty `S_n`.
-    #[must_use]
-    pub fn build(self, n: usize) -> Box<dyn SubstarAllocator> {
-        match self {
-            AllocPolicy::FirstFit => Box::new(FirstFit::new(n)),
-            AllocPolicy::BestFit => Box::new(BestFit::new(n)),
-            AllocPolicy::Buddy => Box::new(BuddySplit::new(n)),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn drain_check(alloc: &mut dyn SubstarAllocator) {
+    fn drain_check(alloc: &mut Allocator) {
         // Fill with order-2 tenants to exhaustion, then free all.
         let n = alloc.n();
         let mut live = Vec::new();
@@ -553,7 +431,7 @@ mod tests {
 
     #[test]
     fn first_fit_takes_leftmost() {
-        let mut ff = FirstFit::new(4);
+        let mut ff = Allocator::new(AllocPolicy::FirstFit, 4);
         let a = ff.allocate(3).unwrap();
         let b = ff.allocate(3).unwrap();
         assert_eq!(a.fixed_suffix(), &[0]);
@@ -565,7 +443,7 @@ mod tests {
         // Carve an order-2 hole inside substar [0], then free an
         // order-3 block elsewhere: a new order-2 request must land in
         // the partly-used [0] rather than split the pristine [1].
-        let mut bf = BestFit::new(4);
+        let mut bf = Allocator::new(AllocPolicy::BestFit, 4);
         let small = bf.allocate(2).unwrap(); // inside [0]
         assert_eq!(small.fixed_suffix(), &[0, 1]);
         let next = bf.allocate(2).unwrap();
@@ -576,7 +454,7 @@ mod tests {
         );
         // First-fit would do the same here; the difference shows when
         // an exact block exists further right.
-        let mut bf = BestFit::new(4);
+        let mut bf = Allocator::new(AllocPolicy::BestFit, 4);
         let s3 = bf.allocate(3).unwrap(); // [0]
         let s2 = bf.allocate(2).unwrap(); // inside [1]
         bf.release(&s3); // [0] free again (order 3), [1] split with a free order-2 hole...
@@ -590,7 +468,7 @@ mod tests {
 
     #[test]
     fn buddy_reuses_most_recent_split() {
-        let mut bd = BuddySplit::new(5);
+        let mut bd = Allocator::new(AllocPolicy::Buddy, 5);
         let a = bd.allocate(3).unwrap();
         // The split left order-4 and order-3 siblings on the lists;
         // an exact order-3 request reuses the freshest sibling.
@@ -610,11 +488,11 @@ mod tests {
     }
 
     #[test]
-    fn box_clone_is_independent() {
+    fn clone_is_independent() {
         for policy in AllocPolicy::ALL {
             let mut alloc = policy.build(4);
             let held = alloc.allocate(3).unwrap();
-            let mut ghost = alloc.box_clone();
+            let mut ghost = alloc.clone();
             // Probing the ghost (release + allocate) leaves the real
             // allocator untouched.
             ghost.release(&held);
@@ -626,7 +504,7 @@ mod tests {
 
     #[test]
     fn allocation_fails_only_when_nothing_fits() {
-        let mut ff = FirstFit::new(4);
+        let mut ff = Allocator::new(AllocPolicy::FirstFit, 4);
         let whole = ff.allocate(4).unwrap();
         assert_eq!(whole.order(), 4);
         assert!(ff.allocate(2).is_none(), "machine is fully claimed");

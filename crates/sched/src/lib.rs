@@ -15,11 +15,12 @@
 //!   [`sg_net::FlowControl::EscapeChannel`]);
 //! * [`stream`] — deterministic seeded job streams (steady / bursty /
 //!   random arrivals, order and routing mixes);
-//! * [`alloc`] — the allocation lattice with three pluggable
-//!   policies: [`alloc::FirstFit`] (leftmost), [`alloc::BestFit`]
-//!   (smallest sufficient block, busiest parent), and
-//!   [`alloc::BuddySplit`] (per-order LIFO free lists with
-//!   coalescing);
+//! * [`alloc`] — the allocation lattice and its one
+//!   [`alloc::Allocator`], under one of three placement policies:
+//!   [`alloc::AllocPolicy::FirstFit`] (leftmost),
+//!   [`alloc::AllocPolicy::BestFit`] (smallest sufficient block,
+//!   busiest parent), and [`alloc::AllocPolicy::Buddy`] (per-order
+//!   LIFO free lists with coalescing);
 //! * [`scheduler`] — the FCFS event loop producing a
 //!   [`scheduler::Schedule`] (placements + fragmentation timeline),
 //!   compiled by [`scheduler::Schedule::tenant_run`] into **one**
@@ -72,7 +73,7 @@ pub mod policy;
 pub mod scheduler;
 pub mod stream;
 
-pub use alloc::{AllocPolicy, SubstarAllocator};
+pub use alloc::{AllocPolicy, Allocator};
 pub use job::{JobId, JobSpec, TenantRouting, TrafficProfile};
 pub use policy::{AdmissionPolicy, ReleaseMode, SchedConfig, SchedPolicy, SubstarEmbedding};
 pub use scheduler::{

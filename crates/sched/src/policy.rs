@@ -2,8 +2,8 @@
 //! ([`ReleaseMode`], [`SchedPolicy`], [`AdmissionPolicy`] —
 //! bundled in [`SchedConfig`]).
 //!
-//! [`sg_net::Network::run_partitioned`] routes every packet under its
-//! own job's policy, so each tenant gets exactly one
+//! A multi-tenant run ([`sg_net::Tenants::PerJob`]) routes every packet
+//! under its own job's policy, so each tenant gets exactly one
 //! [`RoutingPolicy`] object. Embedding tenants use
 //! [`SubstarEmbedding`]: dimension-order routing of the job's `D_k`
 //! computed in **local** sub-star coordinates — and because

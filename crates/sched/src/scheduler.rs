@@ -1,8 +1,8 @@
 //! The batch scheduler: admission, placement, composition, and the
 //! measured run.
 //!
-//! [`schedule`] replays a job stream against a pluggable
-//! [`SubstarAllocator`] in a deterministic event loop (FCFS with
+//! [`schedule`] replays a job stream against an [`Allocator`] (one
+//! of three placement policies) in a deterministic event loop (FCFS with
 //! declared walltimes, releases before arrivals, admissions in
 //! arrival order), producing a [`Schedule`] of placements plus a
 //! fragmentation timeline. [`Schedule::tenant_run`] then lifts every
@@ -11,11 +11,14 @@
 //! [`Network`] with per-job routing and per-job statistics — the
 //! whole multi-tenant machine in one simulated run.
 
-use crate::alloc::{SubstarAllocator, MIN_ORDER};
+use crate::alloc::{Allocator, MIN_ORDER};
 use crate::job::{JobId, JobSpec, TenantRouting};
 use crate::policy::{tenant_policy, AdmissionPolicy, ReleaseMode, SchedConfig, SchedPolicy};
 use rayon::prelude::*;
-use sg_net::{Injection, Network, QuiescenceViolation, RoutingPolicy, TrafficStats, Workload};
+use sg_net::{
+    Engine, Injection, Network, QuiescenceViolation, RoutingPolicy, RunStats, Tenants,
+    TrafficStats, Workload,
+};
 use sg_obs::{Event, NullProbe, Probe, SchedPhaseProfile};
 use sg_star::substar::SubStar;
 use std::cell::RefCell;
@@ -259,7 +262,7 @@ fn lift_workload(n: usize, p: &Placement) -> Workload {
 /// Panics if a job requests an order outside
 /// [`MIN_ORDER`]`..=alloc.n()` (it could never be placed).
 #[must_use]
-pub fn schedule(jobs: &[JobSpec], alloc: &mut dyn SubstarAllocator) -> Schedule {
+pub fn schedule(jobs: &[JobSpec], alloc: &mut Allocator) -> Schedule {
     schedule_with(jobs, alloc, &SchedConfig::default(), &mut NullProbe)
 }
 
@@ -282,10 +285,13 @@ fn drained_hold(net: &Network, n: usize, job: &JobSpec, substar: &SubStar) -> u3
     };
     let workload = lift_workload(n, &probe_placement);
     let policy = tenant_policy(job.routing, substar);
-    let policies: [&dyn RoutingPolicy; 1] = [policy.as_ref()];
     let owner = vec![0u32; workload.len()];
-    let (total, _) =
-        net.run_partitioned(&workload, &policies, &owner, &[job.escape], &mut NullProbe);
+    let tenants = Tenants::PerJob {
+        policies: &[policy.as_ref()],
+        owner: &owner,
+        escape: &[job.escape],
+    };
+    let RunStats { total, .. } = net.simulate(&workload, tenants, Engine::Fast, &mut NullProbe);
     assert_eq!(
         total.stranded, 0,
         "job {} wedges in isolation and never drains — drained release would hold its sub-star forever",
@@ -301,13 +307,13 @@ fn drained_hold(net: &Network, n: usize, job: &JobSpec, substar: &SubStar) -> u3
 /// immediate) until the head's order fits. The classic EASY shadow
 /// time.
 fn easy_shadow(
-    alloc: &dyn SubstarAllocator,
+    alloc: &Allocator,
     placements: &[Placement],
     running: &[usize],
     head_order: usize,
     now: u32,
 ) -> u32 {
-    let mut ghost = alloc.box_clone();
+    let mut ghost = alloc.clone();
     if ghost.allocate(head_order).is_some() {
         return now;
     }
@@ -346,7 +352,7 @@ fn easy_shadow(
 #[must_use]
 pub fn schedule_with<P: Probe>(
     jobs: &[JobSpec],
-    alloc: &mut dyn SubstarAllocator,
+    alloc: &mut Allocator,
     cfg: &SchedConfig<'_>,
     probe: &mut P,
 ) -> Schedule {
@@ -367,7 +373,7 @@ pub fn schedule_with<P: Probe>(
 #[must_use]
 pub fn schedule_profiled<P: Probe>(
     jobs: &[JobSpec],
-    alloc: &mut dyn SubstarAllocator,
+    alloc: &mut Allocator,
     cfg: &SchedConfig<'_>,
     probe: &mut P,
     clock: fn() -> u64,
@@ -422,7 +428,7 @@ fn begin_round(slot: &RefCell<Option<SchedProf>>) {
 
 fn schedule_inner<P: Probe>(
     jobs: &[JobSpec],
-    alloc: &mut dyn SubstarAllocator,
+    alloc: &mut Allocator,
     cfg: &SchedConfig<'_>,
     probe: &mut P,
     clock: Option<fn() -> u64>,
@@ -704,14 +710,7 @@ impl TenantRun {
     /// Panics if `net` is not an `S_n` of the schedule's order.
     #[must_use]
     pub fn run(&self, net: &Network) -> ScheduleReport {
-        let escape = self.escape_flags(net);
-        let (total, per_job) = net.run_partitioned(
-            &self.workload,
-            &self.policies(),
-            &self.owner,
-            &escape,
-            &mut NullProbe,
-        );
+        let RunStats { total, per_job } = self.simulate(net, Engine::Fast);
         let jobs = self
             .schedule
             .placements
@@ -756,17 +755,25 @@ impl TenantRun {
         Network::region_quiescence_violations(&report.total, &self.owner, &self.release_rounds())
     }
 
-    /// Each placement's escape opt-in, for a run on `net`.
+    /// The composed run on `engine`, each tenant under its own policy
+    /// and escape opt-in.
     ///
     /// # Panics
     /// Panics if `net` is not an `S_n` of the schedule's order.
-    fn escape_flags(&self, net: &Network) -> Vec<bool> {
+    fn simulate(&self, net: &Network, engine: Engine) -> RunStats {
         assert_eq!(net.n(), self.schedule.n, "network order mismatch");
-        self.schedule
+        let escape: Vec<bool> = self
+            .schedule
             .placements
             .iter()
             .map(|p| p.job.escape)
-            .collect()
+            .collect();
+        let tenants = Tenants::PerJob {
+            policies: &self.policies(),
+            owner: &self.owner,
+            escape: &escape,
+        };
+        net.simulate(&self.workload, tenants, engine, &mut NullProbe)
     }
 
     fn release_rounds(&self) -> Vec<u32> {
@@ -782,14 +789,7 @@ impl TenantRun {
     /// Panics if `net` is not an `S_n` of the schedule's order.
     #[must_use]
     pub fn run_reference_total(&self, net: &Network) -> TrafficStats {
-        let escape = self.escape_flags(net);
-        net.run_partitioned_reference(
-            &self.workload,
-            &self.policies(),
-            &self.owner,
-            &escape,
-            &mut NullProbe,
-        )
+        self.simulate(net, Engine::Reference).total
     }
 
     /// Runs every job **alone** on the same network (same policy

@@ -8,7 +8,9 @@
 //! run's `Forwarded` events are the ground truth, not a structural
 //! argument.
 
-use sg_net::{HopRecord, HopTraces, Network, RoutingPolicy, TrafficStats, Workload};
+use sg_net::{
+    Engine, HopRecord, HopTraces, Network, RoutingPolicy, Tenants, TrafficStats, Workload,
+};
 use sg_sched::job::{JobSpec, TenantRouting, TrafficProfile};
 use sg_sched::scheduler::schedule;
 use sg_sched::AllocPolicy;
@@ -24,7 +26,12 @@ fn traced(
 ) -> (TrafficStats, Vec<Vec<HopRecord>>) {
     let mut traces = HopTraces::new(w.len());
     let escape = vec![true; policies.len()];
-    let (stats, _) = net.run_partitioned(w, policies, owner, &escape, &mut traces);
+    let tenants = Tenants::PerJob {
+        policies,
+        owner,
+        escape: &escape,
+    };
+    let stats = net.simulate(w, tenants, Engine::Fast, &mut traces).total;
     (stats, traces.hops)
 }
 

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use sg_net::Network;
 use sg_obs::NullProbe;
 use sg_perm::factorial::factorial;
-use sg_sched::alloc::{AllocPolicy, SubstarAllocator};
+use sg_sched::alloc::{AllocPolicy, Allocator};
 use sg_sched::scheduler::{schedule, schedule_with};
 use sg_sched::stream::{generate, ArrivalPattern, StreamConfig};
 use sg_sched::{ReleaseMode, SchedConfig, SchedPolicy};
@@ -18,7 +18,7 @@ fn policy_for(which: u8) -> AllocPolicy {
 
 /// Drives a seeded alloc/release trace and checks every invariant at
 /// every step.
-fn drive(alloc: &mut dyn SubstarAllocator, n: usize, seed: u64, steps: u32) {
+fn drive(alloc: &mut Allocator, n: usize, seed: u64, steps: u32) {
     let mut x = seed | 1;
     let mut next = move || {
         // SplitMix64-ish local stream.

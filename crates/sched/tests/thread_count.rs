@@ -10,7 +10,10 @@
 //! packets each), so the two-thread runs really split their routing.
 
 use rayon::ThreadPoolBuilder;
-use sg_net::{AdaptiveRouting, EmbeddingRouting, GreedyRouting, Network, RoutingPolicy, Workload};
+use sg_net::{
+    AdaptiveRouting, EmbeddingRouting, Engine, GreedyRouting, Network, RoutingPolicy, Tenants,
+    Workload,
+};
 use sg_obs::NullProbe;
 use sg_sched::alloc::AllocPolicy;
 use sg_sched::scheduler::schedule;
@@ -64,8 +67,13 @@ fn fast_engine_stats_are_thread_count_independent() {
     );
     assert!(mixed.len() > 2 * 4096);
     let policies: [&dyn RoutingPolicy; 3] = [&GreedyRouting, &EmbeddingRouting, &AdaptiveRouting];
+    let tenants = Tenants::PerJob {
+        policies: &policies,
+        owner: &owner,
+        escape: &[false; 3],
+    };
     same_at_one_and_two_threads("partitioned run", || {
-        net.run_partitioned(&mixed, &policies, &owner, &[false; 3], &mut NullProbe)
+        net.simulate(&mixed, tenants, Engine::Fast, &mut NullProbe)
     });
 }
 

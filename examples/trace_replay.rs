@@ -15,7 +15,7 @@
 //!    workflow the differential harness uses when engines disagree.
 
 use star_mesh_embedding::net::trace::{record, replay_jsonl};
-use star_mesh_embedding::net::{Engine, GreedyRouting, Network, Workload};
+use star_mesh_embedding::net::{Engine, GreedyRouting, Network, Tenants, Workload};
 use star_mesh_embedding::obs::{diff_events, Event, NetProbe, Probe, Trace};
 use star_mesh_embedding::perm::factorial::factorial;
 
@@ -24,7 +24,7 @@ fn main() {
     let n = 5;
     let net = Network::new(n);
     let w = Workload::bernoulli_uniform(n, 10, 60, 0x7ACE);
-    let (live, trace) = record(&net, &w, &GreedyRouting, Engine::Fast, 0x7ACE);
+    let (live, trace) = record(&net, &w, Tenants::One(&GreedyRouting), Engine::Fast, 0x7ACE);
     let text = trace.to_jsonl();
     println!("=== Recorded S_{n} run ===\n");
     println!(
@@ -37,7 +37,7 @@ fn main() {
 
     // 2. Replay from the text alone: byte-identical statistics.
     let replayed = replay_jsonl(&text).expect("clean log replays");
-    assert_eq!(replayed.total, live, "replay reconstructs the live stats");
+    assert_eq!(replayed, live, "replay reconstructs the live stats");
     println!("=== Replayed from the log alone ===\n");
     println!(
         "delivered {} / injected {}, makespan {}, wait rounds {}, peak node occupancy {}",

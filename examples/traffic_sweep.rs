@@ -32,7 +32,7 @@
 
 use star_mesh_embedding::net::{
     saturation_sweep, AdaptiveRouting, EmbeddingRouting, Engine, FaultPlan, FaultPolicy,
-    FlowControl, GreedyRouting, NetConfig, Network, Workload,
+    FlowControl, GreedyRouting, NetConfig, Network, Tenants, Workload,
 };
 use star_mesh_embedding::obs::{NetProbe, NullProbe};
 use std::time::Instant;
@@ -314,7 +314,7 @@ fn engine_margin_and_s8_sweep() {
     // regardless of how few are busy). At small n with saturated
     // queues the engines converge to parity — per-hop work dominates
     // and both engines share it — so the guard does not look there.
-    // The fast side runs through `run_probed` with a `NullProbe`: the
+    // The fast side runs through `simulate` with a `NullProbe`: the
     // guard therefore also holds sg-obs's zero-overhead-when-disabled
     // claim — if the disabled probe hooks cost anything measurable,
     // the fast engine falls out of its margin.
@@ -325,9 +325,10 @@ fn engine_margin_and_s8_sweep() {
     let net = Network::new(n_cmp);
     let w = Workload::bernoulli_uniform(n_cmp, 10, 20, 0xBEEF);
     let (mut fast_ns, mut ref_ns) = (u128::MAX, u128::MAX);
+    let tenants = Tenants::One(&GreedyRouting);
     for _ in 0..3 {
         let t = Instant::now();
-        let _ = net.run_probed(&w, &GreedyRouting, Engine::Fast, &mut NullProbe);
+        let _ = net.simulate(&w, tenants, Engine::Fast, &mut NullProbe);
         fast_ns = fast_ns.min(t.elapsed().as_nanos());
         let t = Instant::now();
         let _ = net.run_with(&w, &GreedyRouting, Engine::Reference);
@@ -389,7 +390,8 @@ fn observability() {
     let w = Workload::bernoulli_uniform(n, rounds, 100, 0x0B5);
     let bare = net.run(&w, &GreedyRouting);
     let mut probe = NetProbe::new(net.node_count(), net.n() - 1);
-    let probed = net.run_probed(&w, &GreedyRouting, Engine::Fast, &mut probe);
+    let tenants = Tenants::One(&GreedyRouting);
+    let probed = net.simulate(&w, tenants, Engine::Fast, &mut probe).total;
     assert_eq!(probed, bare, "a probe must never perturb the run");
 
     println!("{:>6} {:>9} {:>5} {:>7}", "rank", "PE", "gen", "flits");

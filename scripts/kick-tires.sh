@@ -4,12 +4,14 @@
 #     scripts/kick-tires.sh
 #
 # 1. `tables -- all`: every paper table and figure, with the asserts
-#    inside the extension grids.
+#    inside the extension grids; then again into `head -n 1`, which a
+#    closed stdout must end with exit code 0, not a panic.
 # 2. Every example under examples/; each asserts its own numbers.
 # 3. The `trace` CLI: record, replay and self-diff an S_6 run and the S_6
 #    lattice allreduce (a partitioned trace, one owner per barrier
 #    phase, whose per-phase stats the recorder's self-check replays),
-#    then four corrupted logs that replay must refuse with exit code 2.
+#    then four corrupted logs that replay must refuse with exit code 2,
+#    and a replay into `head -n 1` that must exit 0.
 # 4. starbench: its self-tests, then one traced second of each workload
 #    in BENCHMARK.json, whose result line must report a verified output.
 #
@@ -20,6 +22,7 @@ cd "$(dirname "$0")/.."
 
 echo "== tables -- all"
 cargo run --release -q --offline -p sg-bench --bin tables -- all > /dev/null
+cargo run --release -q --offline -p sg-bench --bin tables -- all | head -n 1 > /dev/null
 
 for f in examples/*.rs; do
   e=$(basename "$f" .rs)
@@ -33,6 +36,7 @@ trap 'rm -rf "$tmp"' EXIT
 trace() { cargo run --release -q --offline -p sg-bench --bin trace -- "$@"; }
 trace record "$tmp/s6.jsonl" --n 6 --seed 7
 trace replay "$tmp/s6.jsonl" > /dev/null
+trace replay "$tmp/s6.jsonl" | head -n 1 > /dev/null
 trace diff "$tmp/s6.jsonl" "$tmp/s6.jsonl" --context 3
 trace record "$tmp/ar6.jsonl" --allreduce --n 6
 trace replay "$tmp/ar6.jsonl" > /dev/null
