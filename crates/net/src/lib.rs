@@ -54,9 +54,9 @@
 //! [`Engine::Fast`] (the default behind [`Network::run`]) drives an
 //! active-queue worklist over intrusive per-link FIFOs with batched
 //! round-keyed arrivals whose records name each flit's next queue,
-//! skips idle rounds, and counts through an [`sg_obs::RunTally`] —
-//! the engine that makes full-injection sweeps at `n = 8` (40 320
-//! PEs) finish in seconds. `tests/differential.rs` proves them
+//! skips idle rounds, and counts through the run tally — the engine
+//! that makes full-injection sweeps at `n = 8` (40 320 PEs) finish in
+//! seconds. `tests/differential.rs` proves them
 //! observationally identical, and so checks everything they keep
 //! apart: byte-equal [`TrafficStats`] across every workload × routing ×
 //! fault axis. Three scenario axes ride on the engines:
@@ -79,10 +79,12 @@
 //! [`RunStats`] out. [`Network::run`] and [`Network::run_with`] call
 //! it for one policy, [`Network::run_profiled`] arms the fast engine's
 //! phase profiler, and [`trace::record`] attaches an event log that
-//! [`trace::replay`] turns back into the same [`RunStats`]. The fast
-//! engine's counters all go through one [`sg_obs::RunTally`], the
-//! tally the trace replayer feeds from a log; the reference engine
-//! keeps its own, so the differential suite checks the tally
+//! [`trace::replay`] turns back into the same [`RunStats`]. A run's
+//! accounting lives in this crate, once: the fast engine's counters
+//! all go through one run tally, which the trace replayer feeds from
+//! a log, and which builds the [`RunStats`] of every fast run and
+//! every replay, per job included. The reference engine keeps its own
+//! counter arithmetic, so the differential suite checks the tally
 //! independently. Per-packet hop traces come from the event stream:
 //! attach a [`HopTraces`] probe.
 //!
@@ -107,6 +109,7 @@ pub mod network;
 pub mod packet;
 pub mod routing;
 pub mod stats;
+mod tally;
 pub mod trace;
 pub mod workload;
 

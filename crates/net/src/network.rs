@@ -82,8 +82,9 @@
 //!   lands without reading its packet record or route;
 //! * **idle-round skipping** — when nothing is queued, time jumps
 //!   straight to the next injection or landing round;
-//! * every counter update goes to an [`sg_obs::RunTally`] (shared with
-//!   the trace replayer, and the only place per-job attribution lives).
+//! * every counter update goes to the run tally, the one
+//!   implementation of the accounting rules, which the trace replayer
+//!   feeds from a log and which alone splits a run by owner.
 //!
 //! The two engines are **observationally identical**: for any
 //! `(workload, policy, config, faults)` they produce byte-identical
@@ -122,10 +123,11 @@ use crate::fault::{FaultPlan, FaultPolicy};
 use crate::packet::{PacketId, PacketOutcome, PacketRecord};
 use crate::routing::RoutingPolicy;
 use crate::stats::{RunCounters, RunStats, TrafficStats};
+use crate::tally::{RunTally, Sink};
 use crate::workload::{Gate, Injection, Workload};
 use rayon::prelude::*;
 use sg_core::convert::convert_s_d_coords;
-use sg_obs::{DropReason, Event, NullProbe, PhaseProfile, Probe, RunTally, StallKind};
+use sg_obs::{DropReason, Event, NullProbe, PhaseProfile, Probe, StallKind};
 use sg_perm::factorial::factorial;
 use sg_perm::lehmer::{next_perm, unrank};
 use sg_perm::{Perm, MAX_N};
@@ -440,10 +442,8 @@ impl Network {
             Engine::Fast => self.run_fast(workload, tenants, probe, None).0,
             Engine::Reference => {
                 let prepared = self.prepare(workload, tenants);
-                RunStats {
-                    total: ReferenceSim::new(self, workload, prepared, probe).run(),
-                    per_job: Vec::new(),
-                }
+                let (counters, records) = ReferenceSim::new(self, workload, prepared, probe).run();
+                counters.finish(self.n, records)
             }
         }
     }
@@ -573,17 +573,11 @@ impl Network {
         clock: Option<fn() -> u64>,
     ) -> (RunStats, Option<PhaseProfile>) {
         let prepared = self.prepare(workload, tenants);
-        let owner = tenants.owner();
-        let tally = owner.map_or_else(RunTally::default, |(o, jobs)| {
-            RunTally::partitioned(o, jobs)
-        });
+        let tally = RunTally::new(tenants.owner());
         let mut sim = FastSim::new(self, workload, prepared, tally, probe);
         sim.profile = clock.map(|clock| (clock, PhaseProfile::default()));
-        let (total, per_owner, profile) = sim.run();
-        let per_job = owner.map_or_else(Vec::new, |(o, _)| {
-            TrafficStats::split_by_owner(self.n, &total.packets, o, per_owner)
-        });
-        (RunStats { total, per_job }, profile)
+        let (tally, records, profile) = sim.run();
+        (tally.finish(self.n, records), profile)
     }
 
     /// Run setup: workload and tenant validation, parallel route
@@ -1360,52 +1354,6 @@ trait Queues {
     fn want(&mut self, li: usize);
 }
 
-/// Where a run's counter updates go: a [`RunTally`] in the fast
-/// engine, a [`RunCounters`] with its own arithmetic in the reference
-/// engine, so that the differential suite checks one against the
-/// other. The arguments are those of the [`RunTally`] methods.
-trait Sink {
-    fn queued(&mut self, pid: PacketId, escape: bool, depth: u64, at_pe: u64);
-    fn forwarded(&mut self, pid: PacketId, escape: bool);
-    fn diverted(&mut self, pid: PacketId, escape_at_pe: u64);
-    fn stalled(&mut self, pid: PacketId);
-    fn resolved(&mut self, pid: PacketId, round: u32);
-    fn end_round(&mut self, queued: u64, stalled: u64);
-    /// The whole-run counters, and one per owner (empty unless the
-    /// tally is partitioned).
-    fn finish(self) -> (RunCounters, Vec<RunCounters>);
-}
-
-impl Sink for RunTally<'_> {
-    #[inline]
-    fn queued(&mut self, pid: PacketId, escape: bool, depth: u64, at_pe: u64) {
-        RunTally::queued(self, pid, escape, depth, at_pe);
-    }
-    #[inline]
-    fn forwarded(&mut self, pid: PacketId, escape: bool) {
-        RunTally::forwarded(self, pid, escape);
-    }
-    #[inline]
-    fn diverted(&mut self, pid: PacketId, escape_at_pe: u64) {
-        RunTally::diverted(self, pid, escape_at_pe);
-    }
-    #[inline]
-    fn stalled(&mut self, pid: PacketId) {
-        RunTally::stalled(self, pid);
-    }
-    #[inline]
-    fn resolved(&mut self, pid: PacketId, round: u32) {
-        RunTally::resolved(self, pid, round);
-    }
-    #[inline]
-    fn end_round(&mut self, queued: u64, stalled: u64) {
-        RunTally::end_round(self, queued, stalled);
-    }
-    fn finish(self) -> (RunCounters, Vec<RunCounters>) {
-        RunTally::finish(self)
-    }
-}
-
 /// The arrival record's marker for a flit whose next queue the
 /// forward cannot name: a delivery, an adaptive or escape flit, or
 /// any flit on a network with faults. Such a flit lands the long way,
@@ -2047,12 +1995,12 @@ impl<'a, P: Probe, Q: Queues, T: Sink> Core<'a, P, Q, T> {
         false
     }
 
-    /// The run's statistics, and the per-owner counters of a
-    /// partitioned tally. `stopped` is the round the round loop ended
-    /// in: for a run that gave up, the round it gave up, which is
-    /// recorded as the injection round of every packet whose phase
-    /// never opened.
-    fn finish(self, stopped: u32) -> (TrafficStats, Vec<RunCounters>) {
+    /// Frees the run state and hands back the tally and the
+    /// per-packet records, whose statistics [`Sink::finish`] builds.
+    /// `stopped` is the round the round loop ended in: for a run that
+    /// gave up, the round it gave up, which is recorded as the
+    /// injection round of every packet whose phase never opened.
+    fn finish(self, stopped: u32) -> (T, Vec<PacketRecord>) {
         let mut records: Vec<PacketRecord> = self
             .due
             .inj
@@ -2073,11 +2021,7 @@ impl<'a, P: Probe, Q: Queues, T: Sink> Core<'a, P, Q, T> {
                     .map_or(stopped, |t| t.saturating_add(rec.inject_round));
             }
         }
-        let (counters, per_owner) = self.tally.finish();
-        (
-            TrafficStats::from_records(self.net.n, records, counters),
-            per_owner,
-        )
+        (self.tally, records)
     }
 }
 
@@ -2112,7 +2056,7 @@ impl Queues for Vec<VecDeque<PacketId>> {
 }
 
 /// The reference engine's accounting: its own arithmetic on the
-/// counters, independent of [`RunTally`].
+/// counters, independent of [`RunTally`], for the whole run only.
 impl Sink for RunCounters {
     fn queued(&mut self, _pid: PacketId, escape: bool, depth: u64, at_pe: u64) {
         if escape {
@@ -2123,11 +2067,12 @@ impl Sink for RunCounters {
         self.peak_node = self.peak_node.max(at_pe);
     }
 
-    fn forwarded(&mut self, _pid: PacketId, escape: bool) {
+    fn forwarded(&mut self, _pid: PacketId, escape: bool) -> bool {
         self.forwarded += 1;
         if escape {
             self.escape_forwarded += 1;
         }
+        true
     }
 
     fn diverted(&mut self, _pid: PacketId, escape_at_pe: u64) {
@@ -2147,8 +2092,11 @@ impl Sink for RunCounters {
         self.injection_stall_rounds += stalled;
     }
 
-    fn finish(self) -> (RunCounters, Vec<RunCounters>) {
-        (self, Vec::new())
+    fn finish(self, n: usize, records: Vec<PacketRecord>) -> RunStats {
+        RunStats {
+            total: TrafficStats::from_records(n, records, self),
+            per_job: Vec::new(),
+        }
     }
 }
 
@@ -2176,7 +2124,8 @@ impl<'a, P: Probe> ReferenceSim<'a, P> {
         }
     }
 
-    fn run(mut self) -> TrafficStats {
+    /// Runs to completion: the counters and the per-packet records.
+    fn run(mut self) -> (RunCounters, Vec<PacketRecord>) {
         let lanes = self.arrivals.len();
         let mut round: u32 = 0;
         while self.core.running() {
@@ -2210,7 +2159,7 @@ impl<'a, P: Probe> ReferenceSim<'a, P> {
             }
             round += 1;
         }
-        self.core.finish(round).0
+        self.core.finish(round)
     }
 }
 
@@ -2356,10 +2305,9 @@ impl<'a, P: Probe> FastSim<'a, P> {
         }
     }
 
-    /// Runs to completion: the whole-run statistics, the per-owner
-    /// counters of a partitioned tally (empty otherwise), and the
+    /// Runs to completion: the tally, the per-packet records, and the
     /// phase profile when armed.
-    fn run(mut self) -> (TrafficStats, Vec<RunCounters>, Option<PhaseProfile>) {
+    fn run(mut self) -> (RunTally<'a>, Vec<PacketRecord>, Option<PhaseProfile>) {
         let lanes = self.arrivals.len();
         let latency = lanes as u32 - 1;
         let max_rounds = self.core.net.config.max_rounds;
@@ -2459,8 +2407,8 @@ impl<'a, P: Probe> FastSim<'a, P> {
             };
         }
         let profile = self.profile.map(|(_, prof)| prof);
-        let (stats, per_owner) = self.core.finish(round);
-        (stats, per_owner, profile)
+        let (tally, records) = self.core.finish(round);
+        (tally, records, profile)
     }
 }
 
@@ -2474,21 +2422,6 @@ mod tests {
     use rand_chacha::ChaCha8Rng;
     use sg_perm::lehmer::rank;
     use sg_star::distance::{distance, improving_mask};
-
-    /// The [`RunCounters`] a run's statistics were built from.
-    fn tallied(s: &TrafficStats) -> RunCounters {
-        RunCounters {
-            last_event: s.makespan,
-            total_wait_rounds: s.total_wait_rounds,
-            injection_stall_rounds: s.injection_stall_rounds,
-            peak_edge: s.peak_edge_occupancy,
-            peak_node: s.peak_node_occupancy,
-            forwarded: s.forwarded_flits,
-            escape_diversions: s.escape_diversions,
-            escape_forwarded: s.escape_forwarded_flits,
-            peak_escape: s.peak_escape_occupancy,
-        }
-    }
 
     #[test]
     fn neighbor_rows_match_the_sequential_definition() {
@@ -2708,7 +2641,7 @@ mod tests {
             ),
         ];
         for (got, want) in expect {
-            assert_eq!(tallied(got), want);
+            assert_eq!(RunCounters::of(got), want);
         }
     }
 
@@ -3021,6 +2954,30 @@ mod tests {
         assert_eq!(stats.stranded, 1);
         assert_eq!(stats.packets[0].outcome, PacketOutcome::Stranded);
         assert_eq!(stats.packets[0].inject_round, late);
+    }
+
+    #[test]
+    fn phase_opening_past_the_last_round_strands_at_the_cap() {
+        // Phase 0's one hop lands in round u32::MAX − 3, so phase 1
+        // opens in round u32::MAX − 2 and its packet is due 5 rounds
+        // later, past u32::MAX: the due round saturates at the cap,
+        // where the run strands the packet with that round as its
+        // injection round. Fast engine only, as above.
+        let at = |round, src, dst| vec![Injection { round, src, dst }];
+        let chained = Workload::chain("late", 3, [at(u32::MAX - 4, 0, 5), at(5, 1, 4)]);
+        let net = Network::new(3).with_config(NetConfig {
+            max_rounds: u32::MAX,
+            ..NetConfig::default()
+        });
+        let stats = net.run(&chained.workload, &GreedyRouting);
+        let delivered = PacketOutcome::Delivered {
+            round: u32::MAX - 3,
+            hops: 1,
+        };
+        assert_eq!(stats.packets[0].outcome, delivered);
+        assert_eq!(stats.packets[1].outcome, PacketOutcome::Stranded);
+        assert_eq!(stats.packets[1].inject_round, u32::MAX);
+        assert_eq!(stats.makespan, u32::MAX - 3);
     }
 
     #[test]

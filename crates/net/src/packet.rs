@@ -6,13 +6,69 @@
 //! (`delivered + dropped + stranded == injected`) is checkable — and
 //! checked, by the property suite — from the stats alone.
 
-pub use sg_obs::PacketOutcome;
 use sg_obs::{Event, Probe};
 
 /// Dense packet id: index into the run's packet table (assigned in
 /// workload order, so ids are stable across runs of the same
 /// workload).
 pub type PacketId = u32;
+
+/// Terminal state of one packet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PacketOutcome {
+    /// Reached its destination.
+    Delivered {
+        /// Round of arrival at the destination PE.
+        round: u32,
+        /// Star links traversed (≥ the star distance `src → dst`).
+        hops: u32,
+    },
+    /// Hit a dead node or link under [`crate::FaultPolicy::Drop`], or
+    /// was injected at a dead source PE.
+    DroppedFault {
+        /// Round of the drop.
+        round: u32,
+    },
+    /// No fault-free path existed when a reroute was attempted
+    /// (possible only beyond the paper's `n−2` fault tolerance, or
+    /// when the destination itself is dead).
+    DroppedUnreachable {
+        /// Round of the drop.
+        round: u32,
+    },
+    /// Tail-dropped: the next output queue was at capacity.
+    DroppedOverflow {
+        /// Round of the drop.
+        round: u32,
+    },
+    /// Still queued, stalled or in flight when the run stranded: the
+    /// round cap fired, or a credit deadlock froze the network.
+    Stranded,
+}
+
+impl PacketOutcome {
+    /// `true` for [`PacketOutcome::Delivered`].
+    #[inline]
+    #[must_use]
+    pub fn is_delivered(&self) -> bool {
+        matches!(self, PacketOutcome::Delivered { .. })
+    }
+
+    /// Round the packet resolved — delivery or any drop; `None` for
+    /// [`PacketOutcome::Stranded`], which never resolves. The round a
+    /// quiescence barrier must wait past.
+    #[inline]
+    #[must_use]
+    pub fn resolution_round(&self) -> Option<u32> {
+        match *self {
+            PacketOutcome::Delivered { round, .. }
+            | PacketOutcome::DroppedFault { round }
+            | PacketOutcome::DroppedUnreachable { round }
+            | PacketOutcome::DroppedOverflow { round } => Some(round),
+            PacketOutcome::Stranded => None,
+        }
+    }
+}
 
 /// One packet's life, as recorded in [`crate::TrafficStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -9,7 +9,33 @@ use crate::network::Network;
 use crate::packet::{PacketOutcome, PacketRecord};
 use crate::routing::RoutingPolicy;
 use crate::workload::Workload;
-pub use sg_obs::RunCounters;
+
+/// The counters of one run, or of one owner's share of it, kept online
+/// while it runs: what the fast engine's and the trace replayer's tally
+/// accumulates, and what the reference engine keeps with its own
+/// arithmetic as the oracle. [`TrafficStats::from_records`] turns them,
+/// plus the per-packet records, into statistics.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct RunCounters {
+    /// Round of the last packet resolution (= makespan).
+    pub last_event: u32,
+    /// Flit·rounds spent queued.
+    pub total_wait_rounds: u64,
+    /// Packet·rounds stalled pre-injection (credit mode only).
+    pub injection_stall_rounds: u64,
+    /// Peak single-queue occupancy.
+    pub peak_edge: u64,
+    /// Peak per-PE queued total.
+    pub peak_node: u64,
+    /// Links traversed.
+    pub forwarded: u64,
+    /// Adaptive→escape diversions (escape mode only).
+    pub escape_diversions: u64,
+    /// Links traversed on the escape channel.
+    pub escape_forwarded: u64,
+    /// Peak per-PE escape residents.
+    pub peak_escape: u64,
+}
 
 /// Aggregated outcome of one [`Network::run`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,10 +151,11 @@ impl TrafficStats {
     /// tallies are one sequential fold: a few nanoseconds per record,
     /// which no thread fan-out pays for.
     ///
-    /// Public as the second half of the log round-trip hook: the
-    /// [`RunCounters`] a trace replay tallies, plus preamble-derived
-    /// [`PacketRecord`]s, rebuild a run's statistics from its trace
-    /// alone.
+    /// Every run and every trace replay builds its statistics, whole
+    /// and per job, through this one function when its accounting
+    /// finishes; it is public so that a caller holding the records and
+    /// counters of a run can rebuild its statistics (starbench times it
+    /// as `net.finish`).
     #[must_use]
     pub fn from_records(n: usize, packets: Vec<PacketRecord>, counters: RunCounters) -> Self {
         let agg = packets
@@ -156,26 +183,6 @@ impl TrafficStats {
             max_latency: agg.max,
             packets,
         }
-    }
-
-    /// One [`TrafficStats`] per owner of a partitioned run: owner
-    /// `j` gets the records of the packets `owner` assigns it, in
-    /// packet order, and `counters[j]`.
-    pub(crate) fn split_by_owner(
-        n: usize,
-        records: &[PacketRecord],
-        owner: &[u32],
-        counters: Vec<RunCounters>,
-    ) -> Vec<Self> {
-        let mut buckets: Vec<Vec<PacketRecord>> = vec![Vec::new(); counters.len()];
-        for (rec, &j) in records.iter().zip(owner) {
-            buckets[j as usize].push(*rec);
-        }
-        buckets
-            .into_iter()
-            .zip(counters)
-            .map(|(records, c)| TrafficStats::from_records(n, records, c))
-            .collect()
     }
 
     /// All drops combined.
@@ -300,6 +307,24 @@ pub fn saturation_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RunCounters {
+        /// The counters `s` was built from: how the crate's unit tests
+        /// read a run's tally back.
+        pub(crate) fn of(s: &TrafficStats) -> Self {
+            RunCounters {
+                last_event: s.makespan,
+                total_wait_rounds: s.total_wait_rounds,
+                injection_stall_rounds: s.injection_stall_rounds,
+                peak_edge: s.peak_edge_occupancy,
+                peak_node: s.peak_node_occupancy,
+                forwarded: s.forwarded_flits,
+                escape_diversions: s.escape_diversions,
+                escape_forwarded: s.escape_forwarded_flits,
+                peak_escape: s.peak_escape_occupancy,
+            }
+        }
+    }
 
     fn rec(inject: u32, outcome: PacketOutcome) -> PacketRecord {
         PacketRecord {

@@ -26,17 +26,13 @@
 //!   or a counting clock a test brings) profile the fast engine's
 //!   four phases without perturbing its behaviour;
 //!   [`SchedPhaseProfile`] does the same for `sg-sched`'s event loop.
-//! * [`RunTally`] ([`tally`]) is the one implementation of a run's
-//!   accounting: it turns state transitions into [`RunCounters`],
-//!   total and per owner. `sg-net`'s fast engine drives it while
-//!   running; the trace replayer drives it from a log.
-//! * **`sg-trace`** ([`trace`] / [`replay`] / [`diff`]): a versioned,
+//! * **`sg-trace`** ([`trace`] / [`diff`]): a versioned,
 //!   self-describing JSONL schema ([`Trace`]) that round-trips every
-//!   event losslessly, a replayer ([`NetReplay`]) that feeds a log's
-//!   events to the same [`RunTally`] and so rebuilds the engines'
-//!   accounting from the log alone, and a structural differ
-//!   ([`diff_events`]) that localizes the first divergence between
-//!   two streams to its round and in-round index.
+//!   event losslessly, and a structural differ ([`diff_events`]) that
+//!   localizes the first divergence between two streams to its round
+//!   and in-round index. Replaying a log into a run's statistics is
+//!   `sg-net`'s (`sg_net::trace::replay`): it needs the accounting,
+//!   which lives there.
 //!
 //! This crate has no dependencies (events carry plain integers); it
 //! sits below `sg-net` / `sg-sched`, which emit into it.
@@ -48,16 +44,12 @@ pub mod diff;
 pub mod netprobe;
 pub mod probe;
 pub mod profile;
-pub mod replay;
 pub mod sched;
-pub mod tally;
 pub mod trace;
 
 pub use diff::{diff_events, DiffSide, Divergence};
 pub use netprobe::{Histogram, HotLink, NetProbe};
 pub use probe::{DropReason, Event, EventLog, NullProbe, Probe, StallKind};
 pub use profile::{wall_clock, PhaseProfile, SchedPhaseProfile};
-pub use replay::{NetReplay, ReplayedRun};
 pub use sched::{JobSpan, SchedProbe};
-pub use tally::{PacketOutcome, RunCounters, RunTally};
 pub use trace::{Trace, TraceError, TraceHeader, TracePacket, SCHEMA_VERSION};

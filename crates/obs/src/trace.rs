@@ -24,6 +24,11 @@
 //! object. Everything here is plain integers plus two opaque strings
 //! (`engine`, `fingerprint`), so the module — like the rest of
 //! `sg-obs` — depends on nothing above it.
+//!
+//! This module reads and writes the format only. Replaying a trace into
+//! a run's statistics needs the run's accounting, so it is `sg-net`'s
+//! `trace::replay`, which reports a stream it refuses as a
+//! [`TraceError`].
 
 use crate::probe::{DropReason, Event, StallKind};
 use std::fmt;
