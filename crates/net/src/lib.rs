@@ -68,9 +68,10 @@
 //! escape bank graded by residual hops and drained lowest-class-first
 //! along the canonical embedding routes; `tests/deadlock.rs` proves
 //! zero [`PacketOutcome::Stranded`] over an exhaustive tiny-pool
-//! sweep whose credit runs demonstrably wedge). Routes live in one
-//! flat shared arena (offset + len per packet) rather than per-packet
-//! heap vectors.
+//! sweep whose credit runs demonstrably wedge). Source routes live in
+//! one flat shared arena (offset + len per packet) rather than
+//! per-packet heap vectors, and greedy packets have none: each carries
+//! its packed `dst⁻¹ ∘ cur` and reads every hop off it.
 //!
 //! ## Entry points
 //!
@@ -118,6 +119,6 @@ pub use network::{
     Engine, FlowControl, NetConfig, Network, QuiescenceViolation, Tenants, MAX_ORDER,
 };
 pub use packet::{HopRecord, HopTraces, PacketId, PacketOutcome, PacketRecord};
-pub use routing::{AdaptiveRouting, EmbeddingRouting, GreedyRouting, RoutingPolicy};
+pub use routing::{AdaptiveRouting, EmbeddingRouting, GreedyRouting, HopRule, RoutingPolicy};
 pub use stats::{saturation_sweep, RunCounters, RunStats, SaturationPoint, TrafficStats};
 pub use workload::{ChainedWorkload, Injection, Workload};

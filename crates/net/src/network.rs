@@ -7,8 +7,10 @@
 //!
 //! 1. **Arrivals** — flits finishing a link traversal land at the far
 //!    PE; a flit at its destination is delivered, any other is
-//!    enqueued on the output queue its route names next (or the queue
-//!    the adaptive policy picks, see [`crate::AdaptiveRouting`]).
+//!    enqueued on the output queue its hop rule names next: its
+//!    route's next generator, the greedy hop off the `dst⁻¹ ∘ cur` it
+//!    carries, or the queue the adaptive policy picks (see
+//!    [`crate::HopRule`]).
 //! 2. **Injections** — packets stalled for credit retry in FIFO
 //!    order, then this round's workload packets enter their source
 //!    PE's queues.
@@ -49,12 +51,20 @@
 //!
 //! Both engines drive one run core, generic over the two things they
 //! keep differently: the queue store and the accounting sink. The core
-//! holds every rule they share — the packet table, routes and
-//! outcomes; credits; the injection phase with its stalled retries;
-//! landing and delivery; next-hop selection with its drop path;
-//! tail-drop placement; the escape bank's landing, forwarding and
-//! diversions; strands; and the lazy round bracket — so a rule is
-//! written once and each engine's round loop is statically dispatched.
+//! holds every rule they share — the packet table, routes, the state
+//! greedy and adaptive packets carry, and outcomes; credits; the
+//! injection phase with its stalled retries; landing and delivery;
+//! next-hop selection with its drop path; tail-drop placement; the
+//! escape bank's landing, forwarding and diversions; strands; and the
+//! lazy round bracket — so a rule is written once and each engine's
+//! round loop is statically dispatched.
+//!
+//! Setup packs what each packet follows once, by its policy's
+//! [`crate::HopRule`]: a source-routed packet's route goes into the
+//! run's route arena, a greedy packet packs `dst⁻¹ ∘ src` into its own
+//! record and an adaptive one its selector state into a side table.
+//! Only source-routed policies append to the arena, so a greedy run
+//! routes nothing at setup and reads no route byte per hop.
 //!
 //! [`Engine::Reference`] is the transparent oracle. It keeps what the
 //! differential suite checks the fast engine against: a `VecDeque` per
@@ -77,9 +87,9 @@
 //! * **batched arrivals keyed by round** — flits landing in round `r`
 //!   are drained as one batch from a `link_latency + 1` lane ring.
 //!   Each arrival record names the output queue its flit joins at the
-//!   landing PE whenever the forward can know it (a source-routed flit
-//!   short of its destination on a fault-free network), so that flit
-//!   lands without reading its packet record or route;
+//!   landing PE whenever the forward can know it (a source-routed or
+//!   greedy flit short of its destination on a fault-free network), so
+//!   that flit lands without reading its packet record or route;
 //! * **idle-round skipping** — when nothing is queued, time jumps
 //!   straight to the next injection or landing round;
 //! * every counter update goes to the run tally, the one
@@ -121,7 +131,7 @@
 
 use crate::fault::{FaultPlan, FaultPolicy};
 use crate::packet::{PacketId, PacketOutcome, PacketRecord};
-use crate::routing::RoutingPolicy;
+use crate::routing::{HopRule, RoutingPolicy};
 use crate::stats::{RunCounters, RunStats, TrafficStats};
 use crate::tally::{RunTally, Sink};
 use crate::workload::{Gate, Injection, Workload};
@@ -137,8 +147,9 @@ use std::ops::Range;
 /// Largest star order the simulator materializes: `9! = 362 880` PEs.
 /// [`Network::new`] enforces it. Through `MAX_GENS = MAX_ORDER − 1` it
 /// sizes the adaptive selector's per-PE occupancy array, and a node's
-/// `MAX_ORDER` symbols fit the 4-bit fields of an adaptive packet's
-/// carried state.
+/// `MAX_ORDER` symbols fit the 4-bit fields of the state a greedy or
+/// adaptive packet carries (36 bits, so a greedy packet's word fits
+/// the two span fields of its record).
 pub const MAX_ORDER: usize = 9;
 
 /// Generators per PE at [`MAX_ORDER`]: the length of the per-PE stack
@@ -407,8 +418,9 @@ impl Network {
     /// Runs `workload` for `tenants` on `engine` with `probe` attached:
     /// the one entry point behind every run method.
     ///
-    /// Routes are precomputed in parallel (adaptive policies route
-    /// hop-by-hop instead); the round loop is sequential and
+    /// Setup runs in parallel: source routes are precomputed, and
+    /// greedy and adaptive packets pack the state they carry instead;
+    /// the round loop is sequential and
     /// deterministic. `probe` sees the run's full [`sg_obs::Event`]
     /// stream in reference-scan order, the same on both engines, and
     /// leaves the statistics byte-identical; a [`NullProbe`] costs
@@ -580,12 +592,14 @@ impl Network {
         (tally.finish(self.n, records), profile)
     }
 
-    /// Run setup: workload and tenant validation, parallel route
-    /// precomputation into the shared [`RouteArena`], and the initial
-    /// packet table. Packet `pid` routes under its job's policy and may
-    /// divert onto the escape channel iff its job opted in (every
-    /// packet may under [`Tenants::One`]). Adaptive packets carry an
-    /// empty span and pick hops at enqueue time.
+    /// Run setup: workload and tenant validation, then the initial
+    /// packet table, filled in place chunk by chunk in parallel. Packet
+    /// `pid` follows its job's policy by that policy's [`HopRule`] and
+    /// may divert onto the escape channel iff its job opted in (every
+    /// packet may under [`Tenants::One`]). Only source-routed packets
+    /// put routes in the shared [`RouteArena`]; a greedy packet packs
+    /// its `dst⁻¹ ∘ src` into its record, and an adaptive one its
+    /// [`AdaptiveState`] into the arena's side table.
     fn prepare(&self, workload: &Workload, tenants: Tenants<'_>) -> (RouteArena, Vec<SimPacket>) {
         assert_eq!(
             workload.n(),
@@ -618,25 +632,32 @@ impl Network {
         let inj = workload.injections();
         let n = self.n;
         let len = route_chunk_len(inj.len());
-        let chunks: Vec<RouteChunk> = (0..inj.len().div_ceil(len))
+        // Each chunk of injections sets up its own slice of the final
+        // packet table in place.
+        let mut pkts = vec![SimPacket::default(); inj.len()];
+        let work: Vec<_> = pkts
+            .chunks_mut(len)
+            .zip(inj.chunks(len))
+            .enumerate()
+            .collect();
+        let chunks: Vec<RouteChunk> = work
             .into_par_iter()
-            .map(|c| {
+            .map(|(c, (out, chunk))| {
                 let start = c * len;
-                let chunk = &inj[start..inj.len().min(start + len)];
-                route_chunk(n, chunk, |k| match tenants {
-                    Tenants::One(policy) => policy,
+                route_chunk(n, out, chunk, |k| match tenants {
+                    Tenants::One(policy) => (policy, true),
                     Tenants::PerJob {
-                        policies, owner, ..
-                    } => policies[owner[start + k] as usize],
+                        policies,
+                        owner,
+                        escape,
+                    } => {
+                        let j = owner[start + k] as usize;
+                        (policies[j], escape[j])
+                    }
                 })
             })
             .collect();
-        let (arena, mut pkts) = assemble_routes(n, inj, chunks);
-        if let Tenants::PerJob { owner, escape, .. } = tenants {
-            for (pkt, &j) in pkts.iter_mut().zip(owner) {
-                pkt.may_escape = escape[j as usize];
-            }
-        }
+        let arena = assemble_routes(&mut pkts, len, chunks);
         (arena, pkts)
     }
 }
@@ -680,101 +701,95 @@ fn neighbor_rows(n: usize, rows: &mut [u32]) {
     }
 }
 
-/// Parallel route-precompute granularity: big enough to amortize
-/// thread dispatch, small enough to balance uneven route lengths.
+/// Parallel setup granularity: big enough to amortize thread
+/// dispatch, small enough to balance uneven route lengths.
 const ROUTE_CHUNK: usize = 4096;
 
-/// Packets per route-precompute chunk for a workload of `packets`: it
-/// splits into `⌊packets / ROUTE_CHUNK⌋` near-equal chunks (one below
+/// Packets per setup chunk for a workload of `packets`: it splits into
+/// `⌊packets / ROUTE_CHUNK⌋` near-equal chunks (one below
 /// `2 · ROUTE_CHUNK`), so no thread starts for a short remainder and a
-/// run that small routes inline.
+/// run that small is set up inline.
 fn route_chunk_len(packets: usize) -> usize {
     packets.div_ceil((packets / ROUTE_CHUNK).max(1)).max(1)
 }
 
-/// One chunk's private slab of route bytes plus per-packet
-/// `(len, adaptive)` spans, ready to concatenate in input order.
-type RouteChunk = (Vec<u8>, Vec<(u32, bool)>);
+/// One chunk's route bytes and adaptive states. The offsets its
+/// source-routed and adaptive packets hold count from the chunk's own
+/// start until [`assemble_routes`] moves them to the arena's.
+type RouteChunk = (Vec<u8>, Vec<AdaptiveState>);
 
-/// Routes one injection chunk, appending each route straight onto the
-/// chunk's slab; `policy_for(k)` names the policy of the chunk's
-/// `k`-th packet.
+/// Sets up one chunk of the packet table, `out`, in place from its
+/// injections; `policy_for(k)` names the policy of the chunk's `k`-th
+/// packet and whether that packet may divert. A source-routed packet
+/// appends its route to the chunk's slab and an adaptive one its
+/// [`AdaptiveState`] to the chunk's side table. A greedy packet packs
+/// its `dst⁻¹ ∘ src` into its own record and routes nothing.
 fn route_chunk<'p>(
     n: usize,
+    out: &mut [SimPacket],
     chunk: &[Injection],
-    policy_for: impl Fn(usize) -> &'p dyn RoutingPolicy,
+    policy_for: impl Fn(usize) -> (&'p dyn RoutingPolicy, bool),
 ) -> RouteChunk {
-    let mut data = Vec::new();
-    let mut spans = Vec::with_capacity(chunk.len());
-    for (k, i) in chunk.iter().enumerate() {
-        let policy = policy_for(k);
-        let span = if i.src == i.dst {
-            (0u32, false)
-        } else if policy.is_adaptive() {
-            (0, true)
-        } else {
-            let a = unrank(i.src, n).expect("rank in range");
-            let b = unrank(i.dst, n).expect("rank in range");
-            let start = data.len();
-            policy.route_into(&a, &b, &mut data);
-            ((data.len() - start) as u32, false)
+    let (mut data, mut states) = (Vec::new(), Vec::new());
+    for (k, (pkt, i)) in out.iter_mut().zip(chunk).enumerate() {
+        let (policy, may_escape) = policy_for(k);
+        *pkt = SimPacket {
+            cur: i.src as u32,
+            dst: i.dst as u32,
+            may_escape,
+            ..SimPacket::default()
         };
-        spans.push(span);
-    }
-    (data, spans)
-}
-
-/// Stitches the per-chunk slabs into the shared arena and the packet
-/// table, assigning each source-routed packet its `(offset, len)` span
-/// and packing each adaptive packet's [`AdaptiveState`] into the side
-/// table its `route_off` indexes.
-fn assemble_routes(
-    n: usize,
-    inj: &[Injection],
-    chunks: Vec<RouteChunk>,
-) -> (RouteArena, Vec<SimPacket>) {
-    let total_bytes = chunks.iter().map(|(d, _)| d.len()).sum();
-    let adaptive_count = chunks
-        .iter()
-        .flat_map(|(_, spans)| spans)
-        .filter(|&&(_, adaptive)| adaptive)
-        .count();
-    let mut arena = RouteArena {
-        data: Vec::with_capacity(total_bytes),
-        adaptive: Vec::with_capacity(adaptive_count),
-    };
-    let mut pkts = Vec::with_capacity(inj.len());
-    let mut next = 0usize;
-    for (data, spans) in chunks {
-        let mut off = arena.data.len() as u32;
-        arena.data.extend_from_slice(&data);
-        for (len, adaptive) in spans {
-            let i = &inj[next];
-            next += 1;
-            let route_off = if adaptive {
-                let a = unrank(i.src, n).expect("rank in range");
-                let b = unrank(i.dst, n).expect("rank in range");
-                arena.adaptive.push(AdaptiveState::new(&a, &b));
-                (arena.adaptive.len() - 1) as u32
-            } else {
-                off
-            };
-            pkts.push(SimPacket {
-                cur: i.src as u32,
-                dst: i.dst as u32,
-                route_off,
-                route_len: len,
-                route_pos: 0,
-                hops: 0,
-                adaptive,
-                escaped: false,
-                may_escape: true,
-                esc_class: 0,
-            });
-            off += len;
+        if i.src == i.dst {
+            continue;
+        }
+        let a = unrank(i.src, n).expect("rank in range");
+        let b = unrank(i.dst, n).expect("rank in range");
+        pkt.rule = policy.hop_rule();
+        match pkt.rule {
+            HopRule::SourceRoute => {
+                let start = data.len();
+                policy.route_into(&a, &b, &mut data);
+                pkt.route_off = start as u32;
+                pkt.route_len = (data.len() - start) as u32;
+            }
+            HopRule::Greedy => pkt.set_greedy_rel(rel_word(&a, &b)),
+            HopRule::Adaptive => {
+                pkt.route_off = states.len() as u32;
+                states.push(AdaptiveState::new(&a, &b));
+            }
         }
     }
-    (arena, pkts)
+    (data, states)
+}
+
+/// Stitches the chunks' slabs and side tables into the shared arena in
+/// chunk order, moving the offsets of each chunk's source-routed and
+/// adaptive packets from the chunk's start to the arena's (`len` is
+/// the chunk length `pkts` was split by). Greedy packets have nothing
+/// in the arena: an all-greedy run allocates none of it and never
+/// revisits its packets here.
+fn assemble_routes(pkts: &mut [SimPacket], len: usize, chunks: Vec<RouteChunk>) -> RouteArena {
+    let bytes = chunks.iter().map(|(data, _)| data.len()).sum();
+    let states = chunks.iter().map(|(_, states)| states.len()).sum();
+    let mut arena = RouteArena {
+        data: Vec::with_capacity(bytes),
+        adaptive: Vec::with_capacity(states),
+    };
+    for (out, (data, states)) in pkts.chunks_mut(len).zip(chunks) {
+        let (off, idx) = (arena.data.len() as u32, arena.adaptive.len() as u32);
+        if off > 0 || idx > 0 {
+            for pkt in out {
+                match pkt.rule {
+                    HopRule::SourceRoute => pkt.route_off += off,
+                    HopRule::Adaptive => pkt.route_off += idx,
+                    HopRule::Greedy => {}
+                }
+            }
+        }
+        arena.data.extend_from_slice(&data);
+        arena.adaptive.extend_from_slice(&states);
+    }
+    arena
 }
 
 // ---------------------------------------------------------------------
@@ -782,19 +797,22 @@ fn assemble_routes(
 // selection, the escape bank and the injection schedule.
 // ---------------------------------------------------------------------
 
-/// All precomputed routes packed into one flat byte arena; each
-/// packet names its route as an `(offset, len)` span. Replacing the
-/// per-packet `Vec<u8>` keeps the packet table a plain
+/// The source routes of a run, packed into one flat byte arena; each
+/// source-routed packet names its route as an `(offset, len)` span.
+/// Replacing the per-packet `Vec<u8>` keeps the packet table a plain
 /// structure-of-arrays record and makes the route byte read in
 /// `enqueue_next` a dense-arena index instead of a pointer chase —
 /// the SoA headroom item noted in the ROADMAP after the fast-engine
-/// PR. Fault reroutes append their BFS detour and repoint the span;
-/// the stale bytes are never reclaimed (reroutes are rare and
-/// per-run).
+/// PR. Fault reroutes and escape diversions append their route and
+/// repoint the span; the stale bytes are never reclaimed (reroutes are
+/// rare and per-run).
 ///
-/// Adaptive packets have no route bytes; their otherwise unused
-/// `route_off` indexes `adaptive`, the side table of the state they
-/// carry from hop to hop. Source-routed records do not grow.
+/// Only source-routed policies append at setup. Greedy packets carry
+/// their packed `dst⁻¹ ∘ cur` in their own record and have no bytes
+/// here until a reroute or a diversion pins a route. Adaptive packets
+/// have no route bytes either; their otherwise unused `route_off`
+/// indexes `adaptive`, the side table of the state they carry from
+/// hop to hop.
 struct RouteArena {
     data: Vec<u8>,
     adaptive: Vec<AdaptiveState>,
@@ -809,9 +827,13 @@ impl RouteArena {
     }
 }
 
-/// In-flight per-packet state (32 B). Routes live in the shared
-/// [`RouteArena`]; `route_off`/`route_len` span this packet's bytes,
-/// or, while `adaptive`, `route_off` indexes its [`AdaptiveState`].
+/// In-flight per-packet state (32 B). What the span fields hold
+/// depends on `rule`: a source-routed packet's route lives in the
+/// shared [`RouteArena`] and `route_off`/`route_len` span its bytes; a
+/// greedy packet's carried `dst⁻¹ ∘ cur` lives in those two fields
+/// ([`SimPacket::greedy_rel`]); an adaptive packet's `route_off`
+/// indexes its [`AdaptiveState`].
+#[derive(Clone, Copy, Default)]
 struct SimPacket {
     cur: u32,
     dst: u32,
@@ -819,10 +841,10 @@ struct SimPacket {
     route_len: u32,
     route_pos: u32,
     hops: u32,
-    /// Hop chosen at enqueue time; cleared when a fault pins the
-    /// packet to a BFS detour route or it diverts onto the escape
-    /// channel.
-    adaptive: bool,
+    /// How the next hop is chosen. A fault reroute or an escape
+    /// diversion pins an arena route, which turns a greedy or adaptive
+    /// packet into a source-routed one.
+    rule: HopRule,
     /// The packet diverted onto the escape channel (escape mode only;
     /// a one-way transition — escaped packets stay escape-routed).
     escaped: bool,
@@ -833,6 +855,22 @@ struct SimPacket {
     /// holds (occupied while buffered, reserved while in flight).
     /// Meaningful only while `escaped`.
     esc_class: u32,
+}
+
+impl SimPacket {
+    /// A greedy packet's carried `dst⁻¹ ∘ cur` ([`rel_word`]): 36 bits
+    /// at [`MAX_ORDER`], the low 32 in `route_off` and the rest in
+    /// `route_len`, the two span fields a greedy packet has no use for.
+    #[inline]
+    fn greedy_rel(&self) -> u64 {
+        u64::from(self.route_off) | u64::from(self.route_len) << 32
+    }
+
+    #[inline]
+    fn set_greedy_rel(&mut self, rel: u64) {
+        self.route_off = rel as u32;
+        self.route_len = (rel >> 32) as u32;
+    }
 }
 
 /// Outcome of one adaptive next-hop selection.
@@ -864,7 +902,8 @@ struct AdaptiveState {
     target: u64,
 }
 
-/// Field `i` of a packed [`AdaptiveState`] word.
+/// Field `i` of a packed word: a greedy packet's `dst⁻¹ ∘ cur` or a
+/// word of an [`AdaptiveState`].
 #[inline]
 fn field(x: u64, i: usize) -> usize {
     (x >> (4 * i) & 0xF) as usize
@@ -877,12 +916,61 @@ fn pack(vals: impl IntoIterator<Item = u32>) -> u64 {
         .fold(0, |x, (i, v)| x | u64::from(v) << (4 * i))
 }
 
+/// The symbols of `p` packed: field `i` is the symbol in slot `i`.
+fn symbols(p: &Perm) -> u64 {
+    pack(p.as_slice().iter().map(|&s| u32::from(s)))
+}
+
+/// `dst⁻¹ ∘ cur` packed: field `i` is the slot of `dst` that holds
+/// `cur`'s slot-`i` symbol, so field `i` holds `i` for every `i < n`
+/// exactly when `cur == dst`.
+fn rel_word(cur: &Perm, dst: &Perm) -> u64 {
+    symbols(&cur.relative_to(dst))
+}
+
+/// [`rel_word`] of PE `cur` and destination `dst` of `S_n`: what a
+/// greedy packet at `cur` carries. It unranks both, so only debug
+/// asserts and tests call it.
+fn packed_rel(n: usize, cur: u32, dst: u32) -> u64 {
+    let node = |r: u32| unrank(u64::from(r), n).expect("rank in range");
+    rel_word(&node(cur), &node(dst))
+}
+
+/// `x` with fields 0 and `g` swapped: what taking generator `g` does
+/// to a packed node or to a packed `dst⁻¹ ∘ cur`.
+#[inline]
+fn swap_fields(x: u64, g: usize) -> u64 {
+    let d = (x ^ x >> (4 * g)) & 0xF;
+    x ^ d ^ d << (4 * g)
+}
+
+/// The identity's fields: field `i` holds `i`, for every
+/// `i <` [`MAX_ORDER`].
+const IDENTITY: u64 = 0x8_7654_3210;
+
+/// The greedy hop off a packed `dst⁻¹ ∘ cur` that is not the identity,
+/// the rule of [`sg_star::routing::greedy_sort`]: the front field when
+/// it is non-zero (send the front symbol home), otherwise the lowest
+/// misplaced field (fetch the smallest misplaced slot), found by one
+/// XOR with [`IDENTITY`] and a trailing-zeros count. The fields at and
+/// past `n` are zero in `rel` but not in [`IDENTITY`], so they never
+/// hide a misplaced field below `n`.
+#[inline]
+fn greedy_hop(rel: u64) -> usize {
+    let front = field(rel, 0);
+    let lowest = (rel ^ IDENTITY).trailing_zeros() as usize / 4;
+    if front != 0 {
+        front
+    } else {
+        lowest
+    }
+}
+
 impl AdaptiveState {
     fn new(cur: &Perm, dst: &Perm) -> Self {
         let n = cur.len();
-        let symbols = |p: &Perm| pack(p.as_slice().iter().map(|&s| u32::from(s)));
         AdaptiveState {
-            rel: symbols(&cur.relative_to(dst)),
+            rel: rel_word(cur, dst),
             cur: symbols(cur),
             target: pack(convert_s_d_coords(dst).into_iter().take(n)),
         }
@@ -928,12 +1016,8 @@ impl AdaptiveState {
     /// the same fields of `dst⁻¹ ∘ cur`.
     #[inline]
     fn advance(&mut self, g: usize) {
-        let swap = |x: u64| {
-            let d = (x ^ x >> (4 * g)) & 0xF;
-            x ^ d ^ d << (4 * g)
-        };
-        self.rel = swap(self.rel);
-        self.cur = swap(self.cur);
+        self.rel = swap_fields(self.rel, g);
+        self.cur = swap_fields(self.cur, g);
     }
 }
 
@@ -990,13 +1074,15 @@ enum HopFail {
 }
 
 /// Decides which generator link packet `pid` takes next from its
-/// current PE: the fixed route's next entry (source-routed), or the
-/// least-occupied shortest-path candidate (adaptive, `occ` holds the
-/// current PE's queue occupancies), after which the adaptive packet's
-/// carried state advances over the chosen link. When faults block the
-/// hop this applies the fault policy — dropping, or pinning the BFS
-/// detour over the surviving subgraph (which also turns an adaptive
-/// packet into a source-routed one).
+/// current PE, by its hop rule: the fixed route's next entry
+/// (source-routed), the greedy hop off its carried `dst⁻¹ ∘ cur`
+/// (greedy; the word advances when the flit leaves, in [`Core::hop`]),
+/// or the least-occupied shortest-path candidate (adaptive, `occ`
+/// holds the current PE's queue occupancies), after which the adaptive
+/// packet's carried state advances over the chosen link. When faults
+/// block the hop this applies the fault policy — dropping, or pinning
+/// the BFS detour over the surviving subgraph, which turns a greedy or
+/// adaptive packet into a source-routed one.
 fn select_generator(
     net: &Network,
     faulty: bool,
@@ -1008,27 +1094,42 @@ fn select_generator(
 ) -> Result<usize, HopFail> {
     let p = pid as usize;
     let u = pkts[p].cur;
-    if pkts[p].adaptive {
-        let state = &mut routes.adaptive[pkts[p].route_off as usize];
-        debug_assert_eq!(
-            *state,
-            AdaptiveState::new(
-                &unrank(u64::from(u), net.n).expect("rank in range"),
-                &unrank(u64::from(pkts[p].dst), net.n).expect("rank in range"),
-            ),
-            "carried state drifted from the packet's PE"
-        );
-        if let HopChoice::Go(g) = adaptive_hop(net, u, state, occ) {
-            state.advance(g);
-            return Ok(g);
+    let fixed = match pkts[p].rule {
+        HopRule::Adaptive => {
+            let state = &mut routes.adaptive[pkts[p].route_off as usize];
+            debug_assert_eq!(
+                *state,
+                AdaptiveState::new(
+                    &unrank(u64::from(u), net.n).expect("rank in range"),
+                    &unrank(u64::from(pkts[p].dst), net.n).expect("rank in range"),
+                ),
+                "carried state drifted from the packet's PE"
+            );
+            if let HopChoice::Go(g) = adaptive_hop(net, u, state, occ) {
+                state.advance(g);
+                return Ok(g);
+            }
+            None
         }
-    } else {
-        let pos = pkts[p].route_pos;
-        debug_assert!(
-            pos < pkts[p].route_len,
-            "route exhausted before destination"
-        );
-        let g = routes.data[(pkts[p].route_off + pos) as usize] as usize;
+        HopRule::Greedy => {
+            let rel = pkts[p].greedy_rel();
+            debug_assert_eq!(
+                rel,
+                packed_rel(net.n, u, pkts[p].dst),
+                "carried word drifted from the packet's PE"
+            );
+            Some(greedy_hop(rel))
+        }
+        HopRule::SourceRoute => {
+            let pos = pkts[p].route_pos;
+            debug_assert!(
+                pos < pkts[p].route_len,
+                "route exhausted before destination"
+            );
+            Some(usize::from(routes.data[(pkts[p].route_off + pos) as usize]))
+        }
+    };
+    if let Some(g) = fixed {
         let v = net.neighbor_of(u, g);
         if !(faulty && net.faults.is_link_dead(u64::from(u), u64::from(v), g)) {
             return Ok(g);
@@ -1046,7 +1147,7 @@ fn select_generator(
                     pkts[p].route_off = off;
                     pkts[p].route_len = len;
                     pkts[p].route_pos = 0;
-                    pkts[p].adaptive = false;
+                    pkts[p].rule = HopRule::SourceRoute;
                     Ok(g)
                 }
                 None => Err(HopFail::Unreachable),
@@ -1643,7 +1744,7 @@ impl<'a, P: Probe, Q: Queues, T: Sink> Core<'a, P, Q, T> {
         let p = pid as usize;
         let u = self.pkts[p].cur;
         let mut occ = [0u32; MAX_GENS];
-        if self.pkts[p].adaptive {
+        if self.pkts[p].rule == HopRule::Adaptive {
             let base = u as usize * self.gens;
             for (i, slot) in occ[..self.gens].iter_mut().enumerate() {
                 *slot = self.q.len(base + i);
@@ -1869,25 +1970,44 @@ impl<'a, P: Probe, Q: Queues, T: Sink> Core<'a, P, Q, T> {
         None
     }
 
-    /// `pid` leaves over link `li` toward `v`. Returns the queue it
-    /// joins at `v`, named while its record is at hand, when the
-    /// forward can know it: a source-routed flit short of its
-    /// destination, off the escape channel, on a clean network joins
-    /// the queue of its next route byte. Any other flit gets
-    /// [`NO_HINT`]. Only the fast engine's arrivals carry the name; the
-    /// reference engine lands every flit through [`Core::land`].
+    /// `pid` leaves over link `li` toward `v`. A greedy packet leaves
+    /// by its greedy hop, so its carried word advances here and from
+    /// then on describes `v`. Returns the queue the flit joins at `v`,
+    /// named while its record is at hand, when the forward can know it:
+    /// a source-routed flit short of its destination, off the escape
+    /// channel, on a clean network joins the queue of its next route
+    /// byte, and a greedy one the queue of the greedy hop off its
+    /// advanced word. Any other flit gets [`NO_HINT`]. Only the fast
+    /// engine's arrivals carry the name; the reference engine lands
+    /// every flit through [`Core::land`].
     #[inline]
     fn hop(&mut self, pid: PacketId, li: usize, v: u32, escape: bool, round: u32) -> u32 {
         let pkt = &mut self.pkts[pid as usize];
         pkt.cur = v;
         pkt.hops += 1;
         pkt.route_pos += 1;
-        let next_q = if escape || self.faulty || pkt.adaptive || pkt.dst == v {
+        let greedy = pkt.rule == HopRule::Greedy;
+        if greedy {
+            let rel = pkt.greedy_rel();
+            let g = greedy_hop(rel);
+            debug_assert_eq!(g, li % self.gens + 1, "greedy flit left off its greedy hop");
+            pkt.set_greedy_rel(swap_fields(rel, g));
+        }
+        let next_q = if escape || self.faulty || pkt.rule == HopRule::Adaptive || pkt.dst == v {
             NO_HINT
         } else {
-            debug_assert!(pkt.route_pos < pkt.route_len, "route ends short of dst");
-            let g = self.routes.data[(pkt.route_off + pkt.route_pos) as usize];
-            v * self.gens as u32 + u32::from(g) - 1
+            let g = if greedy {
+                debug_assert_eq!(
+                    pkt.greedy_rel(),
+                    packed_rel(self.net.n, v, pkt.dst),
+                    "carried word drifted from the packet's PE"
+                );
+                greedy_hop(pkt.greedy_rel())
+            } else {
+                debug_assert!(pkt.route_pos < pkt.route_len, "route ends short of dst");
+                usize::from(self.routes.data[(pkt.route_off + pkt.route_pos) as usize])
+            };
+            v * self.gens as u32 + g as u32 - 1
         };
         self.tally.forwarded(pid, escape);
         self.in_flight += 1;
@@ -1923,7 +2043,8 @@ impl<'a, P: Probe, Q: Queues, T: Sink> Core<'a, P, Q, T> {
     /// moves onto the escape channel if its residual-class slot at
     /// this PE is free and an escape route exists. Frees one adaptive
     /// pool slot at the PE; the flit stays buffered (and charged wait
-    /// rounds) throughout.
+    /// rounds) throughout. The pinned escape route makes a greedy or
+    /// adaptive packet source-routed from here on.
     fn divert_head(&mut self, li: usize, pid: PacketId, round: u32) -> bool {
         let p = pid as usize;
         let u = (li / self.gens) as u32;
@@ -1949,7 +2070,7 @@ impl<'a, P: Probe, Q: Queues, T: Sink> Core<'a, P, Q, T> {
         pkt.route_off = off;
         pkt.route_len = len;
         pkt.route_pos = 0;
-        pkt.adaptive = false;
+        pkt.rule = HopRule::SourceRoute;
         pkt.escaped = true;
         pkt.esc_class = len;
         self.node_occ[u as usize] -= 1;
@@ -2828,9 +2949,98 @@ mod tests {
 
     #[test]
     fn sim_packet_stays_32_bytes() {
-        // The adaptive state lives in a side table, so the record every
-        // forward reads does not grow.
+        // The adaptive state lives in a side table and a greedy packet's
+        // word in its span fields, so the record every forward reads
+        // does not grow.
         assert_eq!(std::mem::size_of::<SimPacket>(), 32);
+    }
+
+    /// Sends the greedy packets `pairs` (source and destination ranks
+    /// of `S_n`) through the run core over the fast engine's queue
+    /// store, one at a time, so each travels alone. A packet leaves its
+    /// source through next-hop selection and lands through its
+    /// arrival's queue hint when `hinted` and the forward named one,
+    /// otherwise through next-hop selection, as the reference engine
+    /// lands every flit. At every PE a packet stands on, its carried
+    /// word must equal the packed `dst⁻¹ ∘ cur`. Returns the generators
+    /// each packet was forwarded over.
+    fn drive_greedy_packets(n: usize, pairs: &[(u64, u64)], hinted: bool) -> Vec<Vec<u8>> {
+        let net = Network::new(n);
+        let inj = pairs
+            .iter()
+            .map(|&(src, dst)| Injection { round: 0, src, dst });
+        let w = Workload::from_injections("lone greedy", n, inj.collect());
+        let prepared = net.prepare(&w, Tenants::One(&GreedyRouting));
+        assert!(prepared.0.data.is_empty(), "greedy packets route nothing");
+        let mut probe = NullProbe;
+        let tally = RunCounters::default();
+        let mut core: Core<'_, _, LinkedQueues, _> =
+            Core::new(&net, &w, prepared, tally, &mut probe);
+        let gens = n - 1;
+        let mut routes = Vec::new();
+        for pid in 0..pairs.len() as PacketId {
+            let p = pid as usize;
+            let mut route = Vec::new();
+            core.enqueue_next(pid, 0);
+            let mut round = 0;
+            while core.outcomes[p].is_none() {
+                let pkt = core.pkts[p];
+                assert_eq!(pkt.rule, HopRule::Greedy);
+                assert_eq!(pkt.greedy_rel(), packed_rel(n, pkt.cur, pkt.dst));
+                let u = pkt.cur as usize;
+                let li = (u * gens..(u + 1) * gens)
+                    .find(|&li| core.q.len(li) > 0)
+                    .expect("a lone packet short of its destination is queued at its PE");
+                let (left, next_q) = core.serve(li, round).expect("a lone flit leaves");
+                assert_eq!(left, pid);
+                route.push((li % gens + 1) as u8);
+                core.in_flight -= 1;
+                round += 1;
+                if hinted && next_q != NO_HINT {
+                    core.place(pid, next_q as usize, round);
+                } else {
+                    core.land(pid, round);
+                }
+            }
+            routes.push(route);
+        }
+        routes
+    }
+
+    /// Each of `pairs` sent alone takes exactly [`GreedyRouting`]'s
+    /// route, hinted landings or not.
+    fn assert_greedy_packets_follow_greedy_routes(n: usize, pairs: &[(u64, u64)]) {
+        for hinted in [true, false] {
+            let routes = drive_greedy_packets(n, pairs, hinted);
+            for (&(a, b), route) in pairs.iter().zip(&routes) {
+                let (a, b) = (unrank(a, n).unwrap(), unrank(b, n).unwrap());
+                let want = GreedyRouting.route(&a, &b);
+                assert_eq!(*route, want, "S_{n}: {a} -> {b}, hinted {hinted}");
+            }
+        }
+    }
+
+    #[test]
+    fn greedy_hops_match_their_oracle_on_every_pair() {
+        for n in 2..=5usize {
+            let size = factorial(n);
+            let pairs: Vec<(u64, u64)> = (0..size)
+                .flat_map(|a| (0..size).filter(move |&b| b != a).map(move |b| (a, b)))
+                .collect();
+            assert_greedy_packets_follow_greedy_routes(n, &pairs);
+        }
+    }
+
+    #[test]
+    fn greedy_hops_match_their_oracle_at_max_order() {
+        let n = MAX_ORDER;
+        let mut rng = ChaCha8Rng::seed_from_u64(27);
+        let mut node = || rng.gen_range(0..factorial(n));
+        let pairs: Vec<(u64, u64)> = std::iter::repeat_with(|| (node(), node()))
+            .filter(|(a, b)| a != b)
+            .take(256)
+            .collect();
+        assert_greedy_packets_follow_greedy_routes(n, &pairs);
     }
 
     /// Drives one adaptive packet `src → dst` through [`adaptive_hop`]

@@ -1,7 +1,8 @@
 //! Pluggable routing policies.
 //!
 //! A [`RoutingPolicy`] maps a `(src, dst)` pair of star nodes to the
-//! generator sequence the packet will follow; the [`crate::Network`]
+//! generator sequence the packet will follow, and names the
+//! [`HopRule`] by which the engines follow it; the [`crate::Network`]
 //! charges contention along that path. Three policies ship:
 //!
 //! * [`GreedyRouting`] — the Akers–Krishnamurthy "sort the front
@@ -26,14 +27,29 @@ use sg_perm::{Perm, MAX_N};
 use sg_star::distance::length_to_identity;
 use sg_star::routing::greedy_sort;
 
-/// A source-routing strategy: the whole generator sequence is fixed at
-/// injection time (faults may later replace the tail, see
-/// [`crate::FaultPolicy::Reroute`]).
+/// How the engines pick a packet's hops under a [`RoutingPolicy`]
+/// (see [`RoutingPolicy::hop_rule`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum HopRule {
+    /// Follow the route [`RoutingPolicy::route_into`] appends, fixed
+    /// at injection.
+    #[default]
+    SourceRoute,
+    /// Follow the greedy shortest path of [`GreedyRouting`], read hop
+    /// by hop off the packed `dst⁻¹ ∘ cur` the packet carries.
+    Greedy,
+    /// Pick each hop at enqueue time from live queue occupancy, as
+    /// [`AdaptiveRouting`] describes.
+    Adaptive,
+}
+
+/// A routing strategy: a generator sequence from `src` to `dst`, and
+/// the rule the engines follow hop by hop (faults may later replace
+/// the rest of a route, see [`crate::FaultPolicy::Reroute`]).
 ///
 /// An implementation provides [`RoutingPolicy::route_into`], which
 /// only appends; [`RoutingPolicy::route`] wraps it. `Sync` is required
-/// so the simulator can precompute routes for large workloads in
-/// parallel.
+/// so the simulator can set up large workloads in parallel.
 pub trait RoutingPolicy: Sync {
     /// Human-readable policy name (used in tables and reports).
     fn name(&self) -> &'static str;
@@ -44,10 +60,11 @@ pub trait RoutingPolicy: Sync {
     ///
     /// The engines call this once per source-routed packet per run,
     /// appending every route of a run straight into one shared slab,
-    /// so it sits on every run's setup path. An implementation should
-    /// allocate nothing but `out`'s growth, and reserve the route's
-    /// length before it appends, so that `out` grows at most once per
-    /// call and [`RoutingPolicy::route`] allocates exactly once.
+    /// so it sits on every such run's setup path. An implementation
+    /// should allocate nothing but `out`'s growth, and reserve the
+    /// route's length before it appends, so that `out` grows at most
+    /// once per call and [`RoutingPolicy::route`] allocates exactly
+    /// once.
     fn route_into(&self, src: &Perm, dst: &Perm, out: &mut Vec<u8>);
 
     /// The route [`RoutingPolicy::route_into`] appends, as a `Vec` of
@@ -58,21 +75,34 @@ pub trait RoutingPolicy: Sync {
         gens
     }
 
-    /// `true` for policies that pick each hop at enqueue time from
-    /// live queue occupancy instead of following a fixed source
-    /// route. The engines then skip route precomputation, pack the
-    /// state the choice needs once per packet instead, and call their
-    /// shared hop selector per hop; [`RoutingPolicy::route`] is only a
-    /// static description of the zero-contention path. In
-    /// multi-tenant runs ([`crate::Tenants::PerJob`]) each
-    /// job brings its own policy, so adaptivity is effectively
-    /// per packet.
-    fn is_adaptive(&self) -> bool {
-        false
+    /// The rule the engines follow for this policy's packets.
+    ///
+    /// * [`HopRule::SourceRoute`] (the default): the engines append
+    ///   [`RoutingPolicy::route_into`]'s route to the run's route slab
+    ///   at setup and follow it.
+    /// * [`HopRule::Greedy`]: the engines route nothing at setup. Each
+    ///   packet carries its packed `dst⁻¹ ∘ cur`, and every hop reads
+    ///   the next generator off it and swaps two of its fields. Only a
+    ///   policy whose route is [`GreedyRouting`]'s may say so.
+    /// * [`HopRule::Adaptive`]: the engines pack the state the choice
+    ///   needs once per packet and call their shared hop selector per
+    ///   hop. [`RoutingPolicy::route`] is then only a static
+    ///   description of the zero-contention path.
+    ///
+    /// In multi-tenant runs ([`crate::Tenants::PerJob`]) each job
+    /// brings its own policy, so the rule is effectively per packet.
+    fn hop_rule(&self) -> HopRule {
+        HopRule::SourceRoute
     }
 }
 
 /// Greedy shortest-path routing (always `distance(src, dst)` hops).
+///
+/// The engines never call [`RoutingPolicy::route_into`] for it: a
+/// greedy packet carries `dst⁻¹ ∘ cur` packed in 4-bit fields and
+/// reads each hop off it, sending the front symbol home, else fetching
+/// the smallest misplaced slot — the rule of
+/// [`sg_star::routing::greedy_sort`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GreedyRouting;
 
@@ -85,6 +115,10 @@ impl RoutingPolicy for GreedyRouting {
         let rel = src.relative_to(dst);
         out.reserve(length_to_identity(&rel) as usize);
         greedy_sort(&rel, |g| out.push(g));
+    }
+
+    fn hop_rule(&self) -> HopRule {
+        HopRule::Greedy
     }
 }
 
@@ -264,8 +298,8 @@ impl RoutingPolicy for AdaptiveRouting {
         GreedyRouting.route_into(src, dst, out);
     }
 
-    fn is_adaptive(&self) -> bool {
-        true
+    fn hop_rule(&self) -> HopRule {
+        HopRule::Adaptive
     }
 }
 

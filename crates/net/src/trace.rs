@@ -146,11 +146,14 @@ pub fn record(
 /// `2..=`[`MAX_ORDER`]; a packet without an owner, or with one the
 /// header does not declare; an event naming a PE at or past `n!`, a
 /// generator outside `1..n` or a packet past the preamble; a forward
-/// whose `to` is not `from`'s neighbour through its `gen`; a
+/// whose `to` is not `from`'s neighbour through its `gen`; a net event
+/// outside any round bracket or inside another round's; a
+/// `round_begin` that does not come after the previous bracket; a
 /// `round_end` that does not close its round or disagrees with the
 /// replayed census; a flit leaving an empty PE, or more flits than its
 /// job queued; a packet resolved twice, never, or before its injection
-/// round; a stream that ends inside a round.
+/// round; a stream that ends inside a round. Scheduler events
+/// (`job_*`) may stand anywhere.
 pub fn replay(trace: &Trace) -> Result<RunStats, TraceError> {
     let h = &trace.header;
     if h.dropped > 0 {
@@ -250,7 +253,11 @@ struct Replayer<'t> {
     stall_any: bool,
     /// Strand drops seen in the open round.
     stranded: bool,
+    /// The round whose bracket is open.
     open: Option<u32>,
+    /// The round of the last bracket closed; the next one must come
+    /// after it.
+    closed: Option<u32>,
 }
 
 impl<'t> Replayer<'t> {
@@ -272,6 +279,7 @@ impl<'t> Replayer<'t> {
             stall_any: false,
             stranded: false,
             open: None,
+            closed: None,
         }
     }
 
@@ -308,6 +316,16 @@ impl<'t> Replayer<'t> {
         }
     }
 
+    /// Checks that a net event of `round` falls inside that round's
+    /// bracket, as the engines emit every one.
+    fn in_bracket(&self, round: u32) -> Result<(), String> {
+        match self.open {
+            Some(open) if open == round => Ok(()),
+            Some(open) => Err(format!("an event of round {round} inside round {open}")),
+            None => Err(format!("an event of round {round} outside any round")),
+        }
+    }
+
     /// Feeds the next event of the stream, or says why it cannot come
     /// next.
     fn apply(&mut self, ev: &Event) -> Result<(), String> {
@@ -315,6 +333,9 @@ impl<'t> Replayer<'t> {
             Event::RoundBegin { round } => {
                 if self.open.is_some() {
                     return Err(format!("round {round} begins inside an open round"));
+                }
+                if let Some(last) = self.closed.filter(|&last| round <= last) {
+                    return Err(format!("round {round} begins after round {last} ended"));
                 }
                 self.open = Some(round);
                 self.stalls = 0;
@@ -332,6 +353,7 @@ impl<'t> Replayer<'t> {
                         "round_end for round {round} without matching round_begin"
                     ));
                 }
+                self.closed = Some(round);
                 if queued != self.queued {
                     return Err(format!(
                         "round {round}: round_end reports {queued} queued, replay counts {}",
@@ -353,13 +375,14 @@ impl<'t> Replayer<'t> {
                 self.tally.end_round(queued, stalled);
             }
             Event::Queued {
+                round,
                 pid,
                 pe,
                 gen,
                 depth,
                 escape,
-                ..
             } => {
+                self.in_bracket(round)?;
                 self.packet(pid)?;
                 let pe = self.pe(pe)?;
                 self.gen(gen)?;
@@ -373,13 +396,14 @@ impl<'t> Replayer<'t> {
                 self.tally.queued(pid, escape, u64::from(depth), at_pe);
             }
             Event::Forwarded {
+                round,
                 pid,
                 from,
                 to,
                 gen,
                 escape,
-                ..
             } => {
+                self.in_bracket(round)?;
                 self.packet(pid)?;
                 let from = self.pe(from)?;
                 self.pe(to)?;
@@ -400,7 +424,8 @@ impl<'t> Replayer<'t> {
                     ));
                 }
             }
-            Event::Diverted { pid, pe, .. } => {
+            Event::Diverted { round, pid, pe, .. } => {
+                self.in_bracket(round)?;
                 self.packet(pid)?;
                 let pe = self.pe(pe)?;
                 if self.node_occ[pe] == 0 {
@@ -410,7 +435,13 @@ impl<'t> Replayer<'t> {
                 self.esc_node[pe] += 1;
                 self.tally.diverted(pid, self.esc_node[pe]);
             }
-            Event::Stalled { pid, pe, kind, .. } => {
+            Event::Stalled {
+                round,
+                pid,
+                pe,
+                kind,
+            } => {
+                self.in_bracket(round)?;
                 self.packet(pid)?;
                 self.pe(pe)?;
                 self.stall_any = true;
@@ -425,6 +456,7 @@ impl<'t> Replayer<'t> {
                 pe,
                 hops,
             } => {
+                self.in_bracket(round)?;
                 self.pe(pe)?;
                 self.resolve(pid, PacketOutcome::Delivered { round, hops })?;
             }
@@ -434,6 +466,7 @@ impl<'t> Replayer<'t> {
                 pe,
                 reason,
             } => {
+                self.in_bracket(round)?;
                 self.pe(pe)?;
                 let outcome = match reason {
                     DropReason::Fault => PacketOutcome::DroppedFault { round },
@@ -1030,6 +1063,69 @@ mod tests {
                     ..RunCounters::default()
                 }
             );
+        }
+
+        /// The tiny stream with its delivery given `round` and placed
+        /// `at` index `at` of the stream.
+        fn tiny_stream_with_delivery(round: u32, at: usize) -> Vec<Event> {
+            let mut evs = vec![
+                begin(0),
+                queued(0, 0, 3, 1, 1, false),
+                end(0, 1, 0, 0),
+                begin(1),
+                forwarded(1, 0, 3, 5, 1, false),
+                end(1, 0, 1, 0),
+                begin(2),
+                end(2, 0, 0, 0),
+            ];
+            evs.insert(at, delivered(round, 0, 5, 1));
+            evs
+        }
+
+        fn refused(r: Result<Replayed, TraceError>, msg: &str) {
+            match r {
+                Err(TraceError::Inconsistent { msg: got }) => assert_eq!(got, msg),
+                other => panic!("{other:?}"),
+            }
+        }
+
+        /// A net event names the round of the bracket it stands in: a
+        /// delivery moved to round 900 inside round 2's bracket would
+        /// give a makespan of 900.
+        #[test]
+        fn event_off_its_round_is_inconsistent() {
+            assert!(run(None, 0, 1, &tiny_stream_with_delivery(2, 7)).is_ok());
+            let r = run(None, 0, 1, &tiny_stream_with_delivery(900, 7));
+            refused(r, "an event of round 900 inside round 2");
+            let r = run(None, 0, 1, &tiny_stream_with_delivery(1, 7));
+            refused(r, "an event of round 1 inside round 2");
+        }
+
+        /// Net events stand inside a round bracket; scheduler events
+        /// may stand anywhere.
+        #[test]
+        fn net_event_outside_a_round_is_inconsistent() {
+            let r = run(None, 0, 1, &tiny_stream_with_delivery(2, 6));
+            refused(r, "an event of round 2 outside any round");
+            let mut evs = tiny_stream_with_delivery(2, 7);
+            evs.insert(6, Event::JobArrived { round: 9, job: 0 });
+            assert!(run(None, 0, 1, &evs).is_ok());
+        }
+
+        /// Brackets come in increasing rounds: a bracket may neither
+        /// repeat the round before it nor go back.
+        #[test]
+        fn round_begin_not_after_the_previous_round_is_inconsistent() {
+            for (again, msg) in [
+                (1, "round 1 begins after round 1 ended"),
+                (0, "round 0 begins after round 1 ended"),
+            ] {
+                let mut evs = tiny_stream_with_delivery(2, 7);
+                evs[6] = begin(again);
+                evs[7] = delivered(again, 0, 5, 1);
+                evs[8] = end(again, 0, 0, 0);
+                refused(run(None, 0, 1, &evs), msg);
+            }
         }
 
         #[test]

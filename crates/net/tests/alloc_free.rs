@@ -1,8 +1,9 @@
 //! The permutation kernels on the routing path allocate nothing, a
 //! route allocates exactly the `Vec` it returns, appending a route to
 //! a `Vec` with room for it allocates nothing, and a run's allocations
-//! do not grow with its hops: adaptive hop selection and the embedding
-//! walk allocate nothing per hop or per packet.
+//! do not grow with its hops: greedy hops read off the carried word,
+//! adaptive hop selection and the embedding walk allocate nothing per
+//! hop or per packet.
 //!
 //! A counting global allocator (a thread-local counter in front of
 //! [`System`]) measures each call. The `unsafe` that implementing
@@ -158,8 +159,9 @@ fn substar_lift_and_project_allocate_nothing() {
 }
 
 /// Fixed setup allocations of one run: the packet table, the route
-/// slab (grown by doubling) and the adaptive side table, the per-run
-/// queue and outcome state, and the statistics (about 30 at `S_7`).
+/// slab (grown by doubling; empty for greedy packets) and the adaptive
+/// side table, the per-run queue and outcome state, and the statistics
+/// (about 30 at `S_7`).
 const RUN_SETUP: u64 = 64;
 
 /// What a run of `k` packets may allocate: its setup, plus in each
@@ -191,6 +193,12 @@ fn assert_run_allocates_nothing_per_hop(policy: &dyn RoutingPolicy) {
         );
         assert!(stats.forwarded_flits > bound + k as u64, "vacuous bound");
     }
+}
+
+#[test]
+fn greedy_runs_allocate_nothing_per_hop() {
+    // Every hop is read off the packet's carried word.
+    assert_run_allocates_nothing_per_hop(&GreedyRouting);
 }
 
 #[test]

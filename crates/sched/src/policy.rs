@@ -216,6 +216,7 @@ pub fn tenant_policy(routing: TenantRouting, sub: &SubStar) -> Box<dyn RoutingPo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sg_net::HopRule;
     use sg_perm::lehmer::unrank;
 
     #[test]
@@ -243,10 +244,11 @@ mod tests {
     #[test]
     fn tenant_policy_dispatch() {
         let sub = SubStar::new(4, vec![1]);
-        assert!(!tenant_policy(TenantRouting::Embedding, &sub).is_adaptive());
-        assert!(!tenant_policy(TenantRouting::Greedy, &sub).is_adaptive());
-        assert!(tenant_policy(TenantRouting::Adaptive, &sub).is_adaptive());
-        assert!(!tenant_policy(TenantRouting::GlobalEmbedding, &sub).is_adaptive());
+        let rule = |routing| tenant_policy(routing, &sub).hop_rule();
+        assert_eq!(rule(TenantRouting::Embedding), HopRule::SourceRoute);
+        assert_eq!(rule(TenantRouting::Greedy), HopRule::Greedy);
+        assert_eq!(rule(TenantRouting::Adaptive), HopRule::Adaptive);
+        assert_eq!(rule(TenantRouting::GlobalEmbedding), HopRule::SourceRoute);
         assert_eq!(
             tenant_policy(TenantRouting::GlobalEmbedding, &sub).name(),
             "embedding",

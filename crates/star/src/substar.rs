@@ -299,8 +299,8 @@ impl SubStar {
     }
 
     /// All global node ranks of the sub-star, in local-rank order: one
-    /// lexicographic sweep of the local `S_m`, lifted and ranked on the
-    /// stack.
+    /// lexicographic sweep of the local `S_m`, each rank read off the
+    /// local node's own Lehmer digits (see [`SubStar::node_rank_iter`]).
     #[must_use]
     pub fn node_ranks(&self) -> Vec<u64> {
         self.node_rank_iter().collect()
@@ -309,10 +309,35 @@ impl SubStar {
     /// [`SubStar::node_ranks`] as an iterator of known length, so a
     /// caller can collect it straight into the container it keeps
     /// (one allocation, no intermediate `Vec`).
+    ///
+    /// No node is lifted or ranked. Take a local node `q` and the free
+    /// symbols `F` in ascending order. Slot `i < m` of `lift(q)` holds
+    /// `F[q_i]`, and the slots after it hold `c_i(q)` smaller free
+    /// symbols (`q`'s own Lehmer digit) and `F[q_i] − q_i` smaller
+    /// fixed ones, while the digits of the fixed slots depend on the
+    /// suffix alone. So `rank(lift(q)) = C + Σ_{i<m} (c_i(q) + F[q_i] −
+    /// q_i)·(n−1−i)!`, with the constant `C` read off the lift of the
+    /// identity.
     pub fn node_rank_iter(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
-        let mut q = Perm::identity(self.order());
+        let (n, m) = (self.n, self.order());
+        let free = self.free_array();
+        let weight: [u64; MAX_N] =
+            std::array::from_fn(|i| if i < m { factorial(n - 1 - i) } else { 0 });
+        // F[v] − v: the fixed symbols below the global symbol of local v.
+        let fixed_below: [u64; MAX_N] =
+            std::array::from_fn(|v| u64::from(free[v]).saturating_sub(v as u64));
+        let free_part: u64 = (0..m).map(|i| fixed_below[i] * weight[i]).sum();
+        let base = rank(&self.lift(&Perm::identity(m))) - free_part;
+        let mut q = Perm::identity(m);
         (0..self.size() as usize).map(move |_| {
-            let r = rank(&self.lift(&q));
+            let mut r = base;
+            // The symbols after slot `i` are exactly those not yet seen.
+            let mut unseen = (1u32 << m) - 1;
+            for (i, &v) in q.as_slice().iter().enumerate() {
+                let smaller_after = (unseen & ((1 << v) - 1)).count_ones();
+                unseen &= !(1 << v);
+                r += (u64::from(smaller_after) + fixed_below[usize::from(v)]) * weight[i];
+            }
             next_perm(&mut q);
             r
         })
@@ -496,7 +521,7 @@ mod tests {
 
     #[test]
     fn node_ranks_match_lift_of_unrank_for_every_substar() {
-        for n in 2..=6usize {
+        for n in 2..=7usize {
             for m in 1..=n {
                 for sub in substars_of_order(n, m) {
                     let expect: Vec<u64> = (0..sub.size())

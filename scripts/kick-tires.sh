@@ -10,7 +10,7 @@
 # 3. The `trace` CLI: record, replay and self-diff an S_6 run and the S_6
 #    lattice allreduce (a partitioned trace, one owner per barrier
 #    phase, whose per-phase stats the recorder's self-check replays),
-#    then five corrupted logs that replay must refuse with exit code 2,
+#    then six corrupted logs that replay must refuse with exit code 2,
 #    and a replay into `head -n 1` that must exit 0.
 # 4. starbench: its self-tests, then one traced second of each workload
 #    in BENCHMARK.json, whose result line must report a verified output.
@@ -45,8 +45,10 @@ trace diff "$tmp/ar6.jsonl" "$tmp/ar6.jsonl" --context 3
 # an event on generator 0 must be refused with code 2, not a panic (101)
 # or an aborting allocation. So must the first forwarded event moved to
 # another in-range generator (1 -> 2, any other -> 1), whose link does
-# not lead to the PE the flit reached, and packet 0 injected in round
-# u32::MAX - 999, after it resolves (its latency would wrap).
+# not lead to the PE the flit reached, packet 0 injected in round
+# u32::MAX - 999, after it resolves (its latency would wrap), and the
+# first delivered event moved to round 900, off its round's bracket (a
+# replay that took it would report a makespan of 900).
 sed '1s/"packets":[0-9]*/"packets":18446744073709551615/' "$tmp/s6.jsonl" > "$tmp/s6-packets.jsonl"
 sed '0,/"pe":[0-9]*/s//"pe":3000000000/' "$tmp/s6.jsonl" > "$tmp/s6-pe.jsonl"
 sed '0,/"gen":[0-9]*/s//"gen":0/' "$tmp/s6.jsonl" > "$tmp/s6-gen.jsonl"
@@ -57,8 +59,14 @@ if cmp -s "$tmp/s6.jsonl" "$tmp/s6-link.jsonl"; then
   exit 1
 fi
 sed '2s/"round":[0-9]*/"round":4294966296/' "$tmp/s6.jsonl" > "$tmp/s6-round.jsonl"
+sed '0,/"ev":"delivered","round":[0-9]*/s//"ev":"delivered","round":900/' "$tmp/s6.jsonl" \
+  > "$tmp/s6-bracket.jsonl"
+if cmp -s "$tmp/s6.jsonl" "$tmp/s6-bracket.jsonl"; then
+  echo "the delivery-round corruption changed nothing" >&2
+  exit 1
+fi
 for f in "$tmp/s6-packets.jsonl" "$tmp/s6-pe.jsonl" "$tmp/s6-gen.jsonl" "$tmp/s6-link.jsonl" \
-  "$tmp/s6-round.jsonl"; do
+  "$tmp/s6-round.jsonl" "$tmp/s6-bracket.jsonl"; do
   code=0
   trace replay "$f" > /dev/null 2>&1 || code=$?
   if [ "$code" -ne 2 ]; then
