@@ -2955,10 +2955,69 @@ mod tests {
         assert_eq!(std::mem::size_of::<SimPacket>(), 32);
     }
 
+    #[test]
+    fn setup_packs_every_packet_across_chunks() {
+        // Three setup chunks of source-routed, greedy and adaptive
+        // packets: once the chunks are stitched, each packet's arena
+        // span, side-table entry or carried word describes its own
+        // endpoints, and its escape opt-in is its job's.
+        let n = 6;
+        let net = Network::new(n);
+        let w = Workload::uniform_pairs(n, 3 * ROUTE_CHUNK + 17, 3);
+        let policies: [&dyn RoutingPolicy; 3] =
+            [&EmbeddingRouting, &GreedyRouting, &AdaptiveRouting];
+        let owner: Vec<u32> = (0..w.len() as u32).map(|pid| pid % 3).collect();
+        let escape = [true, false, true];
+        let tenants = Tenants::PerJob {
+            policies: &policies,
+            owner: &owner,
+            escape: &escape,
+        };
+        let (arena, pkts) = net.prepare(&w, tenants);
+        assert_eq!(w.len().div_ceil(route_chunk_len(w.len())), 3);
+        for ((i, pkt), &j) in w.injections().iter().zip(&pkts).zip(&owner) {
+            assert_eq!(pkt.may_escape, escape[j as usize]);
+            if i.src == i.dst {
+                continue;
+            }
+            let (a, b) = (unrank(i.src, n).unwrap(), unrank(i.dst, n).unwrap());
+            assert_eq!(pkt.rule, policies[j as usize].hop_rule());
+            match pkt.rule {
+                HopRule::SourceRoute => {
+                    let span = pkt.route_off as usize..(pkt.route_off + pkt.route_len) as usize;
+                    assert_eq!(arena.data[span], EmbeddingRouting.route(&a, &b));
+                }
+                HopRule::Greedy => assert_eq!(pkt.greedy_rel(), rel_word(&a, &b)),
+                HopRule::Adaptive => {
+                    let state = arena.adaptive[pkt.route_off as usize];
+                    assert_eq!(state, AdaptiveState::new(&a, &b));
+                }
+            }
+        }
+    }
+
+    /// A greedy policy the engines must never ask for a route.
+    struct GreedyWithoutRoutes;
+
+    impl RoutingPolicy for GreedyWithoutRoutes {
+        fn name(&self) -> &'static str {
+            "greedy without routes"
+        }
+
+        fn route_into(&self, _: &Perm, _: &Perm, _: &mut Vec<u8>) {
+            panic!("a greedy run routes nothing at setup");
+        }
+
+        fn hop_rule(&self) -> HopRule {
+            HopRule::Greedy
+        }
+    }
+
     /// Sends the greedy packets `pairs` (source and destination ranks
     /// of `S_n`) through the run core over the fast engine's queue
-    /// store, one at a time, so each travels alone. A packet leaves its
-    /// source through next-hop selection and lands through its
+    /// store, one at a time, so each travels alone. Setup may neither
+    /// route them nor put a byte in the route arena. A packet leaves
+    /// its source through next-hop selection and lands through its
     /// arrival's queue hint when `hinted` and the forward named one,
     /// otherwise through next-hop selection, as the reference engine
     /// lands every flit. At every PE a packet stands on, its carried
@@ -2970,8 +3029,11 @@ mod tests {
             .iter()
             .map(|&(src, dst)| Injection { round: 0, src, dst });
         let w = Workload::from_injections("lone greedy", n, inj.collect());
-        let prepared = net.prepare(&w, Tenants::One(&GreedyRouting));
-        assert!(prepared.0.data.is_empty(), "greedy packets route nothing");
+        let prepared = net.prepare(&w, Tenants::One(&GreedyWithoutRoutes));
+        assert!(
+            prepared.0.data.is_empty(),
+            "greedy packets have no arena bytes"
+        );
         let mut probe = NullProbe;
         let tally = RunCounters::default();
         let mut core: Core<'_, _, LinkedQueues, _> =

@@ -78,7 +78,7 @@ proptest! {
 
     /// Same seed ⇒ bit-identical stats, independently constructed
     /// networks included. (The whole pipeline — workload generation,
-    /// route precomputation, round loop, parallel aggregation — must
+    /// run setup, round loop, parallel aggregation — must
     /// be deterministic for this to hold.)
     #[test]
     fn prop_determinism(n in 3usize..=5, seed in any::<u64>(), rate in 1u32..=100, flip in any::<bool>()) {

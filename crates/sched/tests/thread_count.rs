@@ -6,8 +6,8 @@
 //! The rayon shim reads the core count once per process, so a scoped
 //! [`ThreadPool::install`] is the only way to run both counts in one
 //! process; it also makes the two-thread path run on a one-core host.
-//! The workloads span three route-precompute chunks (about 4096
-//! packets each), so the two-thread runs really split their routing.
+//! The workloads span three setup chunks (about 4096 packets each), so
+//! the two-thread runs really split their setup.
 
 use rayon::ThreadPoolBuilder;
 use sg_net::{
@@ -19,7 +19,7 @@ use sg_sched::alloc::AllocPolicy;
 use sg_sched::scheduler::schedule;
 use sg_sched::stream::{generate, StreamConfig};
 
-/// Packets per workload: more than two route-precompute chunks.
+/// Packets per workload: more than two setup chunks.
 const PACKETS: usize = 3 * 4096 + 17;
 
 /// `f`'s result with `threads` threads in force for its parallel calls.
