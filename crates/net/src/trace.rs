@@ -1065,8 +1065,8 @@ mod tests {
             );
         }
 
-        /// The tiny stream with its delivery given `round` and placed
-        /// `at` index `at` of the stream.
+        /// The tiny stream with its delivery given `round` and inserted
+        /// at index `at` of the stream.
         fn tiny_stream_with_delivery(round: u32, at: usize) -> Vec<Event> {
             let mut evs = vec![
                 begin(0),
