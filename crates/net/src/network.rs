@@ -60,11 +60,15 @@
 //! round loop is statically dispatched.
 //!
 //! Setup packs what each packet follows once, by its policy's
-//! [`crate::HopRule`]: a source-routed packet's route goes into the
-//! run's route arena, a greedy packet packs `dst⁻¹ ∘ src` into its own
-//! record and an adaptive one its selector state into a side table.
-//! Only source-routed policies append to the arena, so a greedy run
-//! routes nothing at setup and reads no route byte per hop.
+//! [`crate::HopRule`]. A source-routed packet unranks its endpoints and
+//! its route goes into the run's route arena. A greedy packet packs
+//! `dst⁻¹ ∘ src` into its own record and an adaptive one its selector
+//! state into a side table, both straight from the packed Lehmer
+//! decodes of the two ranks ([`sg_perm::lehmer::unrank_packed`]) by
+//! one nibble scatter and one gather, with no [`Perm`]: only an
+//! adaptive destination's mesh coordinates go through one. Only
+//! source-routed policies append to the arena, so a greedy run routes
+//! nothing at setup and reads no route byte per hop.
 //!
 //! [`Engine::Reference`] is the transparent oracle. It keeps what the
 //! differential suite checks the fast engine against: a `VecDeque` per
@@ -139,7 +143,7 @@ use rayon::prelude::*;
 use sg_core::convert::convert_s_d_coords;
 use sg_obs::{DropReason, Event, NullProbe, PhaseProfile, Probe, StallKind};
 use sg_perm::factorial::factorial;
-use sg_perm::lehmer::{next_perm, unrank};
+use sg_perm::lehmer::{next_perm, unrank, unrank_packed};
 use sg_perm::{Perm, MAX_N};
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
@@ -418,9 +422,10 @@ impl Network {
     /// Runs `workload` for `tenants` on `engine` with `probe` attached:
     /// the one entry point behind every run method.
     ///
-    /// Setup runs in parallel: source routes are precomputed, and
-    /// greedy and adaptive packets pack the state they carry instead;
-    /// the round loop is sequential and
+    /// Setup runs in parallel chunks: source-routed packets append
+    /// their routes to the run's route arena, and greedy and adaptive
+    /// packets pack the state they carry straight from their
+    /// endpoints' ranks. The round loop is sequential and
     /// deterministic. `probe` sees the run's full [`sg_obs::Event`]
     /// stream in reference-scan order, the same on both engines, and
     /// leaves the statistics byte-identical; a [`NullProbe`] costs
@@ -597,9 +602,11 @@ impl Network {
     /// `pid` follows its job's policy by that policy's [`HopRule`] and
     /// may divert onto the escape channel iff its job opted in (every
     /// packet may under [`Tenants::One`]). Only source-routed packets
-    /// put routes in the shared [`RouteArena`]; a greedy packet packs
-    /// its `dst⁻¹ ∘ src` into its record, and an adaptive one its
-    /// [`AdaptiveState`] into the arena's side table.
+    /// unrank their endpoints and put routes in the shared
+    /// [`RouteArena`]; a greedy packet packs its `dst⁻¹ ∘ src` into its
+    /// record, and an adaptive one its [`AdaptiveState`] into the
+    /// arena's side table, both from the packed decodes of the two
+    /// ranks ([`route_chunk`]).
     fn prepare(&self, workload: &Workload, tenants: Tenants<'_>) -> (RouteArena, Vec<SimPacket>) {
         assert_eq!(
             workload.n(),
@@ -721,9 +728,12 @@ type RouteChunk = (Vec<u8>, Vec<AdaptiveState>);
 /// Sets up one chunk of the packet table, `out`, in place from its
 /// injections; `policy_for(k)` names the policy of the chunk's `k`-th
 /// packet and whether that packet may divert. A source-routed packet
-/// appends its route to the chunk's slab and an adaptive one its
-/// [`AdaptiveState`] to the chunk's side table. A greedy packet packs
-/// its `dst⁻¹ ∘ src` into its own record and routes nothing.
+/// unranks its endpoints and appends its route to the chunk's slab. A
+/// greedy packet packs its `dst⁻¹ ∘ src` into its own record and an
+/// adaptive one its [`AdaptiveState`] into the chunk's side table,
+/// each straight from the two ranks' packed decodes ([`relative`]),
+/// with no [`Perm`] but the adaptive destination's, which
+/// `CONVERT-S-D` reads.
 fn route_chunk<'p>(
     n: usize,
     out: &mut [SimPacket],
@@ -742,20 +752,24 @@ fn route_chunk<'p>(
         if i.src == i.dst {
             continue;
         }
-        let a = unrank(i.src, n).expect("rank in range");
-        let b = unrank(i.dst, n).expect("rank in range");
         pkt.rule = policy.hop_rule();
         match pkt.rule {
             HopRule::SourceRoute => {
                 let start = data.len();
-                policy.route_into(&a, &b, &mut data);
+                policy.route_into(&node(n, i.src), &node(n, i.dst), &mut data);
                 pkt.route_off = start as u32;
                 pkt.route_len = (data.len() - start) as u32;
             }
-            HopRule::Greedy => pkt.set_greedy_rel(rel_word(&a, &b)),
+            HopRule::Greedy => {
+                let rel = relative(n, packed_node(n, i.src), packed_node(n, i.dst));
+                debug_assert_eq!(rel, packed_rel(n, pkt.cur, pkt.dst));
+                pkt.set_greedy_rel(rel);
+            }
             HopRule::Adaptive => {
+                let state = AdaptiveState::from_ranks(n, i.src, i.dst);
+                debug_assert_eq!(state, AdaptiveState::new(&node(n, i.src), &node(n, i.dst)));
                 pkt.route_off = states.len() as u32;
-                states.push(AdaptiveState::new(&a, &b));
+                states.push(state);
             }
         }
     }
@@ -902,6 +916,17 @@ struct AdaptiveState {
     target: u64,
 }
 
+/// PE `rank` of `S_n` as a [`Perm`].
+fn node(n: usize, rank: u64) -> Perm {
+    unrank(rank, n).expect("rank in range")
+}
+
+/// PE `rank` of `S_n` packed: field `i` is the symbol in slot `i`, and
+/// the fields from `n` on are 0.
+fn packed_node(n: usize, rank: u64) -> u64 {
+    unrank_packed(rank, n).expect("rank in range")
+}
+
 /// Field `i` of a packed word: a greedy packet's `dst⁻¹ ∘ cur` or a
 /// word of an [`AdaptiveState`].
 #[inline]
@@ -923,17 +948,38 @@ fn symbols(p: &Perm) -> u64 {
 
 /// `dst⁻¹ ∘ cur` packed: field `i` is the slot of `dst` that holds
 /// `cur`'s slot-`i` symbol, so field `i` holds `i` for every `i < n`
-/// exactly when `cur == dst`.
+/// exactly when `cur == dst`. Setup computes it with [`relative`];
+/// this form over [`Perm`]s is the oracle.
 fn rel_word(cur: &Perm, dst: &Perm) -> u64 {
     symbols(&cur.relative_to(dst))
 }
 
-/// [`rel_word`] of PE `cur` and destination `dst` of `S_n`: what a
-/// greedy packet at `cur` carries. It unranks both, so only debug
+/// [`rel_word`] from the packed nodes `cur` and `dst` of `S_n`, with no
+/// [`Perm`]: one nibble scatter writes `dst⁻¹` (field `s` is the slot
+/// holding symbol `s`), and one gather reads it at `cur`'s symbols.
+/// Both loops run over all [`MAX_ORDER`] fields, a fixed trip count:
+/// the fields from `n` on first take the [`IDENTITY`]'s, which map to
+/// themselves, and are cleared again at the end.
+fn relative(n: usize, cur: u64, dst: u64) -> u64 {
+    let low = (1 << (4 * n)) - 1;
+    let (cur, dst) = (cur | IDENTITY & !low, dst | IDENTITY & !low);
+    let mut inv = 0;
+    for i in 0..MAX_ORDER {
+        inv |= (i as u64) << (4 * field(dst, i));
+    }
+    let mut rel = 0;
+    for i in 0..MAX_ORDER {
+        rel |= (field(inv, field(cur, i)) as u64) << (4 * i);
+    }
+    rel & low
+}
+
+/// [`rel_word`] of PE `cur` and destination `dst` of `S_n`, unranked
+/// into [`Perm`]s: the oracle the carried word and setup's
+/// [`relative`] are held to. It costs two unranks, so only debug
 /// asserts and tests call it.
 fn packed_rel(n: usize, cur: u32, dst: u32) -> u64 {
-    let node = |r: u32| unrank(u64::from(r), n).expect("rank in range");
-    rel_word(&node(cur), &node(dst))
+    rel_word(&node(n, u64::from(cur)), &node(n, u64::from(dst)))
 }
 
 /// `x` with fields 0 and `g` swapped: what taking generator `g` does
@@ -967,6 +1013,22 @@ fn greedy_hop(rel: u64) -> usize {
 }
 
 impl AdaptiveState {
+    /// The state of a packet at PE `cur` bound for PE `dst` of `S_n`,
+    /// as setup packs it: `rel` and `cur` straight from the two ranks'
+    /// packed decodes, and `target` from `dst`'s one [`Perm`], which
+    /// `CONVERT-S-D` reads.
+    fn from_ranks(n: usize, cur: u64, dst: u64) -> Self {
+        let (here, there) = (packed_node(n, cur), node(n, dst));
+        AdaptiveState {
+            rel: relative(n, here, symbols(&there)),
+            cur: here,
+            target: pack(convert_s_d_coords(&there).into_iter().take(n)),
+        }
+    }
+
+    /// The state of a packet at `cur` bound for `dst`, from their
+    /// [`Perm`]s: the oracle [`AdaptiveState::from_ranks`] and the
+    /// carried state are held to, in debug asserts and tests.
     fn new(cur: &Perm, dst: &Perm) -> Self {
         let n = cur.len();
         AdaptiveState {
@@ -1100,8 +1162,8 @@ fn select_generator(
             debug_assert_eq!(
                 *state,
                 AdaptiveState::new(
-                    &unrank(u64::from(u), net.n).expect("rank in range"),
-                    &unrank(u64::from(pkts[p].dst), net.n).expect("rank in range"),
+                    &node(net.n, u64::from(u)),
+                    &node(net.n, u64::from(pkts[p].dst))
                 ),
                 "carried state drifted from the packet's PE"
             );
@@ -1277,8 +1339,7 @@ fn escape_span(
         return span;
     }
     let route = if net.faults.is_empty() {
-        let a = unrank(u64::from(u), net.n).expect("rank in range");
-        let b = unrank(u64::from(dst), net.n).expect("rank in range");
+        let (a, b) = (node(net.n, u64::from(u)), node(net.n, u64::from(dst)));
         Some(crate::routing::EmbeddingRouting.route(&a, &b))
     } else {
         reroute_from(net, reroute_memo, u, dst)
@@ -2955,15 +3016,19 @@ mod tests {
         assert_eq!(std::mem::size_of::<SimPacket>(), 32);
     }
 
-    #[test]
-    fn setup_packs_every_packet_across_chunks() {
-        // Three setup chunks of source-routed, greedy and adaptive
-        // packets: once the chunks are stitched, each packet's arena
-        // span, side-table entry or carried word describes its own
-        // endpoints, and its escape opt-in is its job's.
-        let n = 6;
+    /// Sets up `w` on `S_n` as a three-job run — packet `pid` follows
+    /// [`EmbeddingRouting`], [`GreedyRouting`] or [`AdaptiveRouting`] by
+    /// `pid % 3`, and only the greedy job may not divert — over at
+    /// least three setup chunks, and checks every packet once the
+    /// chunks are stitched: its escape opt-in is its job's, a
+    /// source-routed packet's arena span holds [`EmbeddingRouting`]'s
+    /// route, a greedy packet carries [`packed_rel`] and an adaptive
+    /// one's side-table entry equals [`AdaptiveState::new`] of its
+    /// endpoints. Each endpoint's [`Perm`] is held to [`rank`] first, so
+    /// a wrong decode fails here even though setup and the oracles
+    /// share the one kernel.
+    fn assert_setup_matches_oracle(n: usize, w: &Workload) {
         let net = Network::new(n);
-        let w = Workload::uniform_pairs(n, 3 * ROUTE_CHUNK + 17, 3);
         let policies: [&dyn RoutingPolicy; 3] =
             [&EmbeddingRouting, &GreedyRouting, &AdaptiveRouting];
         let owner: Vec<u32> = (0..w.len() as u32).map(|pid| pid % 3).collect();
@@ -2973,27 +3038,88 @@ mod tests {
             owner: &owner,
             escape: &escape,
         };
-        let (arena, pkts) = net.prepare(&w, tenants);
-        assert_eq!(w.len().div_ceil(route_chunk_len(w.len())), 3);
+        let (arena, pkts) = net.prepare(w, tenants);
+        assert!(w.len().div_ceil(route_chunk_len(w.len())) >= 3);
+        let node = |r: u64| {
+            let p = unrank(r, n).unwrap();
+            assert_eq!(rank(&p), r, "S_{n}: unrank({r}) = {p}");
+            p
+        };
         for ((i, pkt), &j) in w.injections().iter().zip(&pkts).zip(&owner) {
             assert_eq!(pkt.may_escape, escape[j as usize]);
             if i.src == i.dst {
                 continue;
             }
-            let (a, b) = (unrank(i.src, n).unwrap(), unrank(i.dst, n).unwrap());
+            let (a, b) = (node(i.src), node(i.dst));
             assert_eq!(pkt.rule, policies[j as usize].hop_rule());
             match pkt.rule {
                 HopRule::SourceRoute => {
                     let span = pkt.route_off as usize..(pkt.route_off + pkt.route_len) as usize;
                     assert_eq!(arena.data[span], EmbeddingRouting.route(&a, &b));
                 }
-                HopRule::Greedy => assert_eq!(pkt.greedy_rel(), rel_word(&a, &b)),
+                HopRule::Greedy => {
+                    let want = packed_rel(n, pkt.cur, pkt.dst);
+                    assert_eq!(pkt.greedy_rel(), want, "S_{n}: {a} -> {b}");
+                }
                 HopRule::Adaptive => {
                     let state = arena.adaptive[pkt.route_off as usize];
-                    assert_eq!(state, AdaptiveState::new(&a, &b));
+                    assert_eq!(state, AdaptiveState::new(&a, &b), "S_{n}: {a} -> {b}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn setup_packs_every_packet_across_chunks() {
+        // Three setup chunks of source-routed, greedy and adaptive
+        // packets between uniform endpoints.
+        let n = 6;
+        let w = Workload::uniform_pairs(n, 3 * ROUTE_CHUNK + 17, 3);
+        assert_eq!(w.len().div_ceil(route_chunk_len(w.len())), 3);
+        assert_setup_matches_oracle(n, &w);
+    }
+
+    /// Every ordered pair of distinct ranks of `S_n`.
+    fn every_pair(n: usize) -> Vec<(u64, u64)> {
+        let size = factorial(n);
+        (0..size)
+            .flat_map(|a| (0..size).filter(move |&b| b != a).map(move |b| (a, b)))
+            .collect()
+    }
+
+    /// 256 pairs of distinct ranks of `S_n` drawn from `seed`.
+    fn random_pairs(n: usize, seed: u64) -> Vec<(u64, u64)> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut node = || rng.gen_range(0..factorial(n));
+        std::iter::repeat_with(|| (node(), node()))
+            .filter(|(a, b)| a != b)
+            .take(256)
+            .collect()
+    }
+
+    /// `pairs` (source and destination ranks of `S_n`) as the packets of
+    /// [`assert_setup_matches_oracle`]: each pair three times in a row,
+    /// once per job, cycled until setup runs at least three chunks.
+    fn setup_oracle_workload(n: usize, pairs: &[(u64, u64)]) -> Workload {
+        let len = (3 * pairs.len()).max(3 * ROUTE_CHUNK + 17);
+        let inj = (0..len).map(|k| {
+            let (src, dst) = pairs[k / 3 % pairs.len()];
+            Injection { round: 0, src, dst }
+        });
+        Workload::from_injections("setup oracle", n, inj.collect())
+    }
+
+    #[test]
+    fn setup_matches_its_oracle_on_every_pair() {
+        for n in 2..=5usize {
+            assert_setup_matches_oracle(n, &setup_oracle_workload(n, &every_pair(n)));
+        }
+    }
+
+    #[test]
+    fn setup_matches_its_oracle_at_max_order() {
+        let n = MAX_ORDER;
+        assert_setup_matches_oracle(n, &setup_oracle_workload(n, &random_pairs(n, 28)));
     }
 
     /// A greedy policy the engines must never ask for a route.
@@ -3085,24 +3211,14 @@ mod tests {
     #[test]
     fn greedy_hops_match_their_oracle_on_every_pair() {
         for n in 2..=5usize {
-            let size = factorial(n);
-            let pairs: Vec<(u64, u64)> = (0..size)
-                .flat_map(|a| (0..size).filter(move |&b| b != a).map(move |b| (a, b)))
-                .collect();
-            assert_greedy_packets_follow_greedy_routes(n, &pairs);
+            assert_greedy_packets_follow_greedy_routes(n, &every_pair(n));
         }
     }
 
     #[test]
     fn greedy_hops_match_their_oracle_at_max_order() {
         let n = MAX_ORDER;
-        let mut rng = ChaCha8Rng::seed_from_u64(27);
-        let mut node = || rng.gen_range(0..factorial(n));
-        let pairs: Vec<(u64, u64)> = std::iter::repeat_with(|| (node(), node()))
-            .filter(|(a, b)| a != b)
-            .take(256)
-            .collect();
-        assert_greedy_packets_follow_greedy_routes(n, &pairs);
+        assert_greedy_packets_follow_greedy_routes(n, &random_pairs(n, 27));
     }
 
     /// Drives one adaptive packet `src → dst` through [`adaptive_hop`]

@@ -103,6 +103,7 @@ pub fn assemble(
         },
         packets,
         events: log.events().to_vec(),
+        blank_lines: Vec::new(),
     }
 }
 
@@ -152,8 +153,9 @@ pub fn record(
 /// `round_end` that does not close its round or disagrees with the
 /// replayed census; a flit leaving an empty PE, or more flits than its
 /// job queued; a packet resolved twice, never, or before its injection
-/// round; a stream that ends inside a round. Scheduler events
-/// (`job_*`) may stand anywhere.
+/// round; a stream that ends inside a round. A refused event's error
+/// names the line it was read from ([`Trace::event_line`]). Scheduler
+/// events (`job_*`) may stand anywhere.
 pub fn replay(trace: &Trace) -> Result<RunStats, TraceError> {
     let h = &trace.header;
     if h.dropped > 0 {
@@ -161,9 +163,9 @@ pub fn replay(trace: &Trace) -> Result<RunStats, TraceError> {
     }
     let n = h.n as usize;
     if !(2..=MAX_ORDER).contains(&n) {
-        return Err(TraceError::Inconsistent {
-            msg: format!("header names S_{n}; the simulator runs 2 <= n <= {MAX_ORDER}"),
-        });
+        return Err(inconsistent(format!(
+            "header names S_{n}; the simulator runs 2 <= n <= {MAX_ORDER}"
+        )));
     }
     let jobs = h.jobs as usize;
     let owner_of = |p: &TracePacket| match p.job {
@@ -182,10 +184,14 @@ pub fn replay(trace: &Trace) -> Result<RunStats, TraceError> {
         .transpose()
         .map_err(inconsistent)?;
     let mut run = Replayer::new(n, &trace.packets, owner.as_deref().map(|o| (o, jobs)));
-    for ev in &trace.events {
-        run.apply(ev).map_err(inconsistent)?;
+    for (k, ev) in trace.events.iter().enumerate() {
+        let refused = |msg| TraceError::Inconsistent {
+            line: Some(trace.event_line(k)),
+            msg,
+        };
+        run.apply(ev).map_err(refused)?;
         if let Some(msg) = off_its_link(n, ev) {
-            return Err(inconsistent(msg));
+            return Err(refused(msg));
         }
     }
     run.finish()
@@ -217,8 +223,9 @@ fn off_its_link(n: usize, ev: &Event) -> Option<String> {
     })
 }
 
+/// A refusal no one event is at fault for.
 fn inconsistent(msg: String) -> TraceError {
-    TraceError::Inconsistent { msg }
+    TraceError::Inconsistent { line: None, msg }
 }
 
 /// Feeds a trace's events, one at a time, to the [`RunTally`] the fast
@@ -664,8 +671,9 @@ mod tests {
                 (*gen, *to) = (bad_gen, bad_to);
             }
             match replay_jsonl(&trace.to_jsonl()) {
-                Err(TraceError::Inconsistent { msg }) => {
+                Err(TraceError::Inconsistent { line, msg }) => {
                     assert!(msg.contains(&format!("packet {pid} forwarded")), "{msg}");
+                    assert_eq!(line, Some(trace.packets.len() + k + 2), "{msg}");
                 }
                 other => panic!("g{bad_gen} to PE {bad_to}: {other:?}"),
             }
@@ -690,7 +698,7 @@ mod tests {
             })
             .expect("packet 0 is delivered");
         match replay_jsonl(&trace.to_jsonl()) {
-            Err(TraceError::Inconsistent { msg }) => assert_eq!(
+            Err(TraceError::Inconsistent { line: None, msg }) => assert_eq!(
                 msg,
                 format!("packet 0 resolves in round {resolved}, before its injection round {late}")
             ),
@@ -927,7 +935,7 @@ mod tests {
                 forwarded(1, 1, 0, 2, 1, false),
             ];
             match run(Some(&[0, 1]), 2, 2, &evs) {
-                Err(TraceError::Inconsistent { msg }) => {
+                Err(TraceError::Inconsistent { msg, .. }) => {
                     assert_eq!(msg, "packet 1's job forwarded more flits than it queued")
                 }
                 other => panic!("{other:?}"),
@@ -1084,7 +1092,7 @@ mod tests {
 
         fn refused(r: Result<Replayed, TraceError>, msg: &str) {
             match r {
-                Err(TraceError::Inconsistent { msg: got }) => assert_eq!(got, msg),
+                Err(TraceError::Inconsistent { msg: got, .. }) => assert_eq!(got, msg),
                 other => panic!("{other:?}"),
             }
         }
@@ -1099,6 +1107,55 @@ mod tests {
             refused(r, "an event of round 900 inside round 2");
             let r = run(None, 0, 1, &tiny_stream_with_delivery(1, 7));
             refused(r, "an event of round 1 inside round 2");
+        }
+
+        /// A refused event names the 1-based line it was read from,
+        /// counting the blank lines the parser skips: the delivery moved
+        /// to round 900, refused inside round 2's bracket.
+        #[test]
+        fn refusal_names_the_line_of_the_moved_event() {
+            let jsonl = |round| {
+                let events = tiny_stream_with_delivery(round, 7);
+                let trace = Trace {
+                    header: TraceHeader {
+                        schema: SCHEMA_VERSION,
+                        engine: "fast".into(),
+                        n: 3,
+                        seed: 0,
+                        fingerprint: String::new(),
+                        jobs: 0,
+                        packets: 1,
+                        events: events.len() as u64,
+                        dropped: 0,
+                    },
+                    // PE 3 is (1 2 0); through g1 it reaches PE 5, (2 1 0).
+                    packets: vec![TracePacket {
+                        pid: 0,
+                        src: 3,
+                        dst: 5,
+                        round: 0,
+                        job: None,
+                    }],
+                    events,
+                    blank_lines: Vec::new(),
+                };
+                trace.to_jsonl()
+            };
+            assert!(replay_jsonl(&jsonl(2)).is_ok());
+            let moved = |line| TraceError::Inconsistent {
+                line: Some(line),
+                msg: "an event of round 900 inside round 2".into(),
+            };
+            // The header, the packet, then event 7 on line 10.
+            let text = jsonl(900);
+            assert_eq!(replay_jsonl(&text).err(), Some(moved(10)));
+            // A blank line after the header and two before the event.
+            let mut lines: Vec<&str> = text.lines().collect();
+            lines.insert(9, "");
+            lines.insert(9, "  ");
+            lines.insert(1, "");
+            assert!(lines[12].contains(r#""round":900"#));
+            assert_eq!(replay_jsonl(&lines.join("\n")).err(), Some(moved(13)));
         }
 
         /// Net events stand inside a round bracket; scheduler events

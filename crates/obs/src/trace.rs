@@ -75,6 +75,10 @@ pub enum TraceError {
     /// Replay found the stream internally inconsistent (e.g. a
     /// `round_end` total disagreeing with the replayed queue state).
     Inconsistent {
+        /// The 1-based line of the refused event ([`Trace::event_line`]);
+        /// `None` when no one event is at fault (a header, preamble or
+        /// section count, or the stream as a whole).
+        line: Option<usize>,
         /// First inconsistency found.
         msg: String,
     },
@@ -106,7 +110,11 @@ impl fmt::Display for TraceError {
                  {dropped} event(s), so derived state cannot be reconstructed — record with an \
                  unbounded EventLog"
             ),
-            TraceError::Inconsistent { msg } => {
+            TraceError::Inconsistent {
+                line: Some(line),
+                msg,
+            } => write!(f, "inconsistent event stream: line {line}: {msg}"),
+            TraceError::Inconsistent { line: None, msg } => {
                 write!(f, "inconsistent event stream: {msg}")
             }
         }
@@ -204,6 +212,11 @@ pub struct Trace {
     pub packets: Vec<TracePacket>,
     /// The recorded event stream, in emission order.
     pub events: Vec<Event>,
+    /// The 1-based numbers of the blank lines [`Trace::parse`] skipped,
+    /// ascending, so that [`Trace::event_line`] names the line each
+    /// event was read from. Empty for a trace built in memory:
+    /// [`Trace::to_jsonl`] writes no blank line.
+    pub blank_lines: Vec<usize>,
 }
 
 impl Trace {
@@ -226,6 +239,21 @@ impl Trace {
         out
     }
 
+    /// The 1-based line event `k` stands on: in [`Trace::to_jsonl`]'s
+    /// layout (the header, one line per packet, then the events) shifted
+    /// past every blank line that came before it.
+    #[must_use]
+    pub fn event_line(&self, k: usize) -> usize {
+        let mut line = self.packets.len() + k + 2;
+        for &blank in &self.blank_lines {
+            if blank > line {
+                break;
+            }
+            line += 1;
+        }
+        line
+    }
+
     /// Parse a JSONL trace. Streaming and strict: one pass over the
     /// lines, and any structural problem — missing header, wrong
     /// schema version, malformed line, out-of-order section, counts
@@ -234,10 +262,14 @@ impl Trace {
     /// # Errors
     /// See [`TraceError`].
     pub fn parse(text: &str) -> Result<Trace, TraceError> {
-        let mut lines = text
-            .lines()
-            .enumerate()
-            .filter(|(_, l)| !l.trim().is_empty());
+        let mut blank_lines = Vec::new();
+        let mut lines = text.lines().enumerate().filter(|&(idx, l)| {
+            let blank = l.trim().is_empty();
+            if blank {
+                blank_lines.push(idx + 1);
+            }
+            !blank
+        });
         let (_, first) = lines.next().ok_or(TraceError::Empty)?;
         let header = parse_header(first)?;
         // The header's counts are promises, not sizes: the file holds
@@ -291,6 +323,7 @@ impl Trace {
         }
         if (packets.len() as u64) > header.packets {
             return Err(TraceError::Inconsistent {
+                line: None,
                 msg: format!(
                     "header promises {} packet record(s), found {}",
                     header.packets,
@@ -307,6 +340,7 @@ impl Trace {
         }
         if (events.len() as u64) > header.events {
             return Err(TraceError::Inconsistent {
+                line: None,
                 msg: format!(
                     "header promises {} event record(s), found {}",
                     header.events,
@@ -318,6 +352,7 @@ impl Trace {
             header,
             packets,
             events,
+            blank_lines,
         })
     }
 }
@@ -758,6 +793,7 @@ mod tests {
                     stalled: 0,
                 },
             ],
+            blank_lines: Vec::new(),
         }
     }
 
@@ -777,6 +813,34 @@ mod tests {
         t.packets.iter_mut().for_each(|p| p.job = None);
         let back = Trace::parse(&t.to_jsonl()).expect("parses");
         assert_eq!(back, t);
+    }
+
+    /// Blank lines, which the parser skips, do not shift the line an
+    /// event is said to stand on.
+    #[test]
+    fn event_lines_count_skipped_blank_lines() {
+        let t = sample_trace();
+        // The header, two packets, then events 0..3 on lines 4..=6.
+        assert_eq!(
+            (0..3).map(|k| t.event_line(k)).collect::<Vec<_>>(),
+            [4, 5, 6]
+        );
+        let text = t.to_jsonl();
+        let mut lines: Vec<&str> = text.lines().collect();
+        lines.insert(4, " ");
+        lines.insert(4, "");
+        lines.insert(0, "");
+        let back = Trace::parse(&lines.join("\n")).expect("parses");
+        assert_eq!(back.blank_lines, [1, 6, 7]);
+        assert_eq!(back.events, t.events);
+        for k in 0..3 {
+            let line = back.event_line(k);
+            assert_eq!(
+                Event::from_json(lines[line - 1]),
+                Ok(t.events[k]),
+                "event {k}"
+            );
+        }
     }
 
     #[test]

@@ -7,9 +7,16 @@
 //!
 //! Both directions run on the stack in straight-line code. Ranking
 //! keeps a `u32` bitmask of the symbols not yet seen, so a Lehmer
-//! digit is one masked popcount. Unranking keeps the symbols not yet
-//! placed as a packed ascending list, so decoding a digit is one shift
-//! to read its symbol and one splice to close the gap.
+//! digit is one masked popcount. Unranking reads every digit straight
+//! off the rank, each from its own quotient by a factorial (a
+//! multiply and shifts, no division), and keeps the symbols not yet
+//! placed as a packed ascending list, so placing a digit's symbol is
+//! one shift to read it and one splice to close the gap. For
+//! `n ≤` [`PACKED_MAX_N`] the list is the 4-bit fields of a `u64` and
+//! the decode is one kernel monomorphized per order, whose result
+//! [`unrank_packed`] returns as 4-bit fields; [`unrank`] and
+//! [`from_lehmer_code`] unpack it. Only `17 ≤ n ≤ 20` keep a `u128`
+//! list of 5-bit fields.
 
 use crate::factorial::FACTORIALS;
 use crate::{Perm, PermError, MAX_N};
@@ -35,6 +42,83 @@ pub fn lehmer_code(p: &Perm) -> Vec<u8> {
     lehmer_digits(p)[..p.len()].to_vec()
 }
 
+/// The largest order [`unrank_packed`] decodes: `n` symbols below 16
+/// fill the 4-bit fields of a `u64`.
+pub const PACKED_MAX_N: usize = 16;
+
+/// The Lehmer digit of a rank's slot of place value `k!`, from two
+/// quotients of the rank: `q = rank / k!` and `above = rank / (k + 1)!`,
+/// which is `q / (k + 1)`, so the digit is `q mod (k + 1) =
+/// q − (k + 1) · above`. Every quotient comes off the rank itself, so
+/// the digits do not wait for each other.
+#[inline(always)]
+fn digit(q: u64, above: u64, k: usize) -> u64 {
+    q - (k as u64 + 1) * above
+}
+
+/// The decode kernel at order `N ≤` [`PACKED_MAX_N`]: the `rank`-th
+/// permutation of length `N` (`rank < N!`, unchecked), field `i`
+/// (bits `4i..4i + 4`) holding the symbol in slot `i` and fields from
+/// `N` on zero. Slot `i` takes the `digit`-th smallest symbol still
+/// unplaced. The unplaced symbols stay in ascending order in the 4-bit
+/// fields of one `u64`, so a digit is one shift that reads its symbol
+/// and one splice that moves every field above it down a place,
+/// whatever the digit's value: no data-dependent loop, hence no branch
+/// to mispredict. Symbols `≥ N` sit above the `N − i` fields digit `i`
+/// can reach. With `N` a constant the loop unrolls and every
+/// factorial reciprocal is an immediate.
+#[inline(always)]
+fn decode_packed<const N: usize>(rank: u64) -> u64 {
+    let mut unplaced: u64 = 0xFEDC_BA98_7654_3210;
+    let (mut packed, mut above) = (0, 0);
+    for i in 0..N {
+        let k = N - 1 - i;
+        let q = div_factorial(rank, k);
+        let at = 4 * digit(q, above, k) as u32;
+        above = q;
+        packed |= (unplaced >> at & 0xF) << (4 * i);
+        unplaced ^= (unplaced ^ unplaced >> 4) & (u64::MAX << at);
+    }
+    packed
+}
+
+/// [`decode_packed`] unpacked into a [`Perm`], at order `N`.
+#[inline(always)]
+fn decode_unpacked<const N: usize>(rank: u64) -> Perm {
+    let packed = decode_packed::<N>(rank);
+    let mut slots = [0u8; MAX_N];
+    for (i, slot) in slots[..N].iter_mut().enumerate() {
+        *slot = (packed >> (4 * i)) as u8 & 0xF;
+    }
+    Perm::from_parts(N, slots)
+}
+
+/// `$kernel::<N>($rank)` at the runtime order `N = $n`, `1 ≤ n ≤`
+/// [`PACKED_MAX_N`]: one jump to the order's monomorphized body.
+macro_rules! at_order {
+    ($kernel:ident, $rank:expr, $n:expr) => {
+        match $n {
+            1 => $kernel::<1>($rank),
+            2 => $kernel::<2>($rank),
+            3 => $kernel::<3>($rank),
+            4 => $kernel::<4>($rank),
+            5 => $kernel::<5>($rank),
+            6 => $kernel::<6>($rank),
+            7 => $kernel::<7>($rank),
+            8 => $kernel::<8>($rank),
+            9 => $kernel::<9>($rank),
+            10 => $kernel::<10>($rank),
+            11 => $kernel::<11>($rank),
+            12 => $kernel::<12>($rank),
+            13 => $kernel::<13>($rank),
+            14 => $kernel::<14>($rank),
+            15 => $kernel::<15>($rank),
+            16 => $kernel::<16>($rank),
+            n => unreachable!("S_{n} does not fit 4-bit fields"),
+        }
+    };
+}
+
 /// Symbols `0..MAX_N` in ascending order, 5 bits each: field `k`
 /// (bits `5k..5k + 5`) holds `k`. `MAX_N = 20` fields fill 100 bits.
 const ALL_SYMBOLS: u128 = {
@@ -47,20 +131,21 @@ const ALL_SYMBOLS: u128 = {
     list
 };
 
-/// Decodes `n` Lehmer digits (`digit(i) < n − i`, unchecked) into
-/// their permutation: slot `i` takes the `digit(i)`-th smallest symbol
-/// still unplaced. The unplaced symbols stay in ascending order as the
-/// fields of one `u128`, so a digit is one shift that reads its
-/// symbol and one splice that moves every field above it down a
-/// place, whatever the digit's value: no data-dependent loop, hence
-/// no branch to mispredict. Symbols `≥ n` sit above the `n − i` fields
-/// digit `i` can reach. The kernel behind [`from_lehmer_code`] and
-/// [`unrank`].
-fn decode(n: usize, mut digit: impl FnMut(usize) -> usize) -> Perm {
-    let mut unplaced = ALL_SYMBOLS;
+/// The `rank`-th permutation of length `n` (`rank < n!`, unchecked).
+/// Up to [`PACKED_MAX_N`] it unpacks the kernel's fields; the orders
+/// above, whose symbols need 5 bits, keep the unplaced list in the
+/// 5-bit fields of a `u128` and follow the same steps.
+fn decode(rank: u64, n: usize) -> Perm {
+    if n <= PACKED_MAX_N {
+        return at_order!(decode_unpacked, rank, n);
+    }
     let mut slots = [0u8; MAX_N];
+    let (mut unplaced, mut above) = (ALL_SYMBOLS, 0);
     for (i, slot) in slots.iter_mut().enumerate().take(n) {
-        let at = 5 * digit(i) as u32;
+        let k = n - 1 - i;
+        let q = div_factorial(rank, k);
+        let at = 5 * digit(q, above, k) as u32;
+        above = q;
         *slot = (unplaced >> at) as u8 & 0x1f;
         unplaced ^= (unplaced ^ (unplaced >> 5)) & (u128::MAX << at);
     }
@@ -80,7 +165,12 @@ pub fn from_lehmer_code(code: &[u8]) -> crate::Result<Perm> {
     if let Some((_, &c)) = code.iter().enumerate().find(|&(i, &c)| c as usize >= n - i) {
         return Err(PermError::SymbolOutOfRange { symbol: c, n });
     }
-    Ok(decode(n, |i| code[i] as usize))
+    let rank = code
+        .iter()
+        .enumerate()
+        .map(|(i, &c)| u64::from(c) * FACTORIALS[n - 1 - i])
+        .sum();
+    Ok(decode(rank, n))
 }
 
 /// Lexicographic rank of `p` among all permutations of its length:
@@ -110,13 +200,25 @@ const FACTORIAL_RECIPROCALS: [(u64, u32); MAX_N + 1] = {
 };
 
 /// `x / k!` for `x < 2^62` as one widening multiply and two shifts:
-/// the quotient chain is the critical path of [`unrank`], and a
-/// hardware division costs several times as much.
+/// every digit [`unrank`] decodes takes one, and a hardware division
+/// costs several times as much.
 #[inline]
 fn div_factorial(x: u64, k: usize) -> u64 {
     debug_assert!(x < 1 << 62, "{x} is not a rank");
     let (m, l) = FACTORIAL_RECIPROCALS[k];
     ((u128::from(x << 2) * u128::from(m)) >> 64) as u64 >> l
+}
+
+/// Checks that `rank` names a permutation of length `n`, for `n` up to
+/// `max_n`.
+fn check_rank(rank: u64, n: usize, max_n: usize) -> crate::Result<()> {
+    if n == 0 || n > max_n {
+        return Err(PermError::BadLength(n));
+    }
+    if rank >= FACTORIALS[n] {
+        return Err(PermError::RankOutOfRange { rank, n });
+    }
+    Ok(())
 }
 
 /// Inverse of [`rank`]: the `rank`-th permutation of length `n` in
@@ -126,21 +228,21 @@ fn div_factorial(x: u64, k: usize) -> u64 {
 /// [`PermError::RankOutOfRange`] if `rank >= n!`;
 /// [`PermError::BadLength`] for unsupported `n`.
 pub fn unrank(rank: u64, n: usize) -> crate::Result<Perm> {
-    if n == 0 || n > MAX_N {
-        return Err(PermError::BadLength(n));
-    }
-    if rank >= FACTORIALS[n] {
-        return Err(PermError::RankOutOfRange { rank, n });
-    }
-    let mut rest = rank;
-    let p = decode(n, |i| {
-        let k = n - 1 - i;
-        let digit = div_factorial(rest, k);
-        rest -= digit * FACTORIALS[k];
-        digit as usize
-    });
-    debug_assert_eq!(rest, 0);
-    Ok(p)
+    check_rank(rank, n, MAX_N)?;
+    Ok(decode(rank, n))
+}
+
+/// [`unrank`] packed: field `i` (bits `4i..4i + 4`) of the result is
+/// the symbol in slot `i`, and the fields from `n` on are 0. The
+/// form a caller that works on 4-bit fields wants, with no [`Perm`] in
+/// between.
+///
+/// # Errors
+/// [`PermError::RankOutOfRange`] if `rank >= n!`;
+/// [`PermError::BadLength`] unless `1 ≤ n ≤` [`PACKED_MAX_N`].
+pub fn unrank_packed(rank: u64, n: usize) -> crate::Result<u64> {
+    check_rank(rank, n, PACKED_MAX_N)?;
+    Ok(at_order!(decode_packed, rank, n))
 }
 
 /// Advances `p` to its lexicographic successor in place, returning
@@ -182,9 +284,64 @@ mod tests {
     use crate::factorial::factorial;
     use proptest::prelude::*;
 
+    /// The textbook Lehmer digits of `rank`: digit `i` is
+    /// `(rank / (n − 1 − i)!) mod (n − i)`, by plain division.
+    fn naive_digits(rank: u64, n: usize) -> Vec<u8> {
+        (0..n)
+            .map(|i| (rank / factorial(n - 1 - i) % (n - i) as u64) as u8)
+            .collect()
+    }
+
+    /// The textbook unrank the kernel is held to: slot `i` takes the
+    /// `digit`-th unused symbol, removed from a list.
+    fn naive_unrank(rank: u64, n: usize) -> Vec<u8> {
+        let mut unused: Vec<u8> = (0..n as u8).collect();
+        naive_digits(rank, n)
+            .into_iter()
+            .map(|d| unused.remove(usize::from(d)))
+            .collect()
+    }
+
+    /// `slots` in 4-bit fields, slot 0 lowest.
+    fn pack(slots: &[u8]) -> u64 {
+        slots.iter().rev().fold(0, |w, &s| w << 4 | u64::from(s))
+    }
+
+    #[test]
+    fn decode_matches_the_naive_unrank_exhaustively() {
+        // Every rank at n <= 9, packed and unpacked.
+        for n in 1..=9usize {
+            for r in 0..factorial(n) {
+                let want = naive_unrank(r, n);
+                assert_eq!(unrank_packed(r, n).unwrap(), pack(&want), "n={n} rank {r}");
+                assert_eq!(
+                    unrank(r, n).unwrap().as_slice(),
+                    &want[..],
+                    "n={n} rank {r}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unrank_packed_rejects_what_it_cannot_pack() {
+        assert_eq!(unrank_packed(0, 0), Err(PermError::BadLength(0)));
+        let n = PACKED_MAX_N + 1;
+        assert_eq!(unrank_packed(0, n), Err(PermError::BadLength(n)));
+        assert!(unrank(0, n).is_ok());
+        let rank = factorial(6);
+        assert_eq!(
+            unrank_packed(rank, 6),
+            Err(PermError::RankOutOfRange { rank, n: 6 })
+        );
+        // The widest packed order: symbol 15 in the top field.
+        let last = factorial(PACKED_MAX_N) - 1;
+        assert_eq!(unrank_packed(last, PACKED_MAX_N), Ok(0x0123_4567_89AB_CDEF));
+    }
+
     #[test]
     fn rank_unrank_roundtrip_exhaustive() {
-        for n in 1..=8usize {
+        for n in 1..=9usize {
             for r in 0..factorial(n) {
                 let p = unrank(r, n).unwrap();
                 assert_eq!(rank(&p), r);
@@ -348,6 +505,27 @@ mod tests {
             let p = unrank(seed % factorial(n), n).unwrap();
             let code = lehmer_code(&p);
             prop_assert_eq!(from_lehmer_code(&code).unwrap(), p);
+        }
+
+        #[test]
+        fn prop_packed_decode_matches_the_naive_unrank(
+            n in 1usize..=PACKED_MAX_N,
+            seed in any::<u64>(),
+        ) {
+            let r = seed % factorial(n);
+            prop_assert_eq!(unrank_packed(r, n).unwrap(), pack(&naive_unrank(r, n)));
+        }
+
+        #[test]
+        fn prop_unrank_and_code_decode_match_the_naive_unrank(
+            n in 1usize..=MAX_N,
+            seed in any::<u64>(),
+        ) {
+            let r = seed % factorial(n);
+            let want = naive_unrank(r, n);
+            prop_assert_eq!(unrank(r, n).unwrap().as_slice(), &want[..]);
+            let code = naive_digits(r, n);
+            prop_assert_eq!(from_lehmer_code(&code).unwrap().as_slice(), &want[..]);
         }
 
         #[test]

@@ -38,7 +38,11 @@ impl fmt::Display for PermError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PermError::BadLength(n) => {
-                write!(f, "permutation length {n} not in 1..={MAX_N}")
+                write!(
+                    f,
+                    "permutation length {n} not supported (1..={MAX_N}, packed 1..={})",
+                    crate::lehmer::PACKED_MAX_N
+                )
             }
             PermError::SymbolOutOfRange { symbol, n } => {
                 write!(f, "symbol {symbol} out of range for length-{n} permutation")

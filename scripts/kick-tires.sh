@@ -10,8 +10,9 @@
 # 3. The `trace` CLI: record, replay and self-diff an S_6 run and the S_6
 #    lattice allreduce (a partitioned trace, one owner per barrier
 #    phase, whose per-phase stats the recorder's self-check replays),
-#    then six corrupted logs that replay must refuse with exit code 2,
-#    and a replay into `head -n 1` that must exit 0.
+#    then six corrupted logs that replay must refuse with exit code 2
+#    (the last naming the line it damaged), and a replay into
+#    `head -n 1` that must exit 0.
 # 4. starbench: its self-tests, then one traced second of each workload
 #    in BENCHMARK.json, whose result line must report a verified output.
 #
@@ -68,12 +69,18 @@ fi
 for f in "$tmp/s6-packets.jsonl" "$tmp/s6-pe.jsonl" "$tmp/s6-gen.jsonl" "$tmp/s6-link.jsonl" \
   "$tmp/s6-round.jsonl" "$tmp/s6-bracket.jsonl"; do
   code=0
-  trace replay "$f" > /dev/null 2>&1 || code=$?
+  trace replay "$f" > /dev/null 2> "$tmp/refusal" || code=$?
   if [ "$code" -ne 2 ]; then
     echo "trace replay $f exited $code, want 2" >&2
     exit 1
   fi
 done
+# The last refusal, the moved delivery's, names the line it stands on.
+line=$(grep -n -m 1 '"ev":"delivered"' "$tmp/s6.jsonl" | cut -d: -f1)
+if ! grep -q "line $line: " "$tmp/refusal"; then
+  echo "the moved delivery's refusal does not name line $line: $(cat "$tmp/refusal")" >&2
+  exit 1
+fi
 
 echo "== starbench: self-tests, one traced second per workload"
 cargo test --release -q --offline --manifest-path starbench/Cargo.toml
