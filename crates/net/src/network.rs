@@ -3147,8 +3147,9 @@ mod tests {
     /// arrival's queue hint when `hinted` and the forward named one,
     /// otherwise through next-hop selection, as the reference engine
     /// lands every flit. At every PE a packet stands on, its carried
-    /// word must equal the packed `dst⁻¹ ∘ cur`. Returns the generators
-    /// each packet was forwarded over.
+    /// word must equal the packed `dst⁻¹ ∘ cur`, and no packet may
+    /// take more hops than the diameter `⌊3(n − 1)/2⌋`. Returns the
+    /// generators each packet was forwarded over.
     fn drive_greedy_packets(n: usize, pairs: &[(u64, u64)], hinted: bool) -> Vec<Vec<u8>> {
         let net = Network::new(n);
         let inj = pairs
@@ -3172,6 +3173,10 @@ mod tests {
             core.enqueue_next(pid, 0);
             let mut round = 0;
             while core.outcomes[p].is_none() {
+                assert!(
+                    route.len() < 3 * (n - 1) / 2,
+                    "S_{n}: {route:?} past the diameter"
+                );
                 let pkt = core.pkts[p];
                 assert_eq!(pkt.rule, HopRule::Greedy);
                 assert_eq!(pkt.greedy_rel(), packed_rel(n, pkt.cur, pkt.dst));

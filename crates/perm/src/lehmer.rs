@@ -324,22 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn unrank_packed_rejects_what_it_cannot_pack() {
-        assert_eq!(unrank_packed(0, 0), Err(PermError::BadLength(0)));
-        let n = PACKED_MAX_N + 1;
-        assert_eq!(unrank_packed(0, n), Err(PermError::BadLength(n)));
-        assert!(unrank(0, n).is_ok());
-        let rank = factorial(6);
-        assert_eq!(
-            unrank_packed(rank, 6),
-            Err(PermError::RankOutOfRange { rank, n: 6 })
-        );
-        // The widest packed order: symbol 15 in the top field.
-        let last = factorial(PACKED_MAX_N) - 1;
-        assert_eq!(unrank_packed(last, PACKED_MAX_N), Ok(0x0123_4567_89AB_CDEF));
-    }
-
-    #[test]
     fn rank_unrank_roundtrip_exhaustive() {
         for n in 1..=9usize {
             for r in 0..factorial(n) {
@@ -433,8 +417,8 @@ mod tests {
 
     #[test]
     fn extreme_ranks_round_trip_at_every_order() {
-        // The wide end of the one kernel: fields up to symbol 19 and
-        // quotients up to 19!.
+        // The wide end of both symbol lists: 4-bit fields up to symbol
+        // 15, 5-bit ones up to 19, and quotients up to 19!.
         for n in 1..=MAX_N {
             let size = factorial(n);
             for r in [0, 1 % size, size / 2, size - 1] {
@@ -444,7 +428,13 @@ mod tests {
             }
             let last: Vec<u8> = (0..n as u8).rev().collect();
             assert_eq!(unrank(size - 1, n).unwrap().as_slice(), &last[..]);
+            if n <= PACKED_MAX_N {
+                assert_eq!(unrank_packed(size - 1, n), Ok(pack(&last)));
+            }
         }
+        // The widest packed order, written out: symbol 15 in slot 0.
+        let last = factorial(PACKED_MAX_N) - 1;
+        assert_eq!(unrank_packed(last, PACKED_MAX_N), Ok(0x0123_4567_89AB_CDEF));
     }
 
     #[test]
@@ -484,6 +474,16 @@ mod tests {
         assert!(unrank(factorial(6), 6).is_err());
         assert!(unrank(0, 0).is_err());
         assert!(unrank(0, MAX_N + 1).is_err());
+        // The packed decode stops where 4-bit fields do.
+        assert_eq!(unrank_packed(0, 0), Err(PermError::BadLength(0)));
+        let n = PACKED_MAX_N + 1;
+        assert_eq!(unrank_packed(0, n), Err(PermError::BadLength(n)));
+        assert!(unrank(0, n).is_ok());
+        let rank = factorial(6);
+        assert_eq!(
+            unrank_packed(rank, 6),
+            Err(PermError::RankOutOfRange { rank, n: 6 })
+        );
     }
 
     #[test]
